@@ -40,6 +40,10 @@ class SingularHessianError(SeqrotError, RuntimeError):
     """Hessian Cholesky failed even after dampening."""
 
 
+class NonFiniteInputError(SeqrotError, ValueError):
+    """Input that must be finite holds NaN or inf."""
+
+
 class ShapeMismatchError(SeqrotError, ValueError):
     """Two arrays that must share a shape do not."""
 

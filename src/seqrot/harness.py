@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import CorpusSpec, corpus_hash, gen_corpus
+from .corpus import corpus_hash
 from .errors import DimensionMismatchError, InvalidSpecError
 from .quant import (
     METRIC_MAX_ABS,
@@ -286,24 +286,3 @@ def r4_ablation(cfg: ToyBlockConfig, modes=("global", "local"),
         config={"cfg": vars(cfg), "n_seeds": n_seeds, "r1": r1_kind,
                 "r4": r4_kind, "base_seed": base_seed,
                 "weight_bits": weight_spec.bits, "act_bits": act_spec.bits})
-
-
-def default_corpus_spec(seed: int = 0) -> CorpusSpec:
-    return CorpusSpec(seed=seed)
-
-
-def default_weight_spec() -> QuantSpec:
-    from .quant import Clip
-
-    return QuantSpec(bits=2, group_size=64, clip=Clip.mse())
-
-
-def run_default_comparison(seed: int = 0, count: int = 100,
-                           quantizer: str = QUANTIZER_RTN) -> ExperimentReport:
-    """The standard structured-corpus comparison across all four variants."""
-    spec = replace(default_corpus_spec(seed), count=count)
-    corpus = gen_corpus(spec)
-    report = run_comparison(corpus, ("gh", "gw", "lh", "gsr"),
-                            default_weight_spec(), quantizer=quantizer, seed=seed)
-    report.config["corpus"] = vars(spec)
-    return report

@@ -18,6 +18,7 @@ from .errors import (
     EmptyCalibrationError,
     GroupDoesNotDivideError,
     InvalidSpecError,
+    NonFiniteInputError,
     ShapeMismatchError,
     SingularHessianError,
 )
@@ -137,8 +138,14 @@ def _group_params(grouped: np.ndarray, spec: QuantSpec, ratio: np.ndarray):
     representation: scale |c| with the zero point one code below, or scale 1
     with code 0 when c == 0; either way the round trip is exact.
     """
+    return _range_params(grouped.min(axis=2), grouped.max(axis=2), grouped[..., 0],
+                         spec, ratio)
+
+
+def _range_params(mn, mx, first, spec: QuantSpec, ratio):
+    """``_group_params`` from each group's min, max and first element."""
     if spec.symmetric:
-        amax = np.abs(grouped).max(axis=2) * ratio
+        amax = np.maximum(np.abs(mn), np.abs(mx)) * ratio
         qpos = (1 << (spec.bits - 1)) - 1
         degenerate = amax == 0.0
         scale = np.where(degenerate, 1.0, amax / qpos)
@@ -146,8 +153,6 @@ def _group_params(grouped: np.ndarray, spec: QuantSpec, ratio: np.ndarray):
         lo = -amax
         hi = amax
     else:
-        mn = grouped.min(axis=2)
-        mx = grouped.max(axis=2)
         mid = 0.5 * (mn + mx)
         half = 0.5 * (mx - mn) * ratio
         lo = mid - half
@@ -158,9 +163,8 @@ def _group_params(grouped: np.ndarray, spec: QuantSpec, ratio: np.ndarray):
         zero = np.clip(np.where(degenerate, 0.0, round_half_away(-lo / scale)),
                        spec.qmin, spec.qmax)
         if np.any(degenerate):
-            c = grouped[..., 0]
-            scale = np.where(degenerate, np.where(c == 0.0, 1.0, np.abs(c)), scale)
-            zero = np.where(degenerate & (c < 0.0), 1.0, zero)
+            scale = np.where(degenerate, np.where(first == 0.0, 1.0, np.abs(first)), scale)
+            zero = np.where(degenerate & (first < 0.0), 1.0, zero)
         zero = zero.astype(np.int64)
     return scale, zero, lo, hi
 
@@ -171,7 +175,7 @@ def _encode(grouped: np.ndarray, spec: QuantSpec, scale, zero, lo, hi):
     Values are clipped to [lo, hi] before rounding; degenerate groups have
     lo == hi so their codes land on the exact representation automatically.
     """
-    clipped = np.clip(grouped, lo[..., None], hi[..., None])
+    clipped = np.minimum(np.maximum(grouped, lo[..., None]), hi[..., None])
     q = round_half_away(clipped / scale[..., None])
     if zero is not None:
         q = q + zero[..., None]
@@ -185,43 +189,133 @@ def _decode(codes: np.ndarray, scale, zero) -> np.ndarray:
     return q * scale[..., None]
 
 
-def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid,
-                   chunk: int = 8) -> np.ndarray:
+_PAIRWISE_BLOCK = 128   # numpy's PW_BLOCKSIZE
+
+
+def _pairwise_sum(x: np.ndarray) -> np.ndarray:
+    """Sum ``x`` over its first axis in exactly the order ``np.sum`` adds a
+    contiguous float64 row, so ``_pairwise_sum(a.T) == a.sum(axis=-1)``.
+
+    Below 8 terms the row is added left to right. Up to 128 terms, 8
+    accumulators take every 8th term, are combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the tail is added left to right.
+    Above 128 the row splits at the multiple of 8 at or below its half and
+    both halves recurse. ``np.sum`` adds the result to its initial 0.0, which
+    turns an all -0.0 sum into +0.0. Each step adds whole slices, so every
+    other axis is summed at once.
+    """
+    return 0.0 + _pairwise_rows(x)
+
+
+def _pairwise_rows(x: np.ndarray) -> np.ndarray:
+    n = x.shape[0]
+    if n < 8:
+        res = np.zeros(x.shape[1:])
+        for i in range(n):
+            res += x[i]
+        return res
+    if n <= _PAIRWISE_BLOCK:
+        m = n - n % 8
+        r = x[:8].copy()
+        for i in range(8, m, 8):
+            r += x[i:i + 8]
+        res = (r[0] + r[1]) + (r[2] + r[3])
+        res += (r[4] + r[5]) + (r[6] + r[7])
+        for i in range(m, n):
+            res += x[i]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_rows(x[:n2]) + _pairwise_rows(x[n2:])
+
+
+# ratios scored per pass, and values per work buffer: a chunk of ratios x a row
+# tile x cols stays within 2^17 float64 (1 MiB), so both buffers fit in L2
+_CHUNK = 8
+_TILE_ELEMS = 1 << 17
+
+
+def _clip_errors(grouped: np.ndarray, spec: QuantSpec,
+                 ratios: np.ndarray) -> np.ndarray:
+    """Squared round-trip error of every group at every clip ratio.
+
+    ``grouped`` is (rows, n_groups, g) and ``ratios`` 1-D; the result is
+    (len(ratios), rows, n_groups). ``grouped`` is copied to a C-contiguous
+    array and transposed once to element-major (g, rows, n_groups). The
+    ratios are scored k = min(8, len(ratios)) at a time in two
+    (g, k, rows, n_groups) buffers: every elementwise pass runs a contiguous
+    inner loop over rows x n_groups values, with the per-group clamp bounds,
+    scale and zero point broadcast along the outer g axis, and the group sum
+    adds contiguous slices.
+
+    Contract: each error is bit-identical to ``_encode`` then ``_decode`` on
+    that group with the squared error summed by ``np.sum`` over the
+    contiguous group, as ``mse_clip_search`` computes it: the clamps,
+    rounding and scaling are the same operations in the same order (a code
+    clamp is skipped only where it provably cannot bind), and
+    ``_pairwise_sum`` replays numpy's summation order.
+    """
+    rows, n_groups, g = grouped.shape
+    k = min(_CHUNK, len(ratios))
+    part = np.ascontiguousarray(grouped)
+    elem = np.ascontiguousarray(part.transpose(2, 0, 1))[:, None]
+    mn, mx, first = part.min(axis=2), part.max(axis=2), part[..., 0]
+    x = np.empty((g, k, rows, n_groups))
+    half = np.empty_like(x)
+    err = np.empty((len(ratios), rows, n_groups))
+    for start in range(0, len(ratios), k):
+        block = ratios[start:start + k]
+        scale, zero, lo, hi = _range_params(mn, mx, first, spec, block[:, None, None])
+        # the zero-point add/sub of _encode/_decode folded into one shifted
+        # clamp; codes stay float (small ints are exact)
+        zf = 0.0 if zero is None else zero.astype(np.float64)
+        xc, hc = x[:, :len(block)], half[:, :len(block)]
+        np.maximum(elem, lo, out=xc)
+        np.minimum(xc, hi, out=xc)
+        xc /= scale
+        np.copysign(0.5, xc, out=hc)
+        xc += hc
+        np.trunc(xc, out=xc)
+        # codes are monotone in x and x lies in [lo, hi], so a code clamp can
+        # bind only if the code of lo or hi falls outside it; a NaN code of lo
+        # or hi fails the test and keeps the clamp
+        qlo, qhi = spec.qmin - zf, spec.qmax - zf
+        if not (round_half_away(lo / scale) >= qlo).all():
+            np.maximum(xc, qlo, out=xc)
+        if not (round_half_away(hi / scale) <= qhi).all():
+            np.minimum(xc, qhi, out=xc)
+        xc *= scale
+        xc -= elem
+        np.square(xc, out=xc)
+        err[start:start + len(block)] = _pairwise_sum(xc)
+    return err
+
+
+def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
     """Per-group MSE-minimizing clip ratio; ties broken toward the larger ratio.
 
-    Ratios are evaluated in descending order in broadcast batches: a (k, 1, 1)
-    ratio block turns every per-group quantity into (k, rows, n_groups) and a
-    single vectorized pass scores k ratios at once.
+    ``grouped`` is (rows, n_groups, g); the result is (rows, n_groups). The
+    distinct grid ratios are scored in descending order by ``_clip_errors``
+    on row tiles of ``max(1, 2**17 // (k * cols))`` rows, k = min(8,
+    distinct ratios), so its two element-major (g, k, tile, n_groups) work
+    buffers hold at most 2^17 values each. Every error is bit-identical to
+    the per-group ``_encode``/``_decode`` round trip summed by ``np.sum``
+    (see ``_clip_errors``), so the result does not depend on the tiling or
+    on the memory layout of ``grouped``. Each group takes the first ratio
+    reaching its smallest error. A NaN error is never chosen, and a group
+    whose every error is NaN or inf gets ratio 1.0.
     """
-    rows, n_groups, _ = grouped.shape
-    best_err = np.full((rows, n_groups), np.inf)
-    best_ratio = np.ones((rows, n_groups))
-    ratios = sorted(set(grid), reverse=True)
-    for start in range(0, len(ratios), chunk):
-        block = ratios[start:start + chunk]
-        ratio = np.asarray(block)[:, None, None]
-        scale, zero, lo, hi = _group_params(grouped, spec, ratio)
-        # same arithmetic as _encode followed by _decode, with the zero-point
-        # add/sub folded into one shifted clamp; codes stay float (small ints
-        # are exact) to skip the integer round trip
-        x = np.clip(grouped, lo[..., None], hi[..., None])
-        x /= scale[..., None]
-        x += np.copysign(0.5, x)
-        np.trunc(x, out=x)
-        if zero is None:
-            np.clip(x, spec.qmin, spec.qmax, out=x)
-        else:
-            zf = zero.astype(np.float64)[..., None]
-            np.clip(x, spec.qmin - zf, spec.qmax - zf, out=x)
-        x *= scale[..., None]
-        x -= grouped
-        np.square(x, out=x)
-        err = x.sum(axis=-1)
-        for i, r in enumerate(block):
-            better = err[i] < best_err
-            best_err = np.where(better, err[i], best_err)
-            best_ratio = np.where(better, r, best_ratio)
-    return best_ratio
+    rows, n_groups, g = grouped.shape
+    ratios = np.asarray(sorted(set(grid), reverse=True), dtype=np.float64)
+    tile = max(1, _TILE_ELEMS // (min(_CHUNK, len(ratios)) * n_groups * g))
+    best = np.empty((rows, n_groups))
+    for r0 in range(0, rows, tile):
+        err = _clip_errors(grouped[r0:r0 + tile], spec, ratios)
+        err[np.isnan(err)] = np.inf
+        pick = err.argmin(axis=0)
+        found = np.take_along_axis(err, pick[None], axis=0)[0] < np.inf
+        best[r0:r0 + tile] = np.where(found, ratios[pick], 1.0)
+    return best
 
 
 def _effective_ratios(grouped: np.ndarray, spec: QuantSpec) -> np.ndarray:
@@ -234,9 +328,17 @@ def _effective_ratios(grouped: np.ndarray, spec: QuantSpec) -> np.ndarray:
     return _search_ratios(grouped, spec, clip.grid)
 
 
+def _finite_weights(w) -> np.ndarray:
+    """``w`` as float64, or NonFiniteInputError if it holds NaN or inf."""
+    w = np.asarray(w, dtype=np.float64)
+    if not np.isfinite(w).all():
+        raise NonFiniteInputError("weights contain NaN or inf")
+    return w
+
+
 def rtn_quantize(w: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
     """Round-to-nearest group quantization of a (rows, cols) matrix."""
-    w = np.asarray(w, dtype=np.float64)
+    w = _finite_weights(w)
     grouped = _group_view(w, spec.group_size)
     ratio = _effective_ratios(grouped, spec)
     scale, zero, lo, hi = _group_params(grouped, spec, ratio)
@@ -299,7 +401,7 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     objective delta.T @ H @ delta. This guarantees the sweep never ends up
     worse than RTN under the proxy objective.
     """
-    w = np.asarray(w, dtype=np.float64)
+    w = _finite_weights(w)
     rows, d = w.shape
     h = hessian.matrix
     if h.shape != (d, d):
@@ -336,8 +438,8 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     rtn_codes = _encode(grouped, spec, scale, zero, lo, hi).reshape(rows, d)
     sweep_delta = w - _decode(_group_view(codes, spec.group_size), scale, zero).reshape(rows, d)
     rtn_delta = w - _decode(_group_view(rtn_codes, spec.group_size), scale, zero).reshape(rows, d)
-    sweep_obj = np.einsum("rd,de,re->r", sweep_delta, h, sweep_delta)
-    rtn_obj = np.einsum("rd,de,re->r", rtn_delta, h, rtn_delta)
+    sweep_obj = ((sweep_delta @ h) * sweep_delta).sum(1)
+    rtn_obj = ((rtn_delta @ h) * rtn_delta).sum(1)
     keep_rtn = rtn_obj < sweep_obj
     if np.any(keep_rtn):
         codes[keep_rtn] = rtn_codes[keep_rtn]

@@ -104,6 +104,17 @@ class TestQuantize:
                              "--clip", "huh")
         assert code == 2
 
+    @pytest.mark.parametrize("scheme", ["rtn", "gptq"])
+    def test_non_finite_weights_exit_1(self, capsys, tmp_path, scheme):
+        src = tmp_path / "w.gsrt"
+        w = np.ones((2, 8))
+        w[1, 2] = np.nan
+        write_tensor(src, w, {})
+        code, _, err = run_cli(capsys, "quantize", "--file", str(src), "--bits", "2",
+                               "--group", "4", "--clip", "mse", "--scheme", scheme)
+        assert code == 1
+        assert "NaN or inf" in err
+
 
 COMPARE_ARGS = ["compare", "--count", "3", "--rows", "32", "--cols", "32",
                 "--group", "8", "--bits", "2", "--seed", "5"]

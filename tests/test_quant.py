@@ -7,6 +7,7 @@ from seqrot.errors import (
     EmptyCalibrationError,
     GroupDoesNotDivideError,
     InvalidSpecError,
+    NonFiniteInputError,
     ShapeMismatchError,
 )
 from seqrot.quant import (
@@ -17,6 +18,10 @@ from seqrot.quant import (
     CalibrationHessian,
     Clip,
     QuantSpec,
+    _clip_errors,
+    _group_view,
+    _pairwise_sum,
+    _search_ratios,
     dequantize,
     gptq_quantize,
     hessian_from_calibration,
@@ -186,6 +191,109 @@ class TestMseClipSearch:
             s1 = QuantSpec(bits=2, group_size=64, clip=Clip.fixed(1.0))
             full = float(((rt(group.reshape(1, -1), s1) - group) ** 2).sum())
             assert err <= full + 1e-15
+
+
+GROUP_SIZES = (1, 3, 7, 8, 15, 64, 100, 128, 129, 136, 300)
+GRID_RATIOS = (1.0, 0.97, 0.9, 0.85, 0.8, 0.75, 0.6, 0.5, 0.33)
+
+
+class TestSearchRatios:
+    """The tiled element-major kernel gives every error and every chosen
+    ratio bit for bit as the per-group oracle ``mse_clip_search``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bits=st.integers(2, 8), symmetric=st.booleans(),
+           g=st.sampled_from(GROUP_SIZES), rows=st.integers(1, 5),
+           n_groups=st.integers(1, 3), transposed=st.booleans(),
+           lattice=st.booleans(), shift=st.sampled_from((0.0, -6.0, 6.0)),
+           seed=st.integers(0, 2 ** 32 - 1),
+           grid=st.one_of(st.just(DEFAULT_MSE_GRID),
+                          st.lists(st.sampled_from(GRID_RATIOS), min_size=1,
+                                   max_size=12)))
+    def test_matches_per_group_oracle(self, bits, symmetric, g, rows, n_groups,
+                                      transposed, lattice, shift, seed, grid):
+        rng = np.random.default_rng(seed)
+        shape = (rows, n_groups * g)
+        # a shift makes most groups one-signed, where the code clamps bind
+        if lattice:   # few distinct values: many exact error ties
+            w = rng.integers(-3, 4, size=shape) + shift
+        else:
+            w = (rng.standard_t(4, size=shape) + shift) * 10.0 ** rng.uniform(-4, 4)
+        if transposed:
+            w = np.ascontiguousarray(w.T).T
+        spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric,
+                         clip=Clip.mse(tuple(grid)))
+        grouped = _group_view(w, g)
+        ratios = _search_ratios(grouped, spec, spec.clip.grid)
+        distinct = sorted(set(grid), reverse=True)
+        errors = _clip_errors(grouped, spec, np.asarray(distinct))
+        for r in range(rows):
+            for j in range(n_groups):
+                group = grouped[r, j]
+                if group.min() == group.max():
+                    continue   # the oracle short-cuts constant groups
+                expected, _ = mse_clip_search(group, spec, spec.clip.grid)
+                assert ratios[r, j] == expected
+                for i, ratio in enumerate(distinct):
+                    _, err = mse_clip_search(group, spec, (ratio,))
+                    assert errors[i, r, j].tobytes() == np.float64(err).tobytes()
+
+    def test_constant_group_gets_largest_ratio(self):
+        spec = QuantSpec(bits=2, group_size=4, clip=Clip.mse((0.8, 0.9, 0.9)))
+        w = np.array([[2.0, 2.0, 2.0, 2.0, 0.0, 1.0, 2.0, 5.0]])
+        ratios = _search_ratios(_group_view(w, 4), spec, spec.clip.grid)
+        assert ratios[0, 0] == 0.9
+
+    def test_multi_tile_matches_single_rows(self):
+        # 600 rows of 512 columns span many row tiles and a ragged last tile
+        rng = np.random.default_rng(2)
+        w = rng.standard_t(4, size=(600, 512))
+        spec = QuantSpec(bits=2, group_size=64, clip=Clip.mse())
+        whole = _search_ratios(_group_view(w, 64), spec, spec.clip.grid)
+        for r in (0, 31, 32, 599):
+            one = _search_ratios(_group_view(w[r:r + 1], 64), spec, spec.clip.grid)
+            assert np.array_equal(whole[r], one[0])
+
+    def test_nan_error_is_never_chosen(self):
+        # subnormal groups: a scale that underflows to 0 makes 0/0 errors NaN
+        tiny = 5e-324
+        spec = QuantSpec(bits=6, group_size=4, clip=Clip.mse((0.96, 0.62, 0.6, 0.12)))
+        grouped = _group_view(np.array([[0.0, 0.0, 4.0, 20.0]]) * tiny, 4)
+        with np.errstate(all="ignore"):
+            err = _clip_errors(grouped, spec, np.array([0.96, 0.62, 0.6, 0.12]))
+            assert np.isnan(err[0, 0, 0]) and not np.isnan(err[1:]).any()
+            assert _search_ratios(grouped, spec, spec.clip.grid)[0, 0] == 0.62
+        spec = QuantSpec(bits=3, group_size=4, symmetric=True, clip=Clip.mse((0.9, 0.8)))
+        grouped = _group_view(np.array([[tiny, 0.0, 0.0, 0.0]]), 4)
+        with np.errstate(all="ignore"):
+            assert np.isnan(_clip_errors(grouped, spec, np.array([0.9, 0.8]))).all()
+            assert _search_ratios(grouped, spec, spec.clip.grid)[0, 0] == 1.0
+
+    def test_pairwise_sum_replays_numpy_row_sum(self):
+        # if numpy ever changes its summation order, this fails first
+        rng = np.random.default_rng(7)
+        for n in range(1, 301):
+            a = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-8, 8, size=(3, n))
+            a = np.vstack([a, np.full(n, -0.0)])
+            assert _pairwise_sum(a.T).tobytes() == a.sum(axis=-1).tobytes(), n
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rtn_rejects(self, bad):
+        w = np.ones((2, 8))
+        w[1, 3] = bad
+        for clip in (Clip.none(), Clip.mse()):
+            with pytest.raises(NonFiniteInputError):
+                rtn_quantize(w, QuantSpec(bits=2, group_size=4, clip=clip))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gptq_rejects(self, bad):
+        w = np.ones((2, 8))
+        w[0, 5] = bad
+        h = hessian_from_calibration(np.random.default_rng(0).standard_normal((16, 8)))
+        with pytest.raises(NonFiniteInputError):
+            gptq_quantize(w, h, QuantSpec(bits=2, group_size=4, clip=Clip.mse()))
 
 
 class TestHessian:
