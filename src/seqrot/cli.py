@@ -14,7 +14,13 @@ import numpy as np
 
 from . import harness
 from .corpus import CorpusSpec, gen_corpus
-from .errors import SeqrotError
+from .errors import (
+    GroupDoesNotDivideError,
+    InvalidConfigError,
+    InvalidSpecError,
+    NonPowerOfTwoError,
+    SeqrotError,
+)
 from .quant import (
     Clip,
     QuantSpec,
@@ -30,6 +36,7 @@ from .rotation import (
     invariance_max_diff,
 )
 from .tensorfile import (
+    load_rotation,
     read_tensor,
     save_quantized,
     save_rotation,
@@ -37,9 +44,13 @@ from .tensorfile import (
 )
 from .transforms import (
     OrthoMatrix,
+    gsr,
+    hadamard_sylvester,
     is_power_of_two,
     orthogonality_residual,
+    randomize_signs,
     sequency_profile,
+    walsh_from_hadamard,
 )
 
 USAGE_ERROR = 2
@@ -99,8 +110,6 @@ def cmd_make_rotation(args) -> int:
             raise UsageError("--group is required for lh/gsr")
         if not is_power_of_two(args.group) or args.n % args.group != 0:
             raise UsageError("group must be a power of two dividing n")
-    from .transforms import gsr, hadamard_sylvester, randomize_signs, walsh_from_hadamard
-
     seed = args.seed if args.randomize else None
     if args.kind == "gh":
         m = hadamard_sylvester(args.n)
@@ -126,8 +135,6 @@ def cmd_inspect(args) -> int:
     arr, meta = read_tensor(args.file)
     print(f"shape {arr.shape}  dtype {arr.dtype}  metadata {meta}")
     if meta.get("content") == "rotation" and arr.dtype == np.int8:
-        from .tensorfile import load_rotation
-
         m = load_rotation(args.file)
         print(f"orthogonality residual {orthogonality_residual(m):.3e}")
         print(_sequency_summary(m, args.group))
@@ -335,13 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .errors import (
-        GroupDoesNotDivideError,
-        InvalidConfigError,
-        InvalidSpecError,
-        NonPowerOfTwoError,
-    )
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -86,3 +86,9 @@ class VersionUnsupportedError(TensorFileError):
 
 class TruncatedPayloadError(TensorFileError):
     """File ends before the declared payload (or header) is complete."""
+
+
+class CorruptFileError(TensorFileError, ValueError):
+    """File contents are inconsistent: undecodable or non-object metadata,
+    dims that disagree with the payload length, or metadata that does not
+    describe what the reader expects."""

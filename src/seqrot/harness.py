@@ -22,6 +22,7 @@ from .quant import (
     METRIC_PROXY,
     CalibrationHessian,
     QuantSpec,
+    _symmetrize,
     dequantize,
     gptq_quantize,
     hessian_from_calibration,
@@ -31,13 +32,12 @@ from .quant import (
 from .rotation import (
     RotationAssignment,
     ToyBlockConfig,
-    as_dense,
     build_toy_block,
     forward,
     fuse_rotations,
     resolve_variant,
 )
-from .transforms import _mix_seed, natural_sequency_formula
+from .transforms import RotationOperator, _mix_seed, natural_sequency_formula
 
 METRICS = (METRIC_MSE, METRIC_MAX_ABS, METRIC_PROXY)
 
@@ -80,10 +80,10 @@ def run_comparison(corpus, variants, wspec: QuantSpec | None,
             raise DimensionMismatchError("corpus tensors must share their column count")
     group = (wspec.group_size if wspec and wspec.group_size else cols)
 
-    mats = {}
-    for idx, v in enumerate(variants):
-        r = resolve_variant(v, cols, group, _mix_seed(seed, 100 + idx))
-        mats[v] = None if r is None else as_dense(r)
+    # every variant is resolved up front, so a bad one fails before any work;
+    # each is turned into an operator (densified, if global) only for its turn
+    rots = {v: resolve_variant(v, cols, group, _mix_seed(seed, 100 + idx))
+            for idx, v in enumerate(variants)}
 
     rng = np.random.default_rng(_mix_seed(seed, 7))
     h_base = hessian_from_calibration(rng.standard_normal((calib_samples, cols)))
@@ -91,27 +91,31 @@ def run_comparison(corpus, variants, wspec: QuantSpec | None,
     per_tensor = {v: {m: np.zeros(len(corpus)) for m in METRICS} for v in variants}
     fairness = {}
     for v in variants:
-        r1 = mats[v]
-        if quantizer == QUANTIZER_GPTQ:
-            hm = h_base.matrix if r1 is None else r1.T @ h_base.matrix @ r1
-            h_rot = CalibrationHessian(matrix=0.5 * (hm + hm.T),
-                                       sample_count=h_base.sample_count)
+        r1 = None if rots[v] is None else RotationOperator(rots[v])
+        if quantizer == QUANTIZER_GPTQ and r1 is None:
+            h_rot = h_base   # already exactly symmetric
+        elif quantizer == QUANTIZER_GPTQ:
+            # R^T H R = (H^T R)^T R
+            hm = r1.apply(r1.apply(h_base.matrix.T).T)
+            _symmetrize(hm)
+            h_rot = CalibrationHessian(matrix=hm, sample_count=h_base.sample_count)
         hasher = hashlib.sha256()
         for i, w in enumerate(corpus):
             w = np.ascontiguousarray(w, dtype=np.float64)
             hasher.update(w.tobytes())
-            rotated = w if r1 is None else w @ r1
+            rotated = w if r1 is None else r1.apply(w)
             if wspec is None:
                 w_hat = rotated
             elif quantizer == QUANTIZER_RTN:
                 w_hat = dequantize(rtn_quantize(rotated, wspec))
             else:
                 w_hat = dequantize(gptq_quantize(rotated, h_rot, wspec))
-            back = w_hat if r1 is None else w_hat @ r1.T
+            back = w_hat if r1 is None else r1.apply(w_hat, transpose=True)
             per_tensor[v][METRIC_MSE][i] = quant_error(w, back, METRIC_MSE)
             per_tensor[v][METRIC_MAX_ABS][i] = quant_error(w, back, METRIC_MAX_ABS)
             per_tensor[v][METRIC_PROXY][i] = quant_error(w, back, METRIC_PROXY, h_base)
         fairness[v] = hasher.hexdigest()
+        del r1   # free this variant's dense matrix before the next is built
 
     summary = {v: {m: {"mean": float(np.mean(per_tensor[v][m])),
                        "median": float(np.median(per_tensor[v][m]))}

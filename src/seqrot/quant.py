@@ -142,13 +142,24 @@ def _group_params(grouped: np.ndarray, spec: QuantSpec, ratio: np.ndarray):
                          spec, ratio)
 
 
+# the smallest positive double, 2^-1074; every subnormal is a multiple of it
+_MIN_SCALE = np.nextafter(0.0, 1.0)
+
+
 def _range_params(mn, mx, first, spec: QuantSpec, ratio):
-    """``_group_params`` from each group's min, max and first element."""
+    """``_group_params`` from each group's min, max and first element.
+
+    A scale that underflows to 0 (the clipped range is below about
+    levels * 2^-1074) is raised to 2^-1074. The values of such a group are
+    subnormal multiples of it, so its codes are the values in units of
+    2^-1074: symmetric groups round-trip exactly, and no 0/0 turns a code
+    into NaN. Every other scale is unchanged.
+    """
     if spec.symmetric:
         amax = np.maximum(np.abs(mn), np.abs(mx)) * ratio
         qpos = (1 << (spec.bits - 1)) - 1
         degenerate = amax == 0.0
-        scale = np.where(degenerate, 1.0, amax / qpos)
+        scale = np.where(degenerate, 1.0, np.maximum(amax / qpos, _MIN_SCALE))
         zero = None
         lo = -amax
         hi = amax
@@ -159,7 +170,7 @@ def _range_params(mn, mx, first, spec: QuantSpec, ratio):
         hi = mid + half
         levels = (1 << spec.bits) - 1
         degenerate = mx == mn
-        scale = np.where(degenerate, 1.0, (hi - lo) / levels)
+        scale = np.where(degenerate, 1.0, np.maximum((hi - lo) / levels, _MIN_SCALE))
         zero = np.clip(np.where(degenerate, 0.0, round_half_away(-lo / scale)),
                        spec.qmin, spec.qmax)
         if np.any(degenerate):
@@ -381,9 +392,32 @@ def hessian_from_calibration(x: np.ndarray) -> CalibrationHessian:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] < 1 or x.size == 0:
         raise EmptyCalibrationError("calibration requires at least one sample")
-    h = 2.0 * (x.T @ x) / x.shape[0]
-    h = 0.5 * (h + h.T)
+    h = x.T @ x
+    h *= 2.0
+    h /= x.shape[0]
+    _symmetrize(h)
     return CalibrationHessian(matrix=h, sample_count=x.shape[0])
+
+
+_SYM_TILE = 64
+
+
+def _symmetrize(h: np.ndarray) -> None:
+    """``h = 0.5 * (h + h.T)`` in place, over pairs of 64x64 tiles.
+
+    Each mirrored pair of tiles is averaged once and written to both places;
+    IEEE addition is commutative, so both entries get the same bits as the
+    full-matrix expression. There is no full-size temporary, and the
+    transposed reads stay inside one tile.
+    """
+    n = h.shape[0]
+    for i in range(0, n, _SYM_TILE):
+        rows = slice(i, i + _SYM_TILE)
+        for j in range(i, n, _SYM_TILE):
+            cols = slice(j, j + _SYM_TILE)
+            s = 0.5 * (h[rows, cols] + h[cols, rows].T)
+            h[rows, cols] = s
+            h[cols, rows] = s.T
 
 
 def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,

@@ -19,11 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidConfigError
+from .quant import dequantize, rtn_quantize
+from .tensorfile import load_rotation_dense
 from .transforms import (
     KIND_HADAMARD,
     KIND_WALSH,
-    OrthoMatrix,
     _mix_seed,
+    as_dense,
     gsr,
     hadamard_sylvester,
     is_power_of_two,
@@ -64,12 +66,6 @@ def assignment_table() -> tuple[WeightRole, ...]:
         WeightRole("wgate", R1, IDENTITY),
         WeightRole("wdown", R4, R1),
     )
-
-
-def as_dense(r, dtype=np.float64) -> np.ndarray:
-    if isinstance(r, OrthoMatrix):
-        return r.dense(dtype)
-    return np.asarray(r, dtype=dtype)
 
 
 def rotate_weight(w: np.ndarray, front=None, rear=None) -> np.ndarray:
@@ -174,8 +170,6 @@ def resolve_variant(kind: str, size: int, group: int, seed: int,
         if kind == VARIANT_LH:
             return gsr(size, group, base=KIND_HADAMARD, seed=seed)
         return gsr(size, group, base=KIND_WALSH)
-    from .tensorfile import load_rotation_dense
-
     dense = load_rotation_dense(kind)
     if dense.shape[0] != size:
         raise DimensionMismatchError(
@@ -255,14 +249,10 @@ def _silu(x: np.ndarray) -> np.ndarray:
 
 def _maybe_quantize_weight(w: np.ndarray, spec) -> np.ndarray:
     """Fake-quantize a weight: groups run along input channels of each output."""
-    from .quant import dequantize, rtn_quantize
-
     return dequantize(rtn_quantize(w.T, spec)).T
 
 
 def _fake_quantize_activation(a: np.ndarray, spec) -> np.ndarray:
-    from .quant import dequantize, rtn_quantize
-
     return dequantize(rtn_quantize(a, spec))
 
 

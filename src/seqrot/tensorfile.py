@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import struct
 import tempfile
@@ -27,13 +28,15 @@ import numpy as np
 
 from .errors import (
     BadMagicError,
+    CorruptFileError,
     IoFailureError,
     NotOrthogonalError,
     TruncatedPayloadError,
     UnsupportedDtypeError,
     VersionUnsupportedError,
 )
-from .transforms import OrthoMatrix, orthogonality_residual
+from .quant import Clip, QuantizedTensor, QuantSpec
+from .transforms import KIND_GROUPED, OrthoMatrix, orthogonality_residual
 
 MAGIC = b"GSRT"
 VERSION = 1
@@ -108,7 +111,13 @@ def read_tensor(path) -> tuple[np.ndarray, dict]:
     raw, off = _take(buf, off, 4, "metadata length")
     mlen = struct.unpack("<I", raw)[0]
     raw, off = _take(buf, off, mlen, "metadata")
-    metadata = json.loads(raw.decode("utf-8"))
+    try:
+        metadata = json.loads(raw.decode("utf-8"))
+    # UnicodeDecodeError and JSONDecodeError; RecursionError for deep nesting
+    except (ValueError, RecursionError) as exc:
+        raise CorruptFileError(f"{path}: metadata is not UTF-8 JSON: {exc}") from None
+    if not isinstance(metadata, dict):
+        raise CorruptFileError(f"{path}: metadata is not a JSON object")
     raw, off = _take(buf, off, 1, "ndim")
     ndim = raw[0]
     dims = []
@@ -116,9 +125,17 @@ def read_tensor(path) -> tuple[np.ndarray, dict]:
         raw, off = _take(buf, off, 8, f"dim {i}")
         dims.append(struct.unpack("<Q", raw)[0])
     dtype = _DTYPE_CODES[code]
-    count = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    raw, off = _take(buf, off, count * dtype.itemsize, "payload")
-    arr = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+    # Python ints: a corrupt dim cannot overflow, and nothing is allocated
+    # before the byte count is known to match what is left
+    nbytes = math.prod(dims) * dtype.itemsize
+    _take(buf, off, nbytes, "payload")
+    if off + nbytes != len(buf):
+        raise CorruptFileError(f"{path}: {len(buf) - off - nbytes} bytes after the payload")
+    try:
+        arr = np.frombuffer(buf, dtype=dtype, count=nbytes // dtype.itemsize,
+                            offset=off).reshape(dims).copy()
+    except ValueError as exc:   # more dims, or larger ones, than numpy supports
+        raise CorruptFileError(f"{path}: unsupported shape {dims}: {exc}") from None
     return arr, metadata
 
 
@@ -133,13 +150,52 @@ def save_rotation(path, m: OrthoMatrix) -> None:
     })
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_positive_float(v) -> bool:
+    """An int or float that is a finite positive double (10**400 is not)."""
+    if not (_is_int(v) or isinstance(v, float)):
+        return False
+    try:
+        return 0 < float(v) < math.inf
+    except OverflowError:
+        return False
+
+
+def _is_sign_rotation(arr, meta) -> bool:
+    return meta.get("content") == "rotation" and arr.dtype == np.int8
+
+
 def load_rotation(path) -> OrthoMatrix:
+    """Read a file written by ``save_rotation``."""
     arr, meta = read_tensor(path)
-    if meta.get("content") != "rotation" or arr.dtype != np.int8:
-        raise NotOrthogonalError(f"{path} does not hold a sign-structured rotation")
-    return OrthoMatrix(signs=arr, scale=float(meta["scale"]), kind=meta["kind"],
-                       group_size=meta.get("group_size"),
-                       block_kind=meta.get("block_kind"), seed=meta.get("seed"))
+    if not _is_sign_rotation(arr, meta):
+        raise CorruptFileError(f"{path} does not hold a sign-structured rotation")
+    return _rotation_from(arr, meta, path)
+
+
+def _rotation_from(arr, meta, path) -> OrthoMatrix:
+    """CorruptFileError unless the metadata describes a square sign matrix."""
+    scale, kind = meta.get("scale"), meta.get("kind")
+    group, block_kind, seed = (meta.get(k) for k in ("group_size", "block_kind", "seed"))
+    n = arr.shape[0] if arr.ndim else 0
+    problems = [
+        (arr.ndim != 2 or arr.shape[1] != n or n == 0, f"signs have shape {arr.shape}"),
+        (not _is_positive_float(scale), f"scale {scale!r}"),
+        (not isinstance(kind, str), f"kind {kind!r}"),
+        (not (group is None or _is_int(group) and group >= 1 and n % group == 0),
+         f"group size {group!r}"),
+        (kind == KIND_GROUPED and group is None, "grouped rotation without a group size"),
+        (not (block_kind is None or isinstance(block_kind, str)), f"block kind {block_kind!r}"),
+        (not (seed is None or _is_int(seed)), f"seed {seed!r}"),
+    ]
+    for bad, what in problems:
+        if bad:
+            raise CorruptFileError(f"{path}: bad rotation metadata: {what}")
+    return OrthoMatrix(signs=arr, scale=float(scale), kind=kind, group_size=group,
+                       block_kind=block_kind, seed=seed)
 
 
 def load_rotation_dense(path, tolerance: float = 1e-8) -> np.ndarray:
@@ -149,8 +205,8 @@ def load_rotation_dense(path, tolerance: float = 1e-8) -> np.ndarray:
     non-orthogonal content.
     """
     arr, meta = read_tensor(path)
-    if meta.get("content") == "rotation" and arr.dtype == np.int8:
-        dense = arr.astype(np.float64) * float(meta["scale"])
+    if _is_sign_rotation(arr, meta):
+        dense = _rotation_from(arr, meta, path).dense()
     else:
         dense = arr.astype(np.float64)
     if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
@@ -186,8 +242,6 @@ def save_quantized(path, qt) -> None:
 
 
 def load_quantized(path):
-    from .quant import Clip, QuantizedTensor, QuantSpec
-
     arr, meta = read_tensor(path)
     if meta.get("content") != "quantized":
         raise UnsupportedDtypeError(f"{path} does not hold a quantized tensor")

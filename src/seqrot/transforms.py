@@ -3,6 +3,8 @@
 Matrices are kept as unnormalized {-1, 0, +1} integer sign arrays plus a
 scalar scale (1/sqrt(block order)), combined only when a dense float matrix
 is needed. This keeps construction checks exact and serialization bit-stable.
+``RotationOperator`` applies a rotation to data; grouped matrices go block by
+block and are never densified.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     EmptyRowError,
     GroupDoesNotDivideError,
     NonPowerOfTwoError,
@@ -62,7 +65,63 @@ class OrthoMatrix:
         return self.signs.shape[0]
 
     def dense(self, dtype=np.float64) -> np.ndarray:
-        return self.signs.astype(dtype) * dtype(self.scale)
+        return np.multiply(self.signs, dtype(self.scale), dtype=dtype)
+
+    def blocks(self) -> np.ndarray:
+        """The (n/g, g, g) scaled float64 diagonal blocks of a grouped matrix."""
+        if self.kind != KIND_GROUPED:
+            raise ValueError(f"only grouped matrices have diagonal blocks, got {self.kind!r}")
+        g = self.group_size
+        nb = self.n // g
+        diag = np.arange(nb)
+        return np.multiply(self.signs.reshape(nb, g, nb, g)[diag, :, diag, :],
+                           self.scale, dtype=np.float64)
+
+
+def as_dense(r, dtype=np.float64) -> np.ndarray:
+    """The dense matrix of an OrthoMatrix or of an array-like rotation."""
+    if isinstance(r, OrthoMatrix):
+        return r.dense(dtype)
+    return np.asarray(r, dtype=dtype)
+
+
+class RotationOperator:
+    """Right-multiplication by a rotation R: ``x @ R``, or ``x @ R.T``.
+
+    A grouped OrthoMatrix is never densified: its (n/g, g, g) diagonal
+    blocks are gathered and scaled once and applied as one batched matmul on
+    the (rows, n/g, g) view of ``x``. The transpose uses a C-contiguous copy
+    of the transposed blocks: OpenBLAS sums the transposed-operand product
+    of small blocks in another order than the dense product, while the plain
+    one rounds like it. Global kinds and external dense matrices are
+    densified once by ``as_dense`` and applied as one dense BLAS product. A
+    butterfly FWHT would be cheaper there but rounds differently from dgemm.
+    """
+
+    def __init__(self, r):
+        self.blocks = self.blocks_t = self.matrix = None
+        if isinstance(r, OrthoMatrix) and r.kind == KIND_GROUPED:
+            self.blocks = r.blocks()
+            self.blocks_t = np.ascontiguousarray(self.blocks.transpose(0, 2, 1))
+            self.n = r.n
+        else:
+            self.matrix = as_dense(r)
+            self.n = self.matrix.shape[0]
+
+    def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.n:
+            raise DimensionMismatchError(
+                f"rotation of order {self.n} cannot act on shape {x.shape}")
+        if self.matrix is not None:
+            return x @ (self.matrix.T if transpose else self.matrix)
+        nb, g, _ = self.blocks.shape
+        rows = x.shape[0]
+        out = np.empty((rows, self.n))
+        np.matmul(x.reshape(rows, nb, g).transpose(1, 0, 2),
+                  self.blocks_t if transpose else self.blocks,
+                  out=out.reshape(rows, nb, g).transpose(1, 0, 2))
+        return out
 
 
 def hadamard_sylvester(n: int) -> OrthoMatrix:
@@ -94,28 +153,29 @@ def row_sequency(row) -> int:
 
 def _row_sequencies(signs: np.ndarray) -> np.ndarray:
     """Adjacent sign changes per row, zeros ignored (for grouped matrices)."""
-    n = signs.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        r = signs[i][signs[i] != 0]
-        out[i] = np.count_nonzero(r[1:] != r[:-1])
-    return out
+    if signs.all():
+        return np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1).astype(np.int64)
+    # the nonzero entries in row-major order; a change counts only between
+    # neighbours that share a row
+    rows, cols = np.nonzero(signs)
+    vals = signs[rows, cols]
+    change = (vals[1:] != vals[:-1]) & (rows[1:] == rows[:-1])
+    return np.bincount(rows[1:][change], minlength=signs.shape[0]).astype(np.int64)
 
 
-def _bit_reverse(i: int, bits: int) -> int:
-    out = 0
+def _bit_reverse(i: np.ndarray, bits: int) -> np.ndarray:
+    out = np.zeros_like(i)
     for _ in range(bits):
         out = (out << 1) | (i & 1)
-        i >>= 1
+        i = i >> 1
     return out
 
 
-def _gray_to_binary(g: int) -> int:
-    b = g
-    shift = 1
-    while (g >> shift) > 0:
+def _gray_to_binary(g: np.ndarray, bits: int) -> np.ndarray:
+    # shifts past the highest set bit xor in zeros, so a fixed count is exact
+    b = g.copy()
+    for shift in range(1, bits):
         b ^= g >> shift
-        shift += 1
     return b
 
 
@@ -126,8 +186,7 @@ def natural_sequency_formula(n: int) -> np.ndarray:
     """
     _require_power_of_two(n)
     bits = n.bit_length() - 1
-    return np.array([_gray_to_binary(_bit_reverse(i, bits)) for i in range(n)],
-                    dtype=np.int64)
+    return _gray_to_binary(_bit_reverse(np.arange(n, dtype=np.int64), bits), bits)
 
 
 def walsh_permutation(n: int) -> np.ndarray:
@@ -138,8 +197,8 @@ def walsh_permutation(n: int) -> np.ndarray:
     """
     _require_power_of_two(n)
     bits = n.bit_length() - 1
-    return np.array([_bit_reverse(k ^ (k >> 1), bits) for k in range(n)],
-                    dtype=np.int64)
+    k = np.arange(n, dtype=np.int64)
+    return _bit_reverse(k ^ (k >> 1), bits)
 
 
 def walsh_from_hadamard(h: OrthoMatrix) -> OrthoMatrix:
@@ -166,17 +225,17 @@ _MASK64 = (1 << 64) - 1
 
 
 def _splitmix64_signs(seed: int, count: int) -> np.ndarray:
-    """Deterministic +-1 draws: top bit of each splitmix64 output (1 -> -1)."""
-    state = seed & _MASK64
-    out = np.empty(count, dtype=np.int8)
-    for i in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        out[i] = -1 if (z >> 63) & 1 else 1
-    return out
+    """Deterministic +-1 draws: top bit of each splitmix64 output (1 -> -1).
+
+    The i-th state is seed + (i+1) * golden gamma mod 2^64; uint64 array
+    arithmetic wraps modulo 2^64, so all draws are computed at once.
+    """
+    z = (np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+         + np.uint64(seed & _MASK64))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.where(z >> np.uint64(63), -1, 1).astype(np.int8)
 
 
 def randomize_signs(m: OrthoMatrix, seed: int) -> OrthoMatrix:

@@ -12,8 +12,18 @@ from seqrot.harness import (
     sequency_variance_sweep,
     sign_test,
 )
-from seqrot.quant import Clip, QuantSpec
-from seqrot.rotation import ToyBlockConfig
+from seqrot.quant import (
+    CalibrationHessian,
+    Clip,
+    QuantSpec,
+    dequantize,
+    gptq_quantize,
+    hessian_from_calibration,
+    quant_error,
+    rtn_quantize,
+)
+from seqrot.rotation import ToyBlockConfig, resolve_variant
+from seqrot.transforms import KIND_GROUPED, OrthoMatrix, _mix_seed
 
 SMALL_CORPUS = gen_corpus(CorpusSpec(count=8, rows=64, cols=64, seed=0))
 SMALL_SPEC = QuantSpec(bits=2, group_size=16, clip=Clip.mse())
@@ -54,6 +64,51 @@ class TestRunComparison:
     def test_rejects_unknown_quantizer(self):
         with pytest.raises(InvalidSpecError):
             run_comparison(SMALL_CORPUS, ("gh",), SMALL_SPEC, quantizer="awq")
+
+
+def dense_reference(corpus, variants, wspec, quantizer, seed=0, calib_samples=256):
+    """Per-tensor MSE of every variant through dense rotation products."""
+    cols = corpus[0].shape[1]
+    rng = np.random.default_rng(_mix_seed(seed, 7))
+    h = hessian_from_calibration(rng.standard_normal((calib_samples, cols)))
+    out = {}
+    for idx, v in enumerate(variants):
+        r = resolve_variant(v, cols, wspec.group_size, _mix_seed(seed, 100 + idx)).dense()
+        hm = r.T @ h.matrix @ r
+        h_rot = CalibrationHessian(matrix=0.5 * (hm + hm.T), sample_count=h.sample_count)
+        errs = []
+        for w in corpus:
+            q = (rtn_quantize(w @ r, wspec) if quantizer == "rtn"
+                 else gptq_quantize(w @ r, h_rot, wspec))
+            errs.append(quant_error(w, dequantize(q) @ r.T))
+        out[v] = np.array(errs)
+    return out
+
+
+class TestStructuredRotation:
+    VARIANTS = ("gh", "gw", "lh", "gsr")
+
+    @pytest.mark.parametrize("quantizer", ["rtn", "gptq"])
+    def test_grouped_rotations_never_densified(self, monkeypatch, quantizer):
+        kinds = []
+        dense = OrthoMatrix.dense
+
+        def spy(self, *args, **kwargs):
+            kinds.append(self.kind)
+            return dense(self, *args, **kwargs)
+
+        monkeypatch.setattr(OrthoMatrix, "dense", spy)
+        run_comparison(SMALL_CORPUS[:2], self.VARIANTS, SMALL_SPEC, quantizer=quantizer)
+        assert KIND_GROUPED not in kinds
+        assert len(kinds) == 2   # gh and gw, once each
+
+    @pytest.mark.parametrize("quantizer", ["rtn", "gptq"])
+    def test_matches_dense_products(self, quantizer):
+        corpus = SMALL_CORPUS[:3]
+        report = run_comparison(corpus, self.VARIANTS, SMALL_SPEC, quantizer=quantizer)
+        ref = dense_reference(corpus, self.VARIANTS, SMALL_SPEC, quantizer)
+        for v in self.VARIANTS:
+            np.testing.assert_allclose(report.per_tensor[v]["mse"], ref[v], rtol=1e-9)
 
 
 class TestSignTest:

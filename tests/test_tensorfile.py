@@ -1,10 +1,16 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from seqrot.errors import (
     BadMagicError,
+    CorruptFileError,
     IoFailureError,
     NotOrthogonalError,
+    TensorFileError,
     TruncatedPayloadError,
     UnsupportedDtypeError,
     VersionUnsupportedError,
@@ -112,6 +118,82 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailureError):
             read_tensor(tmp_path / "nope.gsrt")
+
+    @pytest.mark.parametrize("meta", [b"\xff\xfe", b"{not json", b"[1, 2]", b"3",
+                                      b"[" * 100_000])
+    def test_bad_metadata(self, tmp_path, meta):
+        p = tmp_path / "m.gsrt"
+        p.write_bytes(b"GSRT" + struct.pack("<IBI", 1, 0, len(meta)) + meta
+                      + struct.pack("<BQ", 1, 1) + bytes(8))
+        with pytest.raises(CorruptFileError):
+            read_tensor(p)
+
+    def test_huge_dims_fail_before_allocating(self, tmp_path):
+        p = self._write(tmp_path)
+        raw = bytearray(p.read_bytes())
+        dims_at = len(raw) - 6 * 8 - 2 * 8
+        raw[dims_at:dims_at + 16] = struct.pack("<QQ", 2 ** 63, 2 ** 63)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(TruncatedPayloadError):
+            read_tensor(p)
+
+    def test_trailing_bytes(self, tmp_path):
+        p = self._write(tmp_path)
+        p.write_bytes(p.read_bytes() + b"\0")
+        with pytest.raises(CorruptFileError):
+            read_tensor(p)
+
+
+def _mutated(raw: bytes, edits) -> bytes:
+    out = bytearray(raw)
+    for pos, value in edits:
+        out[pos % len(out)] = value
+    return bytes(out)
+
+
+class TestByteMutation:
+    """Flipping bytes of a valid file gives a result or a TensorFileError,
+    never another exception."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),
+                          min_size=1, max_size=4))
+    def test_only_tensor_file_errors(self, tmp_path, edits):
+        for name, write in (("t", lambda p: write_tensor(p, np.arange(6.0).reshape(2, 3),
+                                                          {"k": [1, "x"]})),
+                            ("r", lambda p: save_rotation(p, gsr(8, 4, seed=1)))):
+            p = tmp_path / f"{name}.gsrt"
+            write(p)
+            p.write_bytes(_mutated(p.read_bytes(), edits))
+            for read in (read_tensor, load_rotation) if name == "r" else (read_tensor,):
+                try:
+                    read(p)
+                except TensorFileError:
+                    pass
+
+    @pytest.mark.parametrize("change", [
+        {"scale": "x"}, {"scale": None}, {"scale": float("inf")}, {"scale": -0.5},
+        {"kind": 3}, {"group_size": 3}, {"group_size": "4"}, {"group_size": None},
+        {"scale": 10 ** 400}, {"block_kind": 1}, {"seed": 1.5}, {"content": "rotatiom"},
+    ])
+    def test_bad_rotation_metadata(self, tmp_path, change):
+        meta = {"content": "rotation", "kind": "grouped", "scale": 0.5, "group_size": 4,
+                "block_kind": "walsh", "seed": None}
+        meta.update(change)
+        p = tmp_path / "r.gsrt"
+        write_tensor(p, gsr(8, 4).signs, meta)
+        with pytest.raises(CorruptFileError):
+            load_rotation(p)
+        if "content" not in change:   # still tagged as a sign rotation
+            with pytest.raises(CorruptFileError):
+                load_rotation_dense(p)
+
+    def test_missing_rotation_keys(self, tmp_path):
+        p = tmp_path / "r.gsrt"
+        write_tensor(p, hadamard_sylvester(4).signs, {"content": "rotation"})
+        with pytest.raises(CorruptFileError):
+            load_rotation(p)
 
 
 class TestRotationFiles:

@@ -1,8 +1,12 @@
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import hadamard as scipy_hadamard
 
 from seqrot.errors import (
+    DimensionMismatchError,
     EmptyRowError,
     GroupDoesNotDivideError,
     NonPowerOfTwoError,
@@ -17,6 +21,9 @@ from seqrot.transforms import (
     ORDERING_NATURAL,
     ORDERING_SEQUENCY,
     OrthoMatrix,
+    RotationOperator,
+    _row_sequencies,
+    _splitmix64_signs,
     fwht,
     gsr,
     hadamard_sylvester,
@@ -283,3 +290,122 @@ class TestOrthogonality:
             assert orthogonality_residual(m) < 1e-10
             for seed in (0, 1):
                 assert orthogonality_residual(randomize_signs(m, seed)) < 1e-10
+
+
+class TestVectorizedConstructors:
+    """The array versions match the loop versions in ``oracles`` bit for bit."""
+
+    @settings(max_examples=13, deadline=None)
+    @given(k=st.integers(0, 12))
+    def test_walsh_permutation_and_formula(self, k):
+        n = 1 << k
+        for fn, oracle in ((walsh_permutation, oracles.walsh_permutation),
+                           (natural_sequency_formula, oracles.natural_sequency_formula)):
+            got, want = fn(n), oracle(n)
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want), (fn.__name__, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.one_of(st.sampled_from((0, 1, 2 ** 63, 2 ** 64 - 1)),
+                          st.integers(0, 2 ** 64 - 1)),
+           count=st.integers(0, 4096))
+    def test_splitmix64_signs(self, seed, count):
+        got = _splitmix64_signs(seed, count)
+        want = oracles.splitmix64_signs(seed, count)
+        assert got.dtype == want.dtype == np.int8
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 8, 64, 512])
+    def test_row_sequencies_global(self, n):
+        h = hadamard_sylvester(n)
+        for m in (h, walsh_from_hadamard(h), randomize_signs(h, n)):
+            assert np.array_equal(_row_sequencies(m.signs), oracles.row_sequencies(m.signs))
+
+    @pytest.mark.parametrize("n,g", [(8, 2), (64, 8), (512, 64), (256, 256)])
+    def test_row_sequencies_grouped(self, n, g):
+        for m in (gsr(n, g), gsr(n, g, base=KIND_HADAMARD, seed=3),
+                  gsr(n, g, seed=5, per_block_random=True)):
+            got = _row_sequencies(m.signs)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, oracles.row_sequencies(m.signs))
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_row_sequencies_with_zeros(self, rows, cols, seed):
+        # arbitrary {-1, 0, 1} rows, all-zero rows included
+        signs = np.random.default_rng(seed).integers(-1, 2, size=(rows, cols)).astype(np.int8)
+        assert np.array_equal(_row_sequencies(signs), oracles.row_sequencies(signs))
+
+
+class TestDense:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_cast_then_scale(self, dtype):
+        for m in (randomize_signs(hadamard_sylvester(64), 1), gsr(64, 16, seed=2)):
+            got = m.dense(dtype)
+            assert got.dtype == dtype
+            assert got.tobytes() == oracles.dense(m, dtype).tobytes()
+
+    def test_blocks_are_the_diagonal_blocks(self):
+        m = gsr(64, 16, base=KIND_HADAMARD, seed=4)
+        d = m.dense()
+        for b, blk in enumerate(m.blocks()):
+            assert np.array_equal(blk, d[16 * b:16 * (b + 1), 16 * b:16 * (b + 1)])
+
+    def test_blocks_need_a_grouped_matrix(self):
+        with pytest.raises(ValueError):
+            hadamard_sylvester(8).blocks()
+
+
+class TestRotationOperator:
+    @pytest.mark.parametrize("n,g", [(8, 2), (64, 8), (256, 16), (512, 64), (1024, 128),
+                                     (128, 128)])
+    def test_grouped_matches_dense(self, n, g):
+        rng = np.random.default_rng(n + g)
+        x = rng.standard_normal((5, n))
+        for m in (gsr(n, g), gsr(n, g, base=KIND_HADAMARD, seed=9)):
+            op = RotationOperator(m)
+            assert op.matrix is None
+            d = m.dense()
+            assert np.max(np.abs(op.apply(x) - x @ d)) < 1e-12
+            assert np.max(np.abs(op.apply(x, transpose=True) - x @ d.T)) < 1e-12
+
+    @pytest.mark.parametrize("rows,n", [(16, 128), (512, 512)])
+    def test_grouped_is_bit_identical_at_compare_shapes(self, rows, n):
+        """The golden CSV digest of the benchmark's compare_rtn workload
+        (16x128 and 512x512 tensors, g=64) relies on this. It is a property
+        of the BLAS build: with OpenBLAS 0.3.31, a transposed-operand block
+        product of 64x64 blocks sums in another order than the dense one,
+        which is why the operator keeps contiguous transposed blocks."""
+        x = np.random.default_rng(rows).standard_normal((rows, n))
+        for m in (gsr(n, 64), gsr(n, 64, base=KIND_HADAMARD, seed=9)):
+            op, d = RotationOperator(m), m.dense()
+            assert np.array_equal(op.apply(x), x @ d)
+            assert np.array_equal(op.apply(x, transpose=True), x @ d.T)
+
+    def test_grouped_on_transposed_input(self):
+        m = gsr(64, 16, base=KIND_HADAMARD, seed=1)
+        x = np.random.default_rng(0).standard_normal((64, 64))
+        op = RotationOperator(m)
+        assert np.max(np.abs(op.apply(x.T) - x.T @ m.dense())) < 1e-12
+
+    def test_global_and_external_are_dense_products(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((4, 32))
+        m = randomize_signs(hadamard_sylvester(32), 7)
+        d = m.dense()
+        for r in (m, d):
+            op = RotationOperator(r)
+            assert op.blocks is None
+            assert np.array_equal(op.apply(x), x @ d)
+            assert np.array_equal(op.apply(x, transpose=True), x @ d.T)
+
+    def test_round_trip(self):
+        x = np.random.default_rng(4).standard_normal((3, 256))
+        op = RotationOperator(gsr(256, 32, base=KIND_HADAMARD, seed=2))
+        assert np.max(np.abs(op.apply(op.apply(x), transpose=True) - x)) < 1e-12
+
+    def test_rejects_wrong_width(self):
+        for r in (gsr(16, 4), hadamard_sylvester(16)):
+            with pytest.raises(DimensionMismatchError):
+                RotationOperator(r).apply(np.zeros((2, 8)))
+
