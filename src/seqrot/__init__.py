@@ -12,7 +12,6 @@ from .quant import (
     dequantize,
     gptq_quantize,
     hessian_from_calibration,
-    mse_clip_search,
     quant_error,
     rtn_quantize,
 )

@@ -8,6 +8,7 @@ reproduced bit-identically; tables go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 
 import numpy as np
@@ -61,14 +62,20 @@ class UsageError(Exception):
     pass
 
 
-def _echo(command: str, flags: dict) -> None:
-    parts = []
-    for k, v in flags.items():
-        if v is None or v is False:
+def config_line(parser: argparse.ArgumentParser, args) -> str:
+    """The `# config:` echo: every option of the chosen subcommand, in parser
+    order, that is not None or False, so it re-parses to ``args``."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+    parts = ["# config: seqrot", args.command]
+    for action in sub._actions:
+        value = getattr(args, action.dest, None)
+        if not action.option_strings or value is None or value is False:
             continue
-        flag = f"--{k.replace('_', '-')}"
-        parts.append(flag if v is True else f"{flag} {v}")
-    print(f"# config: seqrot {command} " + " ".join(parts))
+        parts.append(action.option_strings[0])
+        if value is not True:
+            parts.append(shlex.quote(str(value)))
+    return " ".join(parts)
 
 
 def _parse_clip(text: str) -> Clip:
@@ -100,9 +107,6 @@ def _sequency_summary(m: OrthoMatrix, group: int | None) -> str:
 
 
 def cmd_make_rotation(args) -> int:
-    _echo("make-rotation", {
-        "kind": args.kind, "n": args.n, "group": args.group,
-        "randomize": args.randomize, "seed": args.seed, "out": args.out})
     if not is_power_of_two(args.n):
         raise UsageError("n must be a power of two")
     if args.kind in ("lh", "gsr"):
@@ -131,7 +135,6 @@ def cmd_make_rotation(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    _echo("inspect", {"file": args.file, "group": args.group})
     arr, meta = read_tensor(args.file)
     print(f"shape {arr.shape}  dtype {arr.dtype}  metadata {meta}")
     if meta.get("content") == "rotation" and arr.dtype == np.int8:
@@ -145,10 +148,6 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    _echo("quantize", {
-        "file": args.file, "bits": args.bits, "group": args.group,
-        "scheme": args.scheme, "clip": args.clip, "symmetric": args.symmetric,
-        "calib_samples": args.calib_samples, "seed": args.seed, "out": args.out})
     arr, _ = read_tensor(args.file)
     w = arr.astype(np.float64)
     if w.ndim != 2:
@@ -172,14 +171,6 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    flags = {
-        "variants": args.variants, "bits": args.bits, "group": args.group,
-        "quantizer": args.quantizer, "clip": args.clip, "count": args.count,
-        "rows": args.rows, "cols": args.cols, "dist": args.dist,
-        "t-dof": args.t_dof, "outliers": args.outliers,
-        "outlier-gain": args.outlier_gain, "smooth": args.smooth,
-        "seed": args.seed, "out": args.out}
-    _echo("compare", flags)
     variants = tuple(args.variants.split(","))
     spec = CorpusSpec(count=args.count, rows=args.rows, cols=args.cols,
                       base_dist=args.dist, t_dof=args.t_dof,
@@ -220,11 +211,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_invariance(args) -> int:
-    flags = {"r1": args.r1, "r2": args.r2, "r3": args.r3, "r4": args.r4,
-             "r4-mode": args.r4_mode, "hidden": args.hidden, "heads": args.heads,
-             "ffn": args.ffn, "group": args.group, "seq-len": args.seq_len,
-             "seeds": args.seeds, "precision": args.precision, "seed": args.seed}
-    _echo("invariance", flags)
     dtype = np.float64 if args.precision == "f64" else np.float32
     tol = 1e-10 if args.precision == "f64" else 1e-4
     worst = 0.0
@@ -244,11 +230,6 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_r4_ablation(args) -> int:
-    flags = {"hidden": args.hidden, "heads": args.heads, "ffn": args.ffn,
-             "group": args.group, "seq-len": args.seq_len, "seeds": args.seeds,
-             "bits": args.bits, "act-bits": args.act_bits, "r1": args.r1,
-             "seed": args.seed}
-    _echo("r4-ablation", flags)
     cfg = ToyBlockConfig(hidden=args.hidden, heads=args.heads, ffn=args.ffn,
                          group_size=args.group, seq_len=args.seq_len)
     wspec = QuantSpec(bits=args.bits, group_size=args.group, clip=Clip.mse())
@@ -272,24 +253,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seqrot")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None)
-    common.add_argument("--precision", choices=("f32", "f64"), default="f64")
-
-    p = sub.add_parser("make-rotation", parents=[common])
+    p = sub.add_parser("make-rotation")
     p.add_argument("--kind", choices=("gh", "gw", "lh", "gsr"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", type=int, default=None)
     p.add_argument("--randomize", action="store_true")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_make_rotation)
 
-    p = sub.add_parser("inspect", parents=[common])
+    p = sub.add_parser("inspect")
     p.add_argument("--file", required=True)
     p.add_argument("--group", type=int, default=None)
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("quantize", parents=[common])
+    p = sub.add_parser("quantize")
     p.add_argument("--file", required=True)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--group", type=int, default=None)
@@ -297,9 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip", default="none")
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--calib-samples", type=int, default=256)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_quantize)
 
-    p = sub.add_parser("compare", parents=[common])
+    p = sub.add_parser("compare")
     p.add_argument("--variants", default="gh,gw,lh,gsr")
     p.add_argument("--bits", type=int, default=2)
     p.add_argument("--group", type=int, default=64)
@@ -313,9 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outliers", type=int, default=4)
     p.add_argument("--outlier-gain", type=float, default=20.0)
     p.add_argument("--smooth", type=float, default=0.3)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("invariance", parents=[common])
+    p = sub.add_parser("invariance")
     for slot in ("r1", "r2", "r3", "r4"):
         p.add_argument(f"--{slot}", default="identity")
     p.add_argument("--r4-mode", choices=("global", "local"), default="global")
@@ -325,9 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", type=int, default=16)
     p.add_argument("--seq-len", type=int, default=8)
     p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--precision", choices=("f32", "f64"), default="f64")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_invariance)
 
-    p = sub.add_parser("r4-ablation", parents=[common])
+    p = sub.add_parser("r4-ablation")
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--heads", type=int, default=4)
     p.add_argument("--ffn", type=int, default=128)
@@ -337,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=2)
     p.add_argument("--act-bits", type=int, default=4)
     p.add_argument("--r1", default="gsr")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_r4_ablation)
     return parser
 
@@ -344,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    print(config_line(parser, args))
     try:
         return args.func(args)
     except UsageError as exc:

@@ -129,31 +129,26 @@ def _group_view(w: np.ndarray, group_size: int | None) -> np.ndarray:
     return w.reshape(rows, cols // g, g)
 
 
-def _group_params(grouped: np.ndarray, spec: QuantSpec, ratio: np.ndarray):
-    """Per-group (scale, zero_point, lo, hi) for a (rows, n_groups, g) array.
-
-    ``ratio`` broadcasts against (rows, n_groups). The clip ratio shrinks both
-    range ends toward the group midpoint (asymmetric) or shrinks max|w|
-    (symmetric). Degenerate groups (one distinct value c) get an exact
-    representation: scale |c| with the zero point one code below, or scale 1
-    with code 0 when c == 0; either way the round trip is exact.
-    """
-    return _range_params(grouped.min(axis=2), grouped.max(axis=2), grouped[..., 0],
-                         spec, ratio)
-
-
 # the smallest positive double, 2^-1074; every subnormal is a multiple of it
 _MIN_SCALE = np.nextafter(0.0, 1.0)
 
 
 def _range_params(mn, mx, first, spec: QuantSpec, ratio):
-    """``_group_params`` from each group's min, max and first element.
+    """Per-group (scale, zero_point, lo, hi) from each group's min, max and
+    first element; all five inputs broadcast against each other.
+
+    The clip ratio shrinks both range ends toward the group midpoint
+    (asymmetric) or shrinks max|w| (symmetric). Degenerate groups (one
+    distinct value c) get an exact representation: lo == hi == c, and scale
+    |c| with the zero point one code below, or scale 1 with code 0 when
+    c == 0; either way the round trip is exact.
 
     A scale that underflows to 0 (the clipped range is below about
     levels * 2^-1074) is raised to 2^-1074. The values of such a group are
     subnormal multiples of it, so its codes are the values in units of
     2^-1074: symmetric groups round-trip exactly, and no 0/0 turns a code
-    into NaN. Every other scale is unchanged.
+    into NaN. Every other scale is unchanged. An asymmetric group whose
+    range overflows float64 gets a non-finite scale (see ``_prepare``).
     """
     if spec.symmetric:
         amax = np.maximum(np.abs(mn), np.abs(mx)) * ratio
@@ -174,30 +169,44 @@ def _range_params(mn, mx, first, spec: QuantSpec, ratio):
         zero = np.clip(np.where(degenerate, 0.0, round_half_away(-lo / scale)),
                        spec.qmin, spec.qmax)
         if np.any(degenerate):
+            # mid is c itself unless 2c overflows
+            lo = np.where(degenerate, first, lo)
+            hi = np.where(degenerate, first, hi)
             scale = np.where(degenerate, np.where(first == 0.0, 1.0, np.abs(first)), scale)
             zero = np.where(degenerate & (first < 0.0), 1.0, zero)
         zero = zero.astype(np.int64)
     return scale, zero, lo, hi
 
 
-def _encode(grouped: np.ndarray, spec: QuantSpec, scale, zero, lo, hi):
-    """Codes for a (rows, n_groups, g) array given per-group parameters.
+def _codes(x, spec: QuantSpec, scale, zero, lo, hi, out=None, half=None):
+    """The quantizer arithmetic: each code minus its zero point, as a float.
 
-    Values are clipped to [lo, hi] before rounding; degenerate groups have
-    lo == hi so their codes land on the exact representation automatically.
+    ``x`` is clamped to [lo, hi], divided by ``scale``, rounded half away
+    from zero and clamped to [qmin - zero, qmax - zero]. The parameters
+    broadcast against ``x`` (``zero`` is None for symmetric specs). The
+    result goes to ``out`` (a new array by default; ``x`` itself works) and
+    ``half`` is a scratch buffer of its shape. Codes are small integers,
+    exact in float64, so the result plus ``zero`` is the stored code and the
+    result times ``scale`` is the dequantized value, with the same bits as
+    clamping the code to [qmin, qmax] and subtracting ``zero`` afterwards.
+
+    Codes are monotone in x and x lies in [lo, hi], so a code clamp can bind
+    only if the code of lo or hi falls outside it; it is skipped otherwise.
+    A NaN code of lo or hi fails the test and keeps the clamp.
     """
-    clipped = np.minimum(np.maximum(grouped, lo[..., None]), hi[..., None])
-    q = round_half_away(clipped / scale[..., None])
-    if zero is not None:
-        q = q + zero[..., None]
-    return np.clip(q, spec.qmin, spec.qmax).astype(np.int64)
-
-
-def _decode(codes: np.ndarray, scale, zero) -> np.ndarray:
-    q = codes.astype(np.float64)
-    if zero is not None:
-        q = q - zero[..., None]
-    return q * scale[..., None]
+    out = np.maximum(x, lo, out=out)
+    np.minimum(out, hi, out=out)
+    out /= scale
+    half = np.copysign(0.5, out, out=half)
+    out += half
+    np.trunc(out, out=out)
+    zf = 0.0 if zero is None else zero.astype(np.float64)
+    qlo, qhi = spec.qmin - zf, spec.qmax - zf
+    if not (round_half_away(lo / scale) >= qlo).all():
+        np.maximum(out, qlo, out=out)
+    if not (round_half_away(hi / scale) <= qhi).all():
+        np.minimum(out, qhi, out=out)
+    return out
 
 
 _PAIRWISE_BLOCK = 128   # numpy's PW_BLOCKSIZE
@@ -259,12 +268,11 @@ def _clip_errors(grouped: np.ndarray, spec: QuantSpec,
     scale and zero point broadcast along the outer g axis, and the group sum
     adds contiguous slices.
 
-    Contract: each error is bit-identical to ``_encode`` then ``_decode`` on
-    that group with the squared error summed by ``np.sum`` over the
-    contiguous group, as ``mse_clip_search`` computes it: the clamps,
-    rounding and scaling are the same operations in the same order (a code
-    clamp is skipped only where it provably cannot bind), and
-    ``_pairwise_sum`` replays numpy's summation order.
+    Contract: each error is bit-identical to quantizing that group with
+    ``_codes``, dequantizing as ``(code - zero) * scale`` and summing the
+    squared error with ``np.sum`` over the contiguous group: ``_codes`` is
+    the quantizer arithmetic itself, and ``_pairwise_sum`` replays numpy's
+    summation order.
     """
     rows, n_groups, g = grouped.shape
     k = min(_CHUNK, len(ratios))
@@ -277,28 +285,12 @@ def _clip_errors(grouped: np.ndarray, spec: QuantSpec,
     for start in range(0, len(ratios), k):
         block = ratios[start:start + k]
         scale, zero, lo, hi = _range_params(mn, mx, first, spec, block[:, None, None])
-        # the zero-point add/sub of _encode/_decode folded into one shifted
-        # clamp; codes stay float (small ints are exact)
-        zf = 0.0 if zero is None else zero.astype(np.float64)
-        xc, hc = x[:, :len(block)], half[:, :len(block)]
-        np.maximum(elem, lo, out=xc)
-        np.minimum(xc, hi, out=xc)
-        xc /= scale
-        np.copysign(0.5, xc, out=hc)
-        xc += hc
-        np.trunc(xc, out=xc)
-        # codes are monotone in x and x lies in [lo, hi], so a code clamp can
-        # bind only if the code of lo or hi falls outside it; a NaN code of lo
-        # or hi fails the test and keeps the clamp
-        qlo, qhi = spec.qmin - zf, spec.qmax - zf
-        if not (round_half_away(lo / scale) >= qlo).all():
-            np.maximum(xc, qlo, out=xc)
-        if not (round_half_away(hi / scale) <= qhi).all():
-            np.minimum(xc, qhi, out=xc)
-        xc *= scale
-        xc -= elem
-        np.square(xc, out=xc)
-        err[start:start + len(block)] = _pairwise_sum(xc)
+        q = _codes(elem, spec, scale, zero, lo, hi,
+                   out=x[:, :len(block)], half=half[:, :len(block)])
+        q *= scale
+        q -= elem
+        np.square(q, out=q)
+        err[start:start + len(block)] = _pairwise_sum(q)
     return err
 
 
@@ -310,11 +302,11 @@ def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
     on row tiles of ``max(1, 2**17 // (k * cols))`` rows, k = min(8,
     distinct ratios), so its two element-major (g, k, tile, n_groups) work
     buffers hold at most 2^17 values each. Every error is bit-identical to
-    the per-group ``_encode``/``_decode`` round trip summed by ``np.sum``
-    (see ``_clip_errors``), so the result does not depend on the tiling or
-    on the memory layout of ``grouped``. Each group takes the first ratio
-    reaching its smallest error. A NaN error is never chosen, and a group
-    whose every error is NaN or inf gets ratio 1.0.
+    the per-group round trip summed by ``np.sum`` (see ``_clip_errors``), so
+    the result does not depend on the tiling or on the memory layout of
+    ``grouped``. Each group takes the first ratio reaching its smallest
+    error. A NaN error is never chosen, and a group whose every error is NaN
+    or inf gets ratio 1.0.
     """
     rows, n_groups, g = grouped.shape
     ratios = np.asarray(sorted(set(grid), reverse=True), dtype=np.float64)
@@ -329,62 +321,51 @@ def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
     return best
 
 
-def _effective_ratios(grouped: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    rows, n_groups, _ = grouped.shape
-    clip = spec.clip
-    if clip.kind == CLIP_NONE:
-        return np.ones((rows, n_groups))
-    if clip.kind == CLIP_RATIO:
-        return np.full((rows, n_groups), clip.ratio)
-    return _search_ratios(grouped, spec, clip.grid)
-
-
-def _finite_weights(w) -> np.ndarray:
-    """``w`` as float64, or NonFiniteInputError if it holds NaN or inf."""
+def _prepare(w, spec: QuantSpec):
+    """The prologue both quantizers share: ``w`` as float64, its
+    (rows, n_groups, g) view, and the per-group (scale, zero, lo, hi), each
+    (rows, n_groups, 1). NaN/inf weights, and an asymmetric group whose
+    range overflows float64 (its scale is not finite), raise
+    NonFiniteInputError.
+    """
     w = np.asarray(w, dtype=np.float64)
     if not np.isfinite(w).all():
         raise NonFiniteInputError("weights contain NaN or inf")
-    return w
+    grouped = _group_view(w, spec.group_size)
+    clip = spec.clip
+    if clip.kind == CLIP_MSE:
+        ratio = _search_ratios(grouped, spec, clip.grid)[..., None]
+    else:
+        ratio = clip.ratio if clip.kind == CLIP_RATIO else 1.0
+    params = _range_params(grouped.min(axis=2, keepdims=True),
+                           grouped.max(axis=2, keepdims=True), grouped[..., :1],
+                           spec, ratio)
+    if not np.isfinite(params[0]).all():
+        raise NonFiniteInputError("a group's range overflows float64")
+    return w, grouped, params
+
+
+def _encode(w, q, spec: QuantSpec, scale, zero) -> QuantizedTensor:
+    """``w`` quantized, from the ``_codes`` output ``q`` on its group view:
+    the zero point added back and the codes cast to int64."""
+    codes = (q if zero is None else q + zero).astype(np.int64)
+    return QuantizedTensor(codes=codes.reshape(w.shape), scales=scale[..., 0],
+                           zero_points=None if zero is None else zero[..., 0],
+                           shape=w.shape, spec=spec)
 
 
 def rtn_quantize(w: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
     """Round-to-nearest group quantization of a (rows, cols) matrix."""
-    w = _finite_weights(w)
-    grouped = _group_view(w, spec.group_size)
-    ratio = _effective_ratios(grouped, spec)
-    scale, zero, lo, hi = _group_params(grouped, spec, ratio)
-    codes = _encode(grouped, spec, scale, zero, lo, hi)
-    return QuantizedTensor(codes=codes.reshape(w.shape), scales=scale,
-                           zero_points=zero, shape=w.shape, spec=spec)
+    w, grouped, (scale, zero, lo, hi) = _prepare(w, spec)
+    return _encode(w, _codes(grouped, spec, scale, zero, lo, hi), spec, scale, zero)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
     """Reconstruct floats: (code - zero_point) * scale per element."""
-    grouped = _group_view(q.codes, q.spec.group_size)
-    return _decode(grouped, q.scales, q.zero_points).reshape(q.shape)
-
-
-def mse_clip_search(group: np.ndarray, spec: QuantSpec,
-                    grid: tuple[float, ...] = DEFAULT_MSE_GRID) -> tuple[float, float]:
-    """Brute-force the clip ratio minimizing squared error on one group.
-
-    Returns (ratio, error); ties broken toward the larger ratio. Degenerate
-    (constant) groups return (1.0, 0.0).
-    """
-    if len(grid) == 0:
-        raise InvalidSpecError("clip ratio grid must be non-empty")
-    g = np.asarray(group, dtype=np.float64).reshape(1, 1, -1)
-    if g[0, 0].max() == g[0, 0].min():
-        return 1.0, 0.0
-    best_ratio, best_err = 1.0, np.inf
-    for r in sorted(set(grid), reverse=True):
-        ratio = np.full((1, 1), r)
-        scale, zero, lo, hi = _group_params(g, spec, ratio)
-        codes = _encode(g, spec, scale, zero, lo, hi)
-        err = float(((g - _decode(codes, scale, zero)) ** 2).sum())
-        if err < best_err:
-            best_err, best_ratio = err, r
-    return best_ratio, best_err
+    codes = _group_view(q.codes, q.spec.group_size).astype(np.float64)
+    if q.zero_points is not None:
+        codes -= q.zero_points[..., None]
+    return (codes * q.scales[..., None]).reshape(q.shape)
 
 
 def hessian_from_calibration(x: np.ndarray) -> CalibrationHessian:
@@ -435,16 +416,12 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     objective delta.T @ H @ delta. This guarantees the sweep never ends up
     worse than RTN under the proxy objective.
     """
-    w = _finite_weights(w)
+    w, grouped, (scale, zero, lo, hi) = _prepare(w, spec)
     rows, d = w.shape
     h = hessian.matrix
     if h.shape != (d, d):
         raise ShapeMismatchError(f"Hessian is {h.shape}, weights have {d} columns")
-    grouped = _group_view(w, spec.group_size)
     g = grouped.shape[2]
-
-    ratio = _effective_ratios(grouped, spec)
-    scale, zero, lo, hi = _group_params(grouped, spec, ratio)
 
     hd = h + damp * np.mean(np.diag(h)) * np.eye(d)
     try:
@@ -456,30 +433,27 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
         raise SingularHessianError(f"Cholesky failed after dampening: {exc}") from None
 
     work = w.copy()
-    codes = np.empty((rows, d), dtype=np.int64)
+    sweep = np.empty((d, rows))   # column j's codes minus zero points in row j
+    half = np.empty(rows)
     for j in range(d):
         gi = j // g
-        col = work[:, j:j + 1].reshape(rows, 1, 1)
-        zcol = None if zero is None else zero[:, gi:gi + 1]
-        c = _encode(col, spec, scale[:, gi:gi + 1], zcol,
-                    lo[:, gi:gi + 1], hi[:, gi:gi + 1])
-        codes[:, j] = c.reshape(rows)
-        deq = _decode(c, scale[:, gi:gi + 1], zcol).reshape(rows)
-        err = (work[:, j] - deq) / u[j, j]
+        col_scale = scale[:, gi, 0]
+        q = _codes(work[:, j], spec, col_scale, None if zero is None else zero[:, gi, 0],
+                   lo[:, gi, 0], hi[:, gi, 0], out=sweep[j], half=half)
+        err = (work[:, j] - q * col_scale) / u[j, j]
         if j + 1 < d:
             work[:, j + 1:] -= np.outer(err, u[j, j + 1:])
 
-    rtn_codes = _encode(grouped, spec, scale, zero, lo, hi).reshape(rows, d)
-    sweep_delta = w - _decode(_group_view(codes, spec.group_size), scale, zero).reshape(rows, d)
-    rtn_delta = w - _decode(_group_view(rtn_codes, spec.group_size), scale, zero).reshape(rows, d)
-    sweep_obj = ((sweep_delta @ h) * sweep_delta).sum(1)
-    rtn_obj = ((rtn_delta @ h) * rtn_delta).sum(1)
-    keep_rtn = rtn_obj < sweep_obj
-    if np.any(keep_rtn):
-        codes[keep_rtn] = rtn_codes[keep_rtn]
+    sweep = _group_view(sweep.T, spec.group_size)
+    rtn = _codes(grouped, spec, scale, zero, lo, hi)
 
-    return QuantizedTensor(codes=codes, scales=scale, zero_points=zero,
-                           shape=w.shape, spec=spec)
+    def objective(q):
+        delta = w - (q * scale).reshape(rows, d)
+        return ((delta @ h) * delta).sum(1)
+
+    keep_rtn = objective(rtn) < objective(sweep)
+    sweep[keep_rtn] = rtn[keep_rtn]
+    return _encode(w, sweep, spec, scale, zero)
 
 
 METRIC_MSE = "mse"

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     BadMagicError,
     CorruptFileError,
+    InvalidSpecError,
     IoFailureError,
     NotOrthogonalError,
     TruncatedPayloadError,
@@ -241,20 +242,57 @@ def save_quantized(path, qt) -> None:
     })
 
 
-def load_quantized(path):
+def _matrix_of(value, shape, ok) -> bool:
+    """``value`` is a list of ``shape[0]`` lists of ``shape[1]`` entries passing ``ok``."""
+    return (isinstance(value, list) and len(value) == shape[0]
+            and all(isinstance(row, list) and len(row) == shape[1] and all(map(ok, row))
+                    for row in value))
+
+
+def load_quantized(path) -> QuantizedTensor:
+    """Read a file written by ``save_quantized``; CorruptFileError unless its
+    metadata describes the int8 codes it holds."""
     arr, meta = read_tensor(path)
     if meta.get("content") != "quantized":
         raise UnsupportedDtypeError(f"{path} does not hold a quantized tensor")
-    clip = Clip(kind=meta["clip"]["kind"], ratio=meta["clip"]["ratio"],
-                grid=tuple(meta["clip"]["grid"]))
-    spec = QuantSpec(bits=meta["bits"], group_size=meta["group_size"],
-                     symmetric=meta["symmetric"], clip=clip)
-    codes = arr.astype(np.int64) + meta["code_offset"]
-    zeros = meta["zero_points"]
+
+    def check(ok, what):
+        if not ok:
+            raise CorruptFileError(f"{path}: bad quantized-tensor metadata: {what}")
+
+    bits, group, symmetric, clip, shape, offset, scales, zeros = (meta.get(k) for k in (
+        "bits", "group_size", "symmetric", "clip", "shape", "code_offset", "scales",
+        "zero_points"))
+    check(arr.dtype == np.int8 and arr.ndim == 2 and isinstance(shape, list)
+          and all(map(_is_int, shape)) and tuple(shape) == arr.shape,
+          f"shape {shape!r} for {arr.dtype} codes of shape {arr.shape}")
+    check(_is_int(bits) and (group is None or _is_int(group)) and isinstance(symmetric, bool),
+          f"bits {bits!r}, group size {group!r}, symmetric {symmetric!r}")
+    check(isinstance(clip, dict) and isinstance(clip.get("kind"), str)
+          and _is_positive_float(clip.get("ratio")) and isinstance(clip.get("grid"), list)
+          and all(map(_is_positive_float, clip["grid"])), f"clip {clip!r}")
+    try:
+        spec = QuantSpec(bits=bits, group_size=group, symmetric=symmetric,
+                         clip=Clip(kind=clip["kind"], ratio=float(clip["ratio"]),
+                                   grid=tuple(map(float, clip["grid"]))))
+    except InvalidSpecError as exc:
+        raise CorruptFileError(f"{path}: bad quantized-tensor metadata: {exc}") from None
+    check(_is_int(offset) and offset == (0 if symmetric else 1 << (bits - 1)),
+          f"code offset {offset!r}")
+    codes = arr.astype(np.int64) + offset
+    check(codes.size == 0 or spec.qmin <= codes.min() and codes.max() <= spec.qmax,
+          f"codes outside [{spec.qmin}, {spec.qmax}]")
+    rows, cols = arr.shape
+    g = cols if group is None else group
+    check(g >= 1 and cols % g == 0, f"group size {group!r} for {cols} columns")
+    groups = (rows, cols // g)
+    check(_matrix_of(scales, groups, _is_positive_float), "scales")
+    check(zeros is None if symmetric else _matrix_of(
+        zeros, groups, lambda z: _is_int(z) and spec.qmin <= z <= spec.qmax), "zero points")
     return QuantizedTensor(
-        codes=codes, scales=np.array(meta["scales"], dtype=np.float64),
-        zero_points=None if zeros is None else np.array(zeros, dtype=np.int64),
-        shape=tuple(meta["shape"]), spec=spec)
+        codes=codes, scales=np.array(scales, dtype=np.float64).reshape(groups),
+        zero_points=None if zeros is None else np.array(zeros, dtype=np.int64).reshape(groups),
+        shape=(rows, cols), spec=spec)
 
 
 def write_report(path, report) -> None:

@@ -1,8 +1,11 @@
-"""Loop versions of the vectorized construction helpers and the full-matrix
-Hessian formula, kept as oracles: the library versions must match them bit
-for bit."""
+"""Loop versions of the vectorized construction helpers, the full-matrix
+Hessian formula and the group quantizers, kept as oracles: the library
+versions must match them bit for bit."""
 
 import numpy as np
+
+from seqrot import quant
+from seqrot.errors import InvalidSpecError
 
 _MASK64 = (1 << 64) - 1
 
@@ -66,3 +69,108 @@ def hessian_matrix(x) -> np.ndarray:
 
 def dense(m, dtype=np.float64) -> np.ndarray:
     return m.signs.astype(dtype) * dtype(m.scale)
+
+
+# The group quantizer written out with the formulas it had before the library
+# shared one clamp-and-round kernel: the codes are clipped after adding the
+# zero point, and dequantized as (codes - zero) * scale.
+
+def _round_half_away(x):
+    return np.trunc(x + np.copysign(0.5, x))
+
+
+def encode(grouped, spec, scale, zero, lo, hi):
+    """Codes of a (rows, n_groups, g) array from (rows, n_groups) parameters."""
+    clipped = np.minimum(np.maximum(grouped, lo[..., None]), hi[..., None])
+    q = _round_half_away(clipped / scale[..., None])
+    if zero is not None:
+        q = q + zero[..., None]
+    return np.clip(q, spec.qmin, spec.qmax).astype(np.int64)
+
+
+def decode(codes, scale, zero):
+    q = codes.astype(np.float64)
+    if zero is not None:
+        q = q - zero[..., None]
+    return q * scale[..., None]
+
+
+def group_params(grouped, spec, ratio):
+    return quant._range_params(grouped.min(axis=2), grouped.max(axis=2),
+                               grouped[..., 0], spec, ratio)
+
+
+def _clip_search(group, spec, grid):
+    """(ratio, error) of the first, largest, ratio with the smallest error."""
+    g = np.asarray(group, dtype=np.float64).reshape(1, 1, -1)
+    best_ratio, best_err = 1.0, np.inf
+    for r in sorted(set(grid), reverse=True):
+        scale, zero, lo, hi = group_params(g, spec, np.full((1, 1), r))
+        codes = encode(g, spec, scale, zero, lo, hi)
+        err = float(((g - decode(codes, scale, zero)) ** 2).sum())
+        if err < best_err:
+            best_err, best_ratio = err, r
+    return best_ratio, best_err
+
+
+def mse_clip_search(group, spec, grid=quant.DEFAULT_MSE_GRID):
+    """Brute-force the clip ratio minimizing squared error on one group.
+
+    Returns (ratio, error); ties broken toward the larger ratio. Degenerate
+    (constant) groups return (1.0, 0.0).
+    """
+    if len(grid) == 0:
+        raise InvalidSpecError("clip ratio grid must be non-empty")
+    group = np.asarray(group, dtype=np.float64)
+    if group.max() == group.min():
+        return 1.0, 0.0
+    return _clip_search(group, spec, grid)
+
+
+def quant_params(w, spec):
+    """(grouped, scale, zero, lo, hi) with every clip ratio found group by group."""
+    w = np.asarray(w, dtype=np.float64)
+    grouped = quant._group_view(w, spec.group_size)
+    rows, n_groups, _ = grouped.shape
+    ratio = np.full((rows, n_groups), spec.clip.ratio)
+    if spec.clip.kind == quant.CLIP_MSE:
+        for r in range(rows):
+            for j in range(n_groups):
+                ratio[r, j] = _clip_search(grouped[r, j], spec, spec.clip.grid)[0]
+    return (grouped,) + group_params(grouped, spec, ratio)
+
+
+def rtn_quantize(w, spec):
+    """(codes, scales, zero points) of round-to-nearest quantization."""
+    grouped, scale, zero, lo, hi = quant_params(w, spec)
+    return encode(grouped, spec, scale, zero, lo, hi).reshape(np.shape(w)), scale, zero
+
+
+def gptq_codes(w, hessian, spec, damp=0.01):
+    """Codes of the GPTQ column sweep, then the per-row RTN guard."""
+    w = np.asarray(w, dtype=np.float64)
+    rows, d = w.shape
+    h = hessian.matrix
+    grouped, scale, zero, lo, hi = quant_params(w, spec)
+    g = grouped.shape[2]
+    hinv = np.linalg.inv(h + damp * np.mean(np.diag(h)) * np.eye(d))
+    u = np.linalg.cholesky(0.5 * (hinv + hinv.T)).T
+    work = w.copy()
+    codes = np.empty((rows, d), dtype=np.int64)
+    for j in range(d):
+        gi = j // g
+        col = work[:, j:j + 1].reshape(rows, 1, 1)
+        zcol = None if zero is None else zero[:, gi:gi + 1]
+        c = encode(col, spec, scale[:, gi:gi + 1], zcol, lo[:, gi:gi + 1], hi[:, gi:gi + 1])
+        codes[:, j] = c.reshape(rows)
+        err = (work[:, j] - decode(c, scale[:, gi:gi + 1], zcol).reshape(rows)) / u[j, j]
+        work[:, j + 1:] -= np.outer(err, u[j, j + 1:])
+    rtn_codes = encode(grouped, spec, scale, zero, lo, hi).reshape(rows, d)
+
+    def objective(c):
+        delta = w - decode(quant._group_view(c, g), scale, zero).reshape(rows, d)
+        return ((delta @ h) * delta).sum(1)
+
+    keep_rtn = objective(rtn_codes) < objective(codes)
+    codes[keep_rtn] = rtn_codes[keep_rtn]
+    return codes

@@ -1,7 +1,9 @@
+import shlex
+
 import numpy as np
 import pytest
 
-from seqrot.cli import main
+from seqrot.cli import build_parser, config_line, main
 from seqrot.quant import rtn_quantize
 from seqrot.tensorfile import load_quantized, load_rotation, read_report, write_tensor
 from seqrot.transforms import orthogonality_residual
@@ -181,3 +183,42 @@ class TestR4Ablation:
         assert code == 0
         assert "w16a16" in out
         assert "local-global median diff" in out
+
+
+class TestFlags:
+    """Each subcommand takes only the flags it uses, and its `# config:` line
+    re-parses to the same namespace."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--precision", "f32"],
+        ["r4-ablation", "--out", "x"],
+        ["r4-ablation", "--precision", "f64"],
+        ["invariance", "--out", "x"],
+        ["inspect", "--file", "x", "--seed", "1"],
+        ["make-rotation", "--kind", "gh", "--n", "8", "--precision", "f32"],
+        ["quantize", "--file", "x", "--bits", "2", "--precision", "f64"],
+    ])
+    def test_unused_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["make-rotation", "--kind", "gsr", "--n", "16", "--group", "4", "--randomize",
+         "--seed", "-3", "--out", "my dir/r.gsrt"],
+        ["make-rotation", "--kind", "gh", "--n", "8"],
+        ["inspect", "--file", "w.gsrt", "--group", "4"],
+        ["quantize", "--file", "w.gsrt", "--bits", "3", "--scheme", "gptq", "--clip",
+         "ratio:0.9", "--symmetric", "--calib-samples", "16", "--seed", "2"],
+        ["compare", "--variants", "gh,lh", "--t-dof", "2.5", "--dist", "gaussian",
+         "--outlier-gain", "1e3", "--out", "r.csv"],
+        ["invariance", "--r1", "gsr", "--r4-mode", "local", "--precision", "f32",
+         "--seed", "7"],
+        ["r4-ablation", "--seeds", "3", "--act-bits", "8", "--r1", "gw"],
+    ])
+    def test_config_line_reparses(self, argv):
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        line = config_line(parser, args)
+        assert line.startswith(f"# config: seqrot {argv[0]} ")
+        assert parser.parse_args(shlex.split(line)[3:]) == args

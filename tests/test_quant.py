@@ -3,6 +3,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mse_clip_search
 
 from seqrot import quant
 from seqrot.errors import (
@@ -13,6 +14,9 @@ from seqrot.errors import (
     ShapeMismatchError,
 )
 from seqrot.quant import (
+    CLIP_MSE,
+    CLIP_NONE,
+    CLIP_RATIO,
     DEFAULT_MSE_GRID,
     METRIC_MAX_ABS,
     METRIC_MSE,
@@ -27,7 +31,6 @@ from seqrot.quant import (
     dequantize,
     gptq_quantize,
     hessian_from_calibration,
-    mse_clip_search,
     proxy_objective,
     quant_error,
     round_half_away,
@@ -199,30 +202,39 @@ GROUP_SIZES = (1, 3, 7, 8, 15, 64, 100, 128, 129, 136, 300)
 GRID_RATIOS = (1.0, 0.97, 0.9, 0.85, 0.8, 0.75, 0.6, 0.5, 0.33)
 
 
+# weights and MSE grids of the kernel-against-oracle tests
+WEIGHT_CASES = dict(
+    bits=st.integers(2, 8), symmetric=st.booleans(),
+    g=st.sampled_from(GROUP_SIZES), rows=st.integers(1, 5),
+    n_groups=st.integers(1, 3), transposed=st.booleans(),
+    lattice=st.booleans(), shift=st.sampled_from((0.0, -6.0, 6.0)),
+    seed=st.integers(0, 2 ** 32 - 1),
+    grid=st.one_of(st.just(DEFAULT_MSE_GRID),
+                   st.lists(st.sampled_from(GRID_RATIOS), min_size=1, max_size=12)))
+
+
+def case_weights(rows, n_groups, g, transposed, lattice, shift, seed):
+    rng = np.random.default_rng(seed)
+    shape = (rows, n_groups * g)
+    # a shift makes most groups one-signed, where the code clamps bind
+    if lattice:   # few distinct values: many exact error ties
+        w = rng.integers(-3, 4, size=shape) + shift
+    else:
+        w = (rng.standard_t(4, size=shape) + shift) * 10.0 ** rng.uniform(-4, 4)
+    if transposed:
+        w = np.ascontiguousarray(w.T).T
+    return w
+
+
 class TestSearchRatios:
     """The tiled element-major kernel gives every error and every chosen
     ratio bit for bit as the per-group oracle ``mse_clip_search``."""
 
     @settings(max_examples=60, deadline=None)
-    @given(bits=st.integers(2, 8), symmetric=st.booleans(),
-           g=st.sampled_from(GROUP_SIZES), rows=st.integers(1, 5),
-           n_groups=st.integers(1, 3), transposed=st.booleans(),
-           lattice=st.booleans(), shift=st.sampled_from((0.0, -6.0, 6.0)),
-           seed=st.integers(0, 2 ** 32 - 1),
-           grid=st.one_of(st.just(DEFAULT_MSE_GRID),
-                          st.lists(st.sampled_from(GRID_RATIOS), min_size=1,
-                                   max_size=12)))
+    @given(**WEIGHT_CASES)
     def test_matches_per_group_oracle(self, bits, symmetric, g, rows, n_groups,
                                       transposed, lattice, shift, seed, grid):
-        rng = np.random.default_rng(seed)
-        shape = (rows, n_groups * g)
-        # a shift makes most groups one-signed, where the code clamps bind
-        if lattice:   # few distinct values: many exact error ties
-            w = rng.integers(-3, 4, size=shape) + shift
-        else:
-            w = (rng.standard_t(4, size=shape) + shift) * 10.0 ** rng.uniform(-4, 4)
-        if transposed:
-            w = np.ascontiguousarray(w.T).T
+        w = case_weights(rows, n_groups, g, transposed, lattice, shift, seed)
         spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric,
                          clip=Clip.mse(tuple(grid)))
         grouped = _group_view(w, g)
@@ -277,6 +289,41 @@ class TestSearchRatios:
             assert _pairwise_sum(a.T).tobytes() == a.sum(axis=-1).tobytes(), n
 
 
+class TestQuantizersMatchOracle:
+    """Both quantizers give, bit for bit, the codes, scales and zero points of
+    the quantizer written out with its formulas from before the shared
+    kernel (``oracles.rtn_quantize``, ``oracles.gptq_codes``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(clip=st.sampled_from((CLIP_NONE, CLIP_RATIO, CLIP_MSE)), **WEIGHT_CASES)
+    def test_rtn(self, clip, bits, symmetric, g, rows, n_groups, transposed, lattice,
+                 shift, seed, grid):
+        w = case_weights(rows, n_groups, g, transposed, lattice, shift, seed)
+        clip = {CLIP_NONE: Clip.none(), CLIP_RATIO: Clip.fixed(min(grid)),
+                CLIP_MSE: Clip.mse(tuple(grid))}[clip]
+        spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric, clip=clip)
+        qt = rtn_quantize(w, spec)
+        codes, scales, zeros = oracles.rtn_quantize(w, spec)
+        assert qt.codes.tobytes() == codes.tobytes()
+        assert qt.scales.tobytes() == scales.tobytes()
+        if symmetric:
+            assert qt.zero_points is None and zeros is None
+        else:
+            assert qt.zero_points.tobytes() == zeros.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(**WEIGHT_CASES)
+    def test_gptq(self, bits, symmetric, g, rows, n_groups, transposed, lattice,
+                  shift, seed, grid):
+        w = case_weights(rows, n_groups, g, transposed, lattice, shift, seed)
+        spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric,
+                         clip=Clip.mse(tuple(grid)))
+        d = w.shape[1]
+        h = hessian_from_calibration(np.random.default_rng(seed).standard_normal((d + 8, d)))
+        assert gptq_quantize(w, h, spec).codes.tobytes() \
+            == oracles.gptq_codes(w, h, spec).tobytes()
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rtn_rejects(self, bad):
@@ -293,6 +340,36 @@ class TestNonFinite:
         h = hessian_from_calibration(np.random.default_rng(0).standard_normal((16, 8)))
         with pytest.raises(NonFiniteInputError):
             gptq_quantize(w, h, QuantSpec(bits=2, group_size=4, clip=Clip.mse()))
+
+
+class TestRangeOverflow:
+    """A finite asymmetric group whose range overflows float64 raises instead
+    of giving an inf or NaN scale and INT64_MIN codes."""
+
+    @pytest.mark.parametrize("w", [[[-1e308, 1e308, 0.0, 0.0]],
+                                   [[1e308, 1.7e308, 1.5e308, 1.2e308]]])
+    @pytest.mark.parametrize("clip", [Clip.none(), Clip.mse()])
+    def test_rejected(self, w, clip):
+        spec = QuantSpec(bits=3, group_size=4, clip=clip)
+        h = hessian_from_calibration(np.random.default_rng(0).standard_normal((8, 4)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteInputError):
+                rtn_quantize(w, spec)
+            with pytest.raises(NonFiniteInputError):
+                gptq_quantize(w, h, spec)
+
+    @pytest.mark.parametrize("c", [1e308, -1e308, 1.7e308, -1.7e308])
+    def test_constant_group_exact(self, c):
+        # twice c overflows, but a constant group needs no midpoint
+        w = np.full((1, 4), c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(rt(w, QuantSpec(bits=3, group_size=4)), w)
+
+    def test_symmetric_spec_unaffected(self):
+        w = np.array([[-1e308, 1e308, 0.0, 0.0]])
+        q = rtn_quantize(w, QuantSpec(bits=3, group_size=4, symmetric=True))
+        assert q.codes.tolist() == [[-3, 3, 0, 0]]
+        assert np.array_equal(dequantize(q), w)
 
 
 class TestHessian:

@@ -15,7 +15,7 @@ from seqrot.errors import (
     UnsupportedDtypeError,
     VersionUnsupportedError,
 )
-from seqrot.quant import QuantSpec, dequantize, rtn_quantize
+from seqrot.quant import Clip, QuantSpec, dequantize, rtn_quantize
 from seqrot.tensorfile import (
     load_quantized,
     load_rotation,
@@ -160,13 +160,18 @@ class TestByteMutation:
     @given(edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),
                           min_size=1, max_size=4))
     def test_only_tensor_file_errors(self, tmp_path, edits):
+        quantized = rtn_quantize(np.arange(8.0).reshape(2, 4) - 3.0,
+                                 QuantSpec(bits=3, group_size=2, clip=Clip.mse((1.0, 0.5))))
+        readers = {"t": (read_tensor,), "r": (read_tensor, load_rotation),
+                   "q": (read_tensor, load_quantized)}
         for name, write in (("t", lambda p: write_tensor(p, np.arange(6.0).reshape(2, 3),
                                                           {"k": [1, "x"]})),
-                            ("r", lambda p: save_rotation(p, gsr(8, 4, seed=1)))):
+                            ("r", lambda p: save_rotation(p, gsr(8, 4, seed=1))),
+                            ("q", lambda p: save_quantized(p, quantized))):
             p = tmp_path / f"{name}.gsrt"
             write(p)
             p.write_bytes(_mutated(p.read_bytes(), edits))
-            for read in (read_tensor, load_rotation) if name == "r" else (read_tensor,):
+            for read in readers[name]:
                 try:
                     read(p)
                 except TensorFileError:
@@ -253,3 +258,44 @@ class TestQuantizedFiles:
             assert np.array_equal(back.zero_points, qt.zero_points)
         assert back.spec == qt.spec
         assert np.array_equal(dequantize(back), dequantize(qt))
+
+    @pytest.mark.parametrize("change", [
+        {"clip": 5}, {"clip": {"kind": "mse"}}, {"clip": {"kind": "x", "ratio": 1.0, "grid": []}},
+        {"clip": {"kind": "mse", "ratio": 1.0, "grid": ["a"]}}, {"bits": "2"}, {"bits": 9},
+        {"bits": True}, {"group_size": 3}, {"group_size": 0}, {"group_size": 8.0},
+        {"symmetric": 1}, {"symmetric": True}, {"code_offset": 0}, {"code_offset": "2"},
+        {"scales": [[1.0, 1.0]]}, {"scales": [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, 1.0]]},
+        {"scales": "x"}, {"scales": [[10 ** 400, 1.0]] * 4}, {"zero_points": None},
+        {"zero_points": [[0, 0]] * 3}, {"zero_points": [[0, 1.5]] * 4},
+        {"zero_points": [[0, 4]] * 4}, {"shape": [4, 8]}, {"shape": [4, True]},
+    ])
+    def test_bad_metadata(self, tmp_path, change):
+        qt = rtn_quantize(np.random.default_rng(0).standard_normal((4, 16)),
+                          QuantSpec(bits=2, group_size=8))
+        p = tmp_path / "q.gsrt"
+        save_quantized(p, qt)
+        arr, meta = read_tensor(p)
+        meta.update(change)
+        write_tensor(p, arr, meta)
+        with pytest.raises(CorruptFileError):
+            load_quantized(p)
+
+    @pytest.mark.parametrize("key", ["clip", "bits", "symmetric", "code_offset", "scales",
+                                     "zero_points", "shape"])
+    def test_missing_key(self, tmp_path, key):
+        p = tmp_path / "q.gsrt"
+        save_quantized(p, rtn_quantize(np.ones((2, 4)), QuantSpec(bits=2, group_size=4)))
+        arr, meta = read_tensor(p)
+        del meta[key]
+        write_tensor(p, arr, meta)
+        with pytest.raises(CorruptFileError):
+            load_quantized(p)
+
+    def test_codes_outside_range(self, tmp_path):
+        p = tmp_path / "q.gsrt"
+        save_quantized(p, rtn_quantize(np.ones((2, 4)), QuantSpec(bits=2, group_size=4)))
+        arr, meta = read_tensor(p)
+        arr[0, 0] = 2   # offset 2 makes it code 4 > qmax 3
+        write_tensor(p, arr, meta)
+        with pytest.raises(CorruptFileError):
+            load_quantized(p)
