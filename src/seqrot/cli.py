@@ -210,7 +210,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _check_seeds(args) -> None:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
+
+
 def cmd_invariance(args) -> int:
+    _check_seeds(args)
     dtype = np.float64 if args.precision == "f64" else np.float32
     tol = 1e-10 if args.precision == "f64" else 1e-4
     worst = 0.0
@@ -230,6 +236,7 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_r4_ablation(args) -> int:
+    _check_seeds(args)
     cfg = ToyBlockConfig(hidden=args.hidden, heads=args.heads, ffn=args.ffn,
                          group_size=args.group, seq_len=args.seq_len)
     wspec = QuantSpec(bits=args.bits, group_size=args.group, clip=Clip.mse())

@@ -45,7 +45,9 @@ class NonFiniteInputError(SeqrotError, ValueError):
 
 
 class ShapeMismatchError(SeqrotError, ValueError):
-    """Two arrays that must share a shape do not."""
+    """Two arrays that must share a shape do not, or an array does not have
+    the shape an operation needs (e.g. a quantizer input that is not a
+    matrix with at least one column)."""
 
 
 class DimensionMismatchError(SeqrotError, ValueError):

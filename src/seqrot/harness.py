@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import rotation
 from .corpus import corpus_hash
-from .errors import DimensionMismatchError, InvalidSpecError
+from .errors import DimensionMismatchError, InvalidConfigError, InvalidSpecError
 from .quant import (
     METRIC_MAX_ABS,
     METRIC_MSE,
@@ -30,6 +31,7 @@ from .quant import (
     rtn_quantize,
 )
 from .rotation import (
+    R4_MODES,
     RotationAssignment,
     ToyBlockConfig,
     build_toy_block,
@@ -244,16 +246,26 @@ def r4_ablation(cfg: ToyBlockConfig, modes=("global", "local"),
     Cells are output MSE against the unrotated full-precision block:
     the no-quant setting checks invariance, the weight-only and
     weight+activation settings measure the quantization damage per mode.
+
+    Each distinct fused weight is fake-quantized once per seed: both
+    quantized settings of a mode share one pre-quantized block, and a weight
+    whose bytes are the same in another mode (all but ``wdown``, unless r4 is
+    the identity) reuses its quantized copy. The cells are the same bits as
+    quantizing inside every ``forward`` call.
     """
+    if n_seeds < 1:
+        raise InvalidConfigError(f"n_seeds must be at least 1, got {n_seeds}")
+    if not modes or len(set(modes)) != len(modes) or not set(modes) <= set(R4_MODES):
+        raise InvalidConfigError(
+            f"modes must be distinct values from {R4_MODES}, got {tuple(modes)}")
     weight_spec = weight_spec or QuantSpec(bits=2, group_size=cfg.group_size)
     act_spec = act_spec or QuantSpec(bits=4, group_size=cfg.group_size,
                                      symmetric=True)
     wlabel = f"w{weight_spec.bits}"
     settings = ("w16a16", wlabel, f"{wlabel}a{act_spec.bits}")
-    quant_for = {"w16a16": (None, None), wlabel: (weight_spec, None),
-                 settings[2]: (weight_spec, act_spec)}
 
     cells = {mode: {s: np.zeros(n_seeds) for s in settings} for mode in modes}
+    memo = {}   # weight name -> (sha256 of the fused weight, quantized copy)
     for i in range(n_seeds):
         seed = base_seed + i
         cfg_i = replace(cfg, seed=_mix_seed(seed, 1))
@@ -265,14 +277,25 @@ def r4_ablation(cfg: ToyBlockConfig, modes=("global", "local"),
             assign = RotationAssignment(r1=r1_kind, r4=r4_kind, r4_mode=mode,
                                         seed=_mix_seed(seed, 3))
             fused = fuse_rotations(block, assign)
+            for name, w in fused.weights.items():
+                digest = hashlib.sha256(w.tobytes()).digest()
+                if name not in memo or memo[name][0] != digest:
+                    memo.pop(name, None)   # free the stale copy first
+                    memo[name] = (digest,
+                                  rotation._maybe_quantize_weight(w, weight_spec))
+            qblock = replace(fused, weights={k: q for k, (_, q) in memo.items()})
             r1 = fused.input_rotation
             x_in = x if r1 is None else x @ r1
-            for s in settings:
-                wspec, aspec = quant_for[s]
-                y = forward(fused, x_in, weight_spec=wspec, act_spec=aspec)
+            outputs = (forward(fused, x_in), forward(qblock, x_in),
+                       forward(qblock, x_in, act_spec=act_spec))
+            # nothing may keep a mode's quantized block (and with it a stale
+            # wdown copy and r4 matrix) alive into the next mode
+            del qblock
+            for s, y in zip(settings, outputs):
                 if r1 is not None:
                     y = y @ r1.T
                 cells[mode][s][i] = float(np.mean((y - y_ref) ** 2))
+        memo.clear()
 
     medians = {mode: {s: float(np.median(cells[mode][s])) for s in settings}
                for mode in modes}

@@ -122,6 +122,9 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 
 
 def _group_view(w: np.ndarray, group_size: int | None) -> np.ndarray:
+    if w.ndim != 2 or w.shape[1] == 0:
+        raise ShapeMismatchError(
+            f"expected a (rows, cols) matrix with cols >= 1, got shape {w.shape}")
     rows, cols = w.shape
     g = cols if group_size is None else group_size
     if cols % g != 0:

@@ -46,6 +46,7 @@ VARIANTS = (VARIANT_GH, VARIANT_GW, VARIANT_LH, VARIANT_GSR)
 
 R4_GLOBAL = "global"
 R4_LOCAL = "local"
+R4_MODES = (R4_GLOBAL, R4_LOCAL)
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,11 @@ class RotationAssignment:
     r4: str = VARIANT_IDENTITY
     r4_mode: str = R4_GLOBAL
     seed: int = 0
+
+    def __post_init__(self):
+        if self.r4_mode not in R4_MODES:
+            raise InvalidConfigError(
+                f"r4_mode must be one of {R4_MODES}, got {self.r4_mode!r}")
 
 
 def resolve_variant(kind: str, size: int, group: int, seed: int,
@@ -266,15 +272,16 @@ def forward(block: ToyBlock, x: np.ndarray, weight_spec=None, act_spec=None,
     """
     cfg = block.cfg
     x = np.asarray(x, dtype=dtype)
-    if x.ndim != 2 or x.shape[1] != cfg.hidden:
-        raise DimensionMismatchError(f"input must be (seq, {cfg.hidden}), got {x.shape}")
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != cfg.hidden:
+        raise DimensionMismatchError(
+            f"input must be (seq >= 1, {cfg.hidden}), got {x.shape}")
     seq = x.shape[0]
     hd = cfg.head_dim
 
     wts = dict(block.weights)
     if weight_spec is not None:
         wts = {k: _maybe_quantize_weight(v, weight_spec) for k, v in wts.items()}
-    wts = {k: v.astype(dtype) for k, v in wts.items()}
+    wts = {k: v.astype(dtype, copy=False) for k, v in wts.items()}
 
     h = _rms_norm(x)
     q = (h @ wts["wq"]).reshape(seq, cfg.heads, hd)
@@ -283,7 +290,7 @@ def forward(block: ToyBlock, x: np.ndarray, weight_spec=None, act_spec=None,
     q = _rope(q)
     k = _rope(k)
     if block.r3_online is not None:
-        r3 = block.r3_online.astype(dtype)
+        r3 = block.r3_online.astype(dtype, copy=False)
         q = q @ r3
         k = k @ r3
 
@@ -296,7 +303,7 @@ def forward(block: ToyBlock, x: np.ndarray, weight_spec=None, act_spec=None,
     h2 = _rms_norm(x)
     a = _silu(h2 @ wts["wgate"]) * (h2 @ wts["wup"])
     if block.r4_online is not None:
-        a = a @ block.r4_online.astype(dtype)
+        a = a @ block.r4_online.astype(dtype, copy=False)
     if act_spec is not None:
         a = _fake_quantize_activation(a, act_spec).astype(dtype)
     return x + a @ wts["wdown"]

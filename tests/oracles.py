@@ -1,11 +1,15 @@
 """Loop versions of the vectorized construction helpers, the full-matrix
-Hessian formula and the group quantizers, kept as oracles: the library
-versions must match them bit for bit."""
+Hessian formula, the group quantizers and the R4 ablation, kept as oracles:
+the library versions must match them bit for bit."""
+
+from dataclasses import replace
 
 import numpy as np
 
 from seqrot import quant
 from seqrot.errors import InvalidSpecError
+from seqrot.rotation import RotationAssignment, build_toy_block, forward, fuse_rotations
+from seqrot.transforms import _mix_seed
 
 _MASK64 = (1 << 64) - 1
 
@@ -174,3 +178,29 @@ def gptq_codes(w, hessian, spec, damp=0.01):
     keep_rtn = objective(rtn_codes) < objective(codes)
     codes[keep_rtn] = rtn_codes[keep_rtn]
     return codes
+
+
+def r4_cells(cfg, modes, weight_spec, act_spec, n_seeds, r1_kind, r4_kind, base_seed):
+    """Cells of ``harness.r4_ablation`` (mode -> setting -> array over seeds),
+    with every weight quantized inside each ``forward`` call."""
+    wlabel = f"w{weight_spec.bits}"
+    quant_for = {"w16a16": (None, None), wlabel: (weight_spec, None),
+                 f"{wlabel}a{act_spec.bits}": (weight_spec, act_spec)}
+    cells = {mode: {s: np.zeros(n_seeds) for s in quant_for} for mode in modes}
+    for i in range(n_seeds):
+        seed = base_seed + i
+        block = build_toy_block(replace(cfg, seed=_mix_seed(seed, 1)))
+        x = np.random.default_rng(_mix_seed(seed, 2)).standard_normal(
+            (cfg.seq_len, cfg.hidden))
+        y_ref = forward(block, x)
+        for mode in modes:
+            fused = fuse_rotations(block, RotationAssignment(
+                r1=r1_kind, r4=r4_kind, r4_mode=mode, seed=_mix_seed(seed, 3)))
+            r1 = fused.input_rotation
+            x_in = x if r1 is None else x @ r1
+            for s, (wspec, aspec) in quant_for.items():
+                y = forward(fused, x_in, weight_spec=wspec, act_spec=aspec)
+                if r1 is not None:
+                    y = y @ r1.T
+                cells[mode][s][i] = float(np.mean((y - y_ref) ** 2))
+    return cells

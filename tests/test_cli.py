@@ -176,6 +176,16 @@ class TestInvariance:
         assert "error" in err
 
 
+class TestSeedCount:
+    @pytest.mark.parametrize("command", ["invariance", "r4-ablation"])
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_no_seeds_exits_2(self, capsys, command, seeds):
+        code, out, err = run_cli(capsys, command, "--seeds", seeds)
+        assert code == 2
+        assert "--seeds must be at least 1" in err
+        assert "PASS" not in out and "nan" not in out
+
+
 class TestR4Ablation:
     def test_runs_and_prints_grid(self, capsys):
         code, out, _ = run_cli(capsys, "r4-ablation", "--seeds", "2", "--hidden",

@@ -1,8 +1,10 @@
 import numpy as np
+import oracles
 import pytest
 
+from seqrot import rotation
 from seqrot.corpus import CorpusSpec, gen_corpus
-from seqrot.errors import InvalidSpecError
+from seqrot.errors import InvalidConfigError, InvalidSpecError
 from seqrot.harness import (
     bootstrap_median_ci,
     directional_tests,
@@ -227,3 +229,66 @@ class TestR4Ablation:
         for mode in report.modes:
             for s in report.settings:
                 assert report.medians[mode][s] == float(np.median(report.cells[mode][s]))
+
+
+ABLATION_CFG = ToyBlockConfig(hidden=32, heads=2, ffn=64, group_size=16, seq_len=4)
+ABLATION_WSPEC = QuantSpec(bits=2, group_size=16, clip=Clip.mse())
+ABLATION_ASPEC = QuantSpec(bits=4, group_size=16, symmetric=True, clip=Clip.fixed(0.9))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestR4AblationMemo:
+    """Each distinct fused weight is quantized once per seed, with the same
+    cells as quantizing inside every forward call."""
+
+    @pytest.mark.parametrize("modes", [("global", "local"), ("local", "global")])
+    @pytest.mark.parametrize("r4_kind", ["gh", "gw", "identity"])
+    @pytest.mark.parametrize("r1_kind", ["gsr", "gh", "identity"])
+    def test_matches_unmemoized_oracle(self, r1_kind, r4_kind, modes):
+        kw = dict(weight_spec=ABLATION_WSPEC, act_spec=ABLATION_ASPEC, n_seeds=3,
+                  r1_kind=r1_kind, r4_kind=r4_kind, base_seed=5)
+        rep = r4_ablation(ABLATION_CFG, modes=modes, **kw)
+        cells = oracles.r4_cells(ABLATION_CFG, modes, **kw)
+        assert rep.modes == modes
+        for mode in modes:
+            for s in rep.settings:
+                assert np.array_equal(_bits(rep.cells[mode][s]), _bits(cells[mode][s]))
+                assert _bits(rep.medians[mode][s]) == _bits(np.median(cells[mode][s]))
+        for s in rep.settings:
+            ci = bootstrap_median_ci(cells["local"][s] - cells["global"][s], seed=5)
+            assert np.array_equal(_bits(rep.diff_ci[s]), _bits(ci))
+
+    @pytest.mark.parametrize("modes, r4_kind, per_seed", [
+        (("global", "local"), "gh", 8), (("global", "local"), "gw", 8),
+        (("global", "local"), "identity", 7), (("local",), "gh", 7),
+    ])
+    def test_quantizes_each_distinct_weight_once_per_seed(self, monkeypatch, modes,
+                                                           r4_kind, per_seed):
+        calls = []
+        original = rotation._maybe_quantize_weight
+
+        def counting(w, spec):
+            calls.append(w.shape)
+            return original(w, spec)
+
+        monkeypatch.setattr(rotation, "_maybe_quantize_weight", counting)
+        r4_ablation(ABLATION_CFG, modes=modes, n_seeds=3, r4_kind=r4_kind)
+        assert len(calls) == 3 * per_seed
+
+
+class TestR4AblationArguments:
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_no_seeds_rejected(self, n_seeds):
+        with pytest.raises(InvalidConfigError):
+            r4_ablation(ABLATION_CFG, n_seeds=n_seeds)
+
+    @pytest.mark.parametrize("modes", [
+        ("global", "bogus"), ("bogus",), ("local", "local"),
+        ("global", "local", "global"), (), "global",
+    ])
+    def test_unknown_or_repeated_modes_rejected(self, modes):
+        with pytest.raises(InvalidConfigError):
+            r4_ablation(ABLATION_CFG, modes=modes, n_seeds=1)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import oracles
 import pytest
@@ -65,6 +67,22 @@ class TestSpecValidation:
     def test_group_must_divide(self):
         with pytest.raises(GroupDoesNotDivideError):
             rtn_quantize(np.zeros((2, 6)), QuantSpec(bits=4, group_size=4))
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 0), (4,), (0,), (2, 2, 2)])
+    @pytest.mark.parametrize("group_size", [None, 2])
+    def test_not_a_matrix_with_columns_rejected(self, shape, group_size):
+        spec = QuantSpec(bits=2, group_size=group_size, clip=Clip.mse())
+        with pytest.raises(ShapeMismatchError):
+            rtn_quantize(np.zeros(shape), spec)
+        with pytest.raises(ShapeMismatchError):
+            gptq_quantize(np.zeros(shape), hessian_from_calibration(np.ones((3, 2))), spec)
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 2, 2), (2, 0)])
+    def test_dequantize_rejects_codes_of_other_shapes(self, shape):
+        q = rtn_quantize(np.arange(8.0).reshape(2, 4), QuantSpec(bits=2))
+        bad = replace(q, codes=np.zeros(shape, dtype=np.int64), shape=shape)
+        with pytest.raises(ShapeMismatchError):
+            dequantize(bad)
 
 
 class TestRtn:

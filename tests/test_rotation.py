@@ -112,6 +112,40 @@ class TestToyBlock:
         x = np.random.default_rng(3).standard_normal((cfg.seq_len, cfg.hidden))
         assert np.array_equal(forward(block, x), forward(block, x))
 
+    def test_zero_length_sequence_rejected(self):
+        cfg = ToyBlockConfig()
+        with pytest.raises(DimensionMismatchError):
+            forward(build_toy_block(cfg), np.zeros((0, cfg.hidden)))
+
+    def test_forward_does_not_copy_weights_of_its_dtype(self):
+        class Spy(np.ndarray):
+            copies = 0
+
+            def astype(self, dtype, *args, **kwargs):
+                out = super().astype(dtype, *args, **kwargs)
+                Spy.copies += out is not self
+                return out
+
+        cfg = ToyBlockConfig(seed=4)
+        block = build_toy_block(cfg)
+        spied = rotation.ToyBlock(cfg=cfg, weights={k: v.view(Spy)
+                                                    for k, v in block.weights.items()})
+        x = np.random.default_rng(5).standard_normal((cfg.seq_len, cfg.hidden))
+        y = forward(spied, x)
+        assert Spy.copies == 0
+        assert np.array_equal(np.asarray(y), forward(block, x))
+
+
+class TestRotationAssignment:
+    @pytest.mark.parametrize("mode", ["bogus", "Global", ""])
+    def test_unknown_r4_mode_rejected(self, mode):
+        with pytest.raises(InvalidConfigError):
+            RotationAssignment(r4="gh", r4_mode=mode)
+
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_known_r4_modes_accepted(self, mode):
+        assert RotationAssignment(r4_mode=mode).r4_mode == mode
+
 
 class TestFuseRotations:
     def test_all_identity_unchanged(self):
