@@ -29,7 +29,6 @@ from .rotation import (
 from .transforms import (
     OrthoMatrix,
     SequencyProfile,
-    fwht,
     gsr,
     hadamard_sylvester,
     orthogonality_residual,

@@ -250,9 +250,9 @@ def cmd_r4_ablation(args) -> int:
         print(f"{mode:10s}" + "".join(f"{rep.medians[mode][s]:20.6g}"
                                       for s in rep.settings))
     for s in rep.settings:
-        lo, hi = rep.diff_ci[s]
-        tag = "significant" if rep.significant[s] else "not significant"
-        print(f"local-global median diff [{s}]: CI95 [{lo:.4g}, {hi:.4g}] -> {tag}")
+        ci = rep.diff_ci[s]
+        shown = "no CI" if ci is None else f"CI95 [{ci[0]:.4g}, {ci[1]:.4g}]"
+        print(f"local-global median diff [{s}]: {shown} -> {rep.verdict[s]}")
     return 0
 
 

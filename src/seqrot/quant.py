@@ -481,8 +481,3 @@ def quant_error(w: np.ndarray, w_hat: np.ndarray, metric: str = METRIC_MSE,
             raise InvalidSpecError("proxy metric requires a Hessian")
         return float(np.trace(delta @ hessian.matrix @ delta.T))
     raise InvalidSpecError(f"unknown metric {metric!r}")
-
-
-def proxy_objective(w: np.ndarray, w_hat: np.ndarray,
-                    hessian: CalibrationHessian) -> float:
-    return quant_error(w, w_hat, METRIC_PROXY, hessian)

@@ -24,8 +24,9 @@ from .tensorfile import load_rotation_dense
 from .transforms import (
     KIND_HADAMARD,
     KIND_WALSH,
+    RotationOperator,
+    _float_blocks,
     _mix_seed,
-    as_dense,
     gsr,
     hadamard_sylvester,
     is_power_of_two,
@@ -73,23 +74,10 @@ def rotate_weight(w: np.ndarray, front=None, rear=None) -> np.ndarray:
     """W' = front^T @ W @ rear, either side may be None (identity)."""
     out = np.asarray(w, dtype=np.float64)
     if front is not None:
-        f = as_dense(front)
-        if f.shape[0] != out.shape[0]:
-            raise DimensionMismatchError(
-                f"front rotation order {f.shape[0]} != weight rows {out.shape[0]}")
-        out = f.T @ out
+        out = RotationOperator(front).apply(out.T).T
     if rear is not None:
-        r = as_dense(rear)
-        if r.shape[0] != out.shape[1]:
-            raise DimensionMismatchError(
-                f"rear rotation order {r.shape[0]} != weight cols {out.shape[1]}")
-        out = out @ r
+        out = RotationOperator(rear).apply(out)
     return out
-
-
-def per_head_blockdiag(r: np.ndarray, heads: int) -> np.ndarray:
-    """Expand a head_dim rotation to the full hidden dim, one block per head."""
-    return np.kron(np.eye(heads), as_dense(r))
 
 
 @dataclass(frozen=True)
@@ -122,9 +110,9 @@ class ToyBlock:
 
     cfg: ToyBlockConfig
     weights: dict
-    r3_online: np.ndarray | None = None   # head_dim x head_dim
-    r4_online: np.ndarray | None = None   # ffn x ffn
-    input_rotation: np.ndarray | None = None  # hidden-basis change of the fused block
+    r3_online: RotationOperator | None = None   # head_dim x head_dim
+    r4_online: RotationOperator | None = None   # ffn x ffn
+    input_rotation: RotationOperator | None = None  # hidden-basis change of the fused block
     fusion_log: tuple = ()
 
 
@@ -205,24 +193,25 @@ def fuse_rotations(block: ToyBlock, assign: RotationAssignment) -> ToyBlock:
     """
     cfg = block.cfg
     rots = resolve_assignment(assign, cfg)
-    r1, r2, r3, r4 = rots[R1], rots[R2], rots[R3], rots[R4]
-    r2_full = None if r2 is None else per_head_blockdiag(r2, cfg.heads)
+    if rots[R2] is not None:   # r2 acts on each head: its blocks, once per head
+        rots[R2] = np.tile(_float_blocks(rots[R2]), (cfg.heads, 1, 1))
+    rots[IDENTITY] = None
+    online = {s: None if rots[s] is None else RotationOperator(rots[s]) for s in (R1, R3, R4)}
 
-    slot_matrix = {R1: r1, R2: r2_full, R4: r4, IDENTITY: None}
     weights = {}
     log = []
     for role in assignment_table():
-        front = slot_matrix[role.front]
-        rear = slot_matrix[role.rear]
+        front = rots[role.front]
+        rear = rots[role.rear]
         weights[role.role] = rotate_weight(block.weights[role.role], front, rear)
         log.append((role.role, role.front, role.rear))
 
     return ToyBlock(
         cfg=cfg,
         weights=weights,
-        r3_online=None if r3 is None else as_dense(r3),
-        r4_online=None if r4 is None else as_dense(r4),
-        input_rotation=None if r1 is None else as_dense(r1),
+        r3_online=online[R3],
+        r4_online=online[R4],
+        input_rotation=online[R1],
         fusion_log=tuple(log),
     )
 
@@ -290,9 +279,8 @@ def forward(block: ToyBlock, x: np.ndarray, weight_spec=None, act_spec=None,
     q = _rope(q)
     k = _rope(k)
     if block.r3_online is not None:
-        r3 = block.r3_online.astype(dtype, copy=False)
-        q = q @ r3
-        k = k @ r3
+        q = block.r3_online.apply(q.reshape(-1, hd)).reshape(q.shape)
+        k = block.r3_online.apply(k.reshape(-1, hd)).reshape(k.shape)
 
     scores = np.einsum("thd,shd->hts", q, k) / np.sqrt(np.asarray(hd, dtype=dtype))
     mask = np.triu(np.full((seq, seq), -np.inf, dtype=dtype), k=1)
@@ -303,7 +291,7 @@ def forward(block: ToyBlock, x: np.ndarray, weight_spec=None, act_spec=None,
     h2 = _rms_norm(x)
     a = _silu(h2 @ wts["wgate"]) * (h2 @ wts["wup"])
     if block.r4_online is not None:
-        a = a @ block.r4_online.astype(dtype, copy=False)
+        a = block.r4_online.apply(a)
     if act_spec is not None:
         a = _fake_quantize_activation(a, act_spec).astype(dtype)
     return x + a @ wts["wdown"]
@@ -325,7 +313,7 @@ def front_rotation_locality(w: np.ndarray, front, rear, group_index: int,
     lo = group_index * group_size
     hi = lo + group_size
     base = rotate_weight(w, front, rear)
-    f = as_dense(front).copy()
+    f = RotationOperator(front).apply(np.eye(w.shape[0]))   # the dense front rotation
     rng = np.random.default_rng(seed)
     outside = np.ones(f.shape[1], dtype=bool)
     outside[lo:hi] = False
@@ -346,9 +334,10 @@ def invariance_max_diff(cfg: ToyBlockConfig, assign: RotationAssignment,
     rng = np.random.default_rng(input_seed)
     x = rng.standard_normal((cfg.seq_len, cfg.hidden))
     y_ref = forward(block, x, dtype=dtype)
-    if fused.input_rotation is None:
+    r1 = fused.input_rotation
+    if r1 is None:
         y_fused = forward(fused, x, dtype=dtype)
     else:
-        r1 = fused.input_rotation.astype(dtype)
-        y_fused = forward(fused, x.astype(dtype) @ r1, dtype=dtype) @ r1.T
+        y_fused = r1.apply(forward(fused, r1.apply(x.astype(dtype)), dtype=dtype),
+                           transpose=True)
     return float(np.max(np.abs(y_fused - y_ref)))

@@ -178,7 +178,8 @@ def load_rotation(path) -> OrthoMatrix:
 
 
 def _rotation_from(arr, meta, path) -> OrthoMatrix:
-    """CorruptFileError unless the metadata describes a square sign matrix."""
+    """CorruptFileError unless the metadata describes a square sign matrix
+    whose entries are +-1 inside its diagonal blocks and 0 outside them."""
     scale, kind = meta.get("scale"), meta.get("kind")
     group, block_kind, seed = (meta.get(k) for k in ("group_size", "block_kind", "seed"))
     n = arr.shape[0] if arr.ndim else 0
@@ -195,7 +196,12 @@ def _rotation_from(arr, meta, path) -> OrthoMatrix:
     for bad, what in problems:
         if bad:
             raise CorruptFileError(f"{path}: bad rotation metadata: {what}")
-    return OrthoMatrix(signs=arr, scale=float(scale), kind=kind, group_size=group,
+    b = group if kind == KIND_GROUPED else n
+    diag = np.arange(n // b)
+    blocks = arr.reshape(n // b, b, n // b, b)[diag, :, diag, :]
+    if not np.all(np.abs(blocks) == 1) or np.count_nonzero(arr) != blocks.size:
+        raise CorruptFileError(f"{path}: signs not +-1 on the diagonal blocks, 0 off them")
+    return OrthoMatrix(blocks=blocks, scale=float(scale), kind=kind, group_size=group,
                        block_kind=block_kind, seed=seed)
 
 

@@ -1,15 +1,15 @@
 """Construction of Hadamard, Walsh and grouped block-diagonal rotation matrices.
 
-Matrices are kept as unnormalized {-1, 0, +1} integer sign arrays plus a
-scalar scale (1/sqrt(block order)), combined only when a dense float matrix
-is needed. This keeps construction checks exact and serialization bit-stable.
-``RotationOperator`` applies a rotation to data; grouped matrices go block by
-block and are never densified.
+A rotation is stored as its diagonal blocks: unnormalized {-1, +1} int8 sign
+arrays plus a scalar scale (1/sqrt(block order)). A global matrix is one
+block; a grouped one is n/g blocks of order g, so its zeros are never stored.
+This keeps construction checks exact and serialization bit-stable.
+``RotationOperator`` is the one place a rotation multiplies data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,16 +41,15 @@ def _require_power_of_two(n: int, what: str = "order") -> None:
 
 @dataclass(frozen=True)
 class OrthoMatrix:
-    """An orthogonal rotation matrix with construction provenance.
+    """An orthogonal block-diagonal rotation matrix with construction provenance.
 
-    ``signs`` holds the unnormalized entries; the dense matrix is
-    ``signs * scale`` with ``scale = 1/sqrt(block_order)``. For grouped
-    (block-diagonal) matrices the entries outside the diagonal blocks are
-    exactly zero and ``block_order`` is the group size, otherwise it is the
-    full order ``n``.
+    ``blocks`` holds the (n/b, b, b) unnormalized int8 diagonal blocks; the
+    dense matrix is the block-diagonal of ``blocks * scale`` with
+    ``scale = 1/sqrt(b)``. The block order b is the group size for grouped
+    kinds and the full order ``n`` otherwise (one block).
     """
 
-    signs: np.ndarray
+    blocks: np.ndarray
     scale: float
     kind: str
     group_size: int | None = None   # block order for grouped kinds
@@ -58,69 +57,76 @@ class OrthoMatrix:
     seed: int | None = None         # sign-randomization seed, None if unrandomized
 
     def __post_init__(self):
-        self.signs.flags.writeable = False
+        self.blocks.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return self.signs.shape[0]
+        return self.blocks.shape[0] * self.blocks.shape[1]
+
+    @property
+    def signs(self) -> np.ndarray:
+        """The read-only n x n {-1, 0, +1} int8 matrix; a view for one block."""
+        k, b, _ = self.blocks.shape
+        if k == 1:
+            return self.blocks[0]
+        out = np.zeros((k, b, k, b), dtype=np.int8)
+        out[np.arange(k), :, np.arange(k), :] = self.blocks
+        out.flags.writeable = False
+        return out.reshape(self.n, self.n)
 
     def dense(self, dtype=np.float64) -> np.ndarray:
         return np.multiply(self.signs, dtype(self.scale), dtype=dtype)
 
-    def blocks(self) -> np.ndarray:
-        """The (n/g, g, g) scaled float64 diagonal blocks of a grouped matrix."""
-        if self.kind != KIND_GROUPED:
-            raise ValueError(f"only grouped matrices have diagonal blocks, got {self.kind!r}")
-        g = self.group_size
-        nb = self.n // g
-        diag = np.arange(nb)
-        return np.multiply(self.signs.reshape(nb, g, nb, g)[diag, :, diag, :],
-                           self.scale, dtype=np.float64)
 
-
-def as_dense(r, dtype=np.float64) -> np.ndarray:
-    """The dense matrix of an OrthoMatrix or of an array-like rotation."""
+def _float_blocks(r) -> np.ndarray:
+    """(k, b, b) float64 blocks of an OrthoMatrix, n x n matrix or block array."""
     if isinstance(r, OrthoMatrix):
-        return r.dense(dtype)
-    return np.asarray(r, dtype=dtype)
+        if r.blocks.shape[0] == 1:
+            return r.dense()[np.newaxis]
+        return np.multiply(r.blocks, r.scale, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    return r[np.newaxis] if r.ndim == 2 else r
 
 
 class RotationOperator:
-    """Right-multiplication by a rotation R: ``x @ R``, or ``x @ R.T``.
+    """Right-multiplication by a block-diagonal rotation R: ``x @ R``, or ``x @ R.T``.
 
-    A grouped OrthoMatrix is never densified: its (n/g, g, g) diagonal
-    blocks are gathered and scaled once and applied as one batched matmul on
-    the (rows, n/g, g) view of ``x``. The transpose uses a C-contiguous copy
-    of the transposed blocks: OpenBLAS sums the transposed-operand product
-    of small blocks in another order than the dense product, while the plain
-    one rounds like it. Global kinds and external dense matrices are
-    densified once by ``as_dense`` and applied as one dense BLAS product. A
-    butterfly FWHT would be cheaper there but rounds differently from dgemm.
+    One block (a global kind, or an external dense matrix) is applied as one
+    dense BLAS product; a butterfly FWHT would be cheaper there but rounds
+    differently from dgemm. Several blocks are applied as one batched matmul
+    on the (rows, k, b) view of ``x``, never densified. The transpose there
+    uses a C-contiguous copy of the transposed blocks: OpenBLAS sums the
+    transposed-operand product of small blocks in another order than the
+    dense product, while the plain one rounds like it. Products run in the
+    dtype of ``x`` if that is float32, and in float64 otherwise.
     """
 
     def __init__(self, r):
+        blocks = _float_blocks(r)
+        k, b, _ = blocks.shape
+        self.n = k * b
         self.blocks = self.blocks_t = self.matrix = None
-        if isinstance(r, OrthoMatrix) and r.kind == KIND_GROUPED:
-            self.blocks = r.blocks()
-            self.blocks_t = np.ascontiguousarray(self.blocks.transpose(0, 2, 1))
-            self.n = r.n
+        if k == 1:
+            self.matrix = blocks[0]
         else:
-            self.matrix = as_dense(r)
-            self.n = self.matrix.shape[0]
+            self.blocks = blocks
+            self.blocks_t = np.ascontiguousarray(blocks.transpose(0, 2, 1))
 
     def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
+        x = x.astype(np.float32 if x.dtype == np.float32 else np.float64, copy=False)
         if x.ndim != 2 or x.shape[1] != self.n:
             raise DimensionMismatchError(
                 f"rotation of order {self.n} cannot act on shape {x.shape}")
         if self.matrix is not None:
-            return x @ (self.matrix.T if transpose else self.matrix)
-        nb, g, _ = self.blocks.shape
+            m = self.matrix.astype(x.dtype, copy=False)
+            return x @ (m.T if transpose else m)
+        blocks = (self.blocks_t if transpose else self.blocks).astype(x.dtype, copy=False)
+        k, b, _ = blocks.shape
         rows = x.shape[0]
-        out = np.empty((rows, self.n))
-        np.matmul(x.reshape(rows, nb, g).transpose(1, 0, 2),
-                  self.blocks_t if transpose else self.blocks,
-                  out=out.reshape(rows, nb, g).transpose(1, 0, 2))
+        out = np.empty((rows, self.n), dtype=x.dtype)
+        np.matmul(x.reshape(rows, k, b).transpose(1, 0, 2), blocks,
+                  out=out.reshape(rows, k, b).transpose(1, 0, 2))
         return out
 
 
@@ -138,7 +144,7 @@ def hadamard_sylvester(n: int) -> OrthoMatrix:
     h = np.array([[1]], dtype=np.int8)
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
-    return OrthoMatrix(signs=h, scale=1.0 / np.sqrt(n), kind=KIND_HADAMARD)
+    return OrthoMatrix(blocks=h[np.newaxis], scale=1.0 / np.sqrt(n), kind=KIND_HADAMARD)
 
 
 def row_sequency(row) -> int:
@@ -152,15 +158,8 @@ def row_sequency(row) -> int:
 
 
 def _row_sequencies(signs: np.ndarray) -> np.ndarray:
-    """Adjacent sign changes per row, zeros ignored (for grouped matrices)."""
-    if signs.all():
-        return np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1).astype(np.int64)
-    # the nonzero entries in row-major order; a change counts only between
-    # neighbours that share a row
-    rows, cols = np.nonzero(signs)
-    vals = signs[rows, cols]
-    change = (vals[1:] != vals[:-1]) & (rows[1:] == rows[:-1])
-    return np.bincount(rows[1:][change], minlength=signs.shape[0]).astype(np.int64)
+    """Adjacent sign changes per row of +-1 entries."""
+    return np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1).astype(np.int64)
 
 
 def _bit_reverse(i: np.ndarray, bits: int) -> np.ndarray:
@@ -212,12 +211,12 @@ def walsh_from_hadamard(h: OrthoMatrix) -> OrthoMatrix:
         raise NotHadamardError(f"expected a natural-order Hadamard matrix, got kind={h.kind!r}")
     n = h.n
     perm = walsh_permutation(n)
-    counted = _row_sequencies(h.signs)
+    counted = _row_sequencies(h.blocks[0])
     by_sort = np.argsort(counted, kind="stable")
     if not np.array_equal(perm, by_sort):
         raise PermutationMismatchError(
             f"bit-reversal/Gray permutation disagrees with sequency sort at n={n}")
-    return OrthoMatrix(signs=h.signs[perm].copy(), scale=h.scale, kind=KIND_WALSH,
+    return OrthoMatrix(blocks=h.blocks[:, perm], scale=h.scale, kind=KIND_WALSH,
                        seed=h.seed)
 
 
@@ -244,10 +243,8 @@ def randomize_signs(m: OrthoMatrix, seed: int) -> OrthoMatrix:
     Orthogonality is preserved exactly; the same seed gives bit-identical
     output.
     """
-    d = _splitmix64_signs(seed, m.n)
-    return OrthoMatrix(signs=(m.signs * d[np.newaxis, :]).astype(np.int8),
-                       scale=m.scale, kind=m.kind, group_size=m.group_size,
-                       block_kind=m.block_kind, seed=seed)
+    d = _splitmix64_signs(seed, m.n).reshape(len(m.blocks), 1, -1)   # per block column
+    return replace(m, blocks=(m.blocks * d).astype(np.int8), seed=seed)
 
 
 def gsr(c: int, g: int, base: str = KIND_WALSH, seed: int | None = None,
@@ -268,17 +265,15 @@ def gsr(c: int, g: int, base: str = KIND_WALSH, seed: int | None = None,
     if base == KIND_WALSH:
         block = walsh_from_hadamard(block)
     n_blocks = c // g
-    signs = np.zeros((c, c), dtype=np.int8)
-    for b in range(n_blocks):
-        signs[b * g:(b + 1) * g, b * g:(b + 1) * g] = block.signs
+    blocks = np.repeat(block.blocks, n_blocks, axis=0)
     if seed is not None:
         if per_block_random:
             d = np.concatenate([_splitmix64_signs(_mix_seed(seed, b), g)
                                 for b in range(n_blocks)])
         else:
             d = _splitmix64_signs(seed, c)
-        signs = (signs * d[np.newaxis, :]).astype(np.int8)
-    return OrthoMatrix(signs=signs, scale=1.0 / np.sqrt(g), kind=KIND_GROUPED,
+        blocks = (blocks * d.reshape(n_blocks, 1, g)).astype(np.int8)
+    return OrthoMatrix(blocks=blocks, scale=1.0 / np.sqrt(g), kind=KIND_GROUPED,
                        group_size=g, block_kind=base, seed=seed)
 
 
@@ -306,7 +301,8 @@ def sequency_profile(m: OrthoMatrix, g: int) -> SequencyProfile:
     """Per-row sequencies plus mean/population-variance over row groups of size g."""
     if m.n % g != 0:
         raise GroupDoesNotDivideError(f"group size {g} does not divide order {m.n}")
-    seq = _row_sequencies(m.signs)
+    # row i of the matrix is, without its zeros, row i % b of block i // b
+    seq = _row_sequencies(m.blocks.reshape(m.n, -1))
     grouped = seq.reshape(-1, g).astype(np.float64)
     return SequencyProfile(per_row_sequency=seq, group_size=g,
                            per_group_mean=grouped.mean(axis=1),
@@ -316,43 +312,16 @@ def sequency_profile(m: OrthoMatrix, g: int) -> SequencyProfile:
 def orthogonality_residual(m, dtype=np.float64) -> float:
     """max |R R^T - I| for a dense or sign-structured rotation matrix.
 
-    For sign matrices the product is integer-valued and exact in float
-    arithmetic (magnitudes stay far below the mantissa limit), so the residual
-    is exactly zero when the construction is orthogonal.
+    An OrthoMatrix is checked block by block: the entries of R R^T outside
+    its diagonal blocks are exactly zero. When the scale is a power of two
+    every product sum is exact, so the residual is exactly zero for an
+    orthogonal construction.
     """
     if isinstance(m, OrthoMatrix):
-        r = m.dense(dtype)
+        r = np.multiply(m.blocks, dtype(m.scale), dtype=dtype)
     else:
-        r = np.asarray(m, dtype=dtype)
-    eye = np.eye(r.shape[0], dtype=dtype)
-    return float(np.max(np.abs(r @ r.T - eye)))
+        r = np.asarray(m, dtype=dtype)[np.newaxis]
+    gram = r @ r.transpose(0, 2, 1)
+    gram -= np.eye(r.shape[1], dtype=dtype)
+    return float(np.max(np.abs(gram, out=gram)))
 
-
-ORDERING_NATURAL = "natural"
-ORDERING_SEQUENCY = "sequency"
-
-
-def fwht(x, ordering: str = ORDERING_NATURAL) -> np.ndarray:
-    """Fast Walsh-Hadamard transform, normalized by 1/sqrt(n).
-
-    Equals the dense product with hadamard_sylvester(n) (natural) or its
-    Walsh reordering (sequency).
-    """
-    v = np.asarray(x, dtype=np.float64).copy()
-    n = v.shape[0]
-    _require_power_of_two(n, "length")
-    h = 1
-    while h < n:
-        v = v.reshape(-1, 2, h)
-        a = v[:, 0, :].copy()
-        b = v[:, 1, :].copy()
-        v[:, 0, :] = a + b
-        v[:, 1, :] = a - b
-        v = v.reshape(n)
-        h *= 2
-    v /= np.sqrt(n)
-    if ordering == ORDERING_SEQUENCY:
-        v = v[walsh_permutation(n)]
-    elif ordering != ORDERING_NATURAL:
-        raise ValueError(f"unknown ordering {ordering!r}")
-    return v

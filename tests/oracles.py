@@ -1,6 +1,8 @@
 """Loop versions of the vectorized construction helpers, the full-matrix
 Hessian formula, the group quantizers and the R4 ablation, kept as oracles:
-the library versions must match them bit for bit."""
+the library versions must match them bit for bit. Also the n x n sign
+constructions, the dense rotation fusion and the fast Walsh-Hadamard
+transform, as independent references."""
 
 from dataclasses import replace
 
@@ -8,8 +10,17 @@ import numpy as np
 
 from seqrot import quant
 from seqrot.errors import InvalidSpecError
-from seqrot.rotation import RotationAssignment, build_toy_block, forward, fuse_rotations
-from seqrot.transforms import _mix_seed
+from seqrot.rotation import (
+    IDENTITY,
+    R2,
+    RotationAssignment,
+    assignment_table,
+    build_toy_block,
+    forward,
+    fuse_rotations,
+    resolve_assignment,
+)
+from seqrot.transforms import OrthoMatrix, _mix_seed, _require_power_of_two
 
 _MASK64 = (1 << 64) - 1
 
@@ -73,6 +84,97 @@ def hessian_matrix(x) -> np.ndarray:
 
 def dense(m, dtype=np.float64) -> np.ndarray:
     return m.signs.astype(dtype) * dtype(m.scale)
+
+
+# The n x n sign matrices as they were built before rotations were stored as
+# their diagonal blocks: a Kronecker-doubled Hadamard matrix, its rows sorted
+# by sequency, column sign flips over the full order, and a zero matrix with
+# the base block copied onto its diagonal.
+
+def hadamard_signs(n: int) -> np.ndarray:
+    h = np.array([[1]], dtype=np.int8)
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def walsh_signs(n: int) -> np.ndarray:
+    return hadamard_signs(n)[walsh_permutation(n)]
+
+
+def flip_columns(signs: np.ndarray, d: np.ndarray) -> np.ndarray:
+    return (signs * d[np.newaxis, :]).astype(np.int8)
+
+
+def gsr_signs(c: int, g: int, base: str = "walsh", seed=None,
+              per_block_random: bool = False) -> np.ndarray:
+    block = walsh_signs(g) if base == "walsh" else hadamard_signs(g)
+    signs = np.zeros((c, c), dtype=np.int8)
+    for b in range(c // g):
+        signs[b * g:(b + 1) * g, b * g:(b + 1) * g] = block
+    if seed is None:
+        return signs
+    if per_block_random:
+        d = np.concatenate([splitmix64_signs(_mix_seed(seed, b), g) for b in range(c // g)])
+    else:
+        d = splitmix64_signs(seed, c)
+    return flip_columns(signs, d)
+
+
+# Fusion with every rotation densified: R2 as the Kronecker product of an
+# identity per head with the head rotation, and W' = front^T @ W @ rear.
+
+def as_dense(r) -> np.ndarray:
+    return r.dense() if isinstance(r, OrthoMatrix) else np.asarray(r, dtype=np.float64)
+
+
+def fused_weights(block, assign) -> dict:
+    cfg = block.cfg
+    rots = {k: None if r is None else as_dense(r)
+            for k, r in resolve_assignment(assign, cfg).items()}
+    if rots[R2] is not None:
+        rots[R2] = np.kron(np.eye(cfg.heads), rots[R2])
+    rots[IDENTITY] = None
+    out = {}
+    for role in assignment_table():
+        w = block.weights[role.role]
+        front, rear = rots[role.front], rots[role.rear]
+        if front is not None:
+            w = front.T @ w
+        if rear is not None:
+            w = w @ rear
+        out[role.role] = w
+    return out
+
+
+ORDERING_NATURAL = "natural"
+ORDERING_SEQUENCY = "sequency"
+
+
+def fwht(x, ordering: str = ORDERING_NATURAL) -> np.ndarray:
+    """Fast Walsh-Hadamard transform, normalized by 1/sqrt(n).
+
+    Equals the dense product with hadamard_sylvester(n) (natural) or its
+    Walsh reordering (sequency).
+    """
+    v = np.asarray(x, dtype=np.float64).copy()
+    n = v.shape[0]
+    _require_power_of_two(n, "length")
+    h = 1
+    while h < n:
+        v = v.reshape(-1, 2, h)
+        a = v[:, 0, :].copy()
+        b = v[:, 1, :].copy()
+        v[:, 0, :] = a + b
+        v[:, 1, :] = a - b
+        v = v.reshape(n)
+        h *= 2
+    v /= np.sqrt(n)
+    if ordering == ORDERING_SEQUENCY:
+        v = v[walsh_permutation(n)]
+    elif ordering != ORDERING_NATURAL:
+        raise ValueError(f"unknown ordering {ordering!r}")
+    return v
 
 
 # The group quantizer written out with the formulas it had before the library
@@ -197,10 +299,10 @@ def r4_cells(cfg, modes, weight_spec, act_spec, n_seeds, r1_kind, r4_kind, base_
             fused = fuse_rotations(block, RotationAssignment(
                 r1=r1_kind, r4=r4_kind, r4_mode=mode, seed=_mix_seed(seed, 3)))
             r1 = fused.input_rotation
-            x_in = x if r1 is None else x @ r1
+            x_in = x if r1 is None else r1.apply(x)
             for s, (wspec, aspec) in quant_for.items():
                 y = forward(fused, x_in, weight_spec=wspec, act_spec=aspec)
                 if r1 is not None:
-                    y = y @ r1.T
+                    y = r1.apply(y, transpose=True)
                 cells[mode][s][i] = float(np.mean((y - y_ref) ** 2))
     return cells

@@ -22,12 +22,13 @@ from seqrot.harness import (
     sequency_variance_sweep,
 )
 from seqrot.quant import (
+    METRIC_PROXY,
     Clip,
     QuantSpec,
     dequantize,
     gptq_quantize,
     hessian_from_calibration,
-    proxy_objective,
+    quant_error,
     rtn_quantize,
 )
 from seqrot.rotation import (
@@ -220,8 +221,8 @@ def test_criterion_07_gptq_dominance():
     for _ in range(100):
         w = rng.standard_normal((8, 8))
         h = hessian_from_calibration(rng.standard_normal((128, 8)))
-        g = proxy_objective(w, dequantize(gptq_quantize(w, h, spec)), h)
-        r = proxy_objective(w, dequantize(rtn_quantize(w, spec)), h)
+        g = quant_error(w, dequantize(gptq_quantize(w, h, spec)), METRIC_PROXY, h)
+        r = quant_error(w, dequantize(rtn_quantize(w, spec)), METRIC_PROXY, h)
         worst_gap = max(worst_gap, g - r)
     dominance_ok = worst_gap <= 1e-12
 
@@ -232,8 +233,8 @@ def test_criterion_07_gptq_dominance():
         w = rng.standard_normal((2, 2))
         h = hessian_from_calibration(rng.standard_normal((16, 2)))
         qt = gptq_quantize(w, h, spec2)
-        g = proxy_objective(w, dequantize(qt), h)
-        r = proxy_objective(w, dequantize(rtn_quantize(w, spec2)), h)
+        g = quant_error(w, dequantize(qt), METRIC_PROXY, h)
+        r = quant_error(w, dequantize(rtn_quantize(w, spec2)), METRIC_PROXY, h)
         opt = _exhaustive_minimum(w, h, qt)
         triples.append((opt, g, r))
         bracket_ok &= opt <= g + 1e-12 and g <= r + 1e-12

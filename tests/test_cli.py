@@ -193,6 +193,15 @@ class TestR4Ablation:
         assert code == 0
         assert "w16a16" in out
         assert "local-global median diff" in out
+        assert "[w16a16]: CI95 [" in out
+        assert "-> invariant (round-off), not tested" in out
+
+    def test_one_seed_is_not_tested(self, capsys):
+        code, out, _ = run_cli(capsys, "r4-ablation", "--seeds", "1", "--hidden",
+                               "32", "--heads", "2", "--ffn", "64", "--group", "16")
+        assert code == 0
+        assert out.count(": no CI -> not tested (1 seed)") == 3
+        assert "significant" not in out and "CI95" not in out
 
 
 class TestFlags:

@@ -1,8 +1,10 @@
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqrot import rotation
+from seqrot import harness, rotation
 from seqrot.corpus import CorpusSpec, gen_corpus
 from seqrot.errors import InvalidConfigError, InvalidSpecError
 from seqrot.harness import (
@@ -25,7 +27,7 @@ from seqrot.quant import (
     rtn_quantize,
 )
 from seqrot.rotation import ToyBlockConfig, resolve_variant
-from seqrot.transforms import KIND_GROUPED, OrthoMatrix, _mix_seed
+from seqrot.transforms import KIND_GROUPED, OrthoMatrix, RotationOperator, _mix_seed, gsr
 
 SMALL_CORPUS = gen_corpus(CorpusSpec(count=8, rows=64, cols=64, seed=0))
 SMALL_SPEC = QuantSpec(bits=2, group_size=16, clip=Clip.mse())
@@ -113,6 +115,31 @@ class TestStructuredRotation:
             np.testing.assert_allclose(report.per_tensor[v]["mse"], ref[v], rtol=1e-9)
 
 
+class TestGroupAlignedBlocks:
+    """With the block equal to the quantization group, unsigned Walsh and
+    Hadamard blocks give the same per-group RTN errors: the symmetric Walsh
+    block is a column permutation of the Hadamard block, and RTN does not
+    see a permutation inside a group."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 10), data=st.data(), rows=st.integers(1, 6),
+           bits=st.integers(2, 4), symmetric=st.booleans(),
+           clip=st.sampled_from([Clip.none(), Clip.fixed(0.9), Clip.fixed(0.55)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_walsh_and_hadamard_blocks_tie_under_rtn(self, k, data, rows, bits,
+                                                      symmetric, clip, seed):
+        n = 1 << k
+        g = 1 << data.draw(st.integers(1, k), label="log2 group")
+        w = np.random.default_rng(seed).standard_normal((rows, n))
+        spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric, clip=clip)
+        errors = []
+        for base in ("hadamard", "walsh"):
+            op = RotationOperator(gsr(n, g, base=base))
+            back = op.apply(dequantize(rtn_quantize(op.apply(w), spec)), transpose=True)
+            errors.append(((w - back) ** 2).reshape(rows, n // g, g).sum(axis=2))
+        np.testing.assert_allclose(errors[0], errors[1], rtol=1e-12, atol=0)
+
+
 class TestSignTest:
     def test_all_wins(self):
         wins, n, p = sign_test([1, 1, 1], [2, 2, 2])
@@ -194,7 +221,7 @@ class TestQuantizedForwardDirectional:
             for kind in mses:
                 fused = fuse_rotations(block, RotationAssignment(r1=kind, seed=seed))
                 r1 = fused.input_rotation
-                y = forward(fused, x @ r1, weight_spec=wspec) @ r1.T
+                y = r1.apply(forward(fused, r1.apply(x), weight_spec=wspec), transpose=True)
                 mses[kind].append(float(np.mean((y - y_ref) ** 2)))
         assert np.median(mses["gsr"]) <= np.median(mses["gh"])
 
@@ -277,6 +304,34 @@ class TestR4AblationMemo:
         monkeypatch.setattr(rotation, "_maybe_quantize_weight", counting)
         r4_ablation(ABLATION_CFG, modes=modes, n_seeds=3, r4_kind=r4_kind)
         assert len(calls) == 3 * per_seed
+
+
+class TestR4AblationVerdicts:
+    def test_one_seed_is_not_tested(self):
+        rep = r4_ablation(ABLATION_CFG, n_seeds=1)
+        for s in rep.settings:
+            assert rep.diff_ci[s] is None and rep.significant[s] is None
+            assert rep.verdict[s] == "not tested (1 seed)"
+
+    def test_roundoff_setting_is_invariant_and_not_tested(self, report):
+        limit = harness.ROUNDOFF_MSE
+        assert 0 < max(report.cells[m]["w16a16"].max() for m in report.modes) < limit
+        assert report.verdict["w16a16"] == "invariant (round-off), not tested"
+        assert report.significant["w16a16"] is False
+        for s in ("w2", "w2a4"):
+            assert report.verdict[s] == ("significant" if report.significant[s]
+                                         else "not significant")
+
+    @pytest.mark.parametrize("bound, invariant", [(0.0, set()),
+                                                  (1e6, {"w16a16", "w2", "w2a4"})])
+    def test_roundoff_rule_reads_the_cells_of_every_setting(self, monkeypatch, bound,
+                                                           invariant):
+        monkeypatch.setattr(harness, "ROUNDOFF_MSE", bound)
+        rep = r4_ablation(ABLATION_CFG, n_seeds=3)
+        assert {s for s in rep.settings
+                if rep.verdict[s] == "invariant (round-off), not tested"} == invariant
+        for s in rep.settings:
+            assert rep.diff_ci[s] is not None
 
 
 class TestR4AblationArguments:

@@ -33,7 +33,6 @@ from seqrot.quant import (
     dequantize,
     gptq_quantize,
     hessian_from_calibration,
-    proxy_objective,
     quant_error,
     round_half_away,
     rtn_quantize,
@@ -517,8 +516,8 @@ class TestGptq:
         w = rng.standard_normal((4, 8))
         spec = QuantSpec(bits=2, group_size=8)
         h = CalibrationHessian(matrix=3.0 * np.eye(8), sample_count=8)
-        g = proxy_objective(w, dequantize(gptq_quantize(w, h, spec)), h)
-        r = proxy_objective(w, dequantize(rtn_quantize(w, spec)), h)
+        g = quant_error(w, dequantize(gptq_quantize(w, h, spec)), METRIC_PROXY, h)
+        r = quant_error(w, dequantize(rtn_quantize(w, spec)), METRIC_PROXY, h)
         assert abs(g - r) < 1e-12
 
     def test_2x2_exhaustive_bracket(self):
@@ -528,8 +527,8 @@ class TestGptq:
             w = rng.standard_normal((2, 2))
             h = random_spd_hessian(rng, 2)
             q = gptq_quantize(w, h, spec)
-            g_obj = proxy_objective(w, dequantize(q), h)
-            r_obj = proxy_objective(w, dequantize(rtn_quantize(w, spec)), h)
+            g_obj = quant_error(w, dequantize(q), METRIC_PROXY, h)
+            r_obj = quant_error(w, dequantize(rtn_quantize(w, spec)), METRIC_PROXY, h)
             best = exhaustive_optimum(w, h, q)
             assert g_obj <= r_obj + 1e-12
             assert g_obj >= best - 1e-12
@@ -541,8 +540,8 @@ class TestGptq:
             w = rng.standard_normal((4, d))
             h = random_spd_hessian(rng, d)
             spec = QuantSpec(bits=2, group_size=d)
-            g = proxy_objective(w, dequantize(gptq_quantize(w, h, spec)), h)
-            r = proxy_objective(w, dequantize(rtn_quantize(w, spec)), h)
+            g = quant_error(w, dequantize(gptq_quantize(w, h, spec)), METRIC_PROXY, h)
+            r = quant_error(w, dequantize(rtn_quantize(w, spec)), METRIC_PROXY, h)
             assert g <= r + 1e-12
 
 

@@ -1,4 +1,7 @@
+from dataclasses import replace
+
 import numpy as np
+import oracles
 import pytest
 
 import seqrot.rotation as rotation
@@ -13,7 +16,6 @@ from seqrot.rotation import (
     fuse_rotations,
     invariance_max_diff,
     front_rotation_locality,
-    per_head_blockdiag,
     resolve_variant,
     rotate_weight,
 )
@@ -161,7 +163,7 @@ class TestFuseRotations:
         block = build_toy_block(cfg)
         assign = RotationAssignment(r1="gh", seed=5)
         fused = fuse_rotations(block, assign)
-        r1 = fused.input_rotation
+        r1 = fused.input_rotation.matrix
         assert np.allclose(fused.weights["wq"], r1.T @ block.weights["wq"])
         assert invariance_max_diff(cfg, assign) < 1e-10
 
@@ -202,17 +204,17 @@ class TestFuseRotations:
                          (True, False), (True, False), (True, True)]
 
     def test_r2_per_head_block_structure(self):
+        # changing one head's value columns moves only that head's fused columns
         cfg = ToyBlockConfig()
         block = build_toy_block(cfg)
-        r2 = hadamard_sylvester(cfg.head_dim).dense()
-        full = per_head_blockdiag(r2, cfg.heads)
-        perturbed = full.copy()
-        h = 1  # perturb only head 1's block
+        assign = RotationAssignment(r2="gh", seed=3)
+        h = 1
         s = slice(h * cfg.head_dim, (h + 1) * cfg.head_dim)
-        perturbed[s, s] = np.random.default_rng(0).standard_normal(
-            (cfg.head_dim, cfg.head_dim))
-        base_wv = rotate_weight(block.weights["wv"], None, full)
-        pert_wv = rotate_weight(block.weights["wv"], None, perturbed)
+        wv = block.weights["wv"].copy()
+        wv[:, s] += np.random.default_rng(0).standard_normal((cfg.hidden, cfg.head_dim))
+        perturbed = replace(block, weights={**block.weights, "wv": wv})
+        base_wv = fuse_rotations(block, assign).weights["wv"]
+        pert_wv = fuse_rotations(perturbed, assign).weights["wv"]
         changed = np.abs(base_wv - pert_wv).max(axis=0) > 1e-12
         assert changed[s.start:s.stop].any()
         outside = np.ones(cfg.hidden, dtype=bool)
@@ -237,6 +239,58 @@ class TestFuseRotations:
         save_rotation(p, gsr(8, 4))
         with pytest.raises(DimensionMismatchError):
             resolve_variant(str(p), 64, 16, 0)
+
+
+class TestFusionMatchesDenseOracle:
+    """Fusion through the block operators against every rotation densified,
+    with R2 as a Kronecker product (``oracles.fused_weights``)."""
+
+    CFG = ToyBlockConfig()
+    WIDE_HEADS = ToyBlockConfig(hidden=128, heads=4, ffn=256, group_size=16, seed=2)
+
+    @pytest.mark.parametrize("cfg,assign", [
+        (CFG, RotationAssignment(r1="gsr", r2="gh", r3="gh", r4="gh", seed=1)),
+        (CFG, RotationAssignment(r1="lh", r2="gsr", r3="gw", r4="gw", r4_mode="local",
+                                 seed=2)),
+        (CFG, RotationAssignment(r1="gh", r2="gw", r4="gsr", seed=3)),
+        # head_dim 32 with group 16: R2 has two blocks per head
+        (WIDE_HEADS, RotationAssignment(r1="gw", r2="lh", r3="gsr", r4="gh",
+                                        r4_mode="local", seed=4)),
+        (WIDE_HEADS, RotationAssignment(r1="identity", r2="gsr", seed=5)),
+    ])
+    def test_fused_weights(self, cfg, assign):
+        block = build_toy_block(cfg)
+        fused = fuse_rotations(block, assign)
+        want = oracles.fused_weights(block, assign)
+        for name, w in want.items():
+            assert np.max(np.abs(fused.weights[name] - w)) < 1e-12, name
+
+    def test_external_head_rotation(self, tmp_path):
+        cfg = self.CFG
+        q, _ = np.linalg.qr(np.random.default_rng(6).standard_normal((cfg.head_dim,) * 2))
+        p = tmp_path / "r2.gsrt"
+        write_tensor(p, q, {})
+        assign = RotationAssignment(r1="gsr", r2=str(p), seed=6)
+        block = build_toy_block(cfg)
+        want = oracles.fused_weights(block, assign)
+        fused = fuse_rotations(block, assign)
+        for name, w in want.items():
+            assert np.max(np.abs(fused.weights[name] - w)) < 1e-12, name
+        assert invariance_max_diff(cfg, assign) < 1e-10
+
+    def test_float32_forward_stays_float32(self):
+        cfg = ToyBlockConfig()
+        fused = fuse_rotations(build_toy_block(cfg), RotationAssignment(
+            r1="gsr", r2="gh", r3="gw", r4="gw", r4_mode="local", seed=7))
+        x = np.random.default_rng(7).standard_normal((cfg.seq_len, cfg.hidden))
+        x_in = fused.input_rotation.apply(x.astype(np.float32))
+        assert x_in.dtype == np.float32
+        for kw in ({}, {"weight_spec": QuantSpec(bits=4, group_size=16),
+                        "act_spec": QuantSpec(bits=4, group_size=16, symmetric=True)}):
+            y = forward(fused, x_in, dtype=np.float32, **kw)
+            assert y.dtype == np.float32
+            y64 = forward(fused, fused.input_rotation.apply(x), **kw)
+            assert np.max(np.abs(y - y64)) < 1e-3
 
 
 class TestQuantizedForward:

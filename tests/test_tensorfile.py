@@ -181,13 +181,22 @@ class TestByteMutation:
         {"scale": "x"}, {"scale": None}, {"scale": float("inf")}, {"scale": -0.5},
         {"kind": 3}, {"group_size": 3}, {"group_size": "4"}, {"group_size": None},
         {"scale": 10 ** 400}, {"block_kind": 1}, {"seed": 1.5}, {"content": "rotatiom"},
+        # sign entries: nonzero outside the diagonal blocks, not +-1 inside them
+        {"entries": {(0, 5): 1}}, {"entries": {(7, 0): -1}}, {"entries": {(1, 1): 0}},
+        {"entries": {(6, 6): 2}}, {"entries": {(2, 3): -128}},
+        # a global kind is one block, so its zeros are not +-1
+        {"kind": "walsh", "group_size": None}, {"kind": "hadamard", "group_size": 4},
     ])
     def test_bad_rotation_metadata(self, tmp_path, change):
         meta = {"content": "rotation", "kind": "grouped", "scale": 0.5, "group_size": 4,
                 "block_kind": "walsh", "seed": None}
+        change = dict(change)
+        signs = gsr(8, 4).signs.copy()
+        for (i, j), v in change.pop("entries", {}).items():
+            signs[i, j] = v
         meta.update(change)
         p = tmp_path / "r.gsrt"
-        write_tensor(p, gsr(8, 4).signs, meta)
+        write_tensor(p, signs, meta)
         with pytest.raises(CorruptFileError):
             load_rotation(p)
         if "content" not in change:   # still tagged as a sign rotation

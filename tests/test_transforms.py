@@ -3,6 +3,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ORDERING_NATURAL, ORDERING_SEQUENCY, fwht
 from scipy.linalg import hadamard as scipy_hadamard
 
 from seqrot.errors import (
@@ -18,13 +19,11 @@ from seqrot.transforms import (
     KIND_GROUPED,
     KIND_HADAMARD,
     KIND_WALSH,
-    ORDERING_NATURAL,
-    ORDERING_SEQUENCY,
+    MAX_ORDER,
     OrthoMatrix,
     RotationOperator,
     _row_sequencies,
     _splitmix64_signs,
-    fwht,
     gsr,
     hadamard_sylvester,
     natural_sequency_formula,
@@ -136,7 +135,7 @@ class TestWalshFromHadamard:
 
     def test_mismatch_detection(self):
         # a forged "hadamard" whose rows are already sorted must trip the check
-        forged = OrthoMatrix(signs=walsh_from_hadamard(hadamard_sylvester(8)).signs,
+        forged = OrthoMatrix(blocks=walsh_from_hadamard(hadamard_sylvester(8)).blocks,
                              scale=1 / np.sqrt(8), kind=KIND_HADAMARD)
         with pytest.raises(PermutationMismatchError):
             walsh_from_hadamard(forged)
@@ -257,6 +256,8 @@ class TestSequencyProfile:
 
 
 class TestFwht:
+    """The oracle transform, an independent check of the Walsh ordering."""
+
     def test_basis_vector_natural(self):
         e0 = np.zeros(16)
         e0[0] = 1.0
@@ -323,17 +324,18 @@ class TestVectorizedConstructors:
 
     @pytest.mark.parametrize("n,g", [(8, 2), (64, 8), (512, 64), (256, 256)])
     def test_row_sequencies_grouped(self, n, g):
+        # counted on the blocks, against the oracle on the n x n matrix with its zeros
         for m in (gsr(n, g), gsr(n, g, base=KIND_HADAMARD, seed=3),
                   gsr(n, g, seed=5, per_block_random=True)):
-            got = _row_sequencies(m.signs)
+            got = sequency_profile(m, g).per_row_sequency
             assert got.dtype == np.int64
             assert np.array_equal(got, oracles.row_sequencies(m.signs))
 
     @settings(max_examples=50, deadline=None)
     @given(rows=st.integers(1, 12), cols=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
-    def test_row_sequencies_with_zeros(self, rows, cols, seed):
-        # arbitrary {-1, 0, 1} rows, all-zero rows included
-        signs = np.random.default_rng(seed).integers(-1, 2, size=(rows, cols)).astype(np.int8)
+    def test_row_sequencies_random_signs(self, rows, cols, seed):
+        signs = np.where(np.random.default_rng(seed).random((rows, cols)) < 0.5,
+                         -1, 1).astype(np.int8)
         assert np.array_equal(_row_sequencies(signs), oracles.row_sequencies(signs))
 
 
@@ -348,12 +350,16 @@ class TestDense:
     def test_blocks_are_the_diagonal_blocks(self):
         m = gsr(64, 16, base=KIND_HADAMARD, seed=4)
         d = m.dense()
-        for b, blk in enumerate(m.blocks()):
-            assert np.array_equal(blk, d[16 * b:16 * (b + 1), 16 * b:16 * (b + 1)])
+        assert m.blocks.shape == (4, 16, 16) and m.blocks.dtype == np.int8
+        for b, blk in enumerate(m.blocks):
+            assert np.array_equal(blk * m.scale, d[16 * b:16 * (b + 1), 16 * b:16 * (b + 1)])
 
-    def test_blocks_need_a_grouped_matrix(self):
-        with pytest.raises(ValueError):
-            hadamard_sylvester(8).blocks()
+    def test_global_kind_is_one_block(self):
+        for m in (hadamard_sylvester(8), walsh_from_hadamard(hadamard_sylvester(8)),
+                  randomize_signs(hadamard_sylvester(8), 1)):
+            assert m.blocks.shape == (1, 8, 8)
+            assert np.shares_memory(m.signs, m.blocks)   # a view, not a copy
+            assert not m.signs.flags.writeable
 
 
 class TestRotationOperator:
@@ -364,7 +370,7 @@ class TestRotationOperator:
         x = rng.standard_normal((5, n))
         for m in (gsr(n, g), gsr(n, g, base=KIND_HADAMARD, seed=9)):
             op = RotationOperator(m)
-            assert op.matrix is None
+            assert (op.matrix is None) == (n > g)   # one block is a dense product
             d = m.dense()
             assert np.max(np.abs(op.apply(x) - x @ d)) < 1e-12
             assert np.max(np.abs(op.apply(x, transpose=True) - x @ d.T)) < 1e-12
@@ -409,3 +415,61 @@ class TestRotationOperator:
             with pytest.raises(DimensionMismatchError):
                 RotationOperator(r).apply(np.zeros((2, 8)))
 
+
+class TestBlockStorage:
+    """A rotation stores only its diagonal blocks; ``signs`` and ``dense``
+    give the n x n matrix of the old full-matrix construction bit for bit."""
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_signs_and_dense_match_the_full_construction(self, k):
+        n = 1 << k
+        h, w = hadamard_sylvester(n), walsh_from_hadamard(hadamard_sylvester(n))
+        cases = [(h, oracles.hadamard_signs(n)), (w, oracles.walsh_signs(n))]
+        for seed in (0, 12345):
+            d = oracles.splitmix64_signs(seed, n)
+            cases += [(randomize_signs(h, seed), oracles.flip_columns(cases[0][1], d)),
+                      (randomize_signs(w, seed), oracles.flip_columns(cases[1][1], d))]
+        for g in (1 << j for j in range(1, k + 1)):
+            for base in (KIND_WALSH, KIND_HADAMARD):
+                for seed, per_block in ((None, False), (7, False), (7, True)):
+                    cases.append((gsr(n, g, base=base, seed=seed, per_block_random=per_block),
+                                  oracles.gsr_signs(n, g, base, seed, per_block)))
+            cases.append((randomize_signs(gsr(n, g), 3),
+                          oracles.flip_columns(oracles.gsr_signs(n, g),
+                                               oracles.splitmix64_signs(3, n))))
+        for m, want in cases:
+            signs = m.signs
+            assert signs.dtype == np.int8 and signs.shape == (n, n)
+            assert signs.tobytes() == want.tobytes(), (m.kind, m.group_size, m.seed)
+            assert not signs.flags.writeable
+            for dtype in (np.float64, np.float32):
+                assert m.dense(dtype).tobytes() == (want.astype(dtype)
+                                                    * dtype(m.scale)).tobytes()
+
+    def test_gsr_at_max_order_never_builds_its_signs(self, monkeypatch):
+        def no_signs(self):
+            raise AssertionError("the n x n sign matrix was built")
+
+        monkeypatch.setattr(OrthoMatrix, "signs", property(no_signs))
+        m = gsr(MAX_ORDER, 64)
+        assert m.blocks.nbytes == 65536 * 64
+        assert orthogonality_residual(m) == 0.0
+        seq = sequency_profile(m, 64).per_row_sequency
+        assert np.array_equal(seq, np.tile(np.arange(64), MAX_ORDER // 64))
+        op = RotationOperator(m)
+        x = np.random.default_rng(0).standard_normal((2, MAX_ORDER))
+        assert np.max(np.abs(op.apply(op.apply(x), transpose=True) - x)) < 1e-12
+
+
+class TestOperatorDtype:
+    @pytest.mark.parametrize("r", [gsr(64, 16, base=KIND_HADAMARD, seed=1),
+                                   walsh_from_hadamard(hadamard_sylvester(64))])
+    def test_products_run_in_the_dtype_of_x(self, r):
+        x = np.random.default_rng(1).standard_normal((3, 64))
+        op = RotationOperator(r)
+        for transpose in (False, True):
+            want = op.apply(x, transpose).astype(np.float32)
+            got = op.apply(x.astype(np.float32), transpose)
+            assert got.dtype == np.float32
+            assert np.max(np.abs(got - want)) < 1e-5
+        assert op.apply(np.arange(64).reshape(1, 64)).dtype == np.float64
