@@ -20,6 +20,7 @@ from .errors import (
     InvalidConfigError,
     InvalidSpecError,
     NonPowerOfTwoError,
+    OrderTooLargeError,
     SeqrotError,
 )
 from .quant import (
@@ -34,6 +35,7 @@ from .quant import (
 from .rotation import (
     RotationAssignment,
     ToyBlockConfig,
+    build_rotation,
     invariance_max_diff,
 )
 from .tensorfile import (
@@ -45,13 +47,9 @@ from .tensorfile import (
 )
 from .transforms import (
     OrthoMatrix,
-    gsr,
-    hadamard_sylvester,
     is_power_of_two,
     orthogonality_residual,
-    randomize_signs,
     sequency_profile,
-    walsh_from_hadamard,
 )
 
 USAGE_ERROR = 2
@@ -114,17 +112,7 @@ def cmd_make_rotation(args) -> int:
             raise UsageError("--group is required for lh/gsr")
         if not is_power_of_two(args.group) or args.n % args.group != 0:
             raise UsageError("group must be a power of two dividing n")
-    seed = args.seed if args.randomize else None
-    if args.kind == "gh":
-        m = hadamard_sylvester(args.n)
-    elif args.kind == "gw":
-        m = walsh_from_hadamard(hadamard_sylvester(args.n))
-    elif args.kind == "lh":
-        m = gsr(args.n, args.group, base="hadamard", seed=seed)
-    else:
-        m = gsr(args.n, args.group, base="walsh", seed=seed)
-    if args.randomize and args.kind in ("gh", "gw"):
-        m = randomize_signs(m, args.seed)
+    m = build_rotation(args.kind, args.n, args.group, args.seed)
     residual = orthogonality_residual(m)
     print(f"kind {args.kind}  n {args.n}  orthogonality residual {residual:.3e}")
     print(_sequency_summary(m, args.group))
@@ -264,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("gh", "gw", "lh", "gsr"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", type=int, default=None)
-    p.add_argument("--randomize", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)   # None: signs as constructed
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_make_rotation)
 
@@ -342,8 +329,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (NonPowerOfTwoError, GroupDoesNotDivideError, InvalidSpecError,
-            InvalidConfigError) as exc:
+    except (NonPowerOfTwoError, OrderTooLargeError, GroupDoesNotDivideError,
+            InvalidSpecError, InvalidConfigError) as exc:
         # bad user-supplied values surface as usage errors, like argparse's own
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

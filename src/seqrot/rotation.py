@@ -18,18 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidConfigError
+from .errors import DimensionMismatchError, InvalidConfigError, NotOrthogonalError
 from .quant import dequantize, rtn_quantize
-from .tensorfile import load_rotation_dense
+from .tensorfile import load_rotation
 from .transforms import (
     KIND_HADAMARD,
     KIND_WALSH,
+    OrthoMatrix,
     RotationOperator,
     _float_blocks,
     _mix_seed,
     gsr,
     hadamard_sylvester,
     is_power_of_two,
+    orthogonality_residual,
     randomize_signs,
     walsh_from_hadamard,
 )
@@ -145,30 +147,53 @@ class RotationAssignment:
                 f"r4_mode must be one of {R4_MODES}, got {self.r4_mode!r}")
 
 
+def build_rotation(kind: str, n: int, group: int | None = None,
+                   seed: int | None = None) -> OrthoMatrix:
+    """The rotation of variant ``kind`` (gh, gw, lh or gsr) at order ``n``.
+
+    ``group`` is the block order of lh and gsr. With ``seed`` the column signs
+    are flipped from that seed's stream; ``None`` leaves them as constructed.
+    """
+    if kind in (VARIANT_LH, VARIANT_GSR):
+        if group is None:
+            raise InvalidConfigError(f"{kind} needs a group size")
+        return gsr(n, group, base=KIND_HADAMARD if kind == VARIANT_LH else KIND_WALSH,
+                   seed=seed)
+    if kind not in (VARIANT_GH, VARIANT_GW):
+        raise InvalidConfigError(f"rotation kind must be one of {VARIANTS}, got {kind!r}")
+    m = hadamard_sylvester(n)
+    if kind == VARIANT_GW:
+        m = walsh_from_hadamard(m)
+    return m if seed is None else randomize_signs(m, seed)
+
+
 def resolve_variant(kind: str, size: int, group: int, seed: int,
                     local: bool = False):
     """Build (or load) the rotation for one slot; None means identity.
 
     Randomization follows the usual convention: Hadamard-family matrices get
     seeded diagonal sign flips, Walsh-family matrices are left as constructed.
+    Any other ``kind`` is a rotation file (``load_rotation``), which must hold
+    an orthogonal matrix of order ``size`` (residual at most 1e-8).
     """
     if kind == VARIANT_IDENTITY:
         return None
     if kind in VARIANTS:
         if local:
             kind = {VARIANT_GH: VARIANT_LH, VARIANT_GW: VARIANT_GSR}.get(kind, kind)
-        if kind == VARIANT_GH:
-            return randomize_signs(hadamard_sylvester(size), seed)
-        if kind == VARIANT_GW:
-            return walsh_from_hadamard(hadamard_sylvester(size))
-        if kind == VARIANT_LH:
-            return gsr(size, group, base=KIND_HADAMARD, seed=seed)
-        return gsr(size, group, base=KIND_WALSH)
-    dense = load_rotation_dense(kind)
-    if dense.shape[0] != size:
+        return build_rotation(kind, size, group,
+                              seed if kind in (VARIANT_GH, VARIANT_LH) else None)
+    r = load_rotation(kind)
+    shape = (r.n, r.n) if isinstance(r, OrthoMatrix) else r.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise NotOrthogonalError(f"{kind}: rotation must be square, got {shape}")
+    if shape[0] != size:
         raise DimensionMismatchError(
-            f"external rotation {kind} has order {dense.shape[0]}, slot needs {size}")
-    return dense
+            f"external rotation {kind} has order {shape[0]}, slot needs {size}")
+    residual = orthogonality_residual(r)   # block by block for an OrthoMatrix
+    if residual > 1e-8:
+        raise NotOrthogonalError(f"{kind}: orthogonality residual {residual:.3e} exceeds 1e-8")
+    return r
 
 
 def resolve_assignment(assign: RotationAssignment, cfg: ToyBlockConfig) -> dict:

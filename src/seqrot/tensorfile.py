@@ -31,13 +31,12 @@ from .errors import (
     CorruptFileError,
     InvalidSpecError,
     IoFailureError,
-    NotOrthogonalError,
     TruncatedPayloadError,
     UnsupportedDtypeError,
     VersionUnsupportedError,
 )
 from .quant import Clip, QuantizedTensor, QuantSpec
-from .transforms import KIND_GROUPED, OrthoMatrix, orthogonality_residual
+from .transforms import KIND_GROUPED, OrthoMatrix
 
 MAGIC = b"GSRT"
 VERSION = 1
@@ -141,7 +140,8 @@ def read_tensor(path) -> tuple[np.ndarray, dict]:
 
 
 def save_rotation(path, m: OrthoMatrix) -> None:
-    write_tensor(path, m.signs, metadata={
+    """Write the (n/b, b, b) int8 diagonal blocks of ``m`` plus its provenance."""
+    write_tensor(path, m.blocks, metadata={
         "content": "rotation",
         "kind": m.kind,
         "scale": m.scale,
@@ -165,64 +165,47 @@ def _is_positive_float(v) -> bool:
         return False
 
 
-def _is_sign_rotation(arr, meta) -> bool:
-    return meta.get("content") == "rotation" and arr.dtype == np.int8
+def load_rotation(path) -> OrthoMatrix | np.ndarray:
+    """Read a rotation file: the OrthoMatrix of a file written by
+    ``save_rotation``, or the float64 matrix of an external float tensor.
 
-
-def load_rotation(path) -> OrthoMatrix:
-    """Read a file written by ``save_rotation``."""
+    The caller checks shape and orthogonality (``rotation.resolve_variant``).
+    """
     arr, meta = read_tensor(path)
-    if not _is_sign_rotation(arr, meta):
-        raise CorruptFileError(f"{path} does not hold a sign-structured rotation")
-    return _rotation_from(arr, meta, path)
+    if meta.get("content") == "rotation":
+        return _rotation_from(arr, meta, path)
+    if arr.dtype.kind != "f":
+        raise CorruptFileError(f"{path} holds neither a sign rotation nor a float matrix")
+    return arr.astype(np.float64)
 
 
 def _rotation_from(arr, meta, path) -> OrthoMatrix:
-    """CorruptFileError unless the metadata describes a square sign matrix
-    whose entries are +-1 inside its diagonal blocks and 0 outside them."""
+    """CorruptFileError unless the file holds (n/b, b, b) int8 +-1 diagonal
+    blocks that its metadata describes."""
     scale, kind = meta.get("scale"), meta.get("kind")
     group, block_kind, seed = (meta.get(k) for k in ("group_size", "block_kind", "seed"))
-    n = arr.shape[0] if arr.ndim else 0
+    k, b, b2 = arr.shape if arr.ndim == 3 else (0, 0, 0)
     problems = [
-        (arr.ndim != 2 or arr.shape[1] != n or n == 0, f"signs have shape {arr.shape}"),
+        # an n x n sign matrix, zeros included, is the layout before blocks
+        (arr.dtype != np.int8 or k == 0 or b == 0 or b != b2,
+         f"{arr.dtype} payload of shape {arr.shape}; a rotation file holds its (n/b, b, b) "
+         "int8 diagonal blocks (rebuild an n x n sign file with `seqrot make-rotation` "
+         "from its kind, group size and seed)"),
         (not _is_positive_float(scale), f"scale {scale!r}"),
         (not isinstance(kind, str), f"kind {kind!r}"),
-        (not (group is None or _is_int(group) and group >= 1 and n % group == 0),
+        (not (group is None or _is_int(group) and group >= 1 and k * b % group == 0),
          f"group size {group!r}"),
-        (kind == KIND_GROUPED and group is None, "grouped rotation without a group size"),
+        (kind == KIND_GROUPED and group != b, f"group size {group!r} for blocks of order {b}"),
+        (kind != KIND_GROUPED and k != 1, f"{k} blocks for the global kind {kind!r}"),
         (not (block_kind is None or isinstance(block_kind, str)), f"block kind {block_kind!r}"),
         (not (seed is None or _is_int(seed)), f"seed {seed!r}"),
+        (not np.all(np.abs(arr) == 1), "block entries are not all +-1"),
     ]
     for bad, what in problems:
         if bad:
-            raise CorruptFileError(f"{path}: bad rotation metadata: {what}")
-    b = group if kind == KIND_GROUPED else n
-    diag = np.arange(n // b)
-    blocks = arr.reshape(n // b, b, n // b, b)[diag, :, diag, :]
-    if not np.all(np.abs(blocks) == 1) or np.count_nonzero(arr) != blocks.size:
-        raise CorruptFileError(f"{path}: signs not +-1 on the diagonal blocks, 0 off them")
-    return OrthoMatrix(blocks=blocks, scale=float(scale), kind=kind, group_size=group,
+            raise CorruptFileError(f"{path}: bad rotation file: {what}")
+    return OrthoMatrix(blocks=arr, scale=float(scale), kind=kind, group_size=group,
                        block_kind=block_kind, seed=seed)
-
-
-def load_rotation_dense(path, tolerance: float = 1e-8) -> np.ndarray:
-    """Load any rotation file (sign-structured or dense float) as dense f64.
-
-    Used for externally supplied matrices; rejects non-square or
-    non-orthogonal content.
-    """
-    arr, meta = read_tensor(path)
-    if _is_sign_rotation(arr, meta):
-        dense = _rotation_from(arr, meta, path).dense()
-    else:
-        dense = arr.astype(np.float64)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise NotOrthogonalError(f"{path}: rotation must be square, got {dense.shape}")
-    residual = orthogonality_residual(dense)
-    if residual > tolerance:
-        raise NotOrthogonalError(
-            f"{path}: orthogonality residual {residual:.3e} exceeds {tolerance:.1e}")
-    return dense
 
 
 def save_quantized(path, qt) -> None:

@@ -5,6 +5,7 @@ import pytest
 
 from seqrot.cli import build_parser, config_line, main
 from seqrot.quant import rtn_quantize
+from seqrot.rotation import build_rotation
 from seqrot.tensorfile import load_quantized, load_rotation, read_report, write_tensor
 from seqrot.transforms import orthogonality_residual
 
@@ -50,8 +51,26 @@ class TestMakeRotation:
         a, b = tmp_path / "a.gsrt", tmp_path / "b.gsrt"
         for p in (a, b):
             run_cli(capsys, "make-rotation", "--kind", "gh", "--n", "16",
-                    "--randomize", "--seed", "9", "--out", str(p))
+                    "--seed", "9", "--out", str(p))
         assert np.array_equal(load_rotation(a).signs, load_rotation(b).signs)
+
+    @pytest.mark.parametrize("kind", ["gh", "gw", "lh", "gsr"])
+    def test_seed_randomizes_and_no_seed_does_not(self, capsys, tmp_path, kind):
+        plain, seeded = tmp_path / "plain.gsrt", tmp_path / "seeded.gsrt"
+        for p, extra in ((plain, ()), (seeded, ("--seed", "5"))):
+            code, _, _ = run_cli(capsys, "make-rotation", "--kind", kind, "--n", "16",
+                                 "--group", "8", *extra, "--out", str(p))
+            assert code == 0
+        plain, seeded = load_rotation(plain), load_rotation(seeded)
+        assert plain.seed is None and seeded.seed == 5
+        assert np.array_equal(plain.blocks, build_rotation(kind, 16, 8).blocks)
+        assert np.array_equal(seeded.blocks, build_rotation(kind, 16, 8, 5).blocks)
+        assert not np.array_equal(seeded.blocks, plain.blocks)
+
+    def test_order_too_large_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "make-rotation", "--kind", "gh", "--n", "131072")
+        assert code == 2
+        assert "exceeds maximum" in err
 
 
 class TestInspect:
@@ -223,8 +242,8 @@ class TestFlags:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["make-rotation", "--kind", "gsr", "--n", "16", "--group", "4", "--randomize",
-         "--seed", "-3", "--out", "my dir/r.gsrt"],
+        ["make-rotation", "--kind", "gsr", "--n", "16", "--group", "4", "--seed", "-3",
+         "--out", "my dir/r.gsrt"],
         ["make-rotation", "--kind", "gh", "--n", "8"],
         ["inspect", "--file", "w.gsrt", "--group", "4"],
         ["quantize", "--file", "w.gsrt", "--bits", "3", "--scheme", "gptq", "--clip",

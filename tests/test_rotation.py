@@ -20,7 +20,13 @@ from seqrot.rotation import (
     rotate_weight,
 )
 from seqrot.tensorfile import save_rotation, write_tensor
-from seqrot.transforms import gsr, hadamard_sylvester, randomize_signs
+from seqrot.transforms import (
+    OrthoMatrix,
+    RotationOperator,
+    gsr,
+    hadamard_sylvester,
+    randomize_signs,
+)
 
 
 class TestAssignmentTable:
@@ -233,6 +239,23 @@ class TestFuseRotations:
         write_tensor(p, np.random.default_rng(0).standard_normal((64, 64)), {})
         with pytest.raises(NotOrthogonalError):
             resolve_variant(str(p), 64, 16, 0)
+
+    def test_saved_gsr_resolves_to_its_blocks(self, tmp_path, monkeypatch):
+        built = gsr(4096, 64)
+        p = tmp_path / "gsr.gsrt"
+        save_rotation(p, built)
+
+        def no_dense(self, *args):
+            raise AssertionError("the n x n matrix was built")
+
+        monkeypatch.setattr(OrthoMatrix, "signs", property(no_dense))
+        monkeypatch.setattr(OrthoMatrix, "dense", no_dense)
+        r = resolve_variant(str(p), 4096, 64, 0)
+        assert isinstance(r, OrthoMatrix)
+        assert r.blocks.dtype == np.int8 and np.array_equal(r.blocks, built.blocks)
+        assert ((r.scale, r.kind, r.group_size, r.block_kind, r.seed)
+                == (built.scale, built.kind, built.group_size, built.block_kind, built.seed))
+        assert RotationOperator(r).matrix is None
 
     def test_external_wrong_order_rejected(self, tmp_path):
         p = tmp_path / "small.gsrt"

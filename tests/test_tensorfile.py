@@ -1,4 +1,6 @@
+import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from seqrot.errors import (
     BadMagicError,
     CorruptFileError,
+    DimensionMismatchError,
     IoFailureError,
     NotOrthogonalError,
     TensorFileError,
@@ -16,16 +19,25 @@ from seqrot.errors import (
     VersionUnsupportedError,
 )
 from seqrot.quant import Clip, QuantSpec, dequantize, rtn_quantize
+from seqrot.rotation import VARIANTS, build_rotation, resolve_variant
 from seqrot.tensorfile import (
     load_quantized,
     load_rotation,
-    load_rotation_dense,
     read_tensor,
     save_quantized,
     save_rotation,
     write_tensor,
 )
-from seqrot.transforms import gsr, hadamard_sylvester, orthogonality_residual
+from seqrot.transforms import (
+    KIND_HADAMARD,
+    KIND_WALSH,
+    OrthoMatrix,
+    gsr,
+    hadamard_sylvester,
+    orthogonality_residual,
+    randomize_signs,
+    walsh_from_hadamard,
+)
 
 
 class TestRoundTrip:
@@ -181,33 +193,60 @@ class TestByteMutation:
         {"scale": "x"}, {"scale": None}, {"scale": float("inf")}, {"scale": -0.5},
         {"kind": 3}, {"group_size": 3}, {"group_size": "4"}, {"group_size": None},
         {"scale": 10 ** 400}, {"block_kind": 1}, {"seed": 1.5}, {"content": "rotatiom"},
-        # sign entries: nonzero outside the diagonal blocks, not +-1 inside them
-        {"entries": {(0, 5): 1}}, {"entries": {(7, 0): -1}}, {"entries": {(1, 1): 0}},
-        {"entries": {(6, 6): 2}}, {"entries": {(2, 3): -128}},
-        # a global kind is one block, so its zeros are not +-1
+        # the n x n sign matrix of the layout before blocks; blocks of another order
+        {"payload": "signs"}, {"group_size": 2},
+        # block entries that are not +-1
+        {"entries": {(0, 1, 1): 0}}, {"entries": {(1, 2, 2): 2}},
+        {"entries": {(0, 2, 3): -128}},
+        # a global kind is one block
         {"kind": "walsh", "group_size": None}, {"kind": "hadamard", "group_size": 4},
+        {"payload": "non-square blocks"}, {"payload": "float blocks"}, {"payload": "no blocks"},
     ])
     def test_bad_rotation_metadata(self, tmp_path, change):
         meta = {"content": "rotation", "kind": "grouped", "scale": 0.5, "group_size": 4,
                 "block_kind": "walsh", "seed": None}
+        m = gsr(8, 4)
         change = dict(change)
-        signs = gsr(8, 4).signs.copy()
-        for (i, j), v in change.pop("entries", {}).items():
-            signs[i, j] = v
+        payload = {"signs": m.signs, "non-square blocks": m.blocks[:, :, :2],
+                   "float blocks": m.blocks.astype(np.float64),
+                   "no blocks": m.blocks[:0]}.get(change.pop("payload", None), m.blocks.copy())
+        for index, v in change.pop("entries", {}).items():
+            payload[index] = v
         meta.update(change)
         p = tmp_path / "r.gsrt"
-        write_tensor(p, signs, meta)
+        write_tensor(p, payload, meta)
         with pytest.raises(CorruptFileError):
             load_rotation(p)
-        if "content" not in change:   # still tagged as a sign rotation
-            with pytest.raises(CorruptFileError):
-                load_rotation_dense(p)
+        with pytest.raises(CorruptFileError):
+            resolve_variant(str(p), 8, 4, 0)
+
+    def test_old_sign_layout_names_the_block_layout(self, tmp_path):
+        p = tmp_path / "old.gsrt"
+        write_tensor(p, gsr(8, 4).signs, {"content": "rotation", "kind": "grouped",
+                                          "scale": 0.5, "group_size": 4,
+                                          "block_kind": "walsh", "seed": None})
+        with pytest.raises(CorruptFileError, match=r"\(n/b, b, b\).*make-rotation"):
+            load_rotation(p)
 
     def test_missing_rotation_keys(self, tmp_path):
         p = tmp_path / "r.gsrt"
-        write_tensor(p, hadamard_sylvester(4).signs, {"content": "rotation"})
+        write_tensor(p, hadamard_sylvester(4).blocks, {"content": "rotation"})
         with pytest.raises(CorruptFileError):
             load_rotation(p)
+
+
+def _constructed(kind, n, g, seed):
+    """The rotation of ``kind`` from the constructors themselves."""
+    if kind in ("lh", "gsr"):
+        return gsr(n, g, base=KIND_HADAMARD if kind == "lh" else KIND_WALSH, seed=seed)
+    m = hadamard_sylvester(n)
+    if kind == "gw":
+        m = walsh_from_hadamard(m)
+    return m if seed is None else randomize_signs(m, seed)
+
+
+def _provenance(m):
+    return m.scale, m.kind, m.group_size, m.block_kind, m.seed
 
 
 class TestRotationFiles:
@@ -222,31 +261,81 @@ class TestRotationFiles:
         assert back.group_size == 4
         assert orthogonality_residual(back) < 1e-10
 
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(VARIANTS), log_n=st.integers(1, 10), data=st.data(),
+           seed=st.none() | st.integers(-2 ** 63, 2 ** 64 - 1))
+    def test_every_kind_round_trips_its_blocks(self, tmp_path, kind, log_n, data, seed):
+        n = 1 << log_n
+        g = 1 << data.draw(st.integers(1, log_n), label="log_g")
+        m = build_rotation(kind, n, g, seed)
+        want = _constructed(kind, n, g, seed)
+        assert m.blocks.dtype == np.int8 and np.array_equal(m.blocks, want.blocks)
+        assert _provenance(m) == _provenance(want)
+        p = tmp_path / "r.gsrt"
+        save_rotation(p, m)
+        back = load_rotation(p)
+        assert isinstance(back, OrthoMatrix)
+        assert back.blocks.dtype == np.int8 and np.array_equal(back.blocks, m.blocks)
+        assert _provenance(back) == _provenance(m)
+
+    def test_file_holds_only_the_blocks(self, tmp_path):
+        p = tmp_path / "gsr.gsrt"
+        save_rotation(p, gsr(4096, 64))
+        arr, meta = read_tensor(p)
+        assert arr.shape == (64, 64, 64) and arr.dtype == np.int8
+        # magic + version + dtype + (mlen + JSON) + ndim + 3 dims
+        header = 4 + 4 + 1 + 4 + len(json.dumps(meta, sort_keys=True).encode()) + 1 + 3 * 8
+        assert p.stat().st_size == header + 262144
+
     def test_dense_load_accepts_external_float_matrix(self, tmp_path):
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
         p = tmp_path / "ext.gsrt"
+        write_tensor(p, q.astype(np.float32), {"source": "external"})
+        loaded = load_rotation(p)
+        assert loaded.dtype == np.float64 and np.array_equal(loaded, q.astype(np.float32))
         write_tensor(p, q, {"source": "external"})
-        dense = load_rotation_dense(p)
-        assert np.allclose(dense, q)
+        assert np.array_equal(resolve_variant(str(p), 16, 4, 0), q)
 
     def test_dense_load_rejects_non_orthogonal(self, tmp_path):
         p = tmp_path / "bad.gsrt"
         write_tensor(p, np.random.default_rng(2).standard_normal((8, 8)), {})
         with pytest.raises(NotOrthogonalError):
-            load_rotation_dense(p)
+            resolve_variant(str(p), 8, 4, 0)
+        # +-1 blocks whose scale is not 1/sqrt(b), checked block by block
+        save_rotation(p, replace(gsr(8, 4), scale=0.4))
+        with pytest.raises(NotOrthogonalError):
+            resolve_variant(str(p), 8, 4, 0)
 
     def test_dense_load_rejects_non_square(self, tmp_path):
         p = tmp_path / "rect.gsrt"
-        write_tensor(p, np.zeros((4, 8)), {})
-        with pytest.raises(NotOrthogonalError):
-            load_rotation_dense(p)
+        for shape in ((4, 8), (4,), (2, 2, 2)):
+            write_tensor(p, np.zeros(shape), {})
+            with pytest.raises(NotOrthogonalError):
+                resolve_variant(str(p), 4, 4, 0)
+
+    def test_int8_payload_without_rotation_metadata(self, tmp_path):
+        p = tmp_path / "codes.gsrt"
+        write_tensor(p, hadamard_sylvester(4).signs, {})
+        with pytest.raises(CorruptFileError):
+            load_rotation(p)
 
     def test_sign_structured_dense(self, tmp_path):
         p = tmp_path / "h.gsrt"
         save_rotation(p, hadamard_sylvester(16))
-        dense = load_rotation_dense(p)
-        assert np.allclose(dense, hadamard_sylvester(16).dense())
+        r = resolve_variant(str(p), 16, 4, 0)
+        assert isinstance(r, OrthoMatrix)
+        assert np.allclose(r.dense(), hadamard_sylvester(16).dense())
+
+    @pytest.mark.parametrize("size", [4, 16])
+    def test_wrong_order(self, tmp_path, size):
+        signs, floats = tmp_path / "s.gsrt", tmp_path / "f.gsrt"
+        save_rotation(signs, gsr(8, 4))
+        write_tensor(floats, gsr(8, 4).dense(), {})
+        for p in (signs, floats):
+            with pytest.raises(DimensionMismatchError):
+                resolve_variant(str(p), size, 4, 0)
 
 
 class TestQuantizedFiles:
