@@ -47,7 +47,6 @@ from .tensorfile import (
 )
 from .transforms import (
     OrthoMatrix,
-    is_power_of_two,
     orthogonality_residual,
     sequency_profile,
 )
@@ -105,13 +104,6 @@ def _sequency_summary(m: OrthoMatrix, group: int | None) -> str:
 
 
 def cmd_make_rotation(args) -> int:
-    if not is_power_of_two(args.n):
-        raise UsageError("n must be a power of two")
-    if args.kind in ("lh", "gsr"):
-        if args.group is None:
-            raise UsageError("--group is required for lh/gsr")
-        if not is_power_of_two(args.group) or args.n % args.group != 0:
-            raise UsageError("group must be a power of two dividing n")
     m = build_rotation(args.kind, args.n, args.group, args.seed)
     residual = orthogonality_residual(m)
     print(f"kind {args.kind}  n {args.n}  orthogonality residual {residual:.3e}")

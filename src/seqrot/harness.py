@@ -31,6 +31,8 @@ from .quant import (
     rtn_quantize,
 )
 from .rotation import (
+    R4_GLOBAL,
+    R4_LOCAL,
     R4_MODES,
     RotationAssignment,
     ToyBlockConfig,
@@ -186,15 +188,16 @@ def sequency_variance_report(n: int, group: int) -> dict:
     """Per-group sequency variance of natural versus sequency-ordered rows."""
     if n % group != 0:
         raise DimensionMismatchError(f"group {group} does not divide order {n}")
-    natural = natural_sequency_formula(n).astype(np.float64).reshape(-1, group)
-    walsh = np.arange(n, dtype=np.float64).reshape(-1, group)
+    natural = natural_sequency_formula(n).astype(np.float64)
+    natural = natural.reshape(-1, group).var(axis=1)
+    walsh = np.arange(n, dtype=np.float64).reshape(-1, group).var(axis=1)
     return {
         "n": n,
         "group": group,
-        "natural_variance": natural.var(axis=1),
-        "walsh_variance": walsh.var(axis=1),
-        "natural_mean_variance": float(natural.var(axis=1).mean()),
-        "walsh_mean_variance": float(walsh.var(axis=1).mean()),
+        "natural_variance": natural,
+        "walsh_variance": walsh,
+        "natural_mean_variance": float(natural.mean()),
+        "walsh_mean_variance": float(walsh.mean()),
     }
 
 
@@ -203,26 +206,27 @@ def sequency_variance_sweep(max_n: int = 4096) -> list[dict]:
     out = []
     n = 4
     while n <= max_n:
-        seq = natural_sequency_formula(n).astype(np.float64)
         g = 2
         while g < n:
-            nat = seq.reshape(-1, g).var(axis=1).mean()
-            wal = np.arange(n, dtype=np.float64).reshape(-1, g).var(axis=1).mean()
-            out.append({"n": n, "group": g, "natural": float(nat), "walsh": float(wal)})
+            rep = sequency_variance_report(n, g)
+            out.append({"n": n, "group": g, "natural": rep["natural_mean_variance"],
+                        "walsh": rep["walsh_mean_variance"]})
             g *= 2
         n *= 2
     return out
 
 
-def bootstrap_median_ci(diffs, n_boot: int = 1000, seed: int = 0,
-                        alpha: float = 0.05) -> tuple[float, float]:
-    """Percentile bootstrap confidence interval for the median."""
+_BOOTSTRAP_DRAWS = 1000
+
+
+def bootstrap_median_ci(diffs, seed: int = 0) -> tuple[float, float]:
+    """95% percentile bootstrap confidence interval for the median."""
     diffs = np.asarray(diffs, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, diffs.size, size=(n_boot, diffs.size))
+    idx = rng.integers(0, diffs.size, size=(_BOOTSTRAP_DRAWS, diffs.size))
     medians = np.median(diffs[idx], axis=1)
-    return (float(np.quantile(medians, alpha / 2)),
-            float(np.quantile(medians, 1 - alpha / 2)))
+    return (float(np.quantile(medians, 0.025)),
+            float(np.quantile(medians, 0.975)))
 
 
 @dataclass
@@ -232,7 +236,6 @@ class AblationReport:
     cells: dict          # mode -> setting -> np.ndarray over seeds
     medians: dict        # mode -> setting -> float
     diff_ci: dict        # setting -> (lo, hi) for median(local - global), None below 2 seeds
-    significant: dict    # setting -> bool (CI excludes zero), None below 2 seeds
     verdict: dict        # setting -> the verdict line's words
     config: dict
 
@@ -242,22 +245,22 @@ class AblationReport:
 ROUNDOFF_MSE = (64 * np.finfo(np.float64).eps) ** 2
 
 
-def r4_ablation(cfg: ToyBlockConfig, modes=("global", "local"),
-                weight_spec: QuantSpec | None = None,
+def r4_ablation(cfg: ToyBlockConfig, weight_spec: QuantSpec | None = None,
                 act_spec: QuantSpec | None = None,
                 n_seeds: int = 20, r1_kind: str = "gsr",
                 r4_kind: str = "gh", base_seed: int = 0) -> AblationReport:
     """Global-vs-local online FFN rotation under weight/activation quantization.
 
-    Cells are output MSE against the unrotated full-precision block:
-    the no-quant setting checks invariance, the weight-only and
-    weight+activation settings measure the quantization damage per mode.
+    Both modes of ``R4_MODES`` run for every seed. Cells are output MSE
+    against the unrotated full-precision block: the no-quant setting checks
+    invariance, the weight-only and weight+activation settings measure the
+    quantization damage per mode.
 
     Each distinct fused weight is fake-quantized once per seed: both
     quantized settings of a mode share one pre-quantized block, and a weight
     whose bytes are the same in another mode (all but ``wdown``, unless r4 is
     the identity) reuses its quantized copy. The cells are the same bits as
-    quantizing inside every ``forward`` call.
+    quantizing every weight afresh for each ``forward`` call.
 
     A local-vs-global difference is tested with a bootstrap CI of its median
     over at least 2 seeds. A setting whose every cell, in both modes, is
@@ -266,16 +269,13 @@ def r4_ablation(cfg: ToyBlockConfig, modes=("global", "local"),
     """
     if n_seeds < 1:
         raise InvalidConfigError(f"n_seeds must be at least 1, got {n_seeds}")
-    if not modes or len(set(modes)) != len(modes) or not set(modes) <= set(R4_MODES):
-        raise InvalidConfigError(
-            f"modes must be distinct values from {R4_MODES}, got {tuple(modes)}")
     weight_spec = weight_spec or QuantSpec(bits=2, group_size=cfg.group_size)
     act_spec = act_spec or QuantSpec(bits=4, group_size=cfg.group_size,
                                      symmetric=True)
     wlabel = f"w{weight_spec.bits}"
     settings = ("w16a16", wlabel, f"{wlabel}a{act_spec.bits}")
 
-    cells = {mode: {s: np.zeros(n_seeds) for s in settings} for mode in modes}
+    cells = {mode: {s: np.zeros(n_seeds) for s in settings} for mode in R4_MODES}
     ref_power = np.zeros(n_seeds)   # mean(y_ref^2) per seed
     memo = {}   # weight name -> (sha256 of the fused weight, quantized copy)
     for i in range(n_seeds):
@@ -286,7 +286,7 @@ def r4_ablation(cfg: ToyBlockConfig, modes=("global", "local"),
         x = rng.standard_normal((cfg.seq_len, cfg.hidden))
         y_ref = forward(block, x)
         ref_power[i] = np.mean(y_ref ** 2)
-        for mode in modes:
+        for mode in R4_MODES:
             assign = RotationAssignment(r1=r1_kind, r4=r4_kind, r4_mode=mode,
                                         seed=_mix_seed(seed, 3))
             fused = fuse_rotations(block, assign)
@@ -311,25 +311,22 @@ def r4_ablation(cfg: ToyBlockConfig, modes=("global", "local"),
         memo.clear()
 
     medians = {mode: {s: float(np.median(cells[mode][s])) for s in settings}
-               for mode in modes}
-    diff_ci, significant, verdict = {}, {}, {}
-    if "global" in modes and "local" in modes:
-        for s in settings:
-            if n_seeds < 2:
-                diff_ci[s] = significant[s] = None
-                verdict[s] = "not tested (1 seed)"
-                continue
-            diffs = cells["local"][s] - cells["global"][s]
-            lo, hi = diff_ci[s] = bootstrap_median_ci(diffs, seed=base_seed)
-            if all(np.all(cells[m][s] <= ROUNDOFF_MSE * ref_power) for m in modes):
-                significant[s] = False
-                verdict[s] = "invariant (round-off), not tested"
-            else:
-                significant[s] = lo > 0 or hi < 0
-                verdict[s] = "significant" if significant[s] else "not significant"
+               for mode in R4_MODES}
+    diff_ci, verdict = {}, {}
+    for s in settings:
+        if n_seeds < 2:
+            diff_ci[s] = None
+            verdict[s] = "not tested (1 seed)"
+            continue
+        diffs = cells[R4_LOCAL][s] - cells[R4_GLOBAL][s]
+        lo, hi = diff_ci[s] = bootstrap_median_ci(diffs, seed=base_seed)
+        if all(np.all(cells[m][s] <= ROUNDOFF_MSE * ref_power) for m in R4_MODES):
+            verdict[s] = "invariant (round-off), not tested"
+        else:
+            verdict[s] = "significant" if lo > 0 or hi < 0 else "not significant"
     return AblationReport(
-        modes=tuple(modes), settings=settings, cells=cells, medians=medians,
-        diff_ci=diff_ci, significant=significant, verdict=verdict,
+        modes=R4_MODES, settings=settings, cells=cells, medians=medians,
+        diff_ci=diff_ci, verdict=verdict,
         config={"cfg": vars(cfg), "n_seeds": n_seeds, "r1": r1_kind,
                 "r4": r4_kind, "base_seed": base_seed,
                 "weight_bits": weight_spec.bits, "act_bits": act_spec.bits})

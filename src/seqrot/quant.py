@@ -404,8 +404,12 @@ def _symmetrize(h: np.ndarray) -> None:
             h[cols, rows] = s.T
 
 
+# GPTQ's Hessian dampening, as a fraction of the mean diagonal
+_DAMP = 0.01
+
+
 def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
-                  spec: QuantSpec, damp: float = 0.01) -> QuantizedTensor:
+                  spec: QuantSpec) -> QuantizedTensor:
     """Column-by-column quantization with Hessian-weighted error feedback.
 
     Per-group scales and zero-points are fixed up front from the (clipped)
@@ -426,7 +430,7 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
         raise ShapeMismatchError(f"Hessian is {h.shape}, weights have {d} columns")
     g = grouped.shape[2]
 
-    hd = h + damp * np.mean(np.diag(h)) * np.eye(d)
+    hd = h + _DAMP * np.mean(np.diag(h)) * np.eye(d)
     try:
         np.linalg.cholesky(hd)
         hinv = np.linalg.inv(hd)

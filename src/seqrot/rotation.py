@@ -157,13 +157,13 @@ def build_rotation(kind: str, n: int, group: int | None = None,
     if kind in (VARIANT_LH, VARIANT_GSR):
         if group is None:
             raise InvalidConfigError(f"{kind} needs a group size")
-        return gsr(n, group, base=KIND_HADAMARD if kind == VARIANT_LH else KIND_WALSH,
-                   seed=seed)
-    if kind not in (VARIANT_GH, VARIANT_GW):
+        m = gsr(n, group, base=KIND_HADAMARD if kind == VARIANT_LH else KIND_WALSH)
+    elif kind in (VARIANT_GH, VARIANT_GW):
+        m = hadamard_sylvester(n)
+        if kind == VARIANT_GW:
+            m = walsh_from_hadamard(m)
+    else:
         raise InvalidConfigError(f"rotation kind must be one of {VARIANTS}, got {kind!r}")
-    m = hadamard_sylvester(n)
-    if kind == VARIANT_GW:
-        m = walsh_from_hadamard(m)
     return m if seed is None else randomize_signs(m, seed)
 
 
@@ -276,13 +276,13 @@ def _fake_quantize_activation(a: np.ndarray, spec) -> np.ndarray:
     return dequantize(rtn_quantize(a, spec))
 
 
-def forward(block: ToyBlock, x: np.ndarray, weight_spec=None, act_spec=None,
+def forward(block: ToyBlock, x: np.ndarray, act_spec=None,
             dtype=np.float64) -> np.ndarray:
     """RMSNorm -> causal attention (RoPE) -> residual -> RMSNorm -> SwiGLU -> residual.
 
-    With ``weight_spec`` every weight is round-tripped through the group
-    quantizer; with ``act_spec`` the down-projection input is fake-quantized
-    (symmetric RTN) after the online r4 rotation.
+    With ``act_spec`` the down-projection input is fake-quantized (symmetric
+    RTN) after the online r4 rotation. Weight quantization happens before the
+    call: pass a block whose weights are already round-tripped.
     """
     cfg = block.cfg
     x = np.asarray(x, dtype=dtype)
@@ -292,10 +292,7 @@ def forward(block: ToyBlock, x: np.ndarray, weight_spec=None, act_spec=None,
     seq = x.shape[0]
     hd = cfg.head_dim
 
-    wts = dict(block.weights)
-    if weight_spec is not None:
-        wts = {k: _maybe_quantize_weight(v, weight_spec) for k, v in wts.items()}
-    wts = {k: v.astype(dtype, copy=False) for k, v in wts.items()}
+    wts = {k: v.astype(dtype, copy=False) for k, v in block.weights.items()}
 
     h = _rms_norm(x)
     q = (h @ wts["wq"]).reshape(seq, cfg.heads, hd)

@@ -52,26 +52,16 @@ def _dtype_code(dtype: np.dtype) -> int:
     return code
 
 
-def write_tensor(path, tensor: np.ndarray, metadata: dict | None = None) -> None:
-    """Serialize an array plus JSON metadata; read_tensor is the exact inverse."""
-    arr = np.asarray(tensor)
-    code = _dtype_code(arr.dtype)
-    le = arr.astype(_DTYPE_CODES[code], copy=False)
-    meta = json.dumps(metadata or {}, sort_keys=True).encode("utf-8")
+def _write_atomic(path, mode: str, write, **open_kw) -> None:
+    """Call ``write(f)`` on a temp file next to ``path``, then rename it onto
+    ``path``; on any failure the temp file is removed and the target is left
+    as it was. OSError becomes IoFailureError."""
     path = os.fspath(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
         try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(MAGIC)
-                f.write(struct.pack("<I", VERSION))
-                f.write(struct.pack("<B", code))
-                f.write(struct.pack("<I", len(meta)))
-                f.write(meta)
-                f.write(struct.pack("<B", arr.ndim))
-                for d in arr.shape:
-                    f.write(struct.pack("<Q", d))
-                f.write(np.ascontiguousarray(le).tobytes())
+            with os.fdopen(fd, mode, **open_kw) as f:
+                write(f)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -79,6 +69,27 @@ def write_tensor(path, tensor: np.ndarray, metadata: dict | None = None) -> None
             raise
     except OSError as exc:
         raise IoFailureError(f"failed to write {path}: {exc}") from exc
+
+
+def write_tensor(path, tensor: np.ndarray, metadata: dict | None = None) -> None:
+    """Serialize an array plus JSON metadata; read_tensor is the exact inverse."""
+    arr = np.asarray(tensor)
+    code = _dtype_code(arr.dtype)
+    le = arr.astype(_DTYPE_CODES[code], copy=False)
+    meta = json.dumps(metadata or {}, sort_keys=True).encode("utf-8")
+
+    def write(f):
+        f.write(MAGIC)
+        f.write(struct.pack("<I", VERSION))
+        f.write(struct.pack("<B", code))
+        f.write(struct.pack("<I", len(meta)))
+        f.write(meta)
+        f.write(struct.pack("<B", arr.ndim))
+        for d in arr.shape:
+            f.write(struct.pack("<Q", d))
+        f.write(np.ascontiguousarray(le).tobytes())
+
+    _write_atomic(path, "wb", write)
 
 
 def _take(buf: bytes, offset: int, count: int, what: str) -> tuple[bytes, int]:
@@ -297,22 +308,14 @@ def write_report(path, report) -> None:
             for tensor_id, value in enumerate(values):
                 rows.append((variant, tensor_id, metric, value))
     rows.sort(key=lambda r: (r[1], r[0], r[2]))
-    path = os.fspath(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", newline="", encoding="utf-8") as f:
-                writer = csv.writer(f)
-                writer.writerow(["variant", "tensor_id", "metric", "value"])
-                for variant, tensor_id, metric, value in rows:
-                    writer.writerow([variant, tensor_id, metric, f"{value:.17g}"])
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise IoFailureError(f"failed to write {path}: {exc}") from exc
+
+    def write(f):
+        writer = csv.writer(f)
+        writer.writerow(["variant", "tensor_id", "metric", "value"])
+        for variant, tensor_id, metric, value in rows:
+            writer.writerow([variant, tensor_id, metric, f"{value:.17g}"])
+
+    _write_atomic(path, "w", write, newline="", encoding="utf-8")
 
 
 def read_report(path) -> list[dict]:

@@ -247,15 +247,15 @@ def randomize_signs(m: OrthoMatrix, seed: int) -> OrthoMatrix:
     return replace(m, blocks=(m.blocks * d).astype(np.int8), seed=seed)
 
 
-def gsr(c: int, g: int, base: str = KIND_WALSH, seed: int | None = None,
-        per_block_random: bool = False) -> OrthoMatrix:
+def gsr(c: int, g: int, base: str = KIND_WALSH) -> OrthoMatrix:
     """Block-diagonal rotation with c/g identical g-by-g base blocks.
 
-    The default base is an unrandomized Walsh block. With ``seed`` the column
-    signs are flipped from one stream over the full order; ``per_block_random``
-    draws an independent stream per block instead.
+    The default base is a Walsh block; ``randomize_signs`` flips its column
+    signs.
     """
     _require_power_of_two(c, "order")
+    if c > MAX_ORDER:
+        raise OrderTooLargeError(f"order {c} exceeds maximum {MAX_ORDER}")
     _require_power_of_two(g, "group size")
     if c % g != 0:
         raise GroupDoesNotDivideError(f"group size {g} does not divide order {c}")
@@ -264,21 +264,13 @@ def gsr(c: int, g: int, base: str = KIND_WALSH, seed: int | None = None,
     block = hadamard_sylvester(g)
     if base == KIND_WALSH:
         block = walsh_from_hadamard(block)
-    n_blocks = c // g
-    blocks = np.repeat(block.blocks, n_blocks, axis=0)
-    if seed is not None:
-        if per_block_random:
-            d = np.concatenate([_splitmix64_signs(_mix_seed(seed, b), g)
-                                for b in range(n_blocks)])
-        else:
-            d = _splitmix64_signs(seed, c)
-        blocks = (blocks * d.reshape(n_blocks, 1, g)).astype(np.int8)
-    return OrthoMatrix(blocks=blocks, scale=1.0 / np.sqrt(g), kind=KIND_GROUPED,
-                       group_size=g, block_kind=base, seed=seed)
+    return OrthoMatrix(blocks=np.repeat(block.blocks, c // g, axis=0),
+                       scale=1.0 / np.sqrt(g), kind=KIND_GROUPED,
+                       group_size=g, block_kind=base)
 
 
 def _mix_seed(seed: int, stream: int) -> int:
-    # one splitmix64 step keyed by the stream index, to decorrelate per-block streams
+    # one splitmix64 step keyed by the stream index, to decorrelate derived seeds
     z = (seed + (stream + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -309,19 +301,19 @@ def sequency_profile(m: OrthoMatrix, g: int) -> SequencyProfile:
                            per_group_variance=grouped.var(axis=1))
 
 
-def orthogonality_residual(m, dtype=np.float64) -> float:
+def orthogonality_residual(m) -> float:
     """max |R R^T - I| for a dense or sign-structured rotation matrix.
 
     An OrthoMatrix is checked block by block: the entries of R R^T outside
     its diagonal blocks are exactly zero. When the scale is a power of two
     every product sum is exact, so the residual is exactly zero for an
-    orthogonal construction.
+    orthogonal construction. The products run in float64.
     """
     if isinstance(m, OrthoMatrix):
-        r = np.multiply(m.blocks, dtype(m.scale), dtype=dtype)
+        r = np.multiply(m.blocks, m.scale, dtype=np.float64)
     else:
-        r = np.asarray(m, dtype=dtype)[np.newaxis]
+        r = np.asarray(m, dtype=np.float64)[np.newaxis]
     gram = r @ r.transpose(0, 2, 1)
-    gram -= np.eye(r.shape[1], dtype=dtype)
+    gram -= np.eye(r.shape[1])
     return float(np.max(np.abs(gram, out=gram)))
 

@@ -13,6 +13,7 @@ from seqrot.errors import InvalidSpecError
 from seqrot.rotation import (
     IDENTITY,
     R2,
+    R4_MODES,
     RotationAssignment,
     assignment_table,
     build_toy_block,
@@ -106,19 +107,14 @@ def flip_columns(signs: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (signs * d[np.newaxis, :]).astype(np.int8)
 
 
-def gsr_signs(c: int, g: int, base: str = "walsh", seed=None,
-              per_block_random: bool = False) -> np.ndarray:
+def gsr_signs(c: int, g: int, base: str = "walsh", seed=None) -> np.ndarray:
     block = walsh_signs(g) if base == "walsh" else hadamard_signs(g)
     signs = np.zeros((c, c), dtype=np.int8)
     for b in range(c // g):
         signs[b * g:(b + 1) * g, b * g:(b + 1) * g] = block
     if seed is None:
         return signs
-    if per_block_random:
-        d = np.concatenate([splitmix64_signs(_mix_seed(seed, b), g) for b in range(c // g)])
-    else:
-        d = splitmix64_signs(seed, c)
-    return flip_columns(signs, d)
+    return flip_columns(signs, splitmix64_signs(seed, c))
 
 
 # Fusion with every rotation densified: R2 as the Kronecker product of an
@@ -282,26 +278,29 @@ def gptq_codes(w, hessian, spec, damp=0.01):
     return codes
 
 
-def r4_cells(cfg, modes, weight_spec, act_spec, n_seeds, r1_kind, r4_kind, base_seed):
+def r4_cells(cfg, weight_spec, act_spec, n_seeds, r1_kind, r4_kind, base_seed):
     """Cells of ``harness.r4_ablation`` (mode -> setting -> array over seeds),
-    with every weight quantized inside each ``forward`` call."""
+    with every weight of every fused block quantized afresh."""
     wlabel = f"w{weight_spec.bits}"
     quant_for = {"w16a16": (None, None), wlabel: (weight_spec, None),
                  f"{wlabel}a{act_spec.bits}": (weight_spec, act_spec)}
-    cells = {mode: {s: np.zeros(n_seeds) for s in quant_for} for mode in modes}
+    cells = {mode: {s: np.zeros(n_seeds) for s in quant_for} for mode in R4_MODES}
     for i in range(n_seeds):
         seed = base_seed + i
         block = build_toy_block(replace(cfg, seed=_mix_seed(seed, 1)))
         x = np.random.default_rng(_mix_seed(seed, 2)).standard_normal(
             (cfg.seq_len, cfg.hidden))
         y_ref = forward(block, x)
-        for mode in modes:
+        for mode in R4_MODES:
             fused = fuse_rotations(block, RotationAssignment(
                 r1=r1_kind, r4=r4_kind, r4_mode=mode, seed=_mix_seed(seed, 3)))
             r1 = fused.input_rotation
             x_in = x if r1 is None else r1.apply(x)
             for s, (wspec, aspec) in quant_for.items():
-                y = forward(fused, x_in, weight_spec=wspec, act_spec=aspec)
+                qfused = fused if wspec is None else replace(fused, weights={
+                    k: quant.dequantize(quant.rtn_quantize(w.T, wspec)).T
+                    for k, w in fused.weights.items()})
+                y = forward(qfused, x_in, act_spec=aspec)
                 if r1 is not None:
                     y = r1.apply(y, transpose=True)
                 cells[mode][s][i] = float(np.mean((y - y_ref) ** 2))

@@ -36,7 +36,7 @@ class TestMakeRotation:
         code, _, err = run_cli(capsys, "make-rotation", "--kind", "gsr", "--n", "8",
                                "--group", "3")
         assert code == 2
-        assert "group must be a power of two dividing n" in err
+        assert "group size must be a power of two, got 3" in err
 
     def test_non_power_of_two_n_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "make-rotation", "--kind", "gh", "--n", "12")
@@ -68,9 +68,11 @@ class TestMakeRotation:
         assert not np.array_equal(seeded.blocks, plain.blocks)
 
     def test_order_too_large_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "make-rotation", "--kind", "gh", "--n", "131072")
-        assert code == 2
-        assert "exceeds maximum" in err
+        for kind in ("gh", "lh", "gsr"):
+            code, _, err = run_cli(capsys, "make-rotation", "--kind", kind, "--n", "131072",
+                                   "--group", "64")
+            assert code == 2, kind
+            assert "exceeds maximum" in err
 
 
 class TestInspect:

@@ -6,7 +6,7 @@ import pytest
 
 import seqrot.rotation as rotation
 from seqrot.errors import DimensionMismatchError, InvalidConfigError, NotOrthogonalError
-from seqrot.quant import QuantSpec
+from seqrot.quant import QuantSpec, dequantize, rtn_quantize
 from seqrot.rotation import (
     RotationAssignment,
     ToyBlockConfig,
@@ -27,6 +27,13 @@ from seqrot.transforms import (
     hadamard_sylvester,
     randomize_signs,
 )
+
+
+def _weights_quantized(block, spec):
+    """``block`` with every weight round-tripped through the group quantizer,
+    groups along the input channels of each output."""
+    return replace(block, weights={k: dequantize(rtn_quantize(w.T, spec)).T
+                                   for k, w in block.weights.items()})
 
 
 class TestAssignmentTable:
@@ -308,11 +315,12 @@ class TestFusionMatchesDenseOracle:
         x = np.random.default_rng(7).standard_normal((cfg.seq_len, cfg.hidden))
         x_in = fused.input_rotation.apply(x.astype(np.float32))
         assert x_in.dtype == np.float32
-        for kw in ({}, {"weight_spec": QuantSpec(bits=4, group_size=16),
-                        "act_spec": QuantSpec(bits=4, group_size=16, symmetric=True)}):
-            y = forward(fused, x_in, dtype=np.float32, **kw)
+        qfused = _weights_quantized(fused, QuantSpec(bits=4, group_size=16))
+        for b, kw in ((fused, {}),
+                      (qfused, {"act_spec": QuantSpec(bits=4, group_size=16, symmetric=True)})):
+            y = forward(b, x_in, dtype=np.float32, **kw)
             assert y.dtype == np.float32
-            y64 = forward(fused, fused.input_rotation.apply(x), **kw)
+            y64 = forward(b, fused.input_rotation.apply(x), **kw)
             assert np.max(np.abs(y - y64)) < 1e-3
 
 
@@ -321,15 +329,14 @@ class TestQuantizedForward:
         cfg = ToyBlockConfig()
         block = build_toy_block(cfg)
         x = np.random.default_rng(0).standard_normal((cfg.seq_len, cfg.hidden))
-        assert np.array_equal(forward(block, x),
-                              forward(block, x, weight_spec=None, act_spec=None))
+        assert np.array_equal(forward(block, x), forward(block, x, act_spec=None))
 
     def test_w8_close_to_full_precision(self):
         cfg = ToyBlockConfig()
         block = build_toy_block(cfg)
         x = np.random.default_rng(0).standard_normal((cfg.seq_len, cfg.hidden))
         y = forward(block, x)
-        yq = forward(block, x, weight_spec=QuantSpec(bits=8, group_size=16))
+        yq = forward(_weights_quantized(block, QuantSpec(bits=8, group_size=16)), x)
         rel = np.linalg.norm(yq - y) / np.linalg.norm(y)
         assert rel < 5e-2
         assert rel < 2e-2  # regression margin: measured 0.0054 on this seed

@@ -1,8 +1,11 @@
 import json
+import os
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,9 +29,11 @@ from seqrot.tensorfile import (
     read_tensor,
     save_quantized,
     save_rotation,
+    write_report,
     write_tensor,
 )
 from seqrot.transforms import (
+    KIND_GROUPED,
     KIND_HADAMARD,
     KIND_WALSH,
     OrthoMatrix,
@@ -36,7 +41,6 @@ from seqrot.transforms import (
     hadamard_sylvester,
     orthogonality_residual,
     randomize_signs,
-    walsh_from_hadamard,
 )
 
 
@@ -90,6 +94,34 @@ class TestRoundTrip:
     def test_unsupported_dtype(self, tmp_path):
         with pytest.raises(UnsupportedDtypeError):
             write_tensor(tmp_path / "bad.gsrt", np.zeros(3, dtype=np.int32))
+
+
+_WRITERS = {
+    "write_tensor": lambda p: write_tensor(p, np.arange(4.0), {"k": 1}),
+    "write_report": lambda p: write_report(p, SimpleNamespace(
+        variants=("gh",), metrics=("mse",), per_tensor={"gh": {"mse": [0.25, 0.5]}})),
+}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", _WRITERS)
+    def test_missing_directory(self, tmp_path, writer):
+        with pytest.raises(IoFailureError):
+            _WRITERS[writer](tmp_path / "missing" / "out")
+
+    @pytest.mark.parametrize("writer", _WRITERS)
+    def test_failed_rename_keeps_the_earlier_file(self, tmp_path, monkeypatch, writer):
+        target = tmp_path / "out"
+        target.write_bytes(b"earlier")
+
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(IoFailureError):
+            _WRITERS[writer](target)
+        assert target.read_bytes() == b"earlier"
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestCorruption:
@@ -178,7 +210,7 @@ class TestByteMutation:
                    "q": (read_tensor, load_quantized)}
         for name, write in (("t", lambda p: write_tensor(p, np.arange(6.0).reshape(2, 3),
                                                           {"k": [1, "x"]})),
-                            ("r", lambda p: save_rotation(p, gsr(8, 4, seed=1))),
+                            ("r", lambda p: save_rotation(p, randomize_signs(gsr(8, 4), 1))),
                             ("q", lambda p: save_quantized(p, quantized))):
             p = tmp_path / f"{name}.gsrt"
             write(p)
@@ -235,14 +267,17 @@ class TestByteMutation:
             load_rotation(p)
 
 
-def _constructed(kind, n, g, seed):
-    """The rotation of ``kind`` from the constructors themselves."""
+def _expected(kind, n, g, seed):
+    """The n x n signs and the provenance of ``kind`` from the loop oracles."""
     if kind in ("lh", "gsr"):
-        return gsr(n, g, base=KIND_HADAMARD if kind == "lh" else KIND_WALSH, seed=seed)
-    m = hadamard_sylvester(n)
-    if kind == "gw":
-        m = walsh_from_hadamard(m)
-    return m if seed is None else randomize_signs(m, seed)
+        base = KIND_HADAMARD if kind == "lh" else KIND_WALSH
+        return oracles.gsr_signs(n, g, base, seed), (1 / np.sqrt(g), KIND_GROUPED, g, base,
+                                                     seed)
+    signs = oracles.hadamard_signs(n) if kind == "gh" else oracles.walsh_signs(n)
+    if seed is not None:
+        signs = oracles.flip_columns(signs, oracles.splitmix64_signs(seed, n))
+    return signs, (1 / np.sqrt(n), KIND_HADAMARD if kind == "gh" else KIND_WALSH, None,
+                   None, seed)
 
 
 def _provenance(m):
@@ -269,9 +304,9 @@ class TestRotationFiles:
         n = 1 << log_n
         g = 1 << data.draw(st.integers(1, log_n), label="log_g")
         m = build_rotation(kind, n, g, seed)
-        want = _constructed(kind, n, g, seed)
-        assert m.blocks.dtype == np.int8 and np.array_equal(m.blocks, want.blocks)
-        assert _provenance(m) == _provenance(want)
+        signs, provenance = _expected(kind, n, g, seed)
+        assert m.blocks.dtype == np.int8 and np.array_equal(m.signs, signs)
+        assert _provenance(m) == provenance
         p = tmp_path / "r.gsrt"
         save_rotation(p, m)
         back = load_rotation(p)

@@ -206,14 +206,16 @@ class TestGsr:
 
     def test_randomized_orthogonal(self):
         for seed in range(5):
-            m = gsr(64, 16, seed=seed)
+            m = randomize_signs(gsr(64, 16), seed)
             assert orthogonality_residual(m) < 1e-10
 
-    def test_per_block_randomization_differs_from_shared(self):
-        a = gsr(32, 8, seed=3)
-        b = gsr(32, 8, seed=3, per_block_random=True)
-        assert not np.array_equal(a.signs, b.signs)
-        assert orthogonality_residual(b) < 1e-10
+    def test_order_above_max_rejected_before_allocating(self, monkeypatch):
+        def no_repeat(*args, **kwargs):
+            raise AssertionError("blocks were allocated")
+
+        monkeypatch.setattr(np, "repeat", no_repeat)
+        with pytest.raises(OrderTooLargeError):
+            gsr(2 * MAX_ORDER, 64)
 
     def test_hadamard_base(self):
         m = gsr(16, 4, base=KIND_HADAMARD)
@@ -325,8 +327,8 @@ class TestVectorizedConstructors:
     @pytest.mark.parametrize("n,g", [(8, 2), (64, 8), (512, 64), (256, 256)])
     def test_row_sequencies_grouped(self, n, g):
         # counted on the blocks, against the oracle on the n x n matrix with its zeros
-        for m in (gsr(n, g), gsr(n, g, base=KIND_HADAMARD, seed=3),
-                  gsr(n, g, seed=5, per_block_random=True)):
+        for m in (gsr(n, g), randomize_signs(gsr(n, g, base=KIND_HADAMARD), 3),
+                  randomize_signs(gsr(n, g), 5)):
             got = sequency_profile(m, g).per_row_sequency
             assert got.dtype == np.int64
             assert np.array_equal(got, oracles.row_sequencies(m.signs))
@@ -342,13 +344,13 @@ class TestVectorizedConstructors:
 class TestDense:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_matches_cast_then_scale(self, dtype):
-        for m in (randomize_signs(hadamard_sylvester(64), 1), gsr(64, 16, seed=2)):
+        for m in (randomize_signs(hadamard_sylvester(64), 1), randomize_signs(gsr(64, 16), 2)):
             got = m.dense(dtype)
             assert got.dtype == dtype
             assert got.tobytes() == oracles.dense(m, dtype).tobytes()
 
     def test_blocks_are_the_diagonal_blocks(self):
-        m = gsr(64, 16, base=KIND_HADAMARD, seed=4)
+        m = randomize_signs(gsr(64, 16, base=KIND_HADAMARD), 4)
         d = m.dense()
         assert m.blocks.shape == (4, 16, 16) and m.blocks.dtype == np.int8
         for b, blk in enumerate(m.blocks):
@@ -368,7 +370,7 @@ class TestRotationOperator:
     def test_grouped_matches_dense(self, n, g):
         rng = np.random.default_rng(n + g)
         x = rng.standard_normal((5, n))
-        for m in (gsr(n, g), gsr(n, g, base=KIND_HADAMARD, seed=9)):
+        for m in (gsr(n, g), randomize_signs(gsr(n, g, base=KIND_HADAMARD), 9)):
             op = RotationOperator(m)
             assert (op.matrix is None) == (n > g)   # one block is a dense product
             d = m.dense()
@@ -383,13 +385,13 @@ class TestRotationOperator:
         product of 64x64 blocks sums in another order than the dense one,
         which is why the operator keeps contiguous transposed blocks."""
         x = np.random.default_rng(rows).standard_normal((rows, n))
-        for m in (gsr(n, 64), gsr(n, 64, base=KIND_HADAMARD, seed=9)):
+        for m in (gsr(n, 64), randomize_signs(gsr(n, 64, base=KIND_HADAMARD), 9)):
             op, d = RotationOperator(m), m.dense()
             assert np.array_equal(op.apply(x), x @ d)
             assert np.array_equal(op.apply(x, transpose=True), x @ d.T)
 
     def test_grouped_on_transposed_input(self):
-        m = gsr(64, 16, base=KIND_HADAMARD, seed=1)
+        m = randomize_signs(gsr(64, 16, base=KIND_HADAMARD), 1)
         x = np.random.default_rng(0).standard_normal((64, 64))
         op = RotationOperator(m)
         assert np.max(np.abs(op.apply(x.T) - x.T @ m.dense())) < 1e-12
@@ -407,7 +409,7 @@ class TestRotationOperator:
 
     def test_round_trip(self):
         x = np.random.default_rng(4).standard_normal((3, 256))
-        op = RotationOperator(gsr(256, 32, base=KIND_HADAMARD, seed=2))
+        op = RotationOperator(randomize_signs(gsr(256, 32, base=KIND_HADAMARD), 2))
         assert np.max(np.abs(op.apply(op.apply(x), transpose=True) - x)) < 1e-12
 
     def test_rejects_wrong_width(self):
@@ -431,12 +433,9 @@ class TestBlockStorage:
                       (randomize_signs(w, seed), oracles.flip_columns(cases[1][1], d))]
         for g in (1 << j for j in range(1, k + 1)):
             for base in (KIND_WALSH, KIND_HADAMARD):
-                for seed, per_block in ((None, False), (7, False), (7, True)):
-                    cases.append((gsr(n, g, base=base, seed=seed, per_block_random=per_block),
-                                  oracles.gsr_signs(n, g, base, seed, per_block)))
-            cases.append((randomize_signs(gsr(n, g), 3),
-                          oracles.flip_columns(oracles.gsr_signs(n, g),
-                                               oracles.splitmix64_signs(3, n))))
+                cases += [(gsr(n, g, base=base), oracles.gsr_signs(n, g, base)),
+                          (randomize_signs(gsr(n, g, base=base), 7),
+                           oracles.gsr_signs(n, g, base, 7))]
         for m, want in cases:
             signs = m.signs
             assert signs.dtype == np.int8 and signs.shape == (n, n)
@@ -462,7 +461,7 @@ class TestBlockStorage:
 
 
 class TestOperatorDtype:
-    @pytest.mark.parametrize("r", [gsr(64, 16, base=KIND_HADAMARD, seed=1),
+    @pytest.mark.parametrize("r", [randomize_signs(gsr(64, 16, base=KIND_HADAMARD), 1),
                                    walsh_from_hadamard(hadamard_sylvester(64))])
     def test_products_run_in_the_dtype_of_x(self, r):
         x = np.random.default_rng(1).standard_normal((3, 64))
