@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .corpus import CorpusSpec, gen_corpus
+from .corpus import DIST_STUDENT_T, DISTS, CorpusSpec, gen_corpus
 from .errors import (
     GroupDoesNotDivideError,
     InvalidConfigError,
@@ -33,9 +33,11 @@ from .quant import (
     rtn_quantize,
 )
 from .rotation import (
+    IDENTITY,
+    R4_GLOBAL,
+    R4_MODES,
     RotationAssignment,
     ToyBlockConfig,
-    build_rotation,
     invariance_max_diff,
 )
 from .tensorfile import (
@@ -46,7 +48,10 @@ from .tensorfile import (
     write_report,
 )
 from .transforms import (
+    KIND_GSR,
+    KINDS,
     OrthoMatrix,
+    build_rotation,
     orthogonality_residual,
     sequency_profile,
 )
@@ -89,7 +94,7 @@ def _parse_clip(text: str) -> Clip:
 
 
 def _sequency_summary(m: OrthoMatrix, group: int | None) -> str:
-    prof = sequency_profile(m, group or m.group_size or m.n)
+    prof = sequency_profile(m, m.blocks.shape[1] if group is None else group)
     seq = prof.per_row_sequency
     lines = []
     if m.n <= 64:
@@ -117,13 +122,12 @@ def cmd_make_rotation(args) -> int:
 def cmd_inspect(args) -> int:
     arr, meta = read_tensor(args.file)
     print(f"shape {arr.shape}  dtype {arr.dtype}  metadata {meta}")
-    if meta.get("content") == "rotation" and arr.dtype == np.int8:
+    if meta.get("content") == "rotation":
         m = load_rotation(args.file)
         print(f"orthogonality residual {orthogonality_residual(m):.3e}")
         print(_sequency_summary(m, args.group))
     elif arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        residual = orthogonality_residual(arr.astype(np.float64))
-        print(f"orthogonality residual {residual:.3e}")
+        print(f"orthogonality residual {orthogonality_residual(arr):.3e}")
     return 0
 
 
@@ -134,7 +138,7 @@ def cmd_quantize(args) -> int:
         raise UsageError(f"quantize expects a 2-D tensor, got shape {w.shape}")
     spec = QuantSpec(bits=args.bits, group_size=args.group,
                      symmetric=args.symmetric, clip=_parse_clip(args.clip))
-    if args.scheme == "rtn":
+    if args.scheme == harness.QUANTIZER_RTN:
         qt = rtn_quantize(w, spec)
     else:
         rng = np.random.default_rng(args.seed)
@@ -236,12 +240,18 @@ def cmd_r4_ablation(args) -> int:
     return 0
 
 
+def _add_toy_block_flags(p: argparse.ArgumentParser) -> None:
+    for flag, default in (("--hidden", 64), ("--heads", 4), ("--ffn", 128), ("--group", 16),
+                          ("--seq-len", 8), ("--seeds", 20)):
+        p.add_argument(flag, type=int, default=default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="seqrot")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make-rotation")
-    p.add_argument("--kind", choices=("gh", "gw", "lh", "gsr"), required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)   # None: signs as constructed
@@ -257,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--group", type=int, default=None)
-    p.add_argument("--scheme", choices=("rtn", "gptq"), default="rtn")
+    p.add_argument("--scheme", choices=harness.QUANTIZERS, default=harness.QUANTIZER_RTN)
     p.add_argument("--clip", default="none")
     p.add_argument("--symmetric", action="store_true")
     p.add_argument("--calib-samples", type=int, default=256)
@@ -266,15 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("compare")
-    p.add_argument("--variants", default="gh,gw,lh,gsr")
+    p.add_argument("--variants", default=",".join(KINDS))
     p.add_argument("--bits", type=int, default=2)
     p.add_argument("--group", type=int, default=64)
-    p.add_argument("--quantizer", choices=("rtn", "gptq"), default="rtn")
+    p.add_argument("--quantizer", choices=harness.QUANTIZERS, default=harness.QUANTIZER_RTN)
     p.add_argument("--clip", default="mse")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--rows", type=int, default=512)
     p.add_argument("--cols", type=int, default=512)
-    p.add_argument("--dist", choices=("gaussian", "student_t"), default="student_t")
+    p.add_argument("--dist", choices=DISTS, default=DIST_STUDENT_T)
     p.add_argument("--t-dof", type=float, default=4.0)
     p.add_argument("--outliers", type=int, default=4)
     p.add_argument("--outlier-gain", type=float, default=20.0)
@@ -285,28 +295,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariance")
     for slot in ("r1", "r2", "r3", "r4"):
-        p.add_argument(f"--{slot}", default="identity")
-    p.add_argument("--r4-mode", choices=("global", "local"), default="global")
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--ffn", type=int, default=128)
-    p.add_argument("--group", type=int, default=16)
-    p.add_argument("--seq-len", type=int, default=8)
-    p.add_argument("--seeds", type=int, default=20)
+        p.add_argument(f"--{slot}", default=IDENTITY)
+    p.add_argument("--r4-mode", choices=R4_MODES, default=R4_GLOBAL)
+    _add_toy_block_flags(p)
     p.add_argument("--precision", choices=("f32", "f64"), default="f64")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_invariance)
 
     p = sub.add_parser("r4-ablation")
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--ffn", type=int, default=128)
-    p.add_argument("--group", type=int, default=16)
-    p.add_argument("--seq-len", type=int, default=8)
-    p.add_argument("--seeds", type=int, default=20)
+    _add_toy_block_flags(p)
     p.add_argument("--bits", type=int, default=2)
     p.add_argument("--act-bits", type=int, default=4)
-    p.add_argument("--r1", default="gsr")
+    p.add_argument("--r1", default=KIND_GSR)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_r4_ablation)
     return parser
@@ -318,10 +318,7 @@ def main(argv=None) -> int:
     print(config_line(parser, args))
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (NonPowerOfTwoError, OrderTooLargeError, GroupDoesNotDivideError,
+    except (UsageError, NonPowerOfTwoError, OrderTooLargeError, GroupDoesNotDivideError,
             InvalidSpecError, InvalidConfigError) as exc:
         # bad user-supplied values surface as usage errors, like argparse's own
         print(f"error: {exc}", file=sys.stderr)

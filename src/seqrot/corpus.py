@@ -18,6 +18,7 @@ from .errors import InvalidSpecError
 
 DIST_GAUSSIAN = "gaussian"
 DIST_STUDENT_T = "student_t"
+DISTS = (DIST_GAUSSIAN, DIST_STUDENT_T)
 
 # cycles across the input-channel span of the smooth component's modes
 _SMOOTH_CYCLES = (2.0, 4.0, 8.0, 16.0)
@@ -40,7 +41,7 @@ class CorpusSpec:
             raise InvalidSpecError("count must be at least 1")
         if self.rows < 2 or self.cols < 2:
             raise InvalidSpecError("rows and cols must be at least 2")
-        if self.base_dist not in (DIST_GAUSSIAN, DIST_STUDENT_T):
+        if self.base_dist not in DISTS:
             raise InvalidSpecError(f"unknown base distribution {self.base_dist!r}")
         if self.base_dist == DIST_STUDENT_T and self.t_dof <= 2:
             raise InvalidSpecError("student-t dof must exceed 2 for finite variance")

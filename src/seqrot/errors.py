@@ -17,6 +17,10 @@ class EmptyRowError(SeqrotError, ValueError):
     """Sequency of an empty row is undefined."""
 
 
+class NonSignEntryError(SeqrotError, ValueError):
+    """Sequency is defined only for a row of +1 and -1 entries."""
+
+
 class NotHadamardError(SeqrotError, ValueError):
     """Operation requires a natural-order Hadamard matrix."""
 

@@ -41,14 +41,24 @@ from .rotation import (
     fuse_rotations,
     resolve_variant,
 )
-from .transforms import RotationOperator, _mix_seed, natural_sequency_formula
+from .transforms import (
+    KIND_GH,
+    KIND_GSR,
+    KIND_GW,
+    KIND_LH,
+    RotationOperator,
+    _mix_seed,
+    _require_group_divides,
+    natural_sequency_formula,
+)
 
 METRICS = (METRIC_MSE, METRIC_MAX_ABS, METRIC_PROXY)
 
 QUANTIZER_RTN = "rtn"
 QUANTIZER_GPTQ = "gptq"
+QUANTIZERS = (QUANTIZER_RTN, QUANTIZER_GPTQ)
 
-DEFAULT_PAIRS = (("gw", "gh"), ("gsr", "lh"), ("gsr", "gh"))
+DEFAULT_PAIRS = ((KIND_GW, KIND_GH), (KIND_GSR, KIND_LH), (KIND_GSR, KIND_GH))
 
 
 @dataclass
@@ -76,7 +86,7 @@ def run_comparison(corpus, variants, wspec: QuantSpec | None,
     is the identity. ``wspec=None`` skips quantization, which isolates the
     rotate/rotate-back round trip.
     """
-    if quantizer not in (QUANTIZER_RTN, QUANTIZER_GPTQ):
+    if quantizer not in QUANTIZERS:
         raise InvalidSpecError(f"unknown quantizer {quantizer!r}")
     cols = corpus[0].shape[1]
     for t in corpus:
@@ -186,8 +196,7 @@ def directional_tests(report: ExperimentReport, pairs=DEFAULT_PAIRS,
 
 def sequency_variance_report(n: int, group: int) -> dict:
     """Per-group sequency variance of natural versus sequency-ordered rows."""
-    if n % group != 0:
-        raise DimensionMismatchError(f"group {group} does not divide order {n}")
+    _require_group_divides(group, n)
     natural = natural_sequency_formula(n).astype(np.float64)
     natural = natural.reshape(-1, group).var(axis=1)
     walsh = np.arange(n, dtype=np.float64).reshape(-1, group).var(axis=1)
@@ -204,15 +213,12 @@ def sequency_variance_report(n: int, group: int) -> dict:
 def sequency_variance_sweep(max_n: int = 4096) -> list[dict]:
     """Mean group variance of both orderings for every (n, G), 2 <= G < n."""
     out = []
-    n = 4
-    while n <= max_n:
-        g = 2
-        while g < n:
-            rep = sequency_variance_report(n, g)
-            out.append({"n": n, "group": g, "natural": rep["natural_mean_variance"],
+    for log_n in range(2, max_n.bit_length()):   # n = 4, 8, ... up to max_n
+        for log_g in range(1, log_n):
+            rep = sequency_variance_report(1 << log_n, 1 << log_g)
+            out.append({"n": rep["n"], "group": rep["group"],
+                        "natural": rep["natural_mean_variance"],
                         "walsh": rep["walsh_mean_variance"]})
-            g *= 2
-        n *= 2
     return out
 
 
@@ -247,8 +253,8 @@ ROUNDOFF_MSE = (64 * np.finfo(np.float64).eps) ** 2
 
 def r4_ablation(cfg: ToyBlockConfig, weight_spec: QuantSpec | None = None,
                 act_spec: QuantSpec | None = None,
-                n_seeds: int = 20, r1_kind: str = "gsr",
-                r4_kind: str = "gh", base_seed: int = 0) -> AblationReport:
+                n_seeds: int = 20, r1_kind: str = KIND_GSR,
+                r4_kind: str = KIND_GH, base_seed: int = 0) -> AblationReport:
     """Global-vs-local online FFN rotation under weight/activation quantization.
 
     Both modes of ``R4_MODES`` run for every seed. Cells are output MSE

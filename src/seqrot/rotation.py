@@ -22,30 +22,23 @@ from .errors import DimensionMismatchError, InvalidConfigError, NotOrthogonalErr
 from .quant import dequantize, rtn_quantize
 from .tensorfile import load_rotation
 from .transforms import (
-    KIND_HADAMARD,
-    KIND_WALSH,
+    KIND_GH,
+    KIND_GSR,
+    KIND_GW,
+    KIND_LH,
+    KINDS,
     OrthoMatrix,
     RotationOperator,
     _float_blocks,
     _mix_seed,
-    gsr,
-    hadamard_sylvester,
+    build_rotation,
     is_power_of_two,
     orthogonality_residual,
-    randomize_signs,
-    walsh_from_hadamard,
 )
 
 WEIGHT_NAMES = ("wq", "wk", "wv", "wo", "wup", "wgate", "wdown")
 
 R1, R2, R3, R4, IDENTITY = "r1", "r2", "r3", "r4", "identity"
-
-VARIANT_IDENTITY = "identity"
-VARIANT_GH = "gh"    # global Hadamard (randomized)
-VARIANT_GW = "gw"    # global Walsh (unrandomized)
-VARIANT_LH = "lh"    # local Hadamard blocks (randomized)
-VARIANT_GSR = "gsr"  # local Walsh blocks (unrandomized)
-VARIANTS = (VARIANT_GH, VARIANT_GW, VARIANT_LH, VARIANT_GSR)
 
 R4_GLOBAL = "global"
 R4_LOCAL = "local"
@@ -132,12 +125,12 @@ def build_toy_block(cfg: ToyBlockConfig) -> ToyBlock:
 
 @dataclass(frozen=True)
 class RotationAssignment:
-    """Which rotation to place in each slot; strings name a variant or a file path."""
+    """Which rotation to place in each slot; strings name a kind, identity or a file path."""
 
-    r1: str = VARIANT_IDENTITY
-    r2: str = VARIANT_IDENTITY
-    r3: str = VARIANT_IDENTITY
-    r4: str = VARIANT_IDENTITY
+    r1: str = IDENTITY
+    r2: str = IDENTITY
+    r3: str = IDENTITY
+    r4: str = IDENTITY
     r4_mode: str = R4_GLOBAL
     seed: int = 0
 
@@ -145,26 +138,6 @@ class RotationAssignment:
         if self.r4_mode not in R4_MODES:
             raise InvalidConfigError(
                 f"r4_mode must be one of {R4_MODES}, got {self.r4_mode!r}")
-
-
-def build_rotation(kind: str, n: int, group: int | None = None,
-                   seed: int | None = None) -> OrthoMatrix:
-    """The rotation of variant ``kind`` (gh, gw, lh or gsr) at order ``n``.
-
-    ``group`` is the block order of lh and gsr. With ``seed`` the column signs
-    are flipped from that seed's stream; ``None`` leaves them as constructed.
-    """
-    if kind in (VARIANT_LH, VARIANT_GSR):
-        if group is None:
-            raise InvalidConfigError(f"{kind} needs a group size")
-        m = gsr(n, group, base=KIND_HADAMARD if kind == VARIANT_LH else KIND_WALSH)
-    elif kind in (VARIANT_GH, VARIANT_GW):
-        m = hadamard_sylvester(n)
-        if kind == VARIANT_GW:
-            m = walsh_from_hadamard(m)
-    else:
-        raise InvalidConfigError(f"rotation kind must be one of {VARIANTS}, got {kind!r}")
-    return m if seed is None else randomize_signs(m, seed)
 
 
 def resolve_variant(kind: str, size: int, group: int, seed: int,
@@ -176,13 +149,13 @@ def resolve_variant(kind: str, size: int, group: int, seed: int,
     Any other ``kind`` is a rotation file (``load_rotation``), which must hold
     an orthogonal matrix of order ``size`` (residual at most 1e-8).
     """
-    if kind == VARIANT_IDENTITY:
+    if kind == IDENTITY:
         return None
-    if kind in VARIANTS:
+    if kind in KINDS:
         if local:
-            kind = {VARIANT_GH: VARIANT_LH, VARIANT_GW: VARIANT_GSR}.get(kind, kind)
+            kind = {KIND_GH: KIND_LH, KIND_GW: KIND_GSR}.get(kind, kind)
         return build_rotation(kind, size, group,
-                              seed if kind in (VARIANT_GH, VARIANT_LH) else None)
+                              seed if kind in (KIND_GH, KIND_LH) else None)
     r = load_rotation(kind)
     shape = (r.n, r.n) if isinstance(r, OrthoMatrix) else r.shape
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -272,10 +245,6 @@ def _maybe_quantize_weight(w: np.ndarray, spec) -> np.ndarray:
     return dequantize(rtn_quantize(w.T, spec)).T
 
 
-def _fake_quantize_activation(a: np.ndarray, spec) -> np.ndarray:
-    return dequantize(rtn_quantize(a, spec))
-
-
 def forward(block: ToyBlock, x: np.ndarray, act_spec=None,
             dtype=np.float64) -> np.ndarray:
     """RMSNorm -> causal attention (RoPE) -> residual -> RMSNorm -> SwiGLU -> residual.
@@ -315,7 +284,7 @@ def forward(block: ToyBlock, x: np.ndarray, act_spec=None,
     if block.r4_online is not None:
         a = block.r4_online.apply(a)
     if act_spec is not None:
-        a = _fake_quantize_activation(a, act_spec).astype(dtype)
+        a = dequantize(rtn_quantize(a, act_spec)).astype(dtype)
     return x + a @ wts["wdown"]
 
 

@@ -36,7 +36,7 @@ from .errors import (
     VersionUnsupportedError,
 )
 from .quant import Clip, QuantizedTensor, QuantSpec
-from .transforms import KIND_GROUPED, OrthoMatrix
+from .transforms import KIND_GH, KIND_GW, KINDS, OrthoMatrix
 
 MAGIC = b"GSRT"
 VERSION = 1
@@ -151,15 +151,9 @@ def read_tensor(path) -> tuple[np.ndarray, dict]:
 
 
 def save_rotation(path, m: OrthoMatrix) -> None:
-    """Write the (n/b, b, b) int8 diagonal blocks of ``m`` plus its provenance."""
-    write_tensor(path, m.blocks, metadata={
-        "content": "rotation",
-        "kind": m.kind,
-        "scale": m.scale,
-        "group_size": m.group_size,
-        "block_kind": m.block_kind,
-        "seed": m.seed,
-    })
+    """Write the (n/b, b, b) int8 diagonal blocks of ``m`` plus its kind and seed."""
+    write_tensor(path, m.blocks, metadata={"content": "rotation", "kind": m.kind,
+                                           "seed": m.seed})
 
 
 def _is_int(v) -> bool:
@@ -192,9 +186,8 @@ def load_rotation(path) -> OrthoMatrix | np.ndarray:
 
 def _rotation_from(arr, meta, path) -> OrthoMatrix:
     """CorruptFileError unless the file holds (n/b, b, b) int8 +-1 diagonal
-    blocks that its metadata describes."""
-    scale, kind = meta.get("scale"), meta.get("kind")
-    group, block_kind, seed = (meta.get(k) for k in ("group_size", "block_kind", "seed"))
+    blocks of a known kind and an int or null seed."""
+    kind, seed = meta.get("kind"), meta.get("seed")
     k, b, b2 = arr.shape if arr.ndim == 3 else (0, 0, 0)
     problems = [
         # an n x n sign matrix, zeros included, is the layout before blocks
@@ -202,21 +195,17 @@ def _rotation_from(arr, meta, path) -> OrthoMatrix:
          f"{arr.dtype} payload of shape {arr.shape}; a rotation file holds its (n/b, b, b) "
          "int8 diagonal blocks (rebuild an n x n sign file with `seqrot make-rotation` "
          "from its kind, group size and seed)"),
-        (not _is_positive_float(scale), f"scale {scale!r}"),
-        (not isinstance(kind, str), f"kind {kind!r}"),
-        (not (group is None or _is_int(group) and group >= 1 and k * b % group == 0),
-         f"group size {group!r}"),
-        (kind == KIND_GROUPED and group != b, f"group size {group!r} for blocks of order {b}"),
-        (kind != KIND_GROUPED and k != 1, f"{k} blocks for the global kind {kind!r}"),
-        (not (block_kind is None or isinstance(block_kind, str)), f"block kind {block_kind!r}"),
+        (kind not in KINDS,
+         f"kind {kind!r}, not one of {', '.join(KINDS)} (rebuild a file written with the "
+         "kinds hadamard, walsh or grouped with `seqrot make-rotation`)"),
+        (kind in (KIND_GH, KIND_GW) and k != 1, f"{k} blocks for the global kind {kind!r}"),
         (not (seed is None or _is_int(seed)), f"seed {seed!r}"),
         (not np.all(np.abs(arr) == 1), "block entries are not all +-1"),
     ]
     for bad, what in problems:
         if bad:
             raise CorruptFileError(f"{path}: bad rotation file: {what}")
-    return OrthoMatrix(blocks=arr, scale=float(scale), kind=kind, group_size=group,
-                       block_kind=block_kind, seed=seed)
+    return OrthoMatrix(blocks=arr, kind=kind, seed=seed)
 
 
 def save_quantized(path, qt) -> None:

@@ -1,9 +1,9 @@
 """Construction of Hadamard, Walsh and grouped block-diagonal rotation matrices.
 
-A rotation is stored as its diagonal blocks: unnormalized {-1, +1} int8 sign
-arrays plus a scalar scale (1/sqrt(block order)). A global matrix is one
-block; a grouped one is n/g blocks of order g, so its zeros are never stored.
-This keeps construction checks exact and serialization bit-stable.
+A rotation is its diagonal blocks (unnormalized {-1, +1} int8 sign arrays,
+scaled by 1/sqrt(block order)), its kind and its sign seed. A global matrix
+is one block; a local one is n/g blocks of order g, so its zeros are never
+stored. This keeps construction checks exact and serialization bit-stable.
 ``RotationOperator`` is the one place a rotation multiplies data.
 """
 
@@ -17,7 +17,9 @@ from .errors import (
     DimensionMismatchError,
     EmptyRowError,
     GroupDoesNotDivideError,
+    InvalidConfigError,
     NonPowerOfTwoError,
+    NonSignEntryError,
     NotHadamardError,
     OrderTooLargeError,
     PermutationMismatchError,
@@ -25,9 +27,14 @@ from .errors import (
 
 MAX_ORDER = 1 << 16
 
-KIND_HADAMARD = "hadamard"  # Sylvester / natural row order
-KIND_WALSH = "walsh"        # sequency-ascending row order
-KIND_GROUPED = "grouped"    # block-diagonal, identical blocks
+# The four rotations compared: global Hadamard, global Walsh, local Hadamard
+# blocks and GSR (local Walsh blocks).
+KINDS = ("gh", "gw", "lh", "gsr")
+KIND_GH, KIND_GW, KIND_LH, KIND_GSR = KINDS
+
+# Block bases of ``gsr``: natural (Sylvester) or sequency-ascending row order.
+BASE_HADAMARD, BASE_WALSH = "hadamard", "walsh"
+BLOCK_BASES = {KIND_LH: BASE_HADAMARD, KIND_GSR: BASE_WALSH}   # of each local kind
 
 
 def is_power_of_two(n: int) -> bool:
@@ -39,22 +46,26 @@ def _require_power_of_two(n: int, what: str = "order") -> None:
         raise NonPowerOfTwoError(f"{what} must be a power of two, got {n}")
 
 
+def _require_group_divides(g: int, n: int) -> None:
+    if g < 1 or n % g != 0:
+        raise GroupDoesNotDivideError(f"group size {g} is not a positive divisor of {n}")
+
+
 @dataclass(frozen=True)
 class OrthoMatrix:
-    """An orthogonal block-diagonal rotation matrix with construction provenance.
+    """An orthogonal block-diagonal rotation: its blocks, its kind and its seed.
 
     ``blocks`` holds the (n/b, b, b) unnormalized int8 diagonal blocks; the
     dense matrix is the block-diagonal of ``blocks * scale`` with
-    ``scale = 1/sqrt(b)``. The block order b is the group size for grouped
-    kinds and the full order ``n`` otherwise (one block).
+    ``scale = 1/sqrt(b)``. ``kind`` is one of ``KINDS``; a global kind (gh,
+    gw) is one block of order n. ``seed`` is the sign-randomization seed,
+    None if the signs are as constructed. ``group_size`` (b) and
+    ``block_kind`` (the base of ``BLOCK_BASES``) are None for a global kind.
     """
 
     blocks: np.ndarray
-    scale: float
     kind: str
-    group_size: int | None = None   # block order for grouped kinds
-    block_kind: str | None = None   # base kind of the diagonal blocks
-    seed: int | None = None         # sign-randomization seed, None if unrandomized
+    seed: int | None = None
 
     def __post_init__(self):
         self.blocks.flags.writeable = False
@@ -62,6 +73,18 @@ class OrthoMatrix:
     @property
     def n(self) -> int:
         return self.blocks.shape[0] * self.blocks.shape[1]
+
+    @property
+    def scale(self) -> float:
+        return float(1.0 / np.sqrt(self.blocks.shape[1]))
+
+    @property
+    def group_size(self) -> int | None:
+        return self.blocks.shape[1] if self.kind in BLOCK_BASES else None
+
+    @property
+    def block_kind(self) -> str | None:
+        return BLOCK_BASES.get(self.kind)
 
     @property
     def signs(self) -> np.ndarray:
@@ -144,7 +167,7 @@ def hadamard_sylvester(n: int) -> OrthoMatrix:
     h = np.array([[1]], dtype=np.int8)
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
-    return OrthoMatrix(blocks=h[np.newaxis], scale=1.0 / np.sqrt(n), kind=KIND_HADAMARD)
+    return OrthoMatrix(blocks=h[np.newaxis], kind=KIND_GH)
 
 
 def row_sequency(row) -> int:
@@ -153,7 +176,7 @@ def row_sequency(row) -> int:
     if r.size == 0:
         raise EmptyRowError("sequency of an empty row is undefined")
     if not np.all(np.abs(r) == 1):
-        raise ValueError("row entries must be +1 or -1")
+        raise NonSignEntryError("row entries must be +1 or -1")
     return int(np.count_nonzero(r[1:] != r[:-1]))
 
 
@@ -170,29 +193,23 @@ def _bit_reverse(i: np.ndarray, bits: int) -> np.ndarray:
     return out
 
 
-def _gray_to_binary(g: np.ndarray, bits: int) -> np.ndarray:
-    # shifts past the highest set bit xor in zeros, so a fixed count is exact
-    b = g.copy()
-    for shift in range(1, bits):
-        b ^= g >> shift
-    return b
-
-
 def natural_sequency_formula(n: int) -> np.ndarray:
-    """Closed-form sequency of each natural-order row: gray_to_binary(bit_reverse(i)).
+    """Closed-form sequency of each natural-order row: the inverse of
+    ``walsh_permutation``, since Walsh row k has sequency k.
 
     Cross-checked against direct sign-flip counting in walsh_from_hadamard.
     """
-    _require_power_of_two(n)
-    bits = n.bit_length() - 1
-    return _gray_to_binary(_bit_reverse(np.arange(n, dtype=np.int64), bits), bits)
+    perm = walsh_permutation(n)
+    seq = np.empty_like(perm)
+    seq[perm] = np.arange(n)
+    return seq
 
 
 def walsh_permutation(n: int) -> np.ndarray:
     """Row permutation p such that Walsh row k is natural row p[k].
 
-    p[k] = bit_reverse(binary_to_gray(k)); the inverse of the closed-form
-    sequency map, so sequencies come out strictly ascending 0..n-1.
+    p[k] = bit_reverse(binary_to_gray(k)), so sequencies come out strictly
+    ascending 0..n-1.
     """
     _require_power_of_two(n)
     bits = n.bit_length() - 1
@@ -207,8 +224,8 @@ def walsh_from_hadamard(h: OrthoMatrix) -> OrthoMatrix:
     sort of the rows by counted sign flips; disagreement raises
     PermutationMismatchError since it can only come from a construction bug.
     """
-    if h.kind != KIND_HADAMARD:
-        raise NotHadamardError(f"expected a natural-order Hadamard matrix, got kind={h.kind!r}")
+    if h.kind != KIND_GH:
+        raise NotHadamardError(f"expected a global Hadamard matrix (gh), got kind={h.kind!r}")
     n = h.n
     perm = walsh_permutation(n)
     counted = _row_sequencies(h.blocks[0])
@@ -216,8 +233,7 @@ def walsh_from_hadamard(h: OrthoMatrix) -> OrthoMatrix:
     if not np.array_equal(perm, by_sort):
         raise PermutationMismatchError(
             f"bit-reversal/Gray permutation disagrees with sequency sort at n={n}")
-    return OrthoMatrix(blocks=h.blocks[:, perm], scale=h.scale, kind=KIND_WALSH,
-                       seed=h.seed)
+    return OrthoMatrix(blocks=h.blocks[:, perm], kind=KIND_GW, seed=h.seed)
 
 
 _MASK64 = (1 << 64) - 1
@@ -247,26 +263,45 @@ def randomize_signs(m: OrthoMatrix, seed: int) -> OrthoMatrix:
     return replace(m, blocks=(m.blocks * d).astype(np.int8), seed=seed)
 
 
-def gsr(c: int, g: int, base: str = KIND_WALSH) -> OrthoMatrix:
+def gsr(c: int, g: int, base: str = BASE_WALSH) -> OrthoMatrix:
     """Block-diagonal rotation with c/g identical g-by-g base blocks.
 
-    The default base is a Walsh block; ``randomize_signs`` flips its column
-    signs.
+    A Walsh base (the default) gives a ``gsr``, a Hadamard base an ``lh``;
+    ``randomize_signs`` flips its column signs.
     """
     _require_power_of_two(c, "order")
     if c > MAX_ORDER:
         raise OrderTooLargeError(f"order {c} exceeds maximum {MAX_ORDER}")
     _require_power_of_two(g, "group size")
-    if c % g != 0:
-        raise GroupDoesNotDivideError(f"group size {g} does not divide order {c}")
-    if base not in (KIND_WALSH, KIND_HADAMARD):
-        raise ValueError(f"unsupported base kind {base!r}")
+    _require_group_divides(g, c)
+    kind = next((k for k, b in BLOCK_BASES.items() if b == base), None)
+    if kind is None:
+        raise InvalidConfigError(f"block base must be one of {BASE_HADAMARD!r}, "
+                                 f"{BASE_WALSH!r}, got {base!r}")
     block = hadamard_sylvester(g)
-    if base == KIND_WALSH:
+    if base == BASE_WALSH:
         block = walsh_from_hadamard(block)
-    return OrthoMatrix(blocks=np.repeat(block.blocks, c // g, axis=0),
-                       scale=1.0 / np.sqrt(g), kind=KIND_GROUPED,
-                       group_size=g, block_kind=base)
+    return OrthoMatrix(blocks=np.repeat(block.blocks, c // g, axis=0), kind=kind)
+
+
+def build_rotation(kind: str, n: int, group: int | None = None,
+                   seed: int | None = None) -> OrthoMatrix:
+    """The rotation of ``kind`` (one of ``KINDS``) at order ``n``.
+
+    ``group`` is the block order of lh and gsr. With ``seed`` the column signs
+    are flipped from that seed's stream; ``None`` leaves them as constructed.
+    """
+    if kind in BLOCK_BASES:
+        if group is None:
+            raise InvalidConfigError(f"{kind} needs a group size")
+        m = gsr(n, group, base=BLOCK_BASES[kind])
+    elif kind in (KIND_GH, KIND_GW):
+        m = hadamard_sylvester(n)
+        if kind == KIND_GW:
+            m = walsh_from_hadamard(m)
+    else:
+        raise InvalidConfigError(f"rotation kind must be one of {KINDS}, got {kind!r}")
+    return m if seed is None else randomize_signs(m, seed)
 
 
 def _mix_seed(seed: int, stream: int) -> int:
@@ -291,8 +326,7 @@ class SequencyProfile:
 
 def sequency_profile(m: OrthoMatrix, g: int) -> SequencyProfile:
     """Per-row sequencies plus mean/population-variance over row groups of size g."""
-    if m.n % g != 0:
-        raise GroupDoesNotDivideError(f"group size {g} does not divide order {m.n}")
+    _require_group_divides(g, m.n)
     # row i of the matrix is, without its zeros, row i % b of block i // b
     seq = _row_sequencies(m.blocks.reshape(m.n, -1))
     grouped = seq.reshape(-1, g).astype(np.float64)
@@ -309,10 +343,7 @@ def orthogonality_residual(m) -> float:
     every product sum is exact, so the residual is exactly zero for an
     orthogonal construction. The products run in float64.
     """
-    if isinstance(m, OrthoMatrix):
-        r = np.multiply(m.blocks, m.scale, dtype=np.float64)
-    else:
-        r = np.asarray(m, dtype=np.float64)[np.newaxis]
+    r = _float_blocks(m)
     gram = r @ r.transpose(0, 2, 1)
     gram -= np.eye(r.shape[1])
     return float(np.max(np.abs(gram, out=gram)))

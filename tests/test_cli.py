@@ -5,9 +5,8 @@ import pytest
 
 from seqrot.cli import build_parser, config_line, main
 from seqrot.quant import rtn_quantize
-from seqrot.rotation import build_rotation
 from seqrot.tensorfile import load_quantized, load_rotation, read_report, write_tensor
-from seqrot.transforms import orthogonality_residual
+from seqrot.transforms import build_rotation, orthogonality_residual
 
 
 def run_cli(capsys, *argv):
@@ -37,6 +36,14 @@ class TestMakeRotation:
                                "--group", "3")
         assert code == 2
         assert "group size must be a power of two, got 3" in err
+
+    @pytest.mark.parametrize("group", ["-8", "0"])
+    def test_group_below_one_exits_2(self, capsys, group):
+        for kind in ("gh", "gw"):
+            code, _, err = run_cli(capsys, "make-rotation", "--kind", kind, "--n", "8",
+                                   "--group", group)
+            assert code == 2, kind
+            assert f"group size {group} is not a positive divisor of 8" in err
 
     def test_non_power_of_two_n_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "make-rotation", "--kind", "gh", "--n", "12")
@@ -83,6 +90,25 @@ class TestInspect:
         code, out, _ = run_cli(capsys, "inspect", "--file", str(p), "--group", "4")
         assert code == 0
         assert "orthogonality residual" in out
+
+    def test_file_metadata_is_kind_and_seed(self, capsys, tmp_path):
+        p = tmp_path / "lh.gsrt"
+        run_cli(capsys, "make-rotation", "--kind", "lh", "--n", "16", "--group", "4",
+                "--seed", "3", "--out", str(p))
+        code, out, _ = run_cli(capsys, "inspect", "--file", str(p))
+        assert code == 0
+        assert "metadata {'content': 'rotation', 'kind': 'lh', 'seed': 3}" in out
+        variances = out.split("group sequency variance: ")[1].split()
+        assert len(variances) == 4   # without --group, one value per block
+
+    def test_rotation_tagged_float_file_exits_1(self, capsys, tmp_path):
+        # every command that reads a rotation file rejects it, inspect too
+        p = tmp_path / "f.gsrt"
+        write_tensor(p, np.ones((2, 4, 4)), {"content": "rotation", "kind": "gsr",
+                                             "seed": None})
+        code, _, err = run_cli(capsys, "inspect", "--file", str(p))
+        assert code == 1
+        assert "bad rotation file" in err
 
     def test_missing_file_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "inspect", "--file", str(tmp_path / "no.gsrt"))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from seqrot import harness, rotation
 from seqrot.corpus import CorpusSpec, gen_corpus
-from seqrot.errors import InvalidConfigError, InvalidSpecError
+from seqrot.errors import GroupDoesNotDivideError, InvalidConfigError, InvalidSpecError
 from seqrot.harness import (
     bootstrap_median_ci,
     directional_tests,
@@ -29,7 +29,15 @@ from seqrot.quant import (
     rtn_quantize,
 )
 from seqrot.rotation import R4_MODES, ToyBlockConfig, resolve_variant
-from seqrot.transforms import KIND_GROUPED, OrthoMatrix, RotationOperator, _mix_seed, gsr
+from seqrot.transforms import (
+    KIND_GH,
+    KIND_GW,
+    KINDS,
+    OrthoMatrix,
+    RotationOperator,
+    _mix_seed,
+    gsr,
+)
 
 SMALL_CORPUS = gen_corpus(CorpusSpec(count=8, rows=64, cols=64, seed=0))
 SMALL_SPEC = QuantSpec(bits=2, group_size=16, clip=Clip.mse())
@@ -92,7 +100,7 @@ def dense_reference(corpus, variants, wspec, quantizer, seed=0, calib_samples=25
 
 
 class TestStructuredRotation:
-    VARIANTS = ("gh", "gw", "lh", "gsr")
+    VARIANTS = KINDS
 
     @pytest.mark.parametrize("quantizer", ["rtn", "gptq"])
     def test_grouped_rotations_never_densified(self, monkeypatch, quantizer):
@@ -105,8 +113,7 @@ class TestStructuredRotation:
 
         monkeypatch.setattr(OrthoMatrix, "dense", spy)
         run_comparison(SMALL_CORPUS[:2], self.VARIANTS, SMALL_SPEC, quantizer=quantizer)
-        assert KIND_GROUPED not in kinds
-        assert len(kinds) == 2   # gh and gw, once each
+        assert kinds == [KIND_GH, KIND_GW]   # once each; lh and gsr never
 
     @pytest.mark.parametrize("quantizer", ["rtn", "gptq"])
     def test_matches_dense_products(self, quantizer):
@@ -187,6 +194,11 @@ class TestSequencyVariance:
     def test_walsh_analytic(self):
         rep = sequency_variance_report(128, 32)
         assert np.all(rep["walsh_variance"] == (32 ** 2 - 1) / 12)
+
+    @pytest.mark.parametrize("group", [-8, 0, 3])
+    def test_rejects_group_that_is_not_a_positive_divisor(self, group):
+        with pytest.raises(GroupDoesNotDivideError):
+            sequency_variance_report(8, group)
 
     def test_sweep_walsh_always_below(self):
         for row in sequency_variance_sweep(512):

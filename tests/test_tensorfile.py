@@ -1,7 +1,6 @@
 import json
 import os
 import struct
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +21,7 @@ from seqrot.errors import (
     VersionUnsupportedError,
 )
 from seqrot.quant import Clip, QuantSpec, dequantize, rtn_quantize
-from seqrot.rotation import VARIANTS, build_rotation, resolve_variant
+from seqrot.rotation import resolve_variant
 from seqrot.tensorfile import (
     load_quantized,
     load_rotation,
@@ -33,10 +32,12 @@ from seqrot.tensorfile import (
     write_tensor,
 )
 from seqrot.transforms import (
-    KIND_GROUPED,
-    KIND_HADAMARD,
-    KIND_WALSH,
+    BASE_HADAMARD,
+    BASE_WALSH,
+    KIND_GSR,
+    KINDS,
     OrthoMatrix,
+    build_rotation,
     gsr,
     hadamard_sylvester,
     orthogonality_residual,
@@ -222,21 +223,21 @@ class TestByteMutation:
                     pass
 
     @pytest.mark.parametrize("change", [
-        {"scale": "x"}, {"scale": None}, {"scale": float("inf")}, {"scale": -0.5},
-        {"kind": 3}, {"group_size": 3}, {"group_size": "4"}, {"group_size": None},
-        {"scale": 10 ** 400}, {"block_kind": 1}, {"seed": 1.5}, {"content": "rotatiom"},
-        # the n x n sign matrix of the layout before blocks; blocks of another order
-        {"payload": "signs"}, {"group_size": 2},
+        # the kinds of files written before gh/gw/lh/gsr, and other unknown kinds
+        {"kind": "grouped"}, {"kind": "walsh"}, {"kind": "hadamard"}, {"kind": None},
+        {"kind": 3}, {"kind": "GSR"}, {"kind": "identity"}, {"kind": ["gsr"]},
+        {"seed": "1"}, {"seed": True}, {"seed": 1.5}, {"content": "rotatiom"},
+        # the n x n sign matrix of the layout before blocks
+        {"payload": "signs"}, {"seed": 2.0},
         # block entries that are not +-1
         {"entries": {(0, 1, 1): 0}}, {"entries": {(1, 2, 2): 2}},
         {"entries": {(0, 2, 3): -128}},
         # a global kind is one block
-        {"kind": "walsh", "group_size": None}, {"kind": "hadamard", "group_size": 4},
+        {"kind": "gw"}, {"kind": "gh"},
         {"payload": "non-square blocks"}, {"payload": "float blocks"}, {"payload": "no blocks"},
     ])
     def test_bad_rotation_metadata(self, tmp_path, change):
-        meta = {"content": "rotation", "kind": "grouped", "scale": 0.5, "group_size": 4,
-                "block_kind": "walsh", "seed": None}
+        meta = {"content": "rotation", "kind": "gsr", "seed": None}
         m = gsr(8, 4)
         change = dict(change)
         payload = {"signs": m.signs, "non-square blocks": m.blocks[:, :, :2],
@@ -260,6 +261,14 @@ class TestByteMutation:
         with pytest.raises(CorruptFileError, match=r"\(n/b, b, b\).*make-rotation"):
             load_rotation(p)
 
+    def test_old_kind_names_the_four_kinds(self, tmp_path):
+        p = tmp_path / "old.gsrt"
+        write_tensor(p, gsr(8, 4).blocks, {"content": "rotation", "kind": "grouped",
+                                           "scale": 0.5, "group_size": 4,
+                                           "block_kind": "walsh", "seed": None})
+        with pytest.raises(CorruptFileError, match=r"gh, gw, lh, gsr.*make-rotation"):
+            load_rotation(p)
+
     def test_missing_rotation_keys(self, tmp_path):
         p = tmp_path / "r.gsrt"
         write_tensor(p, hadamard_sylvester(4).blocks, {"content": "rotation"})
@@ -270,14 +279,12 @@ class TestByteMutation:
 def _expected(kind, n, g, seed):
     """The n x n signs and the provenance of ``kind`` from the loop oracles."""
     if kind in ("lh", "gsr"):
-        base = KIND_HADAMARD if kind == "lh" else KIND_WALSH
-        return oracles.gsr_signs(n, g, base, seed), (1 / np.sqrt(g), KIND_GROUPED, g, base,
-                                                     seed)
+        base = BASE_HADAMARD if kind == "lh" else BASE_WALSH
+        return oracles.gsr_signs(n, g, base, seed), (1 / np.sqrt(g), kind, g, base, seed)
     signs = oracles.hadamard_signs(n) if kind == "gh" else oracles.walsh_signs(n)
     if seed is not None:
         signs = oracles.flip_columns(signs, oracles.splitmix64_signs(seed, n))
-    return signs, (1 / np.sqrt(n), KIND_HADAMARD if kind == "gh" else KIND_WALSH, None,
-                   None, seed)
+    return signs, (1 / np.sqrt(n), kind, None, None, seed)
 
 
 def _provenance(m):
@@ -298,7 +305,7 @@ class TestRotationFiles:
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(kind=st.sampled_from(VARIANTS), log_n=st.integers(1, 10), data=st.data(),
+    @given(kind=st.sampled_from(KINDS), log_n=st.integers(1, 10), data=st.data(),
            seed=st.none() | st.integers(-2 ** 63, 2 ** 64 - 1))
     def test_every_kind_round_trips_its_blocks(self, tmp_path, kind, log_n, data, seed):
         n = 1 << log_n
@@ -313,6 +320,7 @@ class TestRotationFiles:
         assert isinstance(back, OrthoMatrix)
         assert back.blocks.dtype == np.int8 and np.array_equal(back.blocks, m.blocks)
         assert _provenance(back) == _provenance(m)
+        assert read_tensor(p)[1] == {"content": "rotation", "kind": kind, "seed": seed}
 
     def test_file_holds_only_the_blocks(self, tmp_path):
         p = tmp_path / "gsr.gsrt"
@@ -338,8 +346,8 @@ class TestRotationFiles:
         write_tensor(p, np.random.default_rng(2).standard_normal((8, 8)), {})
         with pytest.raises(NotOrthogonalError):
             resolve_variant(str(p), 8, 4, 0)
-        # +-1 blocks whose scale is not 1/sqrt(b), checked block by block
-        save_rotation(p, replace(gsr(8, 4), scale=0.4))
+        # +-1 blocks that are not orthogonal, checked block by block
+        save_rotation(p, OrthoMatrix(blocks=np.ones((2, 4, 4), dtype=np.int8), kind=KIND_GSR))
         with pytest.raises(NotOrthogonalError):
             resolve_variant(str(p), 8, 4, 0)
 

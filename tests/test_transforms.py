@@ -10,15 +10,20 @@ from seqrot.errors import (
     DimensionMismatchError,
     EmptyRowError,
     GroupDoesNotDivideError,
+    InvalidConfigError,
     NonPowerOfTwoError,
     NotHadamardError,
     OrderTooLargeError,
     PermutationMismatchError,
+    SeqrotError,
 )
 from seqrot.transforms import (
-    KIND_GROUPED,
-    KIND_HADAMARD,
-    KIND_WALSH,
+    BASE_HADAMARD,
+    BASE_WALSH,
+    KIND_GH,
+    KIND_GSR,
+    KIND_GW,
+    KIND_LH,
     MAX_ORDER,
     OrthoMatrix,
     RotationOperator,
@@ -52,7 +57,7 @@ class TestHadamardSylvester:
         h = hadamard_sylvester(2)
         assert np.array_equal(h.signs, [[1, 1], [1, -1]])
         assert h.scale == pytest.approx(1 / np.sqrt(2))
-        assert h.kind == KIND_HADAMARD
+        assert h.kind == KIND_GH
 
     def test_h4_rows(self):
         assert np.array_equal(hadamard_sylvester(4).signs, H4_ROWS)
@@ -102,6 +107,8 @@ class TestRowSequency:
     def test_rejects_non_sign_entries(self):
         with pytest.raises(ValueError):
             row_sequency([1, 0, -1])
+        with pytest.raises(SeqrotError):
+            row_sequency([1, 0, 1])
 
 
 class TestWalshFromHadamard:
@@ -120,7 +127,7 @@ class TestWalshFromHadamard:
     def test_sequencies_strictly_ascending(self, n):
         w = walsh_from_hadamard(hadamard_sylvester(n))
         assert [row_sequency(r) for r in w.signs] == list(range(n))
-        assert w.kind == KIND_WALSH
+        assert w.kind == KIND_GW
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 512])
     def test_formula_matches_counting(self, n):
@@ -136,7 +143,7 @@ class TestWalshFromHadamard:
     def test_mismatch_detection(self):
         # a forged "hadamard" whose rows are already sorted must trip the check
         forged = OrthoMatrix(blocks=walsh_from_hadamard(hadamard_sylvester(8)).blocks,
-                             scale=1 / np.sqrt(8), kind=KIND_HADAMARD)
+                             kind=KIND_GH)
         with pytest.raises(PermutationMismatchError):
             walsh_from_hadamard(forged)
 
@@ -170,7 +177,7 @@ class TestGsr:
     def test_two_walsh_blocks(self):
         m = gsr(8, 4)
         w4 = walsh_from_hadamard(hadamard_sylvester(4)).signs
-        assert m.kind == KIND_GROUPED
+        assert m.kind == KIND_GSR
         assert np.array_equal(m.signs[:4, :4], w4)
         assert np.array_equal(m.signs[4:, 4:], w4)
         assert np.all(m.signs[:4, 4:] == 0)
@@ -218,8 +225,15 @@ class TestGsr:
             gsr(2 * MAX_ORDER, 64)
 
     def test_hadamard_base(self):
-        m = gsr(16, 4, base=KIND_HADAMARD)
+        m = gsr(16, 4, base=BASE_HADAMARD)
         assert np.array_equal(m.signs[:4, :4], hadamard_sylvester(4).signs)
+        assert m.kind == KIND_LH
+
+    def test_rejects_unknown_base(self):
+        with pytest.raises(InvalidConfigError):
+            gsr(8, 4, base="x")
+        with pytest.raises(SeqrotError):
+            gsr(8, 4, base=KIND_GSR)   # a kind is not a block base
 
 
 class TestSequencyProfile:
@@ -249,8 +263,9 @@ class TestSequencyProfile:
                 g *= 2
 
     def test_rejects_bad_group(self):
-        with pytest.raises(GroupDoesNotDivideError):
-            sequency_profile(hadamard_sylvester(8), 3)
+        for g in (-8, 0, 3):   # anything but a positive divisor, checked before the modulo
+            with pytest.raises(GroupDoesNotDivideError):
+                sequency_profile(hadamard_sylvester(8), g)
 
     def test_gsr_profile_uses_block_rows(self):
         prof = sequency_profile(gsr(8, 4), 4)
@@ -288,7 +303,7 @@ class TestOrthogonality:
         h = hadamard_sylvester(n)
         mats = [h, walsh_from_hadamard(h)]
         if n >= 8:
-            mats += [gsr(n, n // 4), gsr(n, n // 4, base=KIND_HADAMARD)]
+            mats += [gsr(n, n // 4), gsr(n, n // 4, base=BASE_HADAMARD)]
         for m in mats:
             assert orthogonality_residual(m) < 1e-10
             for seed in (0, 1):
@@ -327,7 +342,7 @@ class TestVectorizedConstructors:
     @pytest.mark.parametrize("n,g", [(8, 2), (64, 8), (512, 64), (256, 256)])
     def test_row_sequencies_grouped(self, n, g):
         # counted on the blocks, against the oracle on the n x n matrix with its zeros
-        for m in (gsr(n, g), randomize_signs(gsr(n, g, base=KIND_HADAMARD), 3),
+        for m in (gsr(n, g), randomize_signs(gsr(n, g, base=BASE_HADAMARD), 3),
                   randomize_signs(gsr(n, g), 5)):
             got = sequency_profile(m, g).per_row_sequency
             assert got.dtype == np.int64
@@ -350,7 +365,7 @@ class TestDense:
             assert got.tobytes() == oracles.dense(m, dtype).tobytes()
 
     def test_blocks_are_the_diagonal_blocks(self):
-        m = randomize_signs(gsr(64, 16, base=KIND_HADAMARD), 4)
+        m = randomize_signs(gsr(64, 16, base=BASE_HADAMARD), 4)
         d = m.dense()
         assert m.blocks.shape == (4, 16, 16) and m.blocks.dtype == np.int8
         for b, blk in enumerate(m.blocks):
@@ -370,7 +385,7 @@ class TestRotationOperator:
     def test_grouped_matches_dense(self, n, g):
         rng = np.random.default_rng(n + g)
         x = rng.standard_normal((5, n))
-        for m in (gsr(n, g), randomize_signs(gsr(n, g, base=KIND_HADAMARD), 9)):
+        for m in (gsr(n, g), randomize_signs(gsr(n, g, base=BASE_HADAMARD), 9)):
             op = RotationOperator(m)
             assert (op.matrix is None) == (n > g)   # one block is a dense product
             d = m.dense()
@@ -385,13 +400,13 @@ class TestRotationOperator:
         product of 64x64 blocks sums in another order than the dense one,
         which is why the operator keeps contiguous transposed blocks."""
         x = np.random.default_rng(rows).standard_normal((rows, n))
-        for m in (gsr(n, 64), randomize_signs(gsr(n, 64, base=KIND_HADAMARD), 9)):
+        for m in (gsr(n, 64), randomize_signs(gsr(n, 64, base=BASE_HADAMARD), 9)):
             op, d = RotationOperator(m), m.dense()
             assert np.array_equal(op.apply(x), x @ d)
             assert np.array_equal(op.apply(x, transpose=True), x @ d.T)
 
     def test_grouped_on_transposed_input(self):
-        m = randomize_signs(gsr(64, 16, base=KIND_HADAMARD), 1)
+        m = randomize_signs(gsr(64, 16, base=BASE_HADAMARD), 1)
         x = np.random.default_rng(0).standard_normal((64, 64))
         op = RotationOperator(m)
         assert np.max(np.abs(op.apply(x.T) - x.T @ m.dense())) < 1e-12
@@ -409,7 +424,7 @@ class TestRotationOperator:
 
     def test_round_trip(self):
         x = np.random.default_rng(4).standard_normal((3, 256))
-        op = RotationOperator(randomize_signs(gsr(256, 32, base=KIND_HADAMARD), 2))
+        op = RotationOperator(randomize_signs(gsr(256, 32, base=BASE_HADAMARD), 2))
         assert np.max(np.abs(op.apply(op.apply(x), transpose=True) - x)) < 1e-12
 
     def test_rejects_wrong_width(self):
@@ -432,7 +447,7 @@ class TestBlockStorage:
             cases += [(randomize_signs(h, seed), oracles.flip_columns(cases[0][1], d)),
                       (randomize_signs(w, seed), oracles.flip_columns(cases[1][1], d))]
         for g in (1 << j for j in range(1, k + 1)):
-            for base in (KIND_WALSH, KIND_HADAMARD):
+            for base in (BASE_WALSH, BASE_HADAMARD):
                 cases += [(gsr(n, g, base=base), oracles.gsr_signs(n, g, base)),
                           (randomize_signs(gsr(n, g, base=base), 7),
                            oracles.gsr_signs(n, g, base, 7))]
@@ -461,7 +476,7 @@ class TestBlockStorage:
 
 
 class TestOperatorDtype:
-    @pytest.mark.parametrize("r", [randomize_signs(gsr(64, 16, base=KIND_HADAMARD), 1),
+    @pytest.mark.parametrize("r", [randomize_signs(gsr(64, 16, base=BASE_HADAMARD), 1),
                                    walsh_from_hadamard(hadamard_sylvester(64))])
     def test_products_run_in_the_dtype_of_x(self, r):
         x = np.random.default_rng(1).standard_normal((3, 64))
