@@ -121,8 +121,11 @@ def cmd_make_rotation(args) -> int:
 
 def cmd_inspect(args) -> int:
     arr, meta = read_tensor(args.file)
+    is_rotation = meta.get("content") == "rotation"
+    if args.group is not None and not is_rotation:
+        raise UsageError(f"--group applies only to rotation files; {args.file} is not one")
     print(f"shape {arr.shape}  dtype {arr.dtype}  metadata {meta}")
-    if meta.get("content") == "rotation":
+    if is_rotation:
         m = load_rotation(args.file)
         print(f"orthogonality residual {orthogonality_residual(m):.3e}")
         print(_sequency_summary(m, args.group))

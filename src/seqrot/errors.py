@@ -25,13 +25,6 @@ class NotHadamardError(SeqrotError, ValueError):
     """Operation requires a natural-order Hadamard matrix."""
 
 
-class PermutationMismatchError(SeqrotError, RuntimeError):
-    """Bit-reversal/Gray reordering disagrees with sequency sorting.
-
-    Signals a construction bug, not bad user input.
-    """
-
-
 class GroupDoesNotDivideError(SeqrotError, ValueError):
     """Group size does not evenly divide the dimension it partitions."""
 

@@ -93,6 +93,10 @@ def run_comparison(corpus, variants, wspec: QuantSpec | None,
         if t.shape[1] != cols:
             raise DimensionMismatchError("corpus tensors must share their column count")
     group = (wspec.group_size if wspec and wspec.group_size else cols)
+    repeated = sorted({v for v in variants if variants.count(v) > 1})
+    if repeated:
+        # rotations and report rows are keyed by name, so a repeat would run once
+        raise InvalidConfigError(f"variant {', '.join(repeated)} is repeated in {variants}")
 
     # every variant is resolved up front, so a bad one fails before any work;
     # each is turned into an operator (densified, if global) only for its turn

@@ -108,7 +108,6 @@ class ToyBlock:
     r3_online: RotationOperator | None = None   # head_dim x head_dim
     r4_online: RotationOperator | None = None   # ffn x ffn
     input_rotation: RotationOperator | None = None  # hidden-basis change of the fused block
-    fusion_log: tuple = ()
 
 
 def build_toy_block(cfg: ToyBlockConfig) -> ToyBlock:
@@ -146,8 +145,9 @@ def resolve_variant(kind: str, size: int, group: int, seed: int,
 
     Randomization follows the usual convention: Hadamard-family matrices get
     seeded diagonal sign flips, Walsh-family matrices are left as constructed.
-    Any other ``kind`` is a rotation file (``load_rotation``), which must hold
-    an orthogonal matrix of order ``size`` (residual at most 1e-8).
+    Any other ``kind`` is a rotation file (``load_rotation``) of order
+    ``size``: a rotation the library builds, or an external float matrix
+    whose orthogonality residual is at most 1e-8.
     """
     if kind == IDENTITY:
         return None
@@ -163,9 +163,11 @@ def resolve_variant(kind: str, size: int, group: int, seed: int,
     if shape[0] != size:
         raise DimensionMismatchError(
             f"external rotation {kind} has order {shape[0]}, slot needs {size}")
-    residual = orthogonality_residual(r)   # block by block for an OrthoMatrix
-    if residual > 1e-8:
-        raise NotOrthogonalError(f"{kind}: orthogonality residual {residual:.3e} exceeds 1e-8")
+    if not isinstance(r, OrthoMatrix):   # an OrthoMatrix is its kind's exact construction
+        residual = orthogonality_residual(r)
+        if residual > 1e-8:
+            raise NotOrthogonalError(
+                f"{kind}: orthogonality residual {residual:.3e} exceeds 1e-8")
     return r
 
 
@@ -197,12 +199,10 @@ def fuse_rotations(block: ToyBlock, assign: RotationAssignment) -> ToyBlock:
     online = {s: None if rots[s] is None else RotationOperator(rots[s]) for s in (R1, R3, R4)}
 
     weights = {}
-    log = []
     for role in assignment_table():
         front = rots[role.front]
         rear = rots[role.rear]
         weights[role.role] = rotate_weight(block.weights[role.role], front, rear)
-        log.append((role.role, role.front, role.rear))
 
     return ToyBlock(
         cfg=cfg,
@@ -210,7 +210,6 @@ def fuse_rotations(block: ToyBlock, assign: RotationAssignment) -> ToyBlock:
         r3_online=online[R3],
         r4_online=online[R4],
         input_rotation=online[R1],
-        fusion_log=tuple(log),
     )
 
 

@@ -31,12 +31,13 @@ from .errors import (
     CorruptFileError,
     InvalidSpecError,
     IoFailureError,
+    SeqrotError,
     TruncatedPayloadError,
     UnsupportedDtypeError,
     VersionUnsupportedError,
 )
 from .quant import Clip, QuantizedTensor, QuantSpec
-from .transforms import KIND_GH, KIND_GW, KINDS, OrthoMatrix
+from .transforms import BLOCK_BASES, KINDS, OrthoMatrix, build_rotation
 
 MAGIC = b"GSRT"
 VERSION = 1
@@ -171,10 +172,9 @@ def _is_positive_float(v) -> bool:
 
 
 def load_rotation(path) -> OrthoMatrix | np.ndarray:
-    """Read a rotation file: the OrthoMatrix of a file written by
-    ``save_rotation``, or the float64 matrix of an external float tensor.
-
-    The caller checks shape and orthogonality (``rotation.resolve_variant``).
+    """Read a rotation file: exactly ``build_rotation(kind, n, group, seed)`` of a
+    file written by ``save_rotation``, or the float64 matrix of an external float
+    tensor, whose shape and orthogonality the caller checks (``resolve_variant``).
     """
     arr, meta = read_tensor(path)
     if meta.get("content") == "rotation":
@@ -185,8 +185,8 @@ def load_rotation(path) -> OrthoMatrix | np.ndarray:
 
 
 def _rotation_from(arr, meta, path) -> OrthoMatrix:
-    """CorruptFileError unless the file holds (n/b, b, b) int8 +-1 diagonal
-    blocks of a known kind and an int or null seed."""
+    """The rotation a file's kind and seed name; CorruptFileError unless the
+    file's (n/b, b, b) int8 blocks are exactly that rotation's blocks."""
     kind, seed = meta.get("kind"), meta.get("seed")
     k, b, b2 = arr.shape if arr.ndim == 3 else (0, 0, 0)
     problems = [
@@ -198,14 +198,22 @@ def _rotation_from(arr, meta, path) -> OrthoMatrix:
         (kind not in KINDS,
          f"kind {kind!r}, not one of {', '.join(KINDS)} (rebuild a file written with the "
          "kinds hadamard, walsh or grouped with `seqrot make-rotation`)"),
-        (kind in (KIND_GH, KIND_GW) and k != 1, f"{k} blocks for the global kind {kind!r}"),
         (not (seed is None or _is_int(seed)), f"seed {seed!r}"),
-        (not np.all(np.abs(arr) == 1), "block entries are not all +-1"),
     ]
     for bad, what in problems:
         if bad:
             raise CorruptFileError(f"{path}: bad rotation file: {what}")
-    return OrthoMatrix(blocks=arr, kind=kind, seed=seed)
+    # a global kind is one block of order b; rebuilding it at k * b would let a
+    # small file of many blocks ask for a k times larger matrix
+    local = kind in BLOCK_BASES
+    try:
+        rebuilt = build_rotation(kind, k * b if local else b, b if local else None, seed)
+    except SeqrotError as exc:
+        raise CorruptFileError(f"{path}: bad rotation file: {exc}") from None
+    if not np.array_equal(rebuilt.blocks, arr):
+        raise CorruptFileError(f"{path}: bad rotation file: its {k} blocks of order {b} "
+                               f"are not those of kind {kind!r} with seed {seed!r}")
+    return rebuilt
 
 
 def save_quantized(path, qt) -> None:

@@ -22,7 +22,6 @@ from .errors import (
     NonSignEntryError,
     NotHadamardError,
     OrderTooLargeError,
-    PermutationMismatchError,
 )
 
 MAX_ORDER = 1 << 16
@@ -196,8 +195,6 @@ def _bit_reverse(i: np.ndarray, bits: int) -> np.ndarray:
 def natural_sequency_formula(n: int) -> np.ndarray:
     """Closed-form sequency of each natural-order row: the inverse of
     ``walsh_permutation``, since Walsh row k has sequency k.
-
-    Cross-checked against direct sign-flip counting in walsh_from_hadamard.
     """
     perm = walsh_permutation(n)
     seq = np.empty_like(perm)
@@ -218,22 +215,15 @@ def walsh_permutation(n: int) -> np.ndarray:
 
 
 def walsh_from_hadamard(h: OrthoMatrix) -> OrthoMatrix:
-    """Reorder a natural-order Hadamard matrix to ascending sequency.
+    """Reorder a natural-order Hadamard matrix to ascending sequency by the
+    bit-reversal + Gray-code row permutation.
 
-    The bit-reversal + Gray-code permutation is verified against an explicit
-    sort of the rows by counted sign flips; disagreement raises
-    PermutationMismatchError since it can only come from a construction bug.
+    Column sign flips commute with a row permutation, so a seeded ``gh``
+    becomes the ``gw`` of the same seed.
     """
     if h.kind != KIND_GH:
         raise NotHadamardError(f"expected a global Hadamard matrix (gh), got kind={h.kind!r}")
-    n = h.n
-    perm = walsh_permutation(n)
-    counted = _row_sequencies(h.blocks[0])
-    by_sort = np.argsort(counted, kind="stable")
-    if not np.array_equal(perm, by_sort):
-        raise PermutationMismatchError(
-            f"bit-reversal/Gray permutation disagrees with sequency sort at n={n}")
-    return OrthoMatrix(blocks=h.blocks[:, perm], kind=KIND_GW, seed=h.seed)
+    return OrthoMatrix(blocks=h.blocks[:, walsh_permutation(h.n)], kind=KIND_GW, seed=h.seed)
 
 
 _MASK64 = (1 << 64) - 1
@@ -260,7 +250,7 @@ def randomize_signs(m: OrthoMatrix, seed: int) -> OrthoMatrix:
     output.
     """
     d = _splitmix64_signs(seed, m.n).reshape(len(m.blocks), 1, -1)   # per block column
-    return replace(m, blocks=(m.blocks * d).astype(np.int8), seed=seed)
+    return replace(m, blocks=m.blocks * d, seed=seed)   # int8 * int8 stays int8
 
 
 def gsr(c: int, g: int, base: str = BASE_WALSH) -> OrthoMatrix:

@@ -6,7 +6,7 @@ import pytest
 from seqrot.cli import build_parser, config_line, main
 from seqrot.quant import rtn_quantize
 from seqrot.tensorfile import load_quantized, load_rotation, read_report, write_tensor
-from seqrot.transforms import build_rotation, orthogonality_residual
+from seqrot.transforms import build_rotation, gsr, orthogonality_residual
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +82,13 @@ class TestMakeRotation:
             assert "exceeds maximum" in err
 
 
+def mislabelled_lh(tmp_path):
+    # Walsh-ordered gsr blocks under the name of Hadamard-ordered lh blocks
+    p = tmp_path / "lh.gsrt"
+    write_tensor(p, gsr(64, 16).blocks, {"content": "rotation", "kind": "lh", "seed": None})
+    return p
+
+
 class TestInspect:
     def test_rotation_file(self, capsys, tmp_path):
         p = tmp_path / "w.gsrt"
@@ -114,6 +121,21 @@ class TestInspect:
         code, _, err = run_cli(capsys, "inspect", "--file", str(tmp_path / "no.gsrt"))
         assert code == 1
         assert "error" in err
+
+    def test_mislabelled_rotation_exits_1(self, capsys, tmp_path):
+        p = mislabelled_lh(tmp_path)
+        code, _, err = run_cli(capsys, "inspect", "--file", str(p))
+        assert code == 1
+        assert "bad rotation file" in err
+
+    @pytest.mark.parametrize("tensor", [np.ones((4, 8)), np.eye(8)])
+    def test_group_on_a_float_file_exits_2(self, capsys, tmp_path, tensor):
+        p = tmp_path / "f.gsrt"
+        write_tensor(p, tensor, {})
+        code, out, err = run_cli(capsys, "inspect", "--file", str(p), "--group", "3")
+        assert code == 2
+        assert "--group applies only to rotation files" in err
+        assert "shape" not in out
 
 
 class TestQuantize:
@@ -193,6 +215,14 @@ class TestCompare:
         assert "# fairness hashes identical: True" in out
         assert "directional gsr<gh" in out
 
+    def test_repeated_variant_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "never.csv"
+        code, stdout, err = run_cli(capsys, "compare", "--count", "2", "--rows", "8",
+                                    "--cols", "64", "--variants", "gh,gh", "--out", str(out))
+        assert code == 2
+        assert "variant gh is repeated" in err
+        assert "directional" not in stdout and not out.exists()
+
     def test_failure_leaves_no_partial_output(self, capsys, tmp_path):
         out = tmp_path / "never.csv"
         code, _, _ = run_cli(capsys, "compare", "--count", "2", "--rows", "16",
@@ -214,6 +244,12 @@ class TestInvariance:
                                "--precision", "f32")
         assert code == 0
         assert "0.0001" in out or "1e-04" in out
+
+    def test_mislabelled_rotation_exits_1(self, capsys, tmp_path):
+        p = mislabelled_lh(tmp_path)
+        code, out, err = run_cli(capsys, "invariance", "--r1", str(p), "--seeds", "1")
+        assert code == 1
+        assert "bad rotation file" in err and "PASS" not in out
 
     def test_non_orthogonal_external_fails(self, capsys, tmp_path):
         p = tmp_path / "junk.gsrt"

@@ -79,6 +79,16 @@ class TestRunComparison:
         with pytest.raises(InvalidSpecError):
             run_comparison(SMALL_CORPUS, ("gh",), SMALL_SPEC, quantizer="awq")
 
+    def test_rejects_repeated_variant_before_any_work(self, monkeypatch):
+        # a repeat would share one rotation and one report row under its name
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(harness, "resolve_variant", no_work)
+        monkeypatch.setattr(harness, "hessian_from_calibration", no_work)
+        with pytest.raises(InvalidConfigError, match="variant gh is repeated"):
+            run_comparison(SMALL_CORPUS, ("gh", "lh", "gh"), SMALL_SPEC)
+
 
 def dense_reference(corpus, variants, wspec, quantizer, seed=0, calib_samples=256):
     """Per-tensor MSE of every variant through dense rotation products."""

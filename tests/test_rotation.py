@@ -193,12 +193,6 @@ class TestFuseRotations:
                                         r4_mode="local", seed=seed)
             assert invariance_max_diff(cfg, assign, input_seed=seed) < 1e-10
 
-    def test_fusion_log_matches_table(self):
-        block = build_toy_block(ToyBlockConfig())
-        fused = fuse_rotations(block, RotationAssignment(r1="gh"))
-        expected = tuple((r.role, r.front, r.rear) for r in assignment_table())
-        assert fused.fusion_log == expected
-
     def test_rotation_application_counts(self, monkeypatch):
         # instrument rotate_weight and count which sides each weight consumed
         calls = []

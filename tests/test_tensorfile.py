@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from seqrot import tensorfile
 from seqrot.errors import (
     BadMagicError,
     CorruptFileError,
@@ -235,6 +236,11 @@ class TestByteMutation:
         # a global kind is one block
         {"kind": "gw"}, {"kind": "gh"},
         {"payload": "non-square blocks"}, {"payload": "float blocks"}, {"payload": "no blocks"},
+        # orthogonal +-1 blocks that are not the ones the kind and seed name
+        {"kind": "lh"}, {"payload": "lh blocks"}, {"payload": "seed 5", "seed": None},
+        {"seed": 5}, {"payload": "seed 5", "seed": 6},
+        # shapes no constructor builds
+        {"kind": "gh", "payload": "1 x 1"}, {"payload": "3 x 3 signs"},
     ])
     def test_bad_rotation_metadata(self, tmp_path, change):
         meta = {"content": "rotation", "kind": "gsr", "seed": None}
@@ -242,7 +248,11 @@ class TestByteMutation:
         change = dict(change)
         payload = {"signs": m.signs, "non-square blocks": m.blocks[:, :, :2],
                    "float blocks": m.blocks.astype(np.float64),
-                   "no blocks": m.blocks[:0]}.get(change.pop("payload", None), m.blocks.copy())
+                   "no blocks": m.blocks[:0], "lh blocks": gsr(8, 4, base=BASE_HADAMARD).blocks,
+                   "seed 5": randomize_signs(m, 5).blocks,
+                   "1 x 1": np.ones((1, 1, 1), dtype=np.int8),
+                   "3 x 3 signs": np.ones((2, 3, 3), dtype=np.int8),
+                   }.get(change.pop("payload", None), m.blocks.copy())
         for index, v in change.pop("entries", {}).items():
             payload[index] = v
         meta.update(change)
@@ -322,6 +332,22 @@ class TestRotationFiles:
         assert _provenance(back) == _provenance(m)
         assert read_tensor(p)[1] == {"content": "rotation", "kind": kind, "seed": seed}
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(KINDS), log_n=st.integers(1, 10), data=st.data(),
+           seed=st.none() | st.integers(-2 ** 63, 2 ** 64 - 1))
+    def test_any_flipped_entry_is_rejected(self, tmp_path, kind, log_n, data, seed):
+        n = 1 << log_n
+        g = 1 << data.draw(st.integers(1, log_n), label="log_g")
+        blocks = build_rotation(kind, n, g, seed).blocks.copy()
+        index = tuple(data.draw(st.integers(0, d - 1), label=f"i{axis}")
+                      for axis, d in enumerate(blocks.shape))
+        blocks[index] = -blocks[index]
+        p = tmp_path / "r.gsrt"
+        write_tensor(p, blocks, {"content": "rotation", "kind": kind, "seed": seed})
+        with pytest.raises(CorruptFileError):
+            load_rotation(p)
+
     def test_file_holds_only_the_blocks(self, tmp_path):
         p = tmp_path / "gsr.gsrt"
         save_rotation(p, gsr(4096, 64))
@@ -346,9 +372,9 @@ class TestRotationFiles:
         write_tensor(p, np.random.default_rng(2).standard_normal((8, 8)), {})
         with pytest.raises(NotOrthogonalError):
             resolve_variant(str(p), 8, 4, 0)
-        # +-1 blocks that are not orthogonal, checked block by block
+        # +-1 blocks that are not orthogonal are not the blocks of their kind
         save_rotation(p, OrthoMatrix(blocks=np.ones((2, 4, 4), dtype=np.int8), kind=KIND_GSR))
-        with pytest.raises(NotOrthogonalError):
+        with pytest.raises(CorruptFileError):
             resolve_variant(str(p), 8, 4, 0)
 
     def test_dense_load_rejects_non_square(self, tmp_path):
@@ -357,6 +383,19 @@ class TestRotationFiles:
             write_tensor(p, np.zeros(shape), {})
             with pytest.raises(NotOrthogonalError):
                 resolve_variant(str(p), 4, 4, 0)
+
+    def test_many_blocks_under_a_global_kind_rebuild_one(self, tmp_path, monkeypatch):
+        # rebuilding at order k * b would build a 4096 x 4096 gh for a 16 KiB file
+        orders = []
+        build = tensorfile.build_rotation
+        monkeypatch.setattr(tensorfile, "build_rotation",
+                            lambda kind, n, *a: orders.append(n) or build(kind, n, *a))
+        p = tmp_path / "gh.gsrt"
+        write_tensor(p, np.ones((4096, 2, 2), dtype=np.int8),
+                     {"content": "rotation", "kind": "gh", "seed": None})
+        with pytest.raises(CorruptFileError, match="4096 blocks of order 2"):
+            load_rotation(p)
+        assert orders == [2]
 
     def test_int8_payload_without_rotation_metadata(self, tmp_path):
         p = tmp_path / "codes.gsrt"

@@ -14,7 +14,6 @@ from seqrot.errors import (
     NonPowerOfTwoError,
     NotHadamardError,
     OrderTooLargeError,
-    PermutationMismatchError,
     SeqrotError,
 )
 from seqrot.transforms import (
@@ -29,6 +28,7 @@ from seqrot.transforms import (
     RotationOperator,
     _row_sequencies,
     _splitmix64_signs,
+    build_rotation,
     gsr,
     hadamard_sylvester,
     natural_sequency_formula,
@@ -140,12 +140,14 @@ class TestWalshFromHadamard:
         with pytest.raises(NotHadamardError):
             walsh_from_hadamard(w)
 
-    def test_mismatch_detection(self):
-        # a forged "hadamard" whose rows are already sorted must trip the check
-        forged = OrthoMatrix(blocks=walsh_from_hadamard(hadamard_sylvester(8)).blocks,
-                             kind=KIND_GH)
-        with pytest.raises(PermutationMismatchError):
-            walsh_from_hadamard(forged)
+    @pytest.mark.parametrize("n", [2, 8, 1024])
+    @pytest.mark.parametrize("seed", [0, 3, 2 ** 64 - 1])
+    def test_signed_hadamard_gives_signed_walsh(self, n, seed):
+        # column flips commute with the row permutation
+        w = walsh_from_hadamard(randomize_signs(hadamard_sylvester(n), seed))
+        ref = build_rotation(KIND_GW, n, seed=seed)
+        assert np.array_equal(w.blocks, ref.blocks)
+        assert (w.kind, w.seed) == (ref.kind, ref.seed)
 
 
 class TestRandomizeSigns:
