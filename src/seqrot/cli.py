@@ -110,8 +110,7 @@ def _sequency_summary(m: OrthoMatrix, group: int | None) -> str:
 
 def cmd_make_rotation(args) -> int:
     m = build_rotation(args.kind, args.n, args.group, args.seed)
-    residual = orthogonality_residual(m)
-    print(f"kind {args.kind}  n {args.n}  orthogonality residual {residual:.3e}")
+    print(f"kind {args.kind}  n {args.n}")
     print(_sequency_summary(m, args.group))
     if args.out:
         save_rotation(args.out, m)
@@ -126,9 +125,8 @@ def cmd_inspect(args) -> int:
         raise UsageError(f"--group applies only to rotation files; {args.file} is not one")
     print(f"shape {arr.shape}  dtype {arr.dtype}  metadata {meta}")
     if is_rotation:
-        m = load_rotation(args.file)
-        print(f"orthogonality residual {orthogonality_residual(m):.3e}")
-        print(_sequency_summary(m, args.group))
+        # the loader returns the exact rebuild of the file's kind and seed
+        print(_sequency_summary(load_rotation(args.file), args.group))
     elif arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
         print(f"orthogonality residual {orthogonality_residual(arr):.3e}")
     return 0
@@ -187,7 +185,7 @@ def cmd_compare(args) -> int:
         verdict = "CONFIRMED" if r.holds else "NOT CONFIRMED"
         print(f"directional {r.better}<{r.worse} ({r.metric}): "
               f"median {r.median_better:.6g} vs {r.median_worse:.6g}, "
-              f"wins {r.wins}/{r.n}, sign-test p {r.p_value:.3e} -> {verdict}")
+              f"wins {r.wins}/{r.n}, {r.ties} ties, sign-test p {r.p_value:.3e} -> {verdict}")
     if not fair:
         print("fairness check failed", file=sys.stderr)
         return RUN_ERROR

@@ -46,6 +46,7 @@ from .transforms import (
     KIND_GSR,
     KIND_GW,
     KIND_LH,
+    KINDS,
     RotationOperator,
     _mix_seed,
     _require_group_divides,
@@ -98,10 +99,11 @@ def run_comparison(corpus, variants, wspec: QuantSpec | None,
         # rotations and report rows are keyed by name, so a repeat would run once
         raise InvalidConfigError(f"variant {', '.join(repeated)} is repeated in {variants}")
 
-    # every variant is resolved up front, so a bad one fails before any work;
-    # each is turned into an operator (densified, if global) only for its turn
-    rots = {v: resolve_variant(v, cols, group, _mix_seed(seed, 100 + idx))
-            for idx, v in enumerate(variants)}
+    # every variant is resolved up front, so a bad one fails before any work,
+    # and becomes an operator (densified, if global) only for its turn; a kind's
+    # seed is keyed by the kind, not by its position, and a file takes none
+    rots = {v: resolve_variant(v, cols, group, _mix_seed(seed, 100 + KINDS.index(v))
+                               if v in KINDS else None) for v in variants}
 
     rng = np.random.default_rng(_mix_seed(seed, 7))
     h_base = hessian_from_calibration(rng.standard_normal((calib_samples, cols)))
@@ -174,6 +176,7 @@ class DirectionalResult:
     median_worse: float
     wins: int
     n: int
+    ties: int
     p_value: float
 
     @property
@@ -194,7 +197,7 @@ def directional_tests(report: ExperimentReport, pairs=DEFAULT_PAIRS,
         out.append(DirectionalResult(
             better=a, worse=b, metric=metric,
             median_better=float(np.median(xa)), median_worse=float(np.median(xb)),
-            wins=wins, n=n, p_value=p))
+            wins=wins, n=n, ties=xa.size - n, p_value=p))
     return out
 
 

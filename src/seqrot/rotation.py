@@ -139,8 +139,7 @@ class RotationAssignment:
                 f"r4_mode must be one of {R4_MODES}, got {self.r4_mode!r}")
 
 
-def resolve_variant(kind: str, size: int, group: int, seed: int,
-                    local: bool = False):
+def resolve_variant(kind: str, size: int, group: int, seed: int | None):
     """Build (or load) the rotation for one slot; None means identity.
 
     Randomization follows the usual convention: Hadamard-family matrices get
@@ -152,8 +151,6 @@ def resolve_variant(kind: str, size: int, group: int, seed: int,
     if kind == IDENTITY:
         return None
     if kind in KINDS:
-        if local:
-            kind = {KIND_GH: KIND_LH, KIND_GW: KIND_GSR}.get(kind, kind)
         return build_rotation(kind, size, group,
                               seed if kind in (KIND_GH, KIND_LH) else None)
     r = load_rotation(kind)
@@ -173,14 +170,16 @@ def resolve_variant(kind: str, size: int, group: int, seed: int,
 
 def resolve_assignment(assign: RotationAssignment, cfg: ToyBlockConfig) -> dict:
     g = cfg.group_size
+    r4 = assign.r4
+    if assign.r4_mode == R4_LOCAL:   # the local form of a global kind
+        r4 = {KIND_GH: KIND_LH, KIND_GW: KIND_GSR}.get(r4, r4)
     return {
         R1: resolve_variant(assign.r1, cfg.hidden, g, _mix_seed(assign.seed, 1)),
         R2: resolve_variant(assign.r2, cfg.head_dim, min(g, cfg.head_dim),
                             _mix_seed(assign.seed, 2)),
         R3: resolve_variant(assign.r3, cfg.head_dim, min(g, cfg.head_dim),
                             _mix_seed(assign.seed, 3)),
-        R4: resolve_variant(assign.r4, cfg.ffn, g, _mix_seed(assign.seed, 4),
-                            local=assign.r4_mode == R4_LOCAL),
+        R4: resolve_variant(r4, cfg.ffn, g, _mix_seed(assign.seed, 4)),
     }
 
 

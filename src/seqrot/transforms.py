@@ -229,18 +229,20 @@ def walsh_from_hadamard(h: OrthoMatrix) -> OrthoMatrix:
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64_signs(seed: int, count: int) -> np.ndarray:
-    """Deterministic +-1 draws: top bit of each splitmix64 output (1 -> -1).
-
-    The i-th state is seed + (i+1) * golden gamma mod 2^64; uint64 array
-    arithmetic wraps modulo 2^64, so all draws are computed at once.
-    """
-    z = (np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+def _splitmix64(seed: int, streams) -> np.ndarray:
+    """splitmix64 output of each stream i in the 1-D ``streams``, from the state
+    seed + (i+1) * golden gamma mod 2^64. uint64 arrays wrap modulo 2^64
+    silently, where numpy scalars would warn."""
+    z = ((np.asarray(streams, dtype=np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
          + np.uint64(seed & _MASK64))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return np.where(z >> np.uint64(63), -1, 1).astype(np.int8)
+    return z ^ (z >> np.uint64(31))
+
+
+def _splitmix64_signs(seed: int, count: int) -> np.ndarray:
+    """Deterministic +-1 draws: top bit of splitmix64 streams 0..count-1 (1 -> -1)."""
+    return np.where(_splitmix64(seed, np.arange(count)) >> np.uint64(63), -1, 1).astype(np.int8)
 
 
 def randomize_signs(m: OrthoMatrix, seed: int) -> OrthoMatrix:
@@ -295,11 +297,8 @@ def build_rotation(kind: str, n: int, group: int | None = None,
 
 
 def _mix_seed(seed: int, stream: int) -> int:
-    # one splitmix64 step keyed by the stream index, to decorrelate derived seeds
-    z = (seed + (stream + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    # splitmix64 keyed by the stream index, to decorrelate derived seeds
+    return int(_splitmix64(seed, [stream])[0])
 
 
 @dataclass(frozen=True)

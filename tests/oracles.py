@@ -77,6 +77,24 @@ def splitmix64_signs(seed: int, count: int) -> np.ndarray:
     return out
 
 
+def splitmix64_signs_closed_form(seed: int, count: int) -> np.ndarray:
+    # the i-th state in closed form, seed + (i+1) * gamma mod 2^64, for all i at once
+    z = (np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+         + np.uint64(seed & _MASK64))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.where(z >> np.uint64(63), -1, 1).astype(np.int8)
+
+
+def mix_seed(seed: int, stream: int) -> int:
+    # one splitmix64 step keyed by the stream index, in Python integers
+    z = (seed + (stream + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) & _MASK64
+
+
 def hessian_matrix(x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     h = 2.0 * (x.T @ x) / x.shape[0]

@@ -3,10 +3,11 @@ import shlex
 import numpy as np
 import pytest
 
+from seqrot import cli, transforms
 from seqrot.cli import build_parser, config_line, main
 from seqrot.quant import rtn_quantize
 from seqrot.tensorfile import load_quantized, load_rotation, read_report, write_tensor
-from seqrot.transforms import build_rotation, gsr, orthogonality_residual
+from seqrot.transforms import OrthoMatrix, build_rotation, gsr, orthogonality_residual
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +90,26 @@ def mislabelled_lh(tmp_path):
     return p
 
 
+class TestNoDensify:
+    @pytest.mark.parametrize("kind", ["gh", "gw"])
+    def test_make_rotation_and_inspect(self, capsys, tmp_path, monkeypatch, kind):
+        # a library rotation is exact by construction: nothing builds its n x n matrix
+        def refuse(*args, **kwargs):
+            raise AssertionError("a library rotation was densified")
+
+        monkeypatch.setattr(cli, "orthogonality_residual", refuse)
+        monkeypatch.setattr(transforms, "orthogonality_residual", refuse)
+        monkeypatch.setattr(OrthoMatrix, "dense", refuse)
+        p = tmp_path / f"{kind}.gsrt"
+        code, out, _ = run_cli(capsys, "make-rotation", "--kind", kind, "--n", "64",
+                               "--seed", "2", "--out", str(p))
+        assert code == 0
+        assert f"kind {kind}  n 64\n" in out
+        code, out, _ = run_cli(capsys, "inspect", "--file", str(p))
+        assert code == 0
+        assert "residual" not in out
+
+
 class TestInspect:
     def test_rotation_file(self, capsys, tmp_path):
         p = tmp_path / "w.gsrt"
@@ -96,7 +117,8 @@ class TestInspect:
                 "--out", str(p))
         code, out, _ = run_cli(capsys, "inspect", "--file", str(p), "--group", "4")
         assert code == 0
-        assert "orthogonality residual" in out
+        assert "row sequencies: 0 1 2 3" in out
+        assert "residual" not in out   # a rotation file is its kind's exact rebuild
 
     def test_file_metadata_is_kind_and_seed(self, capsys, tmp_path):
         p = tmp_path / "lh.gsrt"
@@ -214,6 +236,15 @@ class TestCompare:
         assert code == 0
         assert "# fairness hashes identical: True" in out
         assert "directional gsr<gh" in out
+
+    def test_variant_row_does_not_depend_on_order(self, capsys):
+        rows = []
+        for variants in ("gh,gw", "gw,gh"):
+            code, out, _ = run_cli(capsys, "compare", "--count", "4", "--rows", "16",
+                                   "--cols", "64", "--variants", variants)
+            assert code == 0
+            rows.append(next(l for l in out.splitlines() if l.startswith("gh ")))
+        assert rows[0] == rows[1]
 
     def test_repeated_variant_exits_2(self, capsys, tmp_path):
         out = tmp_path / "never.csv"

@@ -90,14 +90,34 @@ class TestRunComparison:
             run_comparison(SMALL_CORPUS, ("gh", "lh", "gh"), SMALL_SPEC)
 
 
+ORDER_VARIANTS = KINDS + ("identity",)
+
+
+@pytest.fixture(scope="module")
+def kinds_order_report():
+    return run_comparison(SMALL_CORPUS[:2], ORDER_VARIANTS, SMALL_SPEC, seed=5)
+
+
+@settings(max_examples=12, deadline=None)
+@given(order=st.permutations(ORDER_VARIANTS), size=st.integers(1, len(ORDER_VARIANTS)))
+def test_variant_scores_do_not_depend_on_order(kinds_order_report, order, size):
+    # a variant's rotation follows from its name and the seed, not its position
+    rep = run_comparison(SMALL_CORPUS[:2], order[:size], SMALL_SPEC, seed=5)
+    for v in rep.variants:
+        for m in rep.metrics:
+            assert np.array_equal(rep.per_tensor[v][m],
+                                  kinds_order_report.per_tensor[v][m]), (v, m)
+
+
 def dense_reference(corpus, variants, wspec, quantizer, seed=0, calib_samples=256):
     """Per-tensor MSE of every variant through dense rotation products."""
     cols = corpus[0].shape[1]
     rng = np.random.default_rng(_mix_seed(seed, 7))
     h = hessian_from_calibration(rng.standard_normal((calib_samples, cols)))
     out = {}
-    for idx, v in enumerate(variants):
-        r = resolve_variant(v, cols, wspec.group_size, _mix_seed(seed, 100 + idx)).dense()
+    for v in variants:
+        r = resolve_variant(v, cols, wspec.group_size,
+                            _mix_seed(seed, 100 + KINDS.index(v))).dense()
         hm = r.T @ h.matrix @ r
         h_rot = CalibrationHessian(matrix=0.5 * (hm + hm.T), sample_count=h.sample_count)
         errs = []
@@ -192,6 +212,19 @@ class TestDirectional:
         for r in results:
             assert 0.0 <= r.p_value <= 1.0
             assert r.n <= len(SMALL_CORPUS)
+
+    def test_ties_counted(self):
+        mse = {"gh": np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+               "gw": np.array([1.0, 1.5, 3.0, 4.5, 5.0]),    # 1 win, 1 loss, 3 ties
+               "lh": np.array([2.0, 2.0, 2.0, 2.0, 2.0]),
+               "gsr": np.array([2.0, 2.0, 2.0, 1.0, 3.0])}   # vs lh: 1 win, 1 loss, 3 ties
+        rep = harness.ExperimentReport(
+            variants=KINDS, metrics=("mse",),
+            per_tensor={v: {"mse": x} for v, x in mse.items()}, summary={},
+            corpus_hash="", fairness_hashes={}, quantizer="rtn")
+        got = {(r.better, r.worse): (r.wins, r.n, r.ties) for r in directional_tests(rep)}
+        assert got == {("gw", "gh"): (1, 2, 3), ("gsr", "lh"): (1, 2, 3),
+                       ("gsr", "gh"): (3, 4, 1)}
 
 
 class TestSequencyVariance:

@@ -26,6 +26,7 @@ from seqrot.transforms import (
     MAX_ORDER,
     OrthoMatrix,
     RotationOperator,
+    _mix_seed,
     _row_sequencies,
     _splitmix64_signs,
     build_rotation,
@@ -334,6 +335,18 @@ class TestVectorizedConstructors:
         want = oracles.splitmix64_signs(seed, count)
         assert got.dtype == want.dtype == np.int8
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, -1, -2 ** 70, 2 ** 64 - 1, 2 ** 64,
+                                      2 ** 80 + 5])
+    def test_splitmix64_edge_seeds(self, seed):
+        # both helpers draw from one mixer; each must keep its former stream
+        for stream in [*range(8), *range(100, 104), 2 ** 20]:
+            got = _mix_seed(seed, stream)
+            assert type(got) is int
+            assert got == oracles.mix_seed(seed, stream), stream
+        for count in (0, 1, 7, 64, 4096):
+            want = oracles.splitmix64_signs_closed_form(seed, count)
+            assert np.array_equal(_splitmix64_signs(seed, count), want), count
 
     @pytest.mark.parametrize("n", [2, 8, 64, 512])
     def test_row_sequencies_global(self, n):
