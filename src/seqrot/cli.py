@@ -133,6 +133,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    _check_at_least_one("--calib-samples", args.calib_samples)
     arr, _ = read_tensor(args.file)
     w = arr.astype(np.float64)
     if w.ndim != 2:
@@ -195,13 +196,13 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _check_seeds(args) -> None:
-    if args.seeds < 1:
-        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
+def _check_at_least_one(flag: str, value: int) -> None:
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
 
 
 def cmd_invariance(args) -> int:
-    _check_seeds(args)
+    _check_at_least_one("--seeds", args.seeds)
     dtype = np.float64 if args.precision == "f64" else np.float32
     tol = 1e-10 if args.precision == "f64" else 1e-4
     worst = 0.0
@@ -221,7 +222,7 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_r4_ablation(args) -> int:
-    _check_seeds(args)
+    _check_at_least_one("--seeds", args.seeds)
     cfg = ToyBlockConfig(hidden=args.hidden, heads=args.heads, ffn=args.ffn,
                          group_size=args.group, seq_len=args.seq_len)
     wspec = QuantSpec(bits=args.bits, group_size=args.group, clip=Clip.mse())

@@ -37,6 +37,8 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not np.isfinite([self.t_dof, self.outlier_gain, self.smooth_weight]).all():
+            raise InvalidSpecError("t_dof, outlier_gain and smooth_weight must be finite")
         if self.count < 1:
             raise InvalidSpecError("count must be at least 1")
         if self.rows < 2 or self.cols < 2:

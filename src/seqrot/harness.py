@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import rotation
 from .corpus import corpus_hash
 from .errors import DimensionMismatchError, InvalidConfigError, InvalidSpecError
 from .quant import (
@@ -94,6 +93,8 @@ def run_comparison(corpus, variants, wspec: QuantSpec | None,
         if t.shape[1] != cols:
             raise DimensionMismatchError("corpus tensors must share their column count")
     group = (wspec.group_size if wspec and wspec.group_size else cols)
+    if "" in variants:
+        raise InvalidConfigError(f"empty variant name in {variants}")
     repeated = sorted({v for v in variants if variants.count(v) > 1})
     if repeated:
         # rotations and report rows are keyed by name, so a repeat would run once
@@ -253,6 +254,11 @@ class AblationReport:
     config: dict
 
 
+def _quantize_weight(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
+    """Fake-quantize a weight: groups run along input channels of each output."""
+    return dequantize(rtn_quantize(w.T, spec)).T
+
+
 # float64 round-off of an exact invariance: an output MSE of at most
 # (64 eps)^2 times the reference output's mean square
 ROUNDOFF_MSE = (64 * np.finfo(np.float64).eps) ** 2
@@ -307,8 +313,7 @@ def r4_ablation(cfg: ToyBlockConfig, weight_spec: QuantSpec | None = None,
                 digest = hashlib.sha256(w.tobytes()).digest()
                 if name not in memo or memo[name][0] != digest:
                     memo.pop(name, None)   # free the stale copy first
-                    memo[name] = (digest,
-                                  rotation._maybe_quantize_weight(w, weight_spec))
+                    memo[name] = (digest, _quantize_weight(w, weight_spec))
             qblock = replace(fused, weights={k: q for k, (_, q) in memo.items()})
             r1 = fused.input_rotation
             x_in = x if r1 is None else r1.apply(x)

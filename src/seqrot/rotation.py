@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidConfigError, NotOrthogonalError
+from .errors import DimensionMismatchError, InvalidConfigError
 from .quant import dequantize, rtn_quantize
 from .tensorfile import load_rotation
 from .transforms import (
@@ -33,7 +33,6 @@ from .transforms import (
     _mix_seed,
     build_rotation,
     is_power_of_two,
-    orthogonality_residual,
 )
 
 WEIGHT_NAMES = ("wq", "wk", "wv", "wo", "wup", "wgate", "wdown")
@@ -144,9 +143,8 @@ def resolve_variant(kind: str, size: int, group: int, seed: int | None):
 
     Randomization follows the usual convention: Hadamard-family matrices get
     seeded diagonal sign flips, Walsh-family matrices are left as constructed.
-    Any other ``kind`` is a rotation file (``load_rotation``) of order
-    ``size``: a rotation the library builds, or an external float matrix
-    whose orthogonality residual is at most 1e-8.
+    Any other ``kind`` is a rotation file, read and checked by
+    ``load_rotation``, whose order must be ``size``.
     """
     if kind == IDENTITY:
         return None
@@ -154,17 +152,10 @@ def resolve_variant(kind: str, size: int, group: int, seed: int | None):
         return build_rotation(kind, size, group,
                               seed if kind in (KIND_GH, KIND_LH) else None)
     r = load_rotation(kind)
-    shape = (r.n, r.n) if isinstance(r, OrthoMatrix) else r.shape
-    if len(shape) != 2 or shape[0] != shape[1]:
-        raise NotOrthogonalError(f"{kind}: rotation must be square, got {shape}")
-    if shape[0] != size:
+    order = r.n if isinstance(r, OrthoMatrix) else r.shape[0]
+    if order != size:
         raise DimensionMismatchError(
-            f"external rotation {kind} has order {shape[0]}, slot needs {size}")
-    if not isinstance(r, OrthoMatrix):   # an OrthoMatrix is its kind's exact construction
-        residual = orthogonality_residual(r)
-        if residual > 1e-8:
-            raise NotOrthogonalError(
-                f"{kind}: orthogonality residual {residual:.3e} exceeds 1e-8")
+            f"external rotation {kind} has order {order}, slot needs {size}")
     return r
 
 
@@ -197,11 +188,8 @@ def fuse_rotations(block: ToyBlock, assign: RotationAssignment) -> ToyBlock:
     rots[IDENTITY] = None
     online = {s: None if rots[s] is None else RotationOperator(rots[s]) for s in (R1, R3, R4)}
 
-    weights = {}
-    for role in assignment_table():
-        front = rots[role.front]
-        rear = rots[role.rear]
-        weights[role.role] = rotate_weight(block.weights[role.role], front, rear)
+    weights = {role.role: rotate_weight(block.weights[role.role], rots[role.front],
+                                        rots[role.rear]) for role in assignment_table()}
 
     return ToyBlock(
         cfg=cfg,
@@ -236,11 +224,6 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 def _silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
-
-
-def _maybe_quantize_weight(w: np.ndarray, spec) -> np.ndarray:
-    """Fake-quantize a weight: groups run along input channels of each output."""
-    return dequantize(rtn_quantize(w.T, spec)).T
 
 
 def forward(block: ToyBlock, x: np.ndarray, act_spec=None,

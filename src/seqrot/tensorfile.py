@@ -31,13 +31,14 @@ from .errors import (
     CorruptFileError,
     InvalidSpecError,
     IoFailureError,
+    NotOrthogonalError,
     SeqrotError,
     TruncatedPayloadError,
     UnsupportedDtypeError,
     VersionUnsupportedError,
 )
 from .quant import Clip, QuantizedTensor, QuantSpec
-from .transforms import BLOCK_BASES, KINDS, OrthoMatrix, build_rotation
+from .transforms import BLOCK_BASES, KINDS, OrthoMatrix, build_rotation, orthogonality_residual
 
 MAGIC = b"GSRT"
 VERSION = 1
@@ -172,16 +173,21 @@ def _is_positive_float(v) -> bool:
 
 
 def load_rotation(path) -> OrthoMatrix | np.ndarray:
-    """Read a rotation file: exactly ``build_rotation(kind, n, group, seed)`` of a
-    file written by ``save_rotation``, or the float64 matrix of an external float
-    tensor, whose shape and orthogonality the caller checks (``resolve_variant``).
-    """
+    """Read and check a rotation file: exactly ``build_rotation(kind, n, group, seed)``
+    of a file written by ``save_rotation``, or the float64 matrix of an external
+    float tensor that is square, non-empty and orthogonal to 1e-8 (NaN or inf fails)."""
     arr, meta = read_tensor(path)
     if meta.get("content") == "rotation":
         return _rotation_from(arr, meta, path)
     if arr.dtype.kind != "f":
         raise CorruptFileError(f"{path} holds neither a sign rotation nor a float matrix")
-    return arr.astype(np.float64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise NotOrthogonalError(f"{path}: rotation must be square, got {arr.shape}")
+    r = arr.astype(np.float64)
+    residual = orthogonality_residual(r)
+    if not residual <= 1e-8:   # a NaN residual fails too
+        raise NotOrthogonalError(f"{path}: orthogonality residual {residual:.3e} exceeds 1e-8")
+    return r
 
 
 def _rotation_from(arr, meta, path) -> OrthoMatrix:
@@ -292,6 +298,9 @@ def load_quantized(path) -> QuantizedTensor:
         shape=(rows, cols), spec=spec)
 
 
+REPORT_COLUMNS = ["variant", "tensor_id", "metric", "value"]
+
+
 def write_report(path, report) -> None:
     """Write an experiment report as CSV: variant, tensor_id, metric, value.
 
@@ -308,7 +317,7 @@ def write_report(path, report) -> None:
 
     def write(f):
         writer = csv.writer(f)
-        writer.writerow(["variant", "tensor_id", "metric", "value"])
+        writer.writerow(REPORT_COLUMNS)
         for variant, tensor_id, metric, value in rows:
             writer.writerow([variant, tensor_id, metric, f"{value:.17g}"])
 
@@ -316,13 +325,17 @@ def write_report(path, report) -> None:
 
 
 def read_report(path) -> list[dict]:
-    """Parse a report CSV back into a list of row dicts (value as float)."""
+    """Parse a CSV written by ``write_report``; CorruptFileError if it is not one."""
     path = os.fspath(path)
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            return [{"variant": r["variant"], "tensor_id": int(r["tensor_id"]),
-                     "metric": r["metric"], "value": float(r["value"])}
-                    for r in reader]
+            header, *rows = csv.reader(f)
+        if header != REPORT_COLUMNS:
+            raise ValueError(f"header {header}, expected {REPORT_COLUMNS}")
+        return [{"variant": v, "tensor_id": int(t), "metric": m, "value": float(x)}
+                for v, t, m, x in rows]
     except OSError as exc:
         raise IoFailureError(f"failed to read {path}: {exc}") from exc
+    # undecodable bytes, no header, a field that is no number, a row of another length
+    except (ValueError, csv.Error) as exc:
+        raise CorruptFileError(f"{path}: not a report CSV: {exc}") from None

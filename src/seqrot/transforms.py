@@ -324,16 +324,9 @@ def sequency_profile(m: OrthoMatrix, g: int) -> SequencyProfile:
                            per_group_variance=grouped.var(axis=1))
 
 
-def orthogonality_residual(m) -> float:
-    """max |R R^T - I| for a dense or sign-structured rotation matrix.
-
-    An OrthoMatrix is checked block by block: the entries of R R^T outside
-    its diagonal blocks are exactly zero. When the scale is a power of two
-    every product sum is exact, so the residual is exactly zero for an
-    orthogonal construction. The products run in float64.
-    """
-    r = _float_blocks(m)
-    gram = r @ r.transpose(0, 2, 1)
-    gram -= np.eye(r.shape[1])
+def orthogonality_residual(m: np.ndarray) -> float:
+    """max |R R^T - I| of a square float matrix, computed in float64."""
+    r = np.asarray(m, dtype=np.float64)
+    gram = r @ r.T
+    gram -= np.eye(r.shape[0])
     return float(np.max(np.abs(gram, out=gram)))
-

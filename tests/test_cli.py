@@ -30,7 +30,7 @@ class TestMakeRotation:
         m = load_rotation(p)
         assert np.all(m.signs[:4, 4:] == 0)
         assert np.all(m.signs[4:, :4] == 0)
-        assert orthogonality_residual(m) < 1e-10
+        assert orthogonality_residual(m.dense()) < 1e-10
 
     def test_bad_group_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "make-rotation", "--kind", "gsr", "--n", "8",
@@ -208,6 +208,16 @@ class TestQuantize:
         assert code == 1
         assert "NaN or inf" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_calib_samples_below_one_exits_2(self, capsys, tmp_path, samples):
+        src = tmp_path / "w.gsrt"
+        write_tensor(src, np.ones((2, 4)), {})
+        code, out, err = run_cli(capsys, "quantize", "--file", str(src), "--bits", "2",
+                                 "--scheme", "gptq", "--calib-samples", samples)
+        assert code == 2
+        assert f"--calib-samples must be at least 1, got {samples}" in err
+        assert "max_abs" not in out
+
 
 COMPARE_ARGS = ["compare", "--count", "3", "--rows", "32", "--cols", "32",
                 "--group", "8", "--bits", "2", "--seed", "5"]
@@ -254,6 +264,21 @@ class TestCompare:
         assert "variant gh is repeated" in err
         assert "directional" not in stdout and not out.exists()
 
+    @pytest.mark.parametrize("variants", ["", "gh,"])
+    def test_empty_variant_exits_2(self, capsys, variants):
+        code, out, err = run_cli(capsys, "compare", "--count", "2", "--rows", "8",
+                                 "--cols", "64", "--variants", variants)
+        assert code == 2
+        assert "empty variant name" in err and "directional" not in out
+
+    @pytest.mark.parametrize("flag, value", [("--t-dof", "nan"), ("--outlier-gain", "nan"),
+                                             ("--smooth", "nan"), ("--smooth", "inf")])
+    def test_non_finite_corpus_flag_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "compare", "--count", "2", "--rows", "8",
+                                 "--cols", "64", flag, value)
+        assert code == 2
+        assert "must be finite" in err and "directional" not in out
+
     def test_failure_leaves_no_partial_output(self, capsys, tmp_path):
         out = tmp_path / "never.csv"
         code, _, _ = run_cli(capsys, "compare", "--count", "2", "--rows", "16",
@@ -288,6 +313,31 @@ class TestInvariance:
         code, _, err = run_cli(capsys, "invariance", "--r1", str(p), "--seeds", "1")
         assert code == 1
         assert "error" in err
+
+
+def non_finite_rotation(tmp_path, value):
+    # an order-64 Hadamard matrix in float64 with one entry replaced by value
+    h = build_rotation("gh", 64).dense()
+    h[3, 5] = value
+    p = tmp_path / "non-finite.gsrt"
+    write_tensor(p, h, {})
+    return p
+
+
+class TestNonFiniteRotationFile:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("argv", [
+        ["invariance", "--r1", "{}", "--seeds", "2"],
+        ["invariance", "--r4", "{}", "--ffn", "64", "--seeds", "2"],
+        ["compare", "--count", "2", "--rows", "8", "--cols", "64", "--variants", "gh,{}"],
+        ["r4-ablation", "--r1", "{}", "--seeds", "2"],
+    ])
+    def test_exits_1(self, capsys, tmp_path, value, argv):
+        p = non_finite_rotation(tmp_path, value)
+        code, out, err = run_cli(capsys, *(a.format(p) for a in argv))
+        assert code == 1
+        assert "PASS" not in out and "directional" not in out and "median" not in out
+        assert f"{p}: orthogonality residual" in err and "exceeds 1e-8" in err
 
 
 class TestSeedCount:

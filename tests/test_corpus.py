@@ -18,6 +18,13 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             CorpusSpec(t_dof=2.0)
 
+    @pytest.mark.parametrize("field", ["t_dof", "outlier_gain", "smooth_weight"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        # NaN fails every comparison, so range checks alone would let it through
+        with pytest.raises(InvalidSpecError, match="must be finite"):
+            CorpusSpec(**{field: value})
+
 
 class TestGenCorpus:
     def test_pure_base_variance(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqrot import harness, rotation
+from seqrot import harness
 from seqrot.corpus import CorpusSpec, gen_corpus
 from seqrot.errors import GroupDoesNotDivideError, InvalidConfigError, InvalidSpecError
 from seqrot.harness import (
@@ -88,6 +88,17 @@ class TestRunComparison:
         monkeypatch.setattr(harness, "hessian_from_calibration", no_work)
         with pytest.raises(InvalidConfigError, match="variant gh is repeated"):
             run_comparison(SMALL_CORPUS, ("gh", "lh", "gh"), SMALL_SPEC)
+
+    @pytest.mark.parametrize("variants", [("",), ("gh", "")])
+    def test_rejects_empty_variant_before_any_work(self, monkeypatch, variants):
+        # an empty name would be read as a rotation file path
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(harness, "resolve_variant", no_work)
+        monkeypatch.setattr(harness, "hessian_from_calibration", no_work)
+        with pytest.raises(InvalidConfigError, match="empty variant name"):
+            run_comparison(SMALL_CORPUS, variants, SMALL_SPEC)
 
 
 ORDER_VARIANTS = KINDS + ("identity",)
@@ -351,13 +362,13 @@ class TestR4AblationMemo:
     def test_quantizes_each_distinct_weight_once_per_seed(self, monkeypatch, r4_kind,
                                                            per_seed):
         calls = []
-        original = rotation._maybe_quantize_weight
+        original = harness._quantize_weight
 
         def counting(w, spec):
             calls.append(w.shape)
             return original(w, spec)
 
-        monkeypatch.setattr(rotation, "_maybe_quantize_weight", counting)
+        monkeypatch.setattr(harness, "_quantize_weight", counting)
         r4_ablation(ABLATION_CFG, n_seeds=3, r4_kind=r4_kind)
         assert len(calls) == 3 * per_seed
 

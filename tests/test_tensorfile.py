@@ -26,6 +26,7 @@ from seqrot.rotation import resolve_variant
 from seqrot.tensorfile import (
     load_quantized,
     load_rotation,
+    read_report,
     read_tensor,
     save_quantized,
     save_rotation,
@@ -124,6 +125,40 @@ class TestAtomicWrite:
             _WRITERS[writer](target)
         assert target.read_bytes() == b"earlier"
         assert list(tmp_path.glob("*.tmp")) == []
+
+
+class TestReportFiles:
+    HEADER = b"variant,tensor_id,metric,value\r\n"
+
+    def test_round_trip(self, tmp_path):
+        p = tmp_path / "r.csv"
+        _WRITERS["write_report"](p)
+        assert read_report(p) == [{"variant": "gh", "tensor_id": 0, "metric": "mse",
+                                   "value": 0.25},
+                                  {"variant": "gh", "tensor_id": 1, "metric": "mse",
+                                   "value": 0.5}]
+
+    @pytest.mark.parametrize("content", [
+        b"",
+        b"variant,tensor_id,value\r\ngh,0,0.25\r\n",          # a missing column
+        b"variant,tensor_id,metric\r\n",
+        b"name,tensor_id,metric,value\r\ngh,0,mse,0.25\r\n",  # a renamed column
+        HEADER + b"gh,zero,mse,0.25\r\n",                     # tensor_id not an int
+        HEADER + b"gh,0.5,mse,0.25\r\n",
+        HEADER + b"gh,0,mse,low\r\n",                         # value not a float
+        HEADER + b"gh,0,mse\r\n",                             # a row too short
+        HEADER + b"gh,0,mse,0.25,1\r\n",                      # a row too long
+        HEADER + b"g\xffh,0,mse,0.25\r\n",                    # not UTF-8
+    ])
+    def test_not_a_report_is_corrupt(self, tmp_path, content):
+        p = tmp_path / "r.csv"
+        p.write_bytes(content)
+        with pytest.raises(CorruptFileError, match="not a report CSV"):
+            read_report(p)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(IoFailureError):
+            read_report(tmp_path / "missing.csv")
 
 
 class TestCorruption:
@@ -311,7 +346,7 @@ class TestRotationFiles:
         assert back.scale == m.scale
         assert back.kind == m.kind
         assert back.group_size == 4
-        assert orthogonality_residual(back) < 1e-10
+        assert orthogonality_residual(back.dense()) < 1e-10
 
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -361,9 +396,11 @@ class TestRotationFiles:
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
         p = tmp_path / "ext.gsrt"
-        write_tensor(p, q.astype(np.float32), {"source": "external"})
+        # a float32 QR factor is orthogonal only to ~1e-7; +-1/4 entries are exact
+        h = hadamard_sylvester(16).dense(np.float32)
+        write_tensor(p, h, {"source": "external"})
         loaded = load_rotation(p)
-        assert loaded.dtype == np.float64 and np.array_equal(loaded, q.astype(np.float32))
+        assert loaded.dtype == np.float64 and np.array_equal(loaded, h)
         write_tensor(p, q, {"source": "external"})
         assert np.array_equal(resolve_variant(str(p), 16, 4, 0), q)
 
@@ -379,10 +416,37 @@ class TestRotationFiles:
 
     def test_dense_load_rejects_non_square(self, tmp_path):
         p = tmp_path / "rect.gsrt"
-        for shape in ((4, 8), (4,), (2, 2, 2)):
+        for shape in ((4, 8), (4,), (2, 2, 2), (0, 0)):
             write_tensor(p, np.zeros(shape), {})
             with pytest.raises(NotOrthogonalError):
+                load_rotation(p)
+            with pytest.raises(NotOrthogonalError):
                 resolve_variant(str(p), 4, 4, 0)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 16), seed=st.integers(0, 2 ** 32 - 1), data=st.data(),
+           change=st.sampled_from(["none", "nan", "inf", "-inf", "perturb", "not square"]))
+    def test_loader_accepts_exactly_the_orthogonal_float_matrices(self, tmp_path, n, seed,
+                                                                  data, change):
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        i, j = (data.draw(st.integers(0, n - 1), label=axis) for axis in "ij")
+        if change == "perturb":   # |R R^T - I|_ii grows by at least d^2 >= 1e-6
+            q[i, j] += np.copysign(data.draw(st.floats(1e-3, 1.0), label="d"), q[i, j])
+        elif change == "not square":
+            q = q[:, :-1]
+        elif change != "none":
+            q[i, j] = float(change)
+        p = tmp_path / "ext.gsrt"
+        write_tensor(p, q, {"source": "external"})
+        if change == "none":
+            assert np.array_equal(load_rotation(p), q)
+            assert np.array_equal(resolve_variant(str(p), n, 4, 0), q)
+            return
+        with pytest.raises(NotOrthogonalError):
+            load_rotation(p)
+        with pytest.raises(NotOrthogonalError):
+            resolve_variant(str(p), n, 4, 0)
 
     def test_many_blocks_under_a_global_kind_rebuild_one(self, tmp_path, monkeypatch):
         # rebuilding at order k * b would build a 4096 x 4096 gh for a 16 KiB file
