@@ -34,8 +34,6 @@ from .quant import (
 )
 from .rotation import (
     IDENTITY,
-    R4_GLOBAL,
-    R4_MODES,
     RotationAssignment,
     ToyBlockConfig,
     invariance_max_diff,
@@ -48,6 +46,7 @@ from .tensorfile import (
     write_report,
 )
 from .transforms import (
+    BLOCK_BASES,
     KIND_GSR,
     KINDS,
     OrthoMatrix,
@@ -62,6 +61,20 @@ RUN_ERROR = 1
 
 class UsageError(Exception):
     pass
+
+
+def _dependent(flag: str, value, read: bool, default, when: str):
+    """A flag the run reads only ``when``: absent, it takes ``default``;
+    given to a run that would not read it, it is a usage error."""
+    if value is not None and not read:
+        raise UsageError(f"{flag} applies only {when}")
+    return default if value is None else value
+
+
+def _seed(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return int(text)
 
 
 def config_line(parser: argparse.ArgumentParser, args) -> str:
@@ -121,8 +134,8 @@ def cmd_make_rotation(args) -> int:
 def cmd_inspect(args) -> int:
     arr, meta = read_tensor(args.file)
     is_rotation = meta.get("content") == "rotation"
-    if args.group is not None and not is_rotation:
-        raise UsageError(f"--group applies only to rotation files; {args.file} is not one")
+    _dependent("--group", args.group, is_rotation, None,
+               f"to rotation files; {args.file} is not one")
     print(f"shape {arr.shape}  dtype {arr.dtype}  metadata {meta}")
     if is_rotation:
         # the loader returns the exact rebuild of the file's kind and seed
@@ -133,20 +146,22 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    _check_at_least_one("--calib-samples", args.calib_samples)
+    gptq = args.scheme == harness.QUANTIZER_GPTQ
+    samples = _dependent("--calib-samples", args.calib_samples, gptq, 256, "to --scheme gptq")
+    seed = _dependent("--seed", args.seed, gptq, 0, "to --scheme gptq")
+    _check_at_least_one("--calib-samples", samples)
     arr, _ = read_tensor(args.file)
     w = arr.astype(np.float64)
-    if w.ndim != 2:
-        raise UsageError(f"quantize expects a 2-D tensor, got shape {w.shape}")
+    if w.ndim != 2 or w.size == 0:
+        raise UsageError(f"quantize expects a non-empty 2-D tensor, got shape {w.shape}")
     spec = QuantSpec(bits=args.bits, group_size=args.group,
                      symmetric=args.symmetric, clip=_parse_clip(args.clip))
-    if args.scheme == harness.QUANTIZER_RTN:
-        qt = rtn_quantize(w, spec)
-    else:
-        rng = np.random.default_rng(args.seed)
-        h = hessian_from_calibration(rng.standard_normal((args.calib_samples,
-                                                          w.shape[1])))
+    if gptq:
+        rng = np.random.default_rng(seed)
+        h = hessian_from_calibration(rng.standard_normal((samples, w.shape[1])))
         qt = gptq_quantize(w, h, spec)
+    else:
+        qt = rtn_quantize(w, spec)
     w_hat = dequantize(qt)
     print(f"mse {quant_error(w, w_hat, 'mse'):.17g}")
     print(f"max_abs {quant_error(w, w_hat, 'max_abs'):.17g}")
@@ -158,17 +173,19 @@ def cmd_quantize(args) -> int:
 
 def cmd_compare(args) -> int:
     variants = tuple(args.variants.split(","))
-    spec = CorpusSpec(count=args.count, rows=args.rows, cols=args.cols,
-                      base_dist=args.dist, t_dof=args.t_dof,
+    spec = CorpusSpec(count=args.count, rows=args.rows, cols=args.cols, base_dist=args.dist,
+                      t_dof=_dependent("--t-dof", args.t_dof, args.dist == DIST_STUDENT_T,
+                                       CorpusSpec.t_dof, "with --dist student_t"),
                       outlier_channels=args.outliers,
-                      outlier_gain=args.outlier_gain,
+                      outlier_gain=_dependent("--outlier-gain", args.outlier_gain,
+                                              args.outliers > 0, CorpusSpec.outlier_gain,
+                                              "with --outliers above 0"),
                       smooth_weight=args.smooth, seed=args.seed)
     wspec = QuantSpec(bits=args.bits, group_size=args.group,
                       clip=_parse_clip(args.clip))
     corpus = gen_corpus(spec)
     report = harness.run_comparison(corpus, variants, wspec,
                                     quantizer=args.quantizer, seed=args.seed)
-    report.config["corpus"] = vars(spec)
 
     print(f"# corpus sha256 {report.corpus_hash}")
     fair = report.fairness_ok()
@@ -203,15 +220,18 @@ def _check_at_least_one(flag: str, value: int) -> None:
 
 def cmd_invariance(args) -> int:
     _check_at_least_one("--seeds", args.seeds)
+    local = any(s in BLOCK_BASES for s in (args.r1, args.r2, args.r3, args.r4))
+    # only lh and gsr slots read it, so its default must also fit a hidden below 16
+    group = _dependent("--group", args.group, local,
+                       min(ToyBlockConfig.group_size, args.hidden), "when a slot is lh or gsr")
     dtype = np.float64 if args.precision == "f64" else np.float32
     tol = 1e-10 if args.precision == "f64" else 1e-4
     worst = 0.0
     for s in range(args.seeds):
         cfg = ToyBlockConfig(hidden=args.hidden, heads=args.heads, ffn=args.ffn,
-                             group_size=args.group, seq_len=args.seq_len,
+                             group_size=group, seq_len=args.seq_len,
                              seed=args.seed + s)
-        assign = RotationAssignment(r1=args.r1, r2=args.r2, r3=args.r3,
-                                    r4=args.r4, r4_mode=args.r4_mode,
+        assign = RotationAssignment(r1=args.r1, r2=args.r2, r3=args.r3, r4=args.r4,
                                     seed=args.seed + s)
         worst = max(worst, invariance_max_diff(cfg, assign, input_seed=args.seed + s,
                                                dtype=dtype))
@@ -256,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)   # None: signs as constructed
+    p.add_argument("--seed", type=_seed, default=None)   # None: signs as constructed
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_make_rotation)
 
@@ -272,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=harness.QUANTIZERS, default=harness.QUANTIZER_RTN)
     p.add_argument("--clip", default="none")
     p.add_argument("--symmetric", action="store_true")
-    p.add_argument("--calib-samples", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--calib-samples", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_quantize)
 
@@ -287,21 +307,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=512)
     p.add_argument("--cols", type=int, default=512)
     p.add_argument("--dist", choices=DISTS, default=DIST_STUDENT_T)
-    p.add_argument("--t-dof", type=float, default=4.0)
+    p.add_argument("--t-dof", type=float, default=None)
     p.add_argument("--outliers", type=int, default=4)
-    p.add_argument("--outlier-gain", type=float, default=20.0)
+    p.add_argument("--outlier-gain", type=float, default=None)
     p.add_argument("--smooth", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("invariance")
     for slot in ("r1", "r2", "r3", "r4"):
         p.add_argument(f"--{slot}", default=IDENTITY)
-    p.add_argument("--r4-mode", choices=R4_MODES, default=R4_GLOBAL)
     _add_toy_block_flags(p)
+    p.set_defaults(group=None)   # read only with an lh or gsr slot
     p.add_argument("--precision", choices=("f32", "f64"), default="f64")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_invariance)
 
     p = sub.add_parser("r4-ablation")
@@ -309,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=2)
     p.add_argument("--act-bits", type=int, default=4)
     p.add_argument("--r1", default=KIND_GSR)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_r4_ablation)
     return parser
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,21 +70,19 @@ class ExperimentReport:
     corpus_hash: str
     fairness_hashes: dict       # variant -> sha256 of consumed corpus bytes
     quantizer: str
-    config: dict = field(default_factory=dict)
 
     def fairness_ok(self) -> bool:
         return all(h == self.corpus_hash for h in self.fairness_hashes.values())
 
 
-def run_comparison(corpus, variants, wspec: QuantSpec | None,
+def run_comparison(corpus, variants, wspec: QuantSpec,
                    quantizer: str = QUANTIZER_RTN, seed: int = 0,
                    calib_samples: int = 256) -> ExperimentReport:
     """Rotate, quantize, rotate back, and score every (tensor, variant) pair.
 
     The rotation under test plays the hidden-state slot of a query-type
     weight: it acts on the input-channel (column) dimension and the rear side
-    is the identity. ``wspec=None`` skips quantization, which isolates the
-    rotate/rotate-back round trip.
+    is the identity.
     """
     if quantizer not in QUANTIZERS:
         raise InvalidSpecError(f"unknown quantizer {quantizer!r}")
@@ -92,7 +90,7 @@ def run_comparison(corpus, variants, wspec: QuantSpec | None,
     for t in corpus:
         if t.shape[1] != cols:
             raise DimensionMismatchError("corpus tensors must share their column count")
-    group = (wspec.group_size if wspec and wspec.group_size else cols)
+    group = wspec.group_size or cols
     if "" in variants:
         raise InvalidConfigError(f"empty variant name in {variants}")
     repeated = sorted({v for v in variants if variants.count(v) > 1})
@@ -125,9 +123,7 @@ def run_comparison(corpus, variants, wspec: QuantSpec | None,
             w = np.ascontiguousarray(w, dtype=np.float64)
             hasher.update(w.tobytes())
             rotated = w if r1 is None else r1.apply(w)
-            if wspec is None:
-                w_hat = rotated
-            elif quantizer == QUANTIZER_RTN:
+            if quantizer == QUANTIZER_RTN:
                 w_hat = dequantize(rtn_quantize(rotated, wspec))
             else:
                 w_hat = dequantize(gptq_quantize(rotated, h_rot, wspec))
@@ -144,9 +140,7 @@ def run_comparison(corpus, variants, wspec: QuantSpec | None,
     return ExperimentReport(
         variants=tuple(variants), metrics=METRICS, per_tensor=per_tensor,
         summary=summary, corpus_hash=corpus_hash(corpus),
-        fairness_hashes=fairness, quantizer=quantizer,
-        config={"seed": seed, "calib_samples": calib_samples,
-                "wspec": None if wspec is None else vars(wspec)})
+        fairness_hashes=fairness, quantizer=quantizer)
 
 
 def sign_test(a, b) -> tuple[int, int, float]:
@@ -251,7 +245,6 @@ class AblationReport:
     medians: dict        # mode -> setting -> float
     diff_ci: dict        # setting -> (lo, hi) for median(local - global), None below 2 seeds
     verdict: dict        # setting -> the verdict line's words
-    config: dict
 
 
 def _quantize_weight(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
@@ -264,22 +257,21 @@ def _quantize_weight(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
 ROUNDOFF_MSE = (64 * np.finfo(np.float64).eps) ** 2
 
 
-def r4_ablation(cfg: ToyBlockConfig, weight_spec: QuantSpec | None = None,
-                act_spec: QuantSpec | None = None,
+def r4_ablation(cfg: ToyBlockConfig, weight_spec: QuantSpec, act_spec: QuantSpec,
                 n_seeds: int = 20, r1_kind: str = KIND_GSR,
-                r4_kind: str = KIND_GH, base_seed: int = 0) -> AblationReport:
+                base_seed: int = 0) -> AblationReport:
     """Global-vs-local online FFN rotation under weight/activation quantization.
 
-    Both modes of ``R4_MODES`` run for every seed. Cells are output MSE
-    against the unrotated full-precision block: the no-quant setting checks
-    invariance, the weight-only and weight+activation settings measure the
-    quantization damage per mode.
+    Both modes of ``R4_MODES`` run for every seed: R4 is gh, and its local
+    form lh. Cells are output MSE against the unrotated full-precision
+    block: the no-quant setting checks invariance, the weight-only and
+    weight+activation settings measure the quantization damage per mode.
 
     Each distinct fused weight is fake-quantized once per seed: both
     quantized settings of a mode share one pre-quantized block, and a weight
-    whose bytes are the same in another mode (all but ``wdown``, unless r4 is
-    the identity) reuses its quantized copy. The cells are the same bits as
-    quantizing every weight afresh for each ``forward`` call.
+    whose bytes are the same in another mode (all but ``wdown``) reuses its
+    quantized copy. The cells are the same bits as quantizing every weight
+    afresh for each ``forward`` call.
 
     A local-vs-global difference is tested with a bootstrap CI of its median
     over at least 2 seeds. A setting whose every cell, in both modes, is
@@ -288,9 +280,6 @@ def r4_ablation(cfg: ToyBlockConfig, weight_spec: QuantSpec | None = None,
     """
     if n_seeds < 1:
         raise InvalidConfigError(f"n_seeds must be at least 1, got {n_seeds}")
-    weight_spec = weight_spec or QuantSpec(bits=2, group_size=cfg.group_size)
-    act_spec = act_spec or QuantSpec(bits=4, group_size=cfg.group_size,
-                                     symmetric=True)
     wlabel = f"w{weight_spec.bits}"
     settings = ("w16a16", wlabel, f"{wlabel}a{act_spec.bits}")
 
@@ -306,7 +295,7 @@ def r4_ablation(cfg: ToyBlockConfig, weight_spec: QuantSpec | None = None,
         y_ref = forward(block, x)
         ref_power[i] = np.mean(y_ref ** 2)
         for mode in R4_MODES:
-            assign = RotationAssignment(r1=r1_kind, r4=r4_kind, r4_mode=mode,
+            assign = RotationAssignment(r1=r1_kind, r4=KIND_GH, r4_mode=mode,
                                         seed=_mix_seed(seed, 3))
             fused = fuse_rotations(block, assign)
             for name, w in fused.weights.items():
@@ -344,7 +333,4 @@ def r4_ablation(cfg: ToyBlockConfig, weight_spec: QuantSpec | None = None,
             verdict[s] = "significant" if lo > 0 or hi < 0 else "not significant"
     return AblationReport(
         modes=R4_MODES, settings=settings, cells=cells, medians=medians,
-        diff_ci=diff_ci, verdict=verdict,
-        config={"cfg": vars(cfg), "n_seeds": n_seeds, "r1": r1_kind,
-                "r4": r4_kind, "base_seed": base_seed,
-                "weight_bits": weight_spec.bits, "act_bits": act_spec.bits})
+        diff_ci=diff_ci, verdict=verdict)

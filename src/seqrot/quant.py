@@ -473,13 +473,13 @@ def quant_error(w: np.ndarray, w_hat: np.ndarray, metric: str = METRIC_MSE,
     """Elementwise error metrics between a matrix and its reconstruction."""
     w = np.asarray(w, dtype=np.float64)
     w_hat = np.asarray(w_hat, dtype=np.float64)
-    if w.shape != w_hat.shape:
-        raise ShapeMismatchError(f"shapes differ: {w.shape} vs {w_hat.shape}")
+    if w.shape != w_hat.shape or w.size == 0:
+        raise ShapeMismatchError(f"need equal non-empty shapes: {w.shape} vs {w_hat.shape}")
     delta = w - w_hat
     if metric == METRIC_MSE:
         return float(np.mean(delta ** 2))
     if metric == METRIC_MAX_ABS:
-        return float(np.max(np.abs(delta))) if delta.size else 0.0
+        return float(np.max(np.abs(delta)))
     if metric == METRIC_PROXY:
         if hessian is None:
             raise InvalidSpecError("proxy metric requires a Hessian")

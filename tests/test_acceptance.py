@@ -88,7 +88,7 @@ def test_criterion_02_walsh_correctness():
     ok = True
     while n <= 4096:
         h = hadamard_sylvester(n)
-        w = walsh_from_hadamard(h)  # internally verifies perm vs sequency sort
+        w = walsh_from_hadamard(h)  # the rows of h in sequency order, checked below
         seq = np.count_nonzero(w.signs[:, 1:] != w.signs[:, :-1], axis=1)
         ok &= np.array_equal(seq, np.arange(n))
         counted = np.count_nonzero(h.signs[:, 1:] != h.signs[:, :-1], axis=1)

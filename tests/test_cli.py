@@ -6,7 +6,13 @@ import pytest
 from seqrot import cli, transforms
 from seqrot.cli import build_parser, config_line, main
 from seqrot.quant import rtn_quantize
-from seqrot.tensorfile import load_quantized, load_rotation, read_report, write_tensor
+from seqrot.tensorfile import (
+    load_quantized,
+    load_rotation,
+    read_report,
+    save_rotation,
+    write_tensor,
+)
 from seqrot.transforms import OrthoMatrix, build_rotation, gsr, orthogonality_residual
 
 
@@ -380,6 +386,7 @@ class TestFlags:
         ["inspect", "--file", "x", "--seed", "1"],
         ["make-rotation", "--kind", "gh", "--n", "8", "--precision", "f32"],
         ["quantize", "--file", "x", "--bits", "2", "--precision", "f64"],
+        ["invariance", "--r4", "gh", "--r4-mode", "local"],
     ])
     def test_unused_flag_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -387,15 +394,15 @@ class TestFlags:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
-        ["make-rotation", "--kind", "gsr", "--n", "16", "--group", "4", "--seed", "-3",
+        ["make-rotation", "--kind", "gsr", "--n", "16", "--group", "4", "--seed", "3",
          "--out", "my dir/r.gsrt"],
         ["make-rotation", "--kind", "gh", "--n", "8"],
         ["inspect", "--file", "w.gsrt", "--group", "4"],
         ["quantize", "--file", "w.gsrt", "--bits", "3", "--scheme", "gptq", "--clip",
          "ratio:0.9", "--symmetric", "--calib-samples", "16", "--seed", "2"],
-        ["compare", "--variants", "gh,lh", "--t-dof", "2.5", "--dist", "gaussian",
+        ["compare", "--variants", "gh,lh", "--t-dof", "2.5", "--dist", "student_t",
          "--outlier-gain", "1e3", "--out", "r.csv"],
-        ["invariance", "--r1", "gsr", "--r4-mode", "local", "--precision", "f32",
+        ["invariance", "--r1", "gsr", "--r4", "lh", "--precision", "f32",
          "--seed", "7"],
         ["r4-ablation", "--seeds", "3", "--act-bits", "8", "--r1", "gw"],
     ])
@@ -405,3 +412,137 @@ class TestFlags:
         line = config_line(parser, args)
         assert line.startswith(f"# config: seqrot {argv[0]} ")
         assert parser.parse_args(shlex.split(line)[3:]) == args
+
+
+class TestDependentFlags:
+    """A flag that the chosen run would not read is a usage error."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compare", "--count", "2", "--rows", "8", "--cols", "64", "--dist", "gaussian",
+          "--t-dof", "3"], "--t-dof applies only with --dist student_t"),
+        (["compare", "--count", "2", "--rows", "8", "--cols", "64", "--outliers", "0",
+          "--outlier-gain", "5"], "--outlier-gain applies only with --outliers above 0"),
+        (["quantize", "--file", "{}", "--bits", "2", "--calib-samples", "8"],
+         "--calib-samples applies only to --scheme gptq"),
+        (["quantize", "--file", "{}", "--bits", "2", "--seed", "3"],
+         "--seed applies only to --scheme gptq"),
+        (["invariance", "--r1", "gh", "--r4", "gw", "--group", "8"],
+         "--group applies only when a slot is lh or gsr"),
+    ])
+    def test_exits_2(self, capsys, tmp_path, argv, message):
+        p = tmp_path / "w.gsrt"
+        write_tensor(p, np.ones((2, 8)), {})
+        code, out, err = run_cli(capsys, *(a.format(p) for a in argv))
+        assert code == 2
+        assert f"error: {message}" in err
+        assert out.count("\n") == 1   # the config echo only
+
+    @pytest.mark.parametrize("slot, kind", [("--r1", "lh"), ("--r2", "gsr"),
+                                            ("--r3", "lh"), ("--r4", "gsr")])
+    def test_group_is_read_by_a_local_slot(self, capsys, slot, kind):
+        code, out, _ = run_cli(capsys, "invariance", slot, kind, "--group", "8",
+                               "--seeds", "1")
+        assert code == 0 and "PASS" in out
+
+    def test_unread_group_does_not_bind_a_small_hidden(self, capsys):
+        # with no lh or gsr slot the block order is unread, so it may not fail the run
+        code, out, _ = run_cli(capsys, "invariance", "--r1", "gh", "--hidden", "8",
+                               "--heads", "2", "--seeds", "1")
+        assert code == 0 and "PASS" in out
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv", [
+        ["make-rotation", "--kind", "gh", "--n", "8"],
+        ["quantize", "--file", "x", "--bits", "2", "--scheme", "gptq"],
+        ["compare"],
+        ["invariance"],
+        ["r4-ablation"],
+    ])
+    def test_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert "argument --seed: must be non-negative, got -1" in out.err
+        assert out.out == ""
+
+
+class TestEmptyTensor:
+    @pytest.mark.parametrize("scheme", ["rtn", "gptq"])
+    @pytest.mark.parametrize("shape", [(0, 8), (4, 0)])
+    def test_quantize_exits_2(self, capsys, tmp_path, scheme, shape):
+        p = tmp_path / "e.gsrt"
+        write_tensor(p, np.zeros(shape), {})
+        code, out, err = run_cli(capsys, "quantize", "--file", str(p), "--bits", "2",
+                                 "--scheme", scheme)
+        assert code == 2
+        assert f"quantize expects a non-empty 2-D tensor, got shape {shape}" in err
+        assert "mse" not in out
+
+
+# A tiny run of each subcommand, and for every one of its options a value
+# other than the one the run already has ({d} is a folder of input files).
+# invariance prints only its largest difference, so its values are ones
+# that move that number.
+EVERY_FLAG = {
+    "make-rotation": (["--kind", "gh", "--n", "8"], {
+        "--kind": ["gw"], "--n": ["16"], "--group": ["4"], "--seed": ["1"],
+        "--out": ["{d}/r.gsrt"]}),
+    "inspect": (["--file", "{d}/gw.gsrt"], {
+        "--file": ["{d}/gh.gsrt"], "--group": ["4"]}),
+    "quantize": (["--file", "{d}/w.gsrt", "--bits", "2"], {
+        "--file": ["{d}/gh.gsrt"], "--bits": ["3"], "--group": ["4"],
+        "--scheme": ["gptq"], "--clip": ["mse"], "--symmetric": [],
+        "--calib-samples": ["8"], "--seed": ["1"], "--out": ["{d}/q.gsrt"]}),
+    "compare": (["--count", "2", "--rows", "8", "--cols", "16", "--group", "8",
+                 "--variants", "gh,gsr"], {
+        "--variants": ["gh,gw"], "--bits": ["3"], "--group": ["4"],
+        "--quantizer": ["gptq"], "--clip": ["none"], "--count": ["3"], "--rows": ["16"],
+        "--cols": ["32"], "--dist": ["gaussian"], "--t-dof": ["3"], "--outliers": ["2"],
+        "--outlier-gain": ["5"], "--smooth": ["0"], "--seed": ["1"],
+        "--out": ["{d}/r.csv"]}),
+    "invariance": (["--r1", "gh", "--hidden", "16", "--heads", "2", "--ffn", "32",
+                    "--seq-len", "2", "--seeds", "1", "--precision", "f32"], {
+        "--r1": ["gw"], "--r2": ["gh"], "--r3": ["gh"], "--r4": ["gh"],
+        "--hidden": ["32"], "--heads": ["4"], "--ffn": ["64"], "--group": ["8"],
+        "--seq-len": ["16"], "--seeds": ["2"], "--precision": ["f64"], "--seed": ["1"]}),
+    "r4-ablation": (["--hidden", "16", "--heads", "2", "--ffn", "32", "--group", "8",
+                     "--seq-len", "2", "--seeds", "2"], {
+        "--hidden": ["32"], "--heads": ["4"], "--ffn": ["64"], "--group": ["4"],
+        "--seq-len": ["3"], "--seeds": ["3"], "--bits": ["3"], "--act-bits": ["8"],
+        "--r1": ["gh"], "--seed": ["1"]}),
+}
+
+
+class TestEveryFlagIsRead:
+    """Setting any one option to another value changes what the run prints,
+    or the run refuses it (exit 2): no flag is accepted and then ignored."""
+
+    def test_table_names_every_option(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        assert set(commands) == set(EVERY_FLAG)
+        for command, sub in commands.items():
+            options = {a.option_strings[-1] for a in sub._actions
+                       if a.option_strings and a.dest != "help"}
+            assert options == set(EVERY_FLAG[command][1]), command
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, (_, flags) in EVERY_FLAG.items()
+                                               for f in flags])
+    def test_changes_output_or_exits_2(self, capsys, tmp_path, command, flag):
+        write_tensor(tmp_path / "w.gsrt", np.random.default_rng(0).standard_normal((4, 8)), {})
+        for kind in ("gh", "gw"):
+            save_rotation(tmp_path / f"{kind}.gsrt", build_rotation(kind, 8))
+        base, flags = EVERY_FLAG[command]
+
+        def output(*extra):
+            code, out, _ = run_cli(capsys, command, *(a.format(d=tmp_path)
+                                                      for a in (*base, *extra)))
+            return code, [line for line in out.splitlines()
+                          if not line.startswith("# config:")]
+
+        code, before = output()
+        assert code == 0
+        code, after = output(flag, *flags[flag])
+        assert code == 2 or (code == 0 and after != before), (code, before, after)

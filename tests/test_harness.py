@@ -28,7 +28,7 @@ from seqrot.quant import (
     quant_error,
     rtn_quantize,
 )
-from seqrot.rotation import R4_MODES, ToyBlockConfig, resolve_variant
+from seqrot.rotation import R4_MODES, RotationAssignment, ToyBlockConfig, resolve_variant
 from seqrot.transforms import (
     KIND_GH,
     KIND_GW,
@@ -52,8 +52,11 @@ class TestRunComparison:
             direct = quant_error(w, dequantize(rtn_quantize(w, SMALL_SPEC)))
             assert rep.per_tensor["identity"]["mse"][i] == pytest.approx(direct, rel=1e-12)
 
-    def test_rotation_neutral_without_quantization(self):
-        rep = run_comparison(SMALL_CORPUS, ("gh", "gw", "lh", "gsr"), None, seed=0)
+    def test_rotation_neutral_without_quantization(self, monkeypatch):
+        # a quantizer that changes nothing isolates the rotate/rotate-back round trip
+        monkeypatch.setattr(harness, "rtn_quantize", lambda w, spec: w)
+        monkeypatch.setattr(harness, "dequantize", lambda qt: qt)
+        rep = run_comparison(SMALL_CORPUS, ("gh", "gw", "lh", "gsr"), SMALL_SPEC, seed=0)
         for v in rep.variants:
             assert rep.per_tensor[v]["max_abs"].max() < 1e-10
 
@@ -296,10 +299,15 @@ class TestQuantizedForwardDirectional:
         assert np.median(mses["gsr"]) <= np.median(mses["gh"])
 
 
+# unclipped specs: the ablation's weight and activation specs before it required both
+NO_CLIP = dict(weight_spec=QuantSpec(bits=2, group_size=16),
+               act_spec=QuantSpec(bits=4, group_size=16, symmetric=True))
+
+
 @pytest.fixture(scope="module")
 def report():
     cfg = ToyBlockConfig(hidden=32, heads=2, ffn=64, group_size=16, seq_len=4)
-    return r4_ablation(cfg, n_seeds=6, base_seed=0)
+    return r4_ablation(cfg, **NO_CLIP, n_seeds=6, base_seed=0)
 
 
 class TestR4Ablation:
@@ -338,17 +346,28 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
+def place_r4(monkeypatch, r4_kind):
+    """Make the ablation's assignments put ``r4_kind`` in the R4 slot.
+
+    The ablation's R4 is always gh; the memo keys on weight bytes, not on the
+    kind, and gw (other blocks) and identity (a wdown equal in both modes)
+    give it other weights to key on."""
+    monkeypatch.setattr(harness, "RotationAssignment",
+                        lambda **kw: RotationAssignment(**{**kw, "r4": r4_kind}))
+
+
 class TestR4AblationMemo:
     """Each distinct fused weight is quantized once per seed, with the same
     cells as quantizing inside every forward call."""
 
     @pytest.mark.parametrize("r4_kind", ["gh", "gw", "identity"])
     @pytest.mark.parametrize("r1_kind", ["gsr", "gh", "identity"])
-    def test_matches_unmemoized_oracle(self, r1_kind, r4_kind):
+    def test_matches_unmemoized_oracle(self, monkeypatch, r1_kind, r4_kind):
         kw = dict(weight_spec=ABLATION_WSPEC, act_spec=ABLATION_ASPEC, n_seeds=3,
-                  r1_kind=r1_kind, r4_kind=r4_kind, base_seed=5)
+                  r1_kind=r1_kind, base_seed=5)
+        cells = oracles.r4_cells(ABLATION_CFG, **kw, r4_kind=r4_kind)
+        place_r4(monkeypatch, r4_kind)
         rep = r4_ablation(ABLATION_CFG, **kw)
-        cells = oracles.r4_cells(ABLATION_CFG, **kw)
         assert rep.modes == R4_MODES
         for mode in R4_MODES:
             for s in rep.settings:
@@ -369,13 +388,14 @@ class TestR4AblationMemo:
             return original(w, spec)
 
         monkeypatch.setattr(harness, "_quantize_weight", counting)
-        r4_ablation(ABLATION_CFG, n_seeds=3, r4_kind=r4_kind)
+        place_r4(monkeypatch, r4_kind)
+        r4_ablation(ABLATION_CFG, **NO_CLIP, n_seeds=3)
         assert len(calls) == 3 * per_seed
 
 
 class TestR4AblationVerdicts:
     def test_one_seed_is_not_tested(self):
-        rep = r4_ablation(ABLATION_CFG, n_seeds=1)
+        rep = r4_ablation(ABLATION_CFG, **NO_CLIP, n_seeds=1)
         for s in rep.settings:
             assert rep.diff_ci[s] is None
             assert rep.verdict[s] == "not tested (1 seed)"
@@ -394,7 +414,7 @@ class TestR4AblationVerdicts:
     def test_roundoff_rule_reads_the_cells_of_every_setting(self, monkeypatch, bound,
                                                            invariant):
         monkeypatch.setattr(harness, "ROUNDOFF_MSE", bound)
-        rep = r4_ablation(ABLATION_CFG, n_seeds=3)
+        rep = r4_ablation(ABLATION_CFG, **NO_CLIP, n_seeds=3)
         assert {s for s in rep.settings
                 if rep.verdict[s] == "invariant (round-off), not tested"} == invariant
         for s in rep.settings:
@@ -405,4 +425,4 @@ class TestR4AblationArguments:
     @pytest.mark.parametrize("n_seeds", [0, -1])
     def test_no_seeds_rejected(self, n_seeds):
         with pytest.raises(InvalidConfigError):
-            r4_ablation(ABLATION_CFG, n_seeds=n_seeds)
+            r4_ablation(ABLATION_CFG, **NO_CLIP, n_seeds=n_seeds)

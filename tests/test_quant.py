@@ -587,3 +587,10 @@ class TestQuantError:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             quant_error(np.ones((2, 2)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("metric", [METRIC_MSE, METRIC_MAX_ABS, METRIC_PROXY])
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+    def test_empty_input_rejected(self, metric, shape):
+        h = CalibrationHessian(matrix=np.eye(shape[1]), sample_count=1)
+        with pytest.raises(ShapeMismatchError, match="non-empty"):
+            quant_error(np.zeros(shape), np.zeros(shape), metric, h)
