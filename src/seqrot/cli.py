@@ -140,7 +140,7 @@ def cmd_inspect(args) -> int:
     if is_rotation:
         # the loader returns the exact rebuild of the file's kind and seed
         print(_sequency_summary(load_rotation(args.file), args.group))
-    elif arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
+    elif arr.ndim == 2 and arr.shape[0] == arr.shape[1] > 0:
         print(f"orthogonality residual {orthogonality_residual(arr):.3e}")
     return 0
 

@@ -34,7 +34,7 @@ class EmptyCalibrationError(SeqrotError, ValueError):
 
 
 class SingularHessianError(SeqrotError, RuntimeError):
-    """Hessian Cholesky failed even after dampening."""
+    """The Hessian is not positive definite even after dampening."""
 
 
 class NonFiniteInputError(SeqrotError, ValueError):

@@ -376,6 +376,8 @@ def hessian_from_calibration(x: np.ndarray) -> CalibrationHessian:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[0] < 1 or x.size == 0:
         raise EmptyCalibrationError("calibration requires at least one sample")
+    if not np.isfinite(x).all():
+        raise NonFiniteInputError("calibration activations contain NaN or inf")
     h = x.T @ x
     h *= 2.0
     h /= x.shape[0]
@@ -406,6 +408,8 @@ def _symmetrize(h: np.ndarray) -> None:
 
 # GPTQ's Hessian dampening, as a fraction of the mean diagonal
 _DAMP = 0.01
+# columns per lazy batch of the GPTQ sweep
+_BLOCK = 128
 
 
 def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
@@ -417,39 +421,59 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     column's rounding residual into the not-yet-quantized columns through the
     inverse-Hessian Cholesky factor. No activation reordering.
 
+    The sweep runs in lazy batches of ``_BLOCK`` columns on a transposed
+    (cols, rows) copy, so each column is a contiguous row. Inside a batch a
+    column first takes the residuals of the batch's earlier columns in one
+    product; after the batch, one matrix product feeds the batch's residuals
+    into every later column. This is the rank-1 update after each column
+    summed in another order, so the work values can differ in the last bits.
+
     At very low bit-widths the greedy sweep can occasionally lose to plain
     rounding once codes saturate the clamp range, so each row keeps whichever
     assignment (sweep or straight RTN, same scales) has the smaller proxy
     objective delta.T @ H @ delta. This guarantees the sweep never ends up
     worse than RTN under the proxy objective.
+
+    A NaN or inf in the Hessian raises NonFiniteInputError; a Hessian that is
+    not positive definite after dampening raises SingularHessianError.
     """
     w, grouped, (scale, zero, lo, hi) = _prepare(w, spec)
     rows, d = w.shape
     h = hessian.matrix
     if h.shape != (d, d):
         raise ShapeMismatchError(f"Hessian is {h.shape}, weights have {d} columns")
+    if not np.isfinite(h).all():
+        raise NonFiniteInputError("Hessian contains NaN or inf")
     g = grouped.shape[2]
 
     hd = h + _DAMP * np.mean(np.diag(h)) * np.eye(d)
     try:
-        np.linalg.cholesky(hd)
         hinv = np.linalg.inv(hd)
         hinv = 0.5 * (hinv + hinv.T)
         u = np.linalg.cholesky(hinv).T  # upper triangular, hinv = u.T @ u
     except np.linalg.LinAlgError as exc:
-        raise SingularHessianError(f"Cholesky failed after dampening: {exc}") from None
+        raise SingularHessianError(
+            f"Hessian is not positive definite after dampening: {exc}") from None
 
-    work = w.copy()
+    # transposed: row j of work and sweep is column j, row gi of each parameter
+    # array is group gi
+    work = w.T.copy()
+    col_scale, col_zero, col_lo, col_hi = (
+        None if p is None else np.ascontiguousarray(p[..., 0].T)
+        for p in (scale, zero, lo, hi))
     sweep = np.empty((d, rows))   # column j's codes minus zero points in row j
     half = np.empty(rows)
-    for j in range(d):
-        gi = j // g
-        col_scale = scale[:, gi, 0]
-        q = _codes(work[:, j], spec, col_scale, None if zero is None else zero[:, gi, 0],
-                   lo[:, gi, 0], hi[:, gi, 0], out=sweep[j], half=half)
-        err = (work[:, j] - q * col_scale) / u[j, j]
-        if j + 1 < d:
-            work[:, j + 1:] -= np.outer(err, u[j, j + 1:])
+    for b0 in range(0, d, _BLOCK):
+        b1 = min(b0 + _BLOCK, d)
+        err = np.empty((b1 - b0, rows))
+        for j in range(b0, b1):
+            gi = j // g
+            col = work[j] - u[b0:j, j] @ err[:j - b0]
+            q = _codes(col, spec, col_scale[gi], None if zero is None else col_zero[gi],
+                       col_lo[gi], col_hi[gi], out=sweep[j], half=half)
+            err[j - b0] = (col - q * col_scale[gi]) / u[j, j]
+        work[b1:] -= u[b0:b1, b1:].T @ err
+    del work, err   # the RTN guard below is the call's memory peak
 
     sweep = _group_view(sweep.T, spec.group_size)
     rtn = _codes(grouped, spec, scale, zero, lo, hi)

@@ -480,6 +480,15 @@ class TestEmptyTensor:
         assert f"quantize expects a non-empty 2-D tensor, got shape {shape}" in err
         assert "mse" not in out
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+    def test_inspect_prints_shape_only(self, capsys, tmp_path, shape):
+        p = tmp_path / "e.gsrt"
+        write_tensor(p, np.zeros(shape), {})
+        code, out, err = run_cli(capsys, "inspect", "--file", str(p))
+        assert code == 0
+        assert f"shape {shape}" in out
+        assert "residual" not in out and err == ""
+
 
 # A tiny run of each subcommand, and for every one of its options a value
 # other than the one the run already has ({d} is a folder of input files).

@@ -14,6 +14,7 @@ from seqrot.errors import (
     InvalidSpecError,
     NonFiniteInputError,
     ShapeMismatchError,
+    SingularHessianError,
 )
 from seqrot.quant import (
     CLIP_MSE,
@@ -358,6 +359,27 @@ class TestNonFinite:
         with pytest.raises(NonFiniteInputError):
             gptq_quantize(w, h, QuantSpec(bits=2, group_size=4, clip=Clip.mse()))
 
+    @pytest.mark.parametrize("case", ["all_nan", "nan_pair", "inf_diagonal"])
+    def test_gptq_rejects_hessian(self, case):
+        x = np.random.default_rng(0).standard_normal((16, 8))
+        m = hessian_from_calibration(x).matrix.copy()
+        if case == "all_nan":
+            m[:] = np.nan
+        elif case == "nan_pair":
+            m[2, 5] = m[5, 2] = np.nan
+        else:
+            m[3, 3] = np.inf
+        h = CalibrationHessian(matrix=m, sample_count=16)
+        with pytest.raises(NonFiniteInputError, match="Hessian"):
+            gptq_quantize(np.ones((2, 8)), h, QuantSpec(bits=2, group_size=4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hessian_rejects_activations(self, bad):
+        x = np.ones((4, 8))
+        x[2, 6] = bad
+        with pytest.raises(NonFiniteInputError, match="activations"):
+            hessian_from_calibration(x)
+
 
 class TestRangeOverflow:
     """A finite asymmetric group whose range overflows float64 raises instead
@@ -543,6 +565,25 @@ class TestGptq:
             g = quant_error(w, dequantize(gptq_quantize(w, h, spec)), METRIC_PROXY, h)
             r = quant_error(w, dequantize(rtn_quantize(w, spec)), METRIC_PROXY, h)
             assert g <= r + 1e-12
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("d", [64, 128, 200, 384, 520])
+    def test_matches_oracle_across_batches(self, d, symmetric):
+        # widths below, at and across the sweep's 128-column batches
+        rng = np.random.default_rng(d)
+        w = rng.standard_normal((8, d))
+        h = random_spd_hessian(rng, d, samples=d + 8)
+        spec = QuantSpec(bits=2, group_size=8, symmetric=symmetric,
+                         clip=Clip.mse((1.0, 0.9, 0.8, 0.7, 0.6)))
+        codes = gptq_quantize(w, h, spec).codes
+        assert codes.tobytes() == oracles.gptq_codes(w, h, spec).tobytes()
+        assert not np.array_equal(codes, rtn_quantize(w, spec).codes)
+
+    @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), -np.eye(4)])
+    def test_not_positive_definite_rejected(self, matrix):
+        h = CalibrationHessian(matrix=matrix, sample_count=1)
+        with pytest.raises(SingularHessianError):
+            gptq_quantize(np.ones((2, 4)), h, QuantSpec(bits=2))
 
 
 def exhaustive_optimum(w, h, q):
