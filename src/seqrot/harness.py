@@ -99,8 +99,9 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
         raise InvalidConfigError(f"variant {', '.join(repeated)} is repeated in {variants}")
 
     # every variant is resolved up front, so a bad one fails before any work,
-    # and becomes an operator (densified, if global) only for its turn; a kind's
-    # seed is keyed by the kind, not by its position, and a file takes none
+    # and becomes an operator (densified, if global below KRON_MIN_ORDER) only
+    # for its turn; a kind's seed is keyed by the kind, not by its position,
+    # and a file takes none
     rots = {v: resolve_variant(v, cols, group, _mix_seed(seed, 100 + KINDS.index(v))
                                if v in KINDS else None) for v in variants}
 

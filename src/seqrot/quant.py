@@ -378,10 +378,13 @@ def hessian_from_calibration(x: np.ndarray) -> CalibrationHessian:
         raise EmptyCalibrationError("calibration requires at least one sample")
     if not np.isfinite(x).all():
         raise NonFiniteInputError("calibration activations contain NaN or inf")
-    h = x.T @ x
-    h *= 2.0
-    h /= x.shape[0]
-    _symmetrize(h)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        h = x.T @ x
+        h *= 2.0
+        h /= x.shape[0]
+        _symmetrize(h)
+    if not np.isfinite(h).all():
+        raise NonFiniteInputError("calibration Hessian overflows the float64 range")
     return CalibrationHessian(matrix=h, sample_count=x.shape[0])
 
 
@@ -454,6 +457,7 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     except np.linalg.LinAlgError as exc:
         raise SingularHessianError(
             f"Hessian is not positive definite after dampening: {exc}") from None
+    del hd, hinv   # only u is read from here on
 
     # transposed: row j of work and sweep is column j, row gi of each parameter
     # array is group gi
@@ -473,7 +477,7 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
                        col_lo[gi], col_hi[gi], out=sweep[j], half=half)
             err[j - b0] = (col - q * col_scale[gi]) / u[j, j]
         work[b1:] -= u[b0:b1, b1:].T @ err
-    del work, err   # the RTN guard below is the call's memory peak
+    del work, err, u   # the RTN guard below is the call's memory peak
 
     sweep = _group_view(sweep.T, spec.group_size)
     rtn = _codes(grouped, spec, scale, zero, lo, hi)

@@ -33,6 +33,7 @@ from seqrot.transforms import (
     KIND_GH,
     KIND_GW,
     KINDS,
+    KRON_MIN_ORDER,
     OrthoMatrix,
     RotationOperator,
     _mix_seed,
@@ -165,6 +166,21 @@ class TestStructuredRotation:
         report = run_comparison(corpus, self.VARIANTS, SMALL_SPEC, quantizer=quantizer)
         ref = dense_reference(corpus, self.VARIANTS, SMALL_SPEC, quantizer)
         for v in self.VARIANTS:
+            np.testing.assert_allclose(report.per_tensor[v]["mse"], ref[v], rtol=1e-9)
+
+    def test_gptq_at_the_factored_order_matches_dense_products(self, monkeypatch):
+        """From KRON_MIN_ORDER the rotate, rotate-back and R^T H R products of
+        gh and gw go through their Kronecker factors, never a dense matrix."""
+        corpus = gen_corpus(CorpusSpec(count=2, rows=8, cols=KRON_MIN_ORDER, seed=1))
+        variants = (KIND_GH, KIND_GW)
+        ref = dense_reference(corpus, variants, SMALL_SPEC, "gptq")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("densified")
+
+        monkeypatch.setattr(OrthoMatrix, "dense", refuse)
+        report = run_comparison(corpus, variants, SMALL_SPEC, quantizer="gptq")
+        for v in variants:
             np.testing.assert_allclose(report.per_tensor[v]["mse"], ref[v], rtol=1e-9)
 
 

@@ -380,6 +380,14 @@ class TestNonFinite:
         with pytest.raises(NonFiniteInputError, match="activations"):
             hessian_from_calibration(x)
 
+    @pytest.mark.parametrize("x", [[[1e200, 1.0], [1.0, 1.0]],   # X^T X overflows
+                                   [[1.2e154, 1.0]],              # 2 X^T X overflows
+                                   [[1e200, -1e200], [1e200, 1e200]]])  # inf - inf
+    def test_hessian_rejects_overflow(self, x):
+        # pytest turns any RuntimeWarning into an error, so none may escape
+        with pytest.raises(NonFiniteInputError, match="overflows"):
+            hessian_from_calibration(x)
+
 
 class TestRangeOverflow:
     """A finite asymmetric group whose range overflows float64 raises instead

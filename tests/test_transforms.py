@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import ORDERING_NATURAL, ORDERING_SEQUENCY, fwht
 from scipy.linalg import hadamard as scipy_hadamard
 
+from seqrot import transforms
 from seqrot.errors import (
     DimensionMismatchError,
     EmptyRowError,
@@ -23,6 +24,7 @@ from seqrot.transforms import (
     KIND_GSR,
     KIND_GW,
     KIND_LH,
+    KRON_MIN_ORDER,
     MAX_ORDER,
     OrthoMatrix,
     RotationOperator,
@@ -32,6 +34,7 @@ from seqrot.transforms import (
     build_rotation,
     gsr,
     hadamard_sylvester,
+    is_power_of_two,
     natural_sequency_formula,
     orthogonality_residual,
     randomize_signs,
@@ -446,6 +449,95 @@ class TestRotationOperator:
         for r in (gsr(16, 4), hadamard_sylvester(16)):
             with pytest.raises(DimensionMismatchError):
                 RotationOperator(r).apply(np.zeros((2, 8)))
+
+
+def tiled_dense_product(x, m, transpose=False, tile=1024):
+    """x @ m.dense() (or its transpose) over column tiles of the sign matrix,
+    so an n=8192 reference needs no 512 MiB matrix."""
+    s = m.signs.T if transpose else m.signs
+    return np.hstack([x @ (s[:, c:c + tile] * m.scale) for c in range(0, m.n, tile)])
+
+
+def fwht_rows(x, ordering):
+    return np.array([fwht(row, ordering) for row in x])
+
+
+class TestFactoredGlobal:
+    """A library gh/gw rotation of order >= KRON_MIN_ORDER is applied through its
+    Kronecker factors: it matches the dense product to round-off, and the
+    n x n matrix is never built."""
+
+    ORDERING = {KIND_GH: ORDERING_NATURAL, KIND_GW: ORDERING_SEQUENCY}
+
+    def test_threshold_is_above_the_compare_order(self):
+        assert KRON_MIN_ORDER > 512 and is_power_of_two(KRON_MIN_ORDER)
+
+    @pytest.mark.parametrize("n", [KRON_MIN_ORDER, 4096, 8192])
+    @pytest.mark.parametrize("seed", [None, 5])
+    @pytest.mark.parametrize("kind", [KIND_GH, KIND_GW])
+    def test_matches_dense_product_and_fwht(self, kind, seed, n):
+        m = build_rotation(kind, n, seed=seed)
+        op = RotationOperator(m)
+        assert op.matrix is None and op.blocks is None
+        x = np.random.default_rng(n).standard_normal((4, n))
+        fwd, back = op.apply(x), op.apply(x, transpose=True)
+        if n <= 4096:
+            d = m.dense()
+            ref_fwd, ref_back = x @ d, x @ d.T
+        else:
+            ref_fwd, ref_back = tiled_dense_product(x, m), tiled_dense_product(x, m, True)
+        assert np.max(np.abs(fwd - ref_fwd)) <= 1e-12
+        assert np.max(np.abs(back - ref_back)) <= 1e-12
+        # x @ R.T is the FWHT of x times the column signs (row 0 of the block),
+        # so the FWHT of (x @ R) times the signs gives x back
+        signs = m.blocks[0, 0]
+        ordering = self.ORDERING[kind]
+        assert np.max(np.abs(back - fwht_rows(x * signs, ordering))) <= 1e-12
+        assert np.max(np.abs(fwht_rows(fwd * signs, ordering) - x)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", [KIND_GH, KIND_GW])
+    def test_float32_runs_in_float32(self, kind):
+        m = build_rotation(kind, KRON_MIN_ORDER, seed=3)
+        x = np.random.default_rng(1).standard_normal((8, m.n))
+        op, d = RotationOperator(m), m.dense()
+        for transpose, ref in ((False, x @ d), (True, x @ d.T)):
+            got = op.apply(x.astype(np.float32), transpose=transpose)
+            assert got.dtype == np.float32
+            assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", [KIND_GH, KIND_GW])
+    def test_round_trip(self, kind):
+        op = RotationOperator(build_rotation(kind, 2 * KRON_MIN_ORDER, seed=8))
+        x = np.random.default_rng(2).standard_normal((5, op.n))
+        assert np.max(np.abs(op.apply(op.apply(x), transpose=True) - x)) < 1e-12
+        assert np.max(np.abs(op.apply(op.apply(x, transpose=True)) - x)) < 1e-12
+        # a transposed (Fortran-order) input gives the same product
+        assert np.array_equal(op.apply(np.asfortranarray(x)), op.apply(x))
+
+    @pytest.mark.parametrize("kind", [KIND_GH, KIND_GW])
+    def test_never_densified(self, monkeypatch, kind):
+        m = build_rotation(kind, KRON_MIN_ORDER, seed=4)
+        x = np.random.default_rng(3).standard_normal((3, m.n))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("densified")
+
+        monkeypatch.setattr(OrthoMatrix, "dense", refuse)
+        monkeypatch.setattr(OrthoMatrix, "signs", property(refuse))
+        monkeypatch.setattr(transforms, "_float_blocks", refuse)
+        op = RotationOperator(m)
+        op.apply(op.apply(x), transpose=True)
+
+    @pytest.mark.parametrize("kind", [KIND_GH, KIND_GW])
+    def test_below_threshold_and_external_are_dense_products(self, kind):
+        small = build_rotation(kind, KRON_MIN_ORDER // 2, seed=6)
+        external = build_rotation(kind, KRON_MIN_ORDER, seed=6).dense()
+        for r, d in ((small, small.dense()), (external, external)):
+            x = np.random.default_rng(5).standard_normal((16, len(d)))
+            op = RotationOperator(r)
+            assert op.factors is None
+            assert np.array_equal(op.apply(x), x @ d)
+            assert np.array_equal(op.apply(x, transpose=True), x @ d.T)
 
 
 class TestBlockStorage:
