@@ -107,7 +107,7 @@ def _parse_clip(text: str) -> Clip:
 
 
 def _sequency_summary(m: OrthoMatrix, group: int | None) -> str:
-    prof = sequency_profile(m, m.blocks.shape[1] if group is None else group)
+    prof = sequency_profile(m, m.group or m.n if group is None else group)
     seq = prof.per_row_sequency
     lines = []
     if m.n <= 64:

@@ -51,10 +51,6 @@ class DimensionMismatchError(SeqrotError, ValueError):
     """Rotation matrix order does not match the dimension it acts on."""
 
 
-class NotOrthogonalError(SeqrotError, ValueError):
-    """Externally supplied rotation matrix failed the orthogonality check."""
-
-
 class InvalidConfigError(SeqrotError, ValueError):
     """Block or experiment configuration violates its invariants."""
 
@@ -65,6 +61,10 @@ class InvalidSpecError(SeqrotError, ValueError):
 
 class TensorFileError(SeqrotError):
     """Base class for tensor-file serialization errors."""
+
+
+class NotOrthogonalError(TensorFileError, ValueError):
+    """A float matrix read as an external rotation is not square or not orthogonal."""
 
 
 class IoFailureError(TensorFileError):

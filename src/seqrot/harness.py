@@ -20,9 +20,7 @@ from .quant import (
     METRIC_MAX_ABS,
     METRIC_MSE,
     METRIC_PROXY,
-    CalibrationHessian,
     QuantSpec,
-    _symmetrize,
     dequantize,
     gptq_quantize,
     hessian_from_calibration,
@@ -106,19 +104,18 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
                                if v in KINDS else None) for v in variants}
 
     rng = np.random.default_rng(_mix_seed(seed, 7))
-    h_base = hessian_from_calibration(rng.standard_normal((calib_samples, cols)))
+    x_cal = rng.standard_normal((calib_samples, cols))
+    h_base = hessian_from_calibration(x_cal)
+    if quantizer == QUANTIZER_RTN:
+        del x_cal   # only GPTQ's rotated Hessians read it; held, it raises the peak by ~2 MiB
 
     per_tensor = {v: {m: np.zeros(len(corpus)) for m in METRICS} for v in variants}
     fairness = {}
     for v in variants:
         r1 = None if rots[v] is None else RotationOperator(rots[v])
-        if quantizer == QUANTIZER_GPTQ and r1 is None:
-            h_rot = h_base   # already exactly symmetric
-        elif quantizer == QUANTIZER_GPTQ:
-            # R^T H R = (H^T R)^T R
-            hm = r1.apply(r1.apply(h_base.matrix.T).T)
-            _symmetrize(hm)
-            h_rot = CalibrationHessian(matrix=hm, sample_count=h_base.sample_count)
+        if quantizer == QUANTIZER_GPTQ:
+            # R^T H R is the Hessian of the rotated samples X R
+            h_rot = h_base if r1 is None else hessian_from_calibration(r1.apply(x_cal))
         hasher = hashlib.sha256()
         for i, w in enumerate(corpus):
             w = np.ascontiguousarray(w, dtype=np.float64)

@@ -373,7 +373,9 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
 
 def hessian_from_calibration(x: np.ndarray) -> CalibrationHessian:
     """Proxy Hessian 2 X^T X / samples from a (samples, d) activation matrix."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    # a C-contiguous x makes x.T @ x one symmetric rank-k product, exactly
+    # symmetric; a strided view would not
+    x = np.atleast_2d(np.ascontiguousarray(x, dtype=np.float64))
     if x.shape[0] < 1 or x.size == 0:
         raise EmptyCalibrationError("calibration requires at least one sample")
     if not np.isfinite(x).all():
@@ -382,31 +384,9 @@ def hessian_from_calibration(x: np.ndarray) -> CalibrationHessian:
         h = x.T @ x
         h *= 2.0
         h /= x.shape[0]
-        _symmetrize(h)
     if not np.isfinite(h).all():
         raise NonFiniteInputError("calibration Hessian overflows the float64 range")
     return CalibrationHessian(matrix=h, sample_count=x.shape[0])
-
-
-_SYM_TILE = 64
-
-
-def _symmetrize(h: np.ndarray) -> None:
-    """``h = 0.5 * (h + h.T)`` in place, over pairs of 64x64 tiles.
-
-    Each mirrored pair of tiles is averaged once and written to both places;
-    IEEE addition is commutative, so both entries get the same bits as the
-    full-matrix expression. There is no full-size temporary, and the
-    transposed reads stay inside one tile.
-    """
-    n = h.shape[0]
-    for i in range(0, n, _SYM_TILE):
-        rows = slice(i, i + _SYM_TILE)
-        for j in range(i, n, _SYM_TILE):
-            cols = slice(j, j + _SYM_TILE)
-            s = 0.5 * (h[rows, cols] + h[cols, rows].T)
-            h[rows, cols] = s
-            h[cols, rows] = s.T
 
 
 # GPTQ's Hessian dampening, as a fraction of the mean diagonal

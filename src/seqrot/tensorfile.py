@@ -11,8 +11,10 @@ File layout (all integers little-endian, independent of host byte order):
     dims    ndim * u64
     payload product(dims) * itemsize bytes, row-major
 
-Writes go through a temp file and an atomic rename, so a reader never sees a
-partially written file at the target path.
+A rotation file is its value alone: metadata ``content: rotation``, ``kind``,
+``n``, ``group`` and ``seed`` over an empty int8 payload, under 1 KiB at any
+order. Writes go through a temp file and an atomic rename, so a reader never
+sees a partially written file at the target path.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     VersionUnsupportedError,
 )
 from .quant import Clip, QuantizedTensor, QuantSpec
-from .transforms import BLOCK_BASES, KINDS, OrthoMatrix, build_rotation, orthogonality_residual
+from .transforms import OrthoMatrix, _is_int, orthogonality_residual
 
 MAGIC = b"GSRT"
 VERSION = 1
@@ -153,13 +155,11 @@ def read_tensor(path) -> tuple[np.ndarray, dict]:
 
 
 def save_rotation(path, m: OrthoMatrix) -> None:
-    """Write the (n/b, b, b) int8 diagonal blocks of ``m`` plus its kind and seed."""
-    write_tensor(path, m.blocks, metadata={"content": "rotation", "kind": m.kind,
-                                           "seed": m.seed})
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+    """Write ``m`` as its value alone: metadata ``content``, ``kind``, ``n``,
+    ``group`` and ``seed`` over an empty int8 payload."""
+    write_tensor(path, np.empty(0, dtype=np.int8),
+                 metadata={"content": "rotation", "kind": m.kind, "n": m.n, "group": m.group,
+                           "seed": m.seed})
 
 
 def _is_positive_float(v) -> bool:
@@ -173,12 +173,23 @@ def _is_positive_float(v) -> bool:
 
 
 def load_rotation(path) -> OrthoMatrix | np.ndarray:
-    """Read and check a rotation file: exactly ``build_rotation(kind, n, group, seed)``
-    of a file written by ``save_rotation``, or the float64 matrix of an external
-    float tensor that is square, non-empty and orthogonal to 1e-8 (NaN or inf fails)."""
+    """Read and check a rotation file: the ``OrthoMatrix`` its metadata names, for a
+    file written by ``save_rotation``, or the float64 matrix of an external float
+    tensor that is square, non-empty and orthogonal to 1e-8 (NaN or inf fails)."""
     arr, meta = read_tensor(path)
     if meta.get("content") == "rotation":
-        return _rotation_from(arr, meta, path)
+        # the (n/b, b, b) blocks and n x n signs of the layouts before are payloads too
+        if arr.dtype != np.int8 or arr.shape != (0,):
+            raise CorruptFileError(
+                f"{path}: bad rotation file: {arr.dtype} payload of shape {arr.shape}; a "
+                "rotation file holds no payload, only its kind, n, group and seed (rebuild "
+                "a file of blocks or of an n x n sign matrix with `seqrot make-rotation` "
+                "from its kind, order, group size and seed)")
+        try:   # the blocks are not built
+            return OrthoMatrix(*(meta.get(key) for key in ("kind", "n", "group", "seed")))
+        except SeqrotError as exc:
+            raise CorruptFileError(f"{path}: bad rotation file: {exc} "
+                                   "(rebuild it with `seqrot make-rotation`)") from None
     if arr.dtype.kind != "f":
         raise CorruptFileError(f"{path} holds neither a sign rotation nor a float matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
@@ -188,38 +199,6 @@ def load_rotation(path) -> OrthoMatrix | np.ndarray:
     if not residual <= 1e-8:   # a NaN residual fails too
         raise NotOrthogonalError(f"{path}: orthogonality residual {residual:.3e} exceeds 1e-8")
     return r
-
-
-def _rotation_from(arr, meta, path) -> OrthoMatrix:
-    """The rotation a file's kind and seed name; CorruptFileError unless the
-    file's (n/b, b, b) int8 blocks are exactly that rotation's blocks."""
-    kind, seed = meta.get("kind"), meta.get("seed")
-    k, b, b2 = arr.shape if arr.ndim == 3 else (0, 0, 0)
-    problems = [
-        # an n x n sign matrix, zeros included, is the layout before blocks
-        (arr.dtype != np.int8 or k == 0 or b == 0 or b != b2,
-         f"{arr.dtype} payload of shape {arr.shape}; a rotation file holds its (n/b, b, b) "
-         "int8 diagonal blocks (rebuild an n x n sign file with `seqrot make-rotation` "
-         "from its kind, group size and seed)"),
-        (kind not in KINDS,
-         f"kind {kind!r}, not one of {', '.join(KINDS)} (rebuild a file written with the "
-         "kinds hadamard, walsh or grouped with `seqrot make-rotation`)"),
-        (not (seed is None or _is_int(seed)), f"seed {seed!r}"),
-    ]
-    for bad, what in problems:
-        if bad:
-            raise CorruptFileError(f"{path}: bad rotation file: {what}")
-    # a global kind is one block of order b; rebuilding it at k * b would let a
-    # small file of many blocks ask for a k times larger matrix
-    local = kind in BLOCK_BASES
-    try:
-        rebuilt = build_rotation(kind, k * b if local else b, b if local else None, seed)
-    except SeqrotError as exc:
-        raise CorruptFileError(f"{path}: bad rotation file: {exc}") from None
-    if not np.array_equal(rebuilt.blocks, arr):
-        raise CorruptFileError(f"{path}: bad rotation file: its {k} blocks of order {b} "
-                               f"are not those of kind {kind!r} with seed {seed!r}")
-    return rebuilt
 
 
 def save_quantized(path, qt) -> None:

@@ -1,15 +1,20 @@
 """Construction of Hadamard, Walsh and grouped block-diagonal rotation matrices.
 
-A rotation is its diagonal blocks (unnormalized {-1, +1} int8 sign arrays,
-scaled by 1/sqrt(block order)), its kind and its sign seed. A global matrix
-is one block; a local one is n/g blocks of order g, so its zeros are never
-stored. This keeps construction checks exact and serialization bit-stable.
+A library rotation is the value (kind, n, group, seed): its kind, its order,
+the block order of a local kind and the seed of its column signs. Its entries
+follow from those four, so nothing else is stored. One row generator builds
+them on demand: row i, without its zeros, is Sylvester Hadamard row i % b of
+the block order b (taken as the Kronecker product of rows of two small
+factors, in Walsh order for gw and gsr) times the seed's column signs of its
+block. ``blocks``, ``signs`` and ``dense`` come from it, and so do the
+sequencies of ``sequency_profile``, a tile of rows at a time.
 ``RotationOperator`` is the one place a rotation multiplies data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +36,7 @@ MAX_ORDER = 1 << 16
 KINDS = ("gh", "gw", "lh", "gsr")
 KIND_GH, KIND_GW, KIND_LH, KIND_GSR = KINDS
 
-# Block bases of ``gsr``: natural (Sylvester) or sequency-ascending row order.
+# Block bases of the local kinds: natural (Sylvester) or sequency-ascending row order.
 BASE_HADAMARD, BASE_WALSH = "hadamard", "walsh"
 BLOCK_BASES = {KIND_LH: BASE_HADAMARD, KIND_GSR: BASE_WALSH}   # of each local kind
 
@@ -40,9 +45,22 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _require_power_of_two(n: int, what: str = "order") -> None:
-    if not is_power_of_two(n):
-        raise NonPowerOfTwoError(f"{what} must be a power of two, got {n}")
+    if not (_is_int(n) and is_power_of_two(n)):
+        raise NonPowerOfTwoError(f"{what} must be a power of two, got {n!r}")
+
+
+def _require_order(n, what: str) -> None:
+    """``n`` is an int power of two in [2, MAX_ORDER]."""
+    _require_power_of_two(n, what)
+    if n > MAX_ORDER:
+        raise OrderTooLargeError(f"{what} {n} exceeds maximum {MAX_ORDER}")
+    if n < 2:
+        raise NonPowerOfTwoError(f"{what} must be at least 2, got {n}")
 
 
 def _require_group_divides(g: int, n: int) -> None:
@@ -50,40 +68,96 @@ def _require_group_divides(g: int, n: int) -> None:
         raise GroupDoesNotDivideError(f"group size {g} is not a positive divisor of {n}")
 
 
+def _sylvester(n: int) -> np.ndarray:
+    """The int8 Sylvester Hadamard matrix of order n, by Kronecker doubling;
+    only the factors of ``_factors``, of order at most 256, are built this way."""
+    h = np.ones((1, 1), dtype=np.int8)
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def _factors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """H_a and H_c with H_n = H_a (x) H_c, a = 2^floor(log2(n)/2) and c = n/a."""
+    a = 1 << ((n.bit_length() - 1) // 2)
+    return _sylvester(a), _sylvester(n // a)
+
+
+# Rows per tile of ``sequency_profile``: 2^20 int8 entries of the matrix
+_TILE_ENTRIES = 1 << 20
+
+
 @dataclass(frozen=True)
 class OrthoMatrix:
-    """An orthogonal block-diagonal rotation: its blocks, its kind and its seed.
+    """An orthogonal block-diagonal rotation: the value (kind, n, group, seed).
 
-    ``blocks`` holds the (n/b, b, b) unnormalized int8 diagonal blocks; the
+    ``kind`` is one of ``KINDS``; ``n`` is the order. ``group`` is the block
+    order b of a local kind (lh, gsr) and None for a global kind (gh, gw),
+    which is one block of order b = n. ``seed`` flips the column signs by the
+    splitmix64 stream of that seed; None leaves them as constructed. The
     dense matrix is the block-diagonal of ``blocks * scale`` with
-    ``scale = 1/sqrt(b)``. ``kind`` is one of ``KINDS``; a global kind (gh,
-    gw) is one block of order n. ``seed`` is the sign-randomization seed,
-    None if the signs are as constructed. ``group_size`` (b) and
-    ``block_kind`` (the base of ``BLOCK_BASES``) are None for a global kind.
+    ``scale = 1/sqrt(b)``. Every check of a rotation is made here.
     """
 
-    blocks: np.ndarray
     kind: str
+    n: int
+    group: int | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        self.blocks.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return self.blocks.shape[0] * self.blocks.shape[1]
+        if self.kind not in KINDS:
+            raise InvalidConfigError(
+                f"rotation kind must be one of {', '.join(KINDS)}, got {self.kind!r}")
+        _require_order(self.n, "order")
+        local = self.kind in BLOCK_BASES   # gh and gw are one block of order n
+        if (self.group is None) == local:
+            raise InvalidConfigError(f"{self.kind} {'needs a' if local else 'takes no'} "
+                                     f"group size, got {self.group!r}")
+        if local:
+            _require_order(self.group, "group size")
+            _require_group_divides(self.group, self.n)
+        if not (self.seed is None or _is_int(self.seed)):
+            raise InvalidConfigError(f"seed must be an integer or None, got {self.seed!r}")
 
     @property
     def scale(self) -> float:
-        return float(1.0 / np.sqrt(self.blocks.shape[1]))
+        return float(1.0 / np.sqrt(self.group or self.n))
 
     @property
     def group_size(self) -> int | None:
-        return self.blocks.shape[1] if self.kind in BLOCK_BASES else None
+        """``group``, under the name the benchmark reads."""
+        return self.group
 
     @property
     def block_kind(self) -> str | None:
         return BLOCK_BASES.get(self.kind)
+
+    def _row_tiles(self, tile: int):
+        """The rows of the matrix without their zeros, as int8 (rows, b) tiles of
+        ``tile`` rows (a power of two): row i is row i % b of block i // b."""
+        b = self.group or self.n
+        ha, hc = _factors(b)
+        c = len(hc)
+        # row k of the block is Sylvester row perm[k]
+        perm = walsh_permutation(b) if self.kind in (KIND_GW, KIND_GSR) else np.arange(b)
+        d = None if self.seed is None else _splitmix64_signs(self.seed, self.n).reshape(-1, b)
+        for lo in range(0, self.n, tile):
+            hi = min(lo + tile, self.n)
+            r = perm[np.arange(lo, hi) % b]
+            rows = (ha[r // c, :, None] * hc[r % c, None, :]).reshape(hi - lo, b)
+            if d is not None:   # the tile is whole blocks or a part of one
+                view = rows.reshape(-1, min(hi - lo, b), b)
+                view *= d[lo // b:(hi - 1) // b + 1, None]
+            yield rows
+
+    @cached_property
+    def blocks(self) -> np.ndarray:
+        """The read-only (n/b, b, b) unnormalized int8 diagonal blocks, built on
+        first read."""
+        b = self.group or self.n
+        out = next(self._row_tiles(self.n)).reshape(-1, b, b)
+        out.flags.writeable = False
+        return out
 
     @property
     def signs(self) -> np.ndarray:
@@ -123,16 +197,15 @@ class RotationOperator:
     """Right-multiplication by a block-diagonal rotation R: ``x @ R``, or ``x @ R.T``.
 
     A library ``gh``/``gw`` rotation of order n >= ``KRON_MIN_ORDER`` is the
-    Sylvester Hadamard H times its column signs d (row 0 of its block, since
-    row 0 of H and of the Walsh reordering is all +1) and 1/sqrt(n), with
-    the rows of H in Walsh order for ``gw``. H_n = H_a (x) H_b with
-    a = 2^floor(log2(n)/2), b = n/a, both symmetric, so ``x @ H`` is one
-    product of the (rows*a, b) view of ``x`` with H_b and one with H_a on
-    the a-axis: n/(a+b) times fewer flops than the dense product, and
-    no n x n matrix. Then the columns are scaled by d/sqrt(n). For ``gw`` the
-    input columns are first gathered into natural order; the transpose runs
-    the same steps backwards. It rounds differently from the dense product,
-    by about 1e-15 relative.
+    Sylvester Hadamard H times its column signs d (the seed's splitmix64
+    signs, all +1 without a seed) and 1/sqrt(n), with the rows of H in Walsh
+    order for ``gw``. H_n = H_a (x) H_b with a = 2^floor(log2(n)/2), b = n/a,
+    both symmetric, so ``x @ H`` is one product of the (rows*a, b) view of
+    ``x`` with H_b and one with H_a on the a-axis: n/(a+b) times fewer flops
+    than the dense product, and no block is built. Then the columns are
+    scaled by d/sqrt(n). For ``gw`` the input columns are first gathered
+    into natural order; the transpose runs the same steps backwards. It
+    rounds differently from the dense product, by about 1e-15 relative.
 
     Any other single block (a smaller global kind, or an external dense
     matrix) is applied as one dense BLAS product. Several blocks are applied
@@ -149,10 +222,9 @@ class RotationOperator:
         if (isinstance(r, OrthoMatrix) and r.kind in (KIND_GH, KIND_GW)
                 and r.n >= KRON_MIN_ORDER):
             self.n = r.n
-            a = 1 << ((self.n.bit_length() - 1) // 2)
-            self.factors = tuple(hadamard_sylvester(f).blocks[0].astype(np.float64)
-                                 for f in (a, self.n // a))
-            self.col_scale = r.blocks[0, 0] * r.scale
+            self.factors = tuple(f.astype(np.float64) for f in _factors(self.n))
+            d = np.ones(self.n, np.int8) if r.seed is None else _splitmix64_signs(r.seed, r.n)
+            self.col_scale = d * r.scale
             # Walsh row k is natural row perm[k]; natural row i is Walsh row perm_inv[i]
             self.perm = self.perm_inv = None
             if r.kind == KIND_GW:
@@ -210,20 +282,9 @@ class RotationOperator:
 
 
 def hadamard_sylvester(n: int) -> OrthoMatrix:
-    """Sylvester-constructed Hadamard matrix of order ``n`` in natural ordering.
-
-    Built by Kronecker doubling of [[1, 1], [1, -1]]; the first row and first
-    column are all +1.
-    """
-    _require_power_of_two(n)
-    if n > MAX_ORDER:
-        raise OrderTooLargeError(f"order {n} exceeds maximum {MAX_ORDER}")
-    if n < 2:
-        raise NonPowerOfTwoError(f"order must be at least 2, got {n}")
-    h = np.array([[1]], dtype=np.int8)
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]])
-    return OrthoMatrix(blocks=h[np.newaxis], kind=KIND_GH)
+    """Sylvester-constructed Hadamard matrix of order ``n`` in natural ordering:
+    H_2n = [[H_n, H_n], [H_n, -H_n]], whose first row and column are all +1."""
+    return OrthoMatrix(KIND_GH, n)
 
 
 def row_sequency(row) -> int:
@@ -250,8 +311,9 @@ def _bit_reverse(i: np.ndarray, bits: int) -> np.ndarray:
 
 
 def natural_sequency_formula(n: int) -> np.ndarray:
-    """Closed-form sequency of each natural-order row: the inverse of
-    ``walsh_permutation``, since Walsh row k has sequency k.
+    """Closed-form sequency of each natural-order row of an unsigned Hadamard
+    matrix: the inverse of ``walsh_permutation``, since Walsh row k has
+    sequency k. Column signs change the sequencies.
     """
     perm = walsh_permutation(n)
     seq = np.empty_like(perm)
@@ -280,7 +342,7 @@ def walsh_from_hadamard(h: OrthoMatrix) -> OrthoMatrix:
     """
     if h.kind != KIND_GH:
         raise NotHadamardError(f"expected a global Hadamard matrix (gh), got kind={h.kind!r}")
-    return OrthoMatrix(blocks=h.blocks[:, walsh_permutation(h.n)], kind=KIND_GW, seed=h.seed)
+    return replace(h, kind=KIND_GW)
 
 
 _MASK64 = (1 << 64) - 1
@@ -303,54 +365,29 @@ def _splitmix64_signs(seed: int, count: int) -> np.ndarray:
 
 
 def randomize_signs(m: OrthoMatrix, seed: int) -> OrthoMatrix:
-    """Right-multiply by a seeded random diagonal +-1 matrix (column sign flips).
+    """Right-multiply an unsigned rotation by the seeded random diagonal +-1
+    matrix (column sign flips). Orthogonality is preserved exactly; the same
+    seed gives bit-identical output."""
+    if m.seed is not None:
+        raise InvalidConfigError(f"this {m.kind} already has the column signs of seed {m.seed}")
+    return replace(m, seed=seed)
 
-    Orthogonality is preserved exactly; the same seed gives bit-identical
-    output.
-    """
-    d = _splitmix64_signs(seed, m.n).reshape(len(m.blocks), 1, -1)   # per block column
-    return replace(m, blocks=m.blocks * d, seed=seed)   # int8 * int8 stays int8
 
-
-def gsr(c: int, g: int, base: str = BASE_WALSH) -> OrthoMatrix:
-    """Block-diagonal rotation with c/g identical g-by-g base blocks.
-
-    A Walsh base (the default) gives a ``gsr``, a Hadamard base an ``lh``;
-    ``randomize_signs`` flips its column signs.
-    """
-    _require_power_of_two(c, "order")
-    if c > MAX_ORDER:
-        raise OrderTooLargeError(f"order {c} exceeds maximum {MAX_ORDER}")
-    _require_power_of_two(g, "group size")
-    _require_group_divides(g, c)
-    kind = next((k for k, b in BLOCK_BASES.items() if b == base), None)
-    if kind is None:
-        raise InvalidConfigError(f"block base must be one of {BASE_HADAMARD!r}, "
-                                 f"{BASE_WALSH!r}, got {base!r}")
-    block = hadamard_sylvester(g)
-    if base == BASE_WALSH:
-        block = walsh_from_hadamard(block)
-    return OrthoMatrix(blocks=np.repeat(block.blocks, c // g, axis=0), kind=kind)
+def gsr(c: int, g: int) -> OrthoMatrix:
+    """Block-diagonal rotation of order c with c/g identical g-by-g Walsh blocks;
+    ``randomize_signs`` flips its column signs."""
+    return OrthoMatrix(KIND_GSR, c, g)
 
 
 def build_rotation(kind: str, n: int, group: int | None = None,
                    seed: int | None = None) -> OrthoMatrix:
     """The rotation of ``kind`` (one of ``KINDS``) at order ``n``.
 
-    ``group`` is the block order of lh and gsr. With ``seed`` the column signs
-    are flipped from that seed's stream; ``None`` leaves them as constructed.
+    ``group`` is the block order of lh and gsr; gh and gw do not read it.
+    With ``seed`` the column signs are flipped from that seed's stream;
+    ``None`` leaves them as constructed.
     """
-    if kind in BLOCK_BASES:
-        if group is None:
-            raise InvalidConfigError(f"{kind} needs a group size")
-        m = gsr(n, group, base=BLOCK_BASES[kind])
-    elif kind in (KIND_GH, KIND_GW):
-        m = hadamard_sylvester(n)
-        if kind == KIND_GW:
-            m = walsh_from_hadamard(m)
-    else:
-        raise InvalidConfigError(f"rotation kind must be one of {KINDS}, got {kind!r}")
-    return m if seed is None else randomize_signs(m, seed)
+    return OrthoMatrix(kind, n, group if kind in BLOCK_BASES else None, seed)
 
 
 def _mix_seed(seed: int, stream: int) -> int:
@@ -371,10 +408,14 @@ class SequencyProfile:
 
 
 def sequency_profile(m: OrthoMatrix, g: int) -> SequencyProfile:
-    """Per-row sequencies plus mean/population-variance over row groups of size g."""
+    """Per-row sequencies plus mean/population-variance over row groups of size g.
+
+    The sign changes are counted on the rows without their zeros, tile by
+    tile, so neither the n x n matrix nor the blocks are built.
+    """
     _require_group_divides(g, m.n)
-    # row i of the matrix is, without its zeros, row i % b of block i // b
-    seq = _row_sequencies(m.blocks.reshape(m.n, -1))
+    tile = max(1, _TILE_ENTRIES // (m.group or m.n))
+    seq = np.concatenate([_row_sequencies(rows) for rows in m._row_tiles(tile)])
     grouped = seq.reshape(-1, g).astype(np.float64)
     return SequencyProfile(per_row_sequency=seq, group_size=g,
                            per_group_mean=grouped.mean(axis=1),

@@ -135,6 +135,14 @@ def gsr_signs(c: int, g: int, base: str = "walsh", seed=None) -> np.ndarray:
     return flip_columns(signs, splitmix64_signs(seed, c))
 
 
+def rotation_signs(kind: str, n: int, g=None, seed=None) -> np.ndarray:
+    """The n x n signs of ``build_rotation(kind, n, g, seed)`` from the above."""
+    if kind in ("lh", "gsr"):
+        return gsr_signs(n, g, "hadamard" if kind == "lh" else "walsh", seed)
+    signs = hadamard_signs(n) if kind == "gh" else walsh_signs(n)
+    return signs if seed is None else flip_columns(signs, splitmix64_signs(seed, n))
+
+
 # Fusion with every rotation densified: R2 as the Kronecker product of an
 # identity per head with the head rotation, and W' = front^T @ W @ rear.
 

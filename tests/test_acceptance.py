@@ -40,6 +40,7 @@ from seqrot.rotation import (
 )
 from seqrot.tensorfile import read_report, read_tensor, write_tensor
 from seqrot.transforms import (
+    build_rotation,
     gsr,
     hadamard_sylvester,
     randomize_signs,
@@ -107,8 +108,8 @@ def test_criterion_03_orthogonality():
         bases = [hadamard_sylvester(n)]
         bases.append(walsh_from_hadamard(bases[0]))
         if n >= 8:
-            bases.append(gsr(n, n // 4, base="hadamard"))
-            bases.append(gsr(n, n // 4, base="walsh"))
+            bases.append(build_rotation("lh", n, n // 4))
+            bases.append(gsr(n, n // 4))
         for base in bases:
             for seed in range(20):
                 worst = max(worst, exact_residual(randomize_signs(base, seed)))

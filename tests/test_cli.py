@@ -13,7 +13,7 @@ from seqrot.tensorfile import (
     save_rotation,
     write_tensor,
 )
-from seqrot.transforms import OrthoMatrix, build_rotation, gsr, orthogonality_residual
+from seqrot.transforms import OrthoMatrix, build_rotation, orthogonality_residual
 
 
 def run_cli(capsys, *argv):
@@ -90,9 +90,10 @@ class TestMakeRotation:
 
 
 def mislabelled_lh(tmp_path):
-    # Walsh-ordered gsr blocks under the name of Hadamard-ordered lh blocks
+    # an lh file whose group does not divide its order
     p = tmp_path / "lh.gsrt"
-    write_tensor(p, gsr(64, 16).blocks, {"content": "rotation", "kind": "lh", "seed": None})
+    write_tensor(p, np.empty(0, dtype=np.int8),
+                 {"content": "rotation", "kind": "lh", "n": 64, "group": 128, "seed": None})
     return p
 
 
@@ -132,7 +133,8 @@ class TestInspect:
                 "--seed", "3", "--out", str(p))
         code, out, _ = run_cli(capsys, "inspect", "--file", str(p))
         assert code == 0
-        assert "metadata {'content': 'rotation', 'kind': 'lh', 'seed': 3}" in out
+        assert ("metadata {'content': 'rotation', 'group': 4, 'kind': 'lh', 'n': 16, 'seed': 3}"
+                in out)
         variances = out.split("group sequency variance: ")[1].split()
         assert len(variances) == 4   # without --group, one value per block
 

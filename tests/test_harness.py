@@ -37,7 +37,7 @@ from seqrot.transforms import (
     OrthoMatrix,
     RotationOperator,
     _mix_seed,
-    gsr,
+    build_rotation,
 )
 
 SMALL_CORPUS = gen_corpus(CorpusSpec(count=8, rows=64, cols=64, seed=0))
@@ -202,8 +202,8 @@ class TestGroupAlignedBlocks:
         w = np.random.default_rng(seed).standard_normal((rows, n))
         spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric, clip=clip)
         errors = []
-        for base in ("hadamard", "walsh"):
-            op = RotationOperator(gsr(n, g, base=base))
+        for kind in ("lh", "gsr"):
+            op = RotationOperator(build_rotation(kind, n, g))
             back = op.apply(dequantize(rtn_quantize(op.apply(w), spec)), transpose=True)
             errors.append(((w - back) ** 2).reshape(rows, n // g, g).sum(axis=2))
         np.testing.assert_allclose(errors[0], errors[1], rtol=1e-12, atol=0)

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from seqrot import tensorfile
 from seqrot.errors import (
     BadMagicError,
     CorruptFileError,
@@ -34,10 +34,9 @@ from seqrot.tensorfile import (
     write_tensor,
 )
 from seqrot.transforms import (
-    BASE_HADAMARD,
-    BASE_WALSH,
     KIND_GSR,
     KINDS,
+    MAX_ORDER,
     OrthoMatrix,
     build_rotation,
     gsr,
@@ -263,33 +262,27 @@ class TestByteMutation:
         {"kind": "grouped"}, {"kind": "walsh"}, {"kind": "hadamard"}, {"kind": None},
         {"kind": 3}, {"kind": "GSR"}, {"kind": "identity"}, {"kind": ["gsr"]},
         {"seed": "1"}, {"seed": True}, {"seed": 1.5}, {"content": "rotatiom"},
-        # the n x n sign matrix of the layout before blocks
-        {"payload": "signs"}, {"seed": 2.0},
-        # block entries that are not +-1
-        {"entries": {(0, 1, 1): 0}}, {"entries": {(1, 2, 2): 2}},
-        {"entries": {(0, 2, 3): -128}},
-        # a global kind is one block
+        # the n x n sign matrix and the (n/b, b, b) blocks of the layouts before
+        {"payload": "signs"}, {"seed": 2.0}, {"payload": "blocks"},
+        {"payload": "blocks", "n": None, "group": None},
+        # payloads that are not the empty int8 one
+        {"payload": "one entry"}, {"payload": "0 x 0"}, {"payload": "empty float"},
+        # orders and groups no rotation has
+        {"n": None}, {"n": "8"}, {"n": 8.0}, {"n": 12}, {"n": 1}, {"n": -8}, {"n": 2 ** 17},
+        {"n": True}, {"group": None}, {"group": 3}, {"group": 16}, {"group": 1},
+        {"group": [4]},
+        # a global kind is one block of order n
         {"kind": "gw"}, {"kind": "gh"},
-        {"payload": "non-square blocks"}, {"payload": "float blocks"}, {"payload": "no blocks"},
-        # orthogonal +-1 blocks that are not the ones the kind and seed name
-        {"kind": "lh"}, {"payload": "lh blocks"}, {"payload": "seed 5", "seed": None},
-        {"seed": 5}, {"payload": "seed 5", "seed": 6},
-        # shapes no constructor builds
-        {"kind": "gh", "payload": "1 x 1"}, {"payload": "3 x 3 signs"},
     ])
     def test_bad_rotation_metadata(self, tmp_path, change):
-        meta = {"content": "rotation", "kind": "gsr", "seed": None}
+        meta = {"content": "rotation", "kind": "gsr", "n": 8, "group": 4, "seed": None}
         m = gsr(8, 4)
         change = dict(change)
-        payload = {"signs": m.signs, "non-square blocks": m.blocks[:, :, :2],
-                   "float blocks": m.blocks.astype(np.float64),
-                   "no blocks": m.blocks[:0], "lh blocks": gsr(8, 4, base=BASE_HADAMARD).blocks,
-                   "seed 5": randomize_signs(m, 5).blocks,
-                   "1 x 1": np.ones((1, 1, 1), dtype=np.int8),
-                   "3 x 3 signs": np.ones((2, 3, 3), dtype=np.int8),
-                   }.get(change.pop("payload", None), m.blocks.copy())
-        for index, v in change.pop("entries", {}).items():
-            payload[index] = v
+        payload = {"signs": m.signs, "blocks": m.blocks,
+                   "one entry": np.ones(1, dtype=np.int8),
+                   "0 x 0": np.ones((0, 0), dtype=np.int8),
+                   "empty float": np.ones(0),
+                   }.get(change.pop("payload", None), np.empty(0, dtype=np.int8))
         meta.update(change)
         p = tmp_path / "r.gsrt"
         write_tensor(p, payload, meta)
@@ -299,37 +292,40 @@ class TestByteMutation:
             resolve_variant(str(p), 8, 4, 0)
 
     def test_old_sign_layout_names_the_block_layout(self, tmp_path):
+        # the layouts before held n x n signs or (n/b, b, b) blocks; now no payload
         p = tmp_path / "old.gsrt"
-        write_tensor(p, gsr(8, 4).signs, {"content": "rotation", "kind": "grouped",
-                                          "scale": 0.5, "group_size": 4,
-                                          "block_kind": "walsh", "seed": None})
-        with pytest.raises(CorruptFileError, match=r"\(n/b, b, b\).*make-rotation"):
-            load_rotation(p)
+        for payload, meta in ((gsr(8, 4).signs, {"kind": "grouped", "scale": 0.5,
+                                                 "group_size": 4, "block_kind": "walsh"}),
+                              (gsr(8, 4).blocks, {"kind": "gsr"})):
+            write_tensor(p, payload, {"content": "rotation", "seed": None, **meta})
+            with pytest.raises(CorruptFileError, match=r"holds no payload.*make-rotation"):
+                load_rotation(p)
 
     def test_old_kind_names_the_four_kinds(self, tmp_path):
         p = tmp_path / "old.gsrt"
-        write_tensor(p, gsr(8, 4).blocks, {"content": "rotation", "kind": "grouped",
-                                           "scale": 0.5, "group_size": 4,
-                                           "block_kind": "walsh", "seed": None})
+        write_tensor(p, np.empty(0, dtype=np.int8),
+                     {"content": "rotation", "kind": "grouped", "n": 8, "group": 4,
+                      "seed": None})
         with pytest.raises(CorruptFileError, match=r"gh, gw, lh, gsr.*make-rotation"):
             load_rotation(p)
 
     def test_missing_rotation_keys(self, tmp_path):
         p = tmp_path / "r.gsrt"
-        write_tensor(p, hadamard_sylvester(4).blocks, {"content": "rotation"})
-        with pytest.raises(CorruptFileError):
-            load_rotation(p)
+        for key in ("kind", "n", "group"):   # an absent seed is None: signs as constructed
+            save_rotation(p, build_rotation("lh", 8, 4, 1))
+            arr, meta = read_tensor(p)
+            del meta[key]
+            write_tensor(p, arr, meta)
+            with pytest.raises(CorruptFileError):
+                load_rotation(p)
 
 
 def _expected(kind, n, g, seed):
     """The n x n signs and the provenance of ``kind`` from the loop oracles."""
-    if kind in ("lh", "gsr"):
-        base = BASE_HADAMARD if kind == "lh" else BASE_WALSH
-        return oracles.gsr_signs(n, g, base, seed), (1 / np.sqrt(g), kind, g, base, seed)
-    signs = oracles.hadamard_signs(n) if kind == "gh" else oracles.walsh_signs(n)
-    if seed is not None:
-        signs = oracles.flip_columns(signs, oracles.splitmix64_signs(seed, n))
-    return signs, (1 / np.sqrt(n), kind, None, None, seed)
+    b = g if kind in ("lh", "gsr") else n
+    base = {"lh": "hadamard", "gsr": "walsh"}.get(kind)
+    return (oracles.rotation_signs(kind, n, g if base else None, seed),
+            (1 / np.sqrt(b), kind, g if base else None, base, seed))
 
 
 def _provenance(m):
@@ -362,35 +358,44 @@ class TestRotationFiles:
         p = tmp_path / "r.gsrt"
         save_rotation(p, m)
         back = load_rotation(p)
-        assert isinstance(back, OrthoMatrix)
+        assert isinstance(back, OrthoMatrix) and back == m
         assert back.blocks.dtype == np.int8 and np.array_equal(back.blocks, m.blocks)
         assert _provenance(back) == _provenance(m)
-        assert read_tensor(p)[1] == {"content": "rotation", "kind": kind, "seed": seed}
+        assert read_tensor(p)[1] == {"content": "rotation", "kind": kind, "n": n,
+                                     "group": m.group, "seed": seed}
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(kind=st.sampled_from(KINDS), log_n=st.integers(1, 10), data=st.data(),
            seed=st.none() | st.integers(-2 ** 63, 2 ** 64 - 1))
     def test_any_flipped_entry_is_rejected(self, tmp_path, kind, log_n, data, seed):
+        # a file of blocks is rejected with or without a flipped entry: the
+        # metadata alone is the rotation
         n = 1 << log_n
         g = 1 << data.draw(st.integers(1, log_n), label="log_g")
-        blocks = build_rotation(kind, n, g, seed).blocks.copy()
-        index = tuple(data.draw(st.integers(0, d - 1), label=f"i{axis}")
-                      for axis, d in enumerate(blocks.shape))
-        blocks[index] = -blocks[index]
+        m = build_rotation(kind, n, g, seed)
+        blocks = m.blocks.copy()
+        if data.draw(st.booleans(), label="flip"):
+            index = tuple(data.draw(st.integers(0, d - 1), label=f"i{axis}")
+                          for axis, d in enumerate(blocks.shape))
+            blocks[index] = -blocks[index]
         p = tmp_path / "r.gsrt"
-        write_tensor(p, blocks, {"content": "rotation", "kind": kind, "seed": seed})
-        with pytest.raises(CorruptFileError):
+        write_tensor(p, blocks, {"content": "rotation", "kind": kind, "n": n,
+                                 "group": m.group, "seed": seed})
+        with pytest.raises(CorruptFileError, match="make-rotation"):
             load_rotation(p)
 
-    def test_file_holds_only_the_blocks(self, tmp_path):
-        p = tmp_path / "gsr.gsrt"
-        save_rotation(p, gsr(4096, 64))
-        arr, meta = read_tensor(p)
-        assert arr.shape == (64, 64, 64) and arr.dtype == np.int8
-        # magic + version + dtype + (mlen + JSON) + ndim + 3 dims
-        header = 4 + 4 + 1 + 4 + len(json.dumps(meta, sort_keys=True).encode()) + 1 + 3 * 8
-        assert p.stat().st_size == header + 262144
+    def test_file_holds_only_the_metadata(self, tmp_path):
+        p = tmp_path / "r.gsrt"
+        for m in (gsr(4096, 64), build_rotation("gw", MAX_ORDER, seed=2 ** 64 - 1)):
+            save_rotation(p, m)
+            arr, meta = read_tensor(p)
+            assert arr.shape == (0,) and arr.dtype == np.int8
+            assert meta == {"content": "rotation", "kind": m.kind, "n": m.n,
+                            "group": m.group, "seed": m.seed}
+            # magic + version + dtype + (mlen + JSON) + ndim + 1 dim
+            header = 4 + 4 + 1 + 4 + len(json.dumps(meta, sort_keys=True).encode()) + 1 + 8
+            assert p.stat().st_size == header < 1024
 
     def test_dense_load_accepts_external_float_matrix(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -409,8 +414,9 @@ class TestRotationFiles:
         write_tensor(p, np.random.default_rng(2).standard_normal((8, 8)), {})
         with pytest.raises(NotOrthogonalError):
             resolve_variant(str(p), 8, 4, 0)
-        # +-1 blocks that are not orthogonal are not the blocks of their kind
-        save_rotation(p, OrthoMatrix(blocks=np.ones((2, 4, 4), dtype=np.int8), kind=KIND_GSR))
+        # +-1 blocks that are not orthogonal, under rotation metadata
+        write_tensor(p, np.ones((2, 4, 4), dtype=np.int8),
+                     {"content": "rotation", "kind": KIND_GSR, "n": 8, "group": 4, "seed": None})
         with pytest.raises(CorruptFileError):
             resolve_variant(str(p), 8, 4, 0)
 
@@ -448,18 +454,18 @@ class TestRotationFiles:
         with pytest.raises(NotOrthogonalError):
             resolve_variant(str(p), n, 4, 0)
 
-    def test_many_blocks_under_a_global_kind_rebuild_one(self, tmp_path, monkeypatch):
-        # rebuilding at order k * b would build a 4096 x 4096 gh for a 16 KiB file
-        orders = []
-        build = tensorfile.build_rotation
-        monkeypatch.setattr(tensorfile, "build_rotation",
-                            lambda kind, n, *a: orders.append(n) or build(kind, n, *a))
+    def test_global_kind_at_max_order_loads_without_a_block(self, tmp_path):
+        # the block of this file would be 4 GiB
         p = tmp_path / "gh.gsrt"
-        write_tensor(p, np.ones((4096, 2, 2), dtype=np.int8),
-                     {"content": "rotation", "kind": "gh", "seed": None})
-        with pytest.raises(CorruptFileError, match="4096 blocks of order 2"):
-            load_rotation(p)
-        assert orders == [2]
+        save_rotation(p, build_rotation("gh", MAX_ORDER, seed=3))
+        tracemalloc.start()
+        try:
+            back = load_rotation(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == OrthoMatrix("gh", MAX_ORDER, None, 3)
+        assert "blocks" not in vars(back) and peak < 1 << 20
 
     def test_int8_payload_without_rotation_metadata(self, tmp_path):
         p = tmp_path / "codes.gsrt"

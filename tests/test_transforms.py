@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import oracles
 import pytest
@@ -24,6 +27,7 @@ from seqrot.transforms import (
     KIND_GSR,
     KIND_GW,
     KIND_LH,
+    KINDS,
     KRON_MIN_ORDER,
     MAX_ORDER,
     OrthoMatrix,
@@ -223,23 +227,17 @@ class TestGsr:
             assert orthogonality_residual(m.dense()) < 1e-10
 
     def test_order_above_max_rejected_before_allocating(self, monkeypatch):
-        def no_repeat(*args, **kwargs):
+        def no_blocks(self):
             raise AssertionError("blocks were allocated")
 
-        monkeypatch.setattr(np, "repeat", no_repeat)
+        monkeypatch.setattr(OrthoMatrix, "blocks", property(no_blocks))
         with pytest.raises(OrderTooLargeError):
             gsr(2 * MAX_ORDER, 64)
 
     def test_hadamard_base(self):
-        m = gsr(16, 4, base=BASE_HADAMARD)
+        m = build_rotation(KIND_LH, 16, 4)
         assert np.array_equal(m.signs[:4, :4], hadamard_sylvester(4).signs)
         assert m.kind == KIND_LH
-
-    def test_rejects_unknown_base(self):
-        with pytest.raises(InvalidConfigError):
-            gsr(8, 4, base="x")
-        with pytest.raises(SeqrotError):
-            gsr(8, 4, base=KIND_GSR)   # a kind is not a block base
 
 
 class TestSequencyProfile:
@@ -309,7 +307,7 @@ class TestOrthogonality:
         h = hadamard_sylvester(n)
         mats = [h, walsh_from_hadamard(h)]
         if n >= 8:
-            mats += [gsr(n, n // 4), gsr(n, n // 4, base=BASE_HADAMARD)]
+            mats += [gsr(n, n // 4), build_rotation(KIND_LH, n, n // 4)]
         for m in mats:
             assert orthogonality_residual(m.dense()) < 1e-10
             for seed in (0, 1):
@@ -360,7 +358,7 @@ class TestVectorizedConstructors:
     @pytest.mark.parametrize("n,g", [(8, 2), (64, 8), (512, 64), (256, 256)])
     def test_row_sequencies_grouped(self, n, g):
         # counted on the blocks, against the oracle on the n x n matrix with its zeros
-        for m in (gsr(n, g), randomize_signs(gsr(n, g, base=BASE_HADAMARD), 3),
+        for m in (gsr(n, g), randomize_signs(build_rotation(KIND_LH, n, g), 3),
                   randomize_signs(gsr(n, g), 5)):
             got = sequency_profile(m, g).per_row_sequency
             assert got.dtype == np.int64
@@ -383,7 +381,7 @@ class TestDense:
             assert got.tobytes() == oracles.dense(m, dtype).tobytes()
 
     def test_blocks_are_the_diagonal_blocks(self):
-        m = randomize_signs(gsr(64, 16, base=BASE_HADAMARD), 4)
+        m = randomize_signs(build_rotation(KIND_LH, 64, 16), 4)
         d = m.dense()
         assert m.blocks.shape == (4, 16, 16) and m.blocks.dtype == np.int8
         for b, blk in enumerate(m.blocks):
@@ -403,7 +401,7 @@ class TestRotationOperator:
     def test_grouped_matches_dense(self, n, g):
         rng = np.random.default_rng(n + g)
         x = rng.standard_normal((5, n))
-        for m in (gsr(n, g), randomize_signs(gsr(n, g, base=BASE_HADAMARD), 9)):
+        for m in (gsr(n, g), randomize_signs(build_rotation(KIND_LH, n, g), 9)):
             op = RotationOperator(m)
             assert (op.matrix is None) == (n > g)   # one block is a dense product
             d = m.dense()
@@ -418,13 +416,13 @@ class TestRotationOperator:
         product of 64x64 blocks sums in another order than the dense one,
         which is why the operator keeps contiguous transposed blocks."""
         x = np.random.default_rng(rows).standard_normal((rows, n))
-        for m in (gsr(n, 64), randomize_signs(gsr(n, 64, base=BASE_HADAMARD), 9)):
+        for m in (gsr(n, 64), randomize_signs(build_rotation(KIND_LH, n, 64), 9)):
             op, d = RotationOperator(m), m.dense()
             assert np.array_equal(op.apply(x), x @ d)
             assert np.array_equal(op.apply(x, transpose=True), x @ d.T)
 
     def test_grouped_on_transposed_input(self):
-        m = randomize_signs(gsr(64, 16, base=BASE_HADAMARD), 1)
+        m = randomize_signs(build_rotation(KIND_LH, 64, 16), 1)
         x = np.random.default_rng(0).standard_normal((64, 64))
         op = RotationOperator(m)
         assert np.max(np.abs(op.apply(x.T) - x.T @ m.dense())) < 1e-12
@@ -442,7 +440,7 @@ class TestRotationOperator:
 
     def test_round_trip(self):
         x = np.random.default_rng(4).standard_normal((3, 256))
-        op = RotationOperator(randomize_signs(gsr(256, 32, base=BASE_HADAMARD), 2))
+        op = RotationOperator(randomize_signs(build_rotation(KIND_LH, 256, 32), 2))
         assert np.max(np.abs(op.apply(op.apply(x), transpose=True) - x)) < 1e-12
 
     def test_rejects_wrong_width(self):
@@ -524,6 +522,7 @@ class TestFactoredGlobal:
 
         monkeypatch.setattr(OrthoMatrix, "dense", refuse)
         monkeypatch.setattr(OrthoMatrix, "signs", property(refuse))
+        monkeypatch.setattr(OrthoMatrix, "blocks", property(refuse))
         monkeypatch.setattr(transforms, "_float_blocks", refuse)
         op = RotationOperator(m)
         op.apply(op.apply(x), transpose=True)
@@ -554,10 +553,9 @@ class TestBlockStorage:
             cases += [(randomize_signs(h, seed), oracles.flip_columns(cases[0][1], d)),
                       (randomize_signs(w, seed), oracles.flip_columns(cases[1][1], d))]
         for g in (1 << j for j in range(1, k + 1)):
-            for base in (BASE_WALSH, BASE_HADAMARD):
-                cases += [(gsr(n, g, base=base), oracles.gsr_signs(n, g, base)),
-                          (randomize_signs(gsr(n, g, base=base), 7),
-                           oracles.gsr_signs(n, g, base, 7))]
+            for kind, base in ((KIND_GSR, BASE_WALSH), (KIND_LH, BASE_HADAMARD)):
+                cases += [(build_rotation(kind, n, g), oracles.gsr_signs(n, g, base)),
+                          (build_rotation(kind, n, g, 7), oracles.gsr_signs(n, g, base, 7))]
         for m, want in cases:
             signs = m.signs
             assert signs.dtype == np.int8 and signs.shape == (n, n)
@@ -586,7 +584,7 @@ class TestBlockStorage:
 
 
 class TestOperatorDtype:
-    @pytest.mark.parametrize("r", [randomize_signs(gsr(64, 16, base=BASE_HADAMARD), 1),
+    @pytest.mark.parametrize("r", [randomize_signs(build_rotation(KIND_LH, 64, 16), 1),
                                    walsh_from_hadamard(hadamard_sylvester(64))])
     def test_products_run_in_the_dtype_of_x(self, r):
         x = np.random.default_rng(1).standard_normal((3, 64))
@@ -597,3 +595,115 @@ class TestOperatorDtype:
             assert got.dtype == np.float32
             assert np.max(np.abs(got - want)) < 1e-5
         assert op.apply(np.arange(64).reshape(1, 64)).dtype == np.float64
+
+
+class TestValue:
+    """A rotation is the value (kind, n, group, seed): checked when it is made,
+    equal to every rotation made from the same four, its blocks built on
+    first read."""
+
+    @pytest.mark.parametrize("args,error", [
+        (("x", 8), InvalidConfigError), (("GH", 8), InvalidConfigError),
+        (("gh", 8, 4), InvalidConfigError), (("gsr", 8), InvalidConfigError),
+        (("gh", 12), NonPowerOfTwoError), (("gh", 1), NonPowerOfTwoError),
+        (("gh", 0), NonPowerOfTwoError), (("gh", 8.0), NonPowerOfTwoError),
+        (("gh", "8"), NonPowerOfTwoError), (("gh", True), NonPowerOfTwoError),
+        (("gw", 2 * MAX_ORDER), OrderTooLargeError), (("lh", 8, 1), NonPowerOfTwoError),
+        (("lh", 8, 3), NonPowerOfTwoError), (("lh", 8, 4.0), NonPowerOfTwoError),
+        (("lh", 8, 16), GroupDoesNotDivideError), (("gsr", 8, -4), NonPowerOfTwoError),
+        (("gw", 8, None, 1.5), InvalidConfigError), (("gw", 8, None, True), InvalidConfigError),
+        (("gw", 8, None, "3"), InvalidConfigError),
+    ])
+    def test_rejects_what_no_rotation_is(self, args, error):
+        with pytest.raises(error):
+            OrthoMatrix(*args)
+
+    def test_constructors_make_the_same_value(self):
+        h = hadamard_sylvester(8)
+        assert h == OrthoMatrix(KIND_GH, 8) == build_rotation(KIND_GH, 8, 4)   # gh reads no group
+        assert walsh_from_hadamard(randomize_signs(h, 3)) == OrthoMatrix(KIND_GW, 8, None, 3)
+        assert randomize_signs(gsr(16, 4), 2) == build_rotation(KIND_GSR, 16, 4, 2)
+        assert build_rotation(KIND_LH, 16, 4) != gsr(16, 4)
+        assert len({h, OrthoMatrix(KIND_GH, 8), hadamard_sylvester(16)}) == 2
+
+    def test_signs_are_flipped_once(self):
+        with pytest.raises(InvalidConfigError):
+            randomize_signs(build_rotation(KIND_LH, 16, 4, seed=1), 2)
+
+    def test_blocks_built_once_on_demand_and_read_only(self):
+        m = build_rotation(KIND_LH, 16, 4, 2)
+        assert "blocks" not in vars(m)
+        blocks = m.blocks
+        assert m.blocks is blocks and blocks.shape == (4, 4, 4)
+        with pytest.raises(ValueError):
+            blocks[0, 0, 0] = 0
+        other = dataclasses.replace(m, kind=KIND_GSR)   # a new value builds its own blocks
+        assert "blocks" not in vars(other) and not np.array_equal(other.blocks, blocks)
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(KINDS), log_n=st.integers(1, 9), data=st.data(),
+           seed=st.none() | st.integers(-2 ** 63, 2 ** 64 - 1))
+    def test_sequencies_match_the_oracles(self, kind, log_n, data, seed):
+        # the blocks themselves are checked with the file round trip in test_tensorfile
+        n = 1 << log_n
+        g = (1 << data.draw(st.integers(1, log_n), label="log_g")
+             if kind in (KIND_LH, KIND_GSR) else None)
+        m = build_rotation(kind, n, g, seed)
+        seq = sequency_profile(m, g or n).per_row_sequency
+        assert "blocks" not in vars(m)
+        assert np.array_equal(seq, oracles.row_sequencies(oracles.rotation_signs(kind, n, g, seed)))
+
+    def test_column_signs_change_the_sequencies(self):
+        # the natural-order formula holds for an unsigned gh only
+        assert natural_sequency_formula(8).tolist() == SEQ8_NATURAL
+        seq = sequency_profile(build_rotation(KIND_GH, 8, seed=3), 4).per_row_sequency
+        assert seq.tolist() == [5, 2, 6, 1, 6, 1, 5, 2]
+
+    @pytest.mark.parametrize("kind,n,g", [(KIND_GH, 2048, None), (KIND_GW, 4096, None),
+                                          (KIND_LH, MAX_ORDER, 64), (KIND_GSR, MAX_ORDER, 256)])
+    def test_sequency_tiles_agree_with_the_blocks(self, kind, n, g):
+        # several tiles, each a part of one block or whole blocks
+        m = build_rotation(kind, n, g, 7)
+        seq = sequency_profile(m, g or n).per_row_sequency
+        assert np.array_equal(seq, _row_sequencies(m.blocks.reshape(n, -1)))
+        if g is None:
+            assert m.signs.tobytes() == oracles.rotation_signs(kind, n, g, 7).tobytes()
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGlobalKindsAtScale:
+    """A gh or gw rotation at n = 16384 is built, applied and profiled without
+    its 256 MiB block."""
+
+    N = 16384
+    LIMIT = 16 << 20
+
+    @pytest.mark.parametrize("kind", [KIND_GH, KIND_GW])
+    def test_build_and_apply(self, kind):
+        x = np.random.default_rng(0).standard_normal((8, self.N))
+        out = {}
+
+        def run():
+            op = RotationOperator(build_rotation(kind, self.N, seed=5))
+            out["back"] = op.apply(op.apply(x), transpose=True)
+
+        assert traced_peak(run) < self.LIMIT
+        assert np.max(np.abs(out["back"] - x)) < 1e-12
+
+    @pytest.mark.parametrize("kind", [KIND_GH, KIND_GW])
+    def test_sequency_profile(self, kind):
+        m = build_rotation(kind, self.N, seed=5)
+        assert traced_peak(lambda: sequency_profile(m, 64)) < self.LIMIT
+        assert "blocks" not in vars(m)
+        seq = sequency_profile(build_rotation(kind, self.N), 64).per_row_sequency
+        want = natural_sequency_formula(self.N) if kind == KIND_GH else np.arange(self.N)
+        assert np.array_equal(seq, want)
