@@ -84,6 +84,8 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
     """
     if quantizer not in QUANTIZERS:
         raise InvalidSpecError(f"unknown quantizer {quantizer!r}")
+    if not len(corpus) or any(np.ndim(t) != 2 for t in corpus):
+        raise DimensionMismatchError("the corpus must hold one or more 2-D tensors")
     cols = corpus[0].shape[1]
     for t in corpus:
         if t.shape[1] != cols:
@@ -97,9 +99,8 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
         raise InvalidConfigError(f"variant {', '.join(repeated)} is repeated in {variants}")
 
     # every variant is resolved up front, so a bad one fails before any work,
-    # and becomes an operator (densified, if global below KRON_MIN_ORDER) only
-    # for its turn; a kind's seed is keyed by the kind, not by its position,
-    # and a file takes none
+    # and becomes an operator (one block and its signs) only for its turn; a
+    # kind's seed is keyed by the kind, not by its position, and a file takes none
     rots = {v: resolve_variant(v, cols, group, _mix_seed(seed, 100 + KINDS.index(v))
                                if v in KINDS else None) for v in variants}
 
@@ -130,7 +131,6 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
             per_tensor[v][METRIC_MAX_ABS][i] = quant_error(w, back, METRIC_MAX_ABS)
             per_tensor[v][METRIC_PROXY][i] = quant_error(w, back, METRIC_PROXY, h_base)
         fairness[v] = hasher.hexdigest()
-        del r1   # free this variant's dense matrix before the next is built
 
     summary = {v: {m: {"mean": float(np.mean(per_tensor[v][m])),
                        "median": float(np.median(per_tensor[v][m]))}

@@ -431,13 +431,15 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
 
     hd = h + _DAMP * np.mean(np.diag(h)) * np.eye(d)
     try:
-        hinv = np.linalg.inv(hd)
-        hinv = 0.5 * (hinv + hinv.T)
-        u = np.linalg.cholesky(hinv).T  # upper triangular, hinv = u.T @ u
+        # one Cholesky of the flipped Hessian: J hd J = L L^T, with J the
+        # exchange matrix, so hd^-1 = U^T U with U = (J L J)^-1 upper triangular
+        low = np.linalg.cholesky(hd[::-1, ::-1])
     except np.linalg.LinAlgError as exc:
         raise SingularHessianError(
             f"Hessian is not positive definite after dampening: {exc}") from None
-    del hd, hinv   # only u is read from here on
+    del hd
+    u = np.linalg.inv(low[::-1, ::-1])
+    del low   # only u is read from here on
 
     # transposed: row j of work and sweep is column j, row gi of each parameter
     # array is group gi
@@ -491,5 +493,8 @@ def quant_error(w: np.ndarray, w_hat: np.ndarray, metric: str = METRIC_MSE,
     if metric == METRIC_PROXY:
         if hessian is None:
             raise InvalidSpecError("proxy metric requires a Hessian")
+        if hessian.matrix.shape != (w.shape[-1],) * 2:
+            raise ShapeMismatchError(
+                f"Hessian is {hessian.matrix.shape}, weights have {w.shape[-1]} columns")
         return float(np.trace(delta @ hessian.matrix @ delta.T))
     raise InvalidSpecError(f"unknown metric {metric!r}")

@@ -29,7 +29,6 @@ from .transforms import (
     KINDS,
     OrthoMatrix,
     RotationOperator,
-    _float_blocks,
     _mix_seed,
     build_rotation,
     is_power_of_two,
@@ -64,13 +63,18 @@ def assignment_table() -> tuple[WeightRole, ...]:
     )
 
 
+def _operator(r) -> RotationOperator:
+    return r if isinstance(r, RotationOperator) else RotationOperator(r)
+
+
 def rotate_weight(w: np.ndarray, front=None, rear=None) -> np.ndarray:
-    """W' = front^T @ W @ rear, either side may be None (identity)."""
+    """W' = front^T @ W @ rear; each side is a rotation, an operator or None
+    (identity)."""
     out = np.asarray(w, dtype=np.float64)
     if front is not None:
-        out = RotationOperator(front).apply(out.T).T
+        out = _operator(front).apply(out.T).T
     if rear is not None:
-        out = RotationOperator(rear).apply(out)
+        out = _operator(rear).apply(out)
     return out
 
 
@@ -182,21 +186,20 @@ def fuse_rotations(block: ToyBlock, assign: RotationAssignment) -> ToyBlock:
     the r1-rotated basis; ``input_rotation`` records that basis change.
     """
     cfg = block.cfg
-    rots = resolve_assignment(assign, cfg)
-    if rots[R2] is not None:   # r2 acts on each head: its blocks, once per head
-        rots[R2] = np.tile(_float_blocks(rots[R2]), (cfg.heads, 1, 1))
-    rots[IDENTITY] = None
-    online = {s: None if rots[s] is None else RotationOperator(rots[s]) for s in (R1, R3, R4)}
+    # one operator per slot; r2 acts on each head, so it repeats once per head
+    ops = {s: None if r is None else RotationOperator(r, repeat=cfg.heads if s == R2 else 1)
+           for s, r in resolve_assignment(assign, cfg).items()}
+    ops[IDENTITY] = None
 
-    weights = {role.role: rotate_weight(block.weights[role.role], rots[role.front],
-                                        rots[role.rear]) for role in assignment_table()}
+    weights = {role.role: rotate_weight(block.weights[role.role], ops[role.front],
+                                        ops[role.rear]) for role in assignment_table()}
 
     return ToyBlock(
         cfg=cfg,
         weights=weights,
-        r3_online=online[R3],
-        r4_online=online[R4],
-        input_rotation=online[R1],
+        r3_online=ops[R3],
+        r4_online=ops[R4],
+        input_rotation=ops[R1],
     )
 
 

@@ -8,7 +8,8 @@ the block order b (taken as the Kronecker product of rows of two small
 factors, in Walsh order for gw and gsr) times the seed's column signs of its
 block. ``blocks``, ``signs`` and ``dense`` come from it, and so do the
 sequencies of ``sequency_profile``, a tile of rows at a time.
-``RotationOperator`` is the one place a rotation multiplies data.
+``RotationOperator`` is the one place a rotation multiplies data, as
+R = diag(B, ..., B) D: one b x b block repeated, then the column signs.
 """
 
 from __future__ import annotations
@@ -174,71 +175,64 @@ class OrthoMatrix:
         return np.multiply(self.signs, dtype(self.scale), dtype=dtype)
 
 
-def _float_blocks(r) -> np.ndarray:
-    """(k, b, b) float64 blocks of an OrthoMatrix, n x n matrix or block array."""
-    if isinstance(r, OrthoMatrix):
-        if r.blocks.shape[0] == 1:
-            return r.dense()[np.newaxis]
-        return np.multiply(r.blocks, r.scale, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    return r[np.newaxis] if r.ndim == 2 else r
-
-
-# A library gh or gw rotation of at least this order is applied through its two
-# Sylvester Kronecker factors, never as an n x n matrix. Measured crossover
-# (2 vCPUs, OpenBLAS 0.3.31): from n=1024 the factored product is 3-8x faster
-# than dgemm at 16-512 rows, before counting the n x n matrix it skips; at
-# n=512 dgemm is faster from 512 rows. The order must stay above 512, where
-# the compare defaults and their golden CSV digest keep dgemm's bits.
+# A block of at least this order is applied through its two Sylvester
+# Kronecker factors, never built. Measured on a global kind (2 vCPUs, OpenBLAS
+# 0.3.31): from n=1024 that is 3-8x faster than dgemm at 16-512 rows; at n=512
+# dgemm is faster from 512 rows, and keeps the golden CSV digest's bits.
 KRON_MIN_ORDER = 1024
 
 
 class RotationOperator:
-    """Right-multiplication by a block-diagonal rotation R: ``x @ R``, or ``x @ R.T``.
+    """Right-multiplication by R = diag(B, ..., B) D: ``x @ R``, or ``x @ R.T``.
 
-    A library ``gh``/``gw`` rotation of order n >= ``KRON_MIN_ORDER`` is the
-    Sylvester Hadamard H times its column signs d (the seed's splitmix64
-    signs, all +1 without a seed) and 1/sqrt(n), with the rows of H in Walsh
-    order for ``gw``. H_n = H_a (x) H_b with a = 2^floor(log2(n)/2), b = n/a,
-    both symmetric, so ``x @ H`` is one product of the (rows*a, b) view of
-    ``x`` with H_b and one with H_a on the a-axis: n/(a+b) times fewer flops
-    than the dense product, and no block is built. Then the columns are
-    scaled by d/sqrt(n). For ``gw`` the input columns are first gathered
-    into natural order; the transpose runs the same steps backwards. It
-    rounds differently from the dense product, by about 1e-15 relative.
+    B is one b x b block and D the column signs. A library rotation's B is the
+    unsigned Sylvester Hadamard of its block order b (the group, or n for
+    gh/gw), rows in Walsh order for gw and gsr, times 1/sqrt(b); it is
+    symmetric. D is the seed's splitmix64 signs, none without a seed. An
+    external float matrix is B, without signs. ``repeat`` puts the whole
+    rotation that many times on the diagonal: R2 is
+    ``RotationOperator(r2, repeat=heads)``.
 
-    Any other single block (a smaller global kind, or an external dense
-    matrix) is applied as one dense BLAS product. Several blocks are applied
-    as one batched matmul on the (rows, k, b) view of ``x``, never densified.
-    The transpose there uses a C-contiguous copy of the transposed blocks:
-    OpenBLAS sums the transposed-operand product of small blocks in another
-    order than the dense product, while the plain one rounds like it.
-    Products run in the dtype of ``x`` if that is float32, and in float64
-    otherwise.
+    ``x @ R`` is one product of the (rows*n/b, b) view of x with B, then the
+    sign flip; ``x @ R.T`` flips the signs, then multiplies by the view B.T
+    (dgemm's transposed-operand call, as in a dense ``x @ M.T``). A block of
+    order b >= ``KRON_MIN_ORDER`` is never built: H_b = H_a (x) H_c, with
+    a = 2^floor(log2(b)/2) and c = b/a both symmetric, so the product with H_b
+    is one product of the (rows*n/c, c) view with H_c and one with H_a on the
+    a-axis, b/(a+c) times fewer flops; 1/sqrt(b) scales the output (the
+    input, for the transpose). Walsh rows gather the input columns into
+    natural order first; the transpose runs the steps backwards. This rounds
+    differently from the dense product, by about 1e-15 relative. Products
+    run in float32 for float32 x, and in float64 otherwise.
     """
 
-    def __init__(self, r):
-        self.blocks = self.blocks_t = self.matrix = self.factors = None
-        if (isinstance(r, OrthoMatrix) and r.kind in (KIND_GH, KIND_GW)
-                and r.n >= KRON_MIN_ORDER):
-            self.n = r.n
-            self.factors = tuple(f.astype(np.float64) for f in _factors(self.n))
-            d = np.ones(self.n, np.int8) if r.seed is None else _splitmix64_signs(r.seed, r.n)
-            self.col_scale = d * r.scale
-            # Walsh row k is natural row perm[k]; natural row i is Walsh row perm_inv[i]
-            self.perm = self.perm_inv = None
-            if r.kind == KIND_GW:
-                self.perm = walsh_permutation(self.n)
-                self.perm_inv = natural_sequency_formula(self.n)
-            return
-        blocks = _float_blocks(r)
-        k, b, _ = blocks.shape
-        self.n = k * b
-        if k == 1:
-            self.matrix = blocks[0]
+    def __init__(self, r, repeat: int = 1):
+        if not (_is_int(repeat) and repeat >= 1):
+            raise InvalidConfigError(f"repeat must be a positive integer, got {repeat!r}")
+        self.block = self.factors = self.perm = self.signs = None
+        if isinstance(r, OrthoMatrix):
+            order, b = r.n, r.group or r.n
+            if r.seed is not None:
+                self.signs = _splitmix64_signs(r.seed, r.n)
+            ha, hc = _factors(b)
+            perm = walsh_permutation(b) if r.kind in (KIND_GW, KIND_GSR) else None
+            if b >= KRON_MIN_ORDER:
+                self.factors = (ha.astype(np.float64), hc.astype(np.float64))
+                self.scale = r.scale
+                # Walsh row k is natural row perm[k]; natural row i is Walsh row perm_inv[i]
+                if perm is not None:
+                    self.perm, self.perm_inv = perm, natural_sequency_formula(b)
+            else:
+                h = np.kron(ha, hc)
+                self.block = np.multiply(h if perm is None else h[perm], r.scale,
+                                         dtype=np.float64)
         else:
-            self.blocks = blocks
-            self.blocks_t = np.ascontiguousarray(blocks.transpose(0, 2, 1))
+            self.block = np.asarray(r, dtype=np.float64)
+            if self.block.ndim != 2 or not 0 < len(self.block) == self.block.shape[1]:
+                raise DimensionMismatchError(
+                    f"a rotation matrix is square and non-empty, got shape {self.block.shape}")
+            order = b = len(self.block)
+        self.b, self.n = b, repeat * order
 
     def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         x = np.asarray(x)
@@ -246,36 +240,37 @@ class RotationOperator:
         if x.ndim != 2 or x.shape[1] != self.n:
             raise DimensionMismatchError(
                 f"rotation of order {self.n} cannot act on shape {x.shape}")
-        if self.factors is not None:
-            return self._apply_factors(x, transpose)
-        if self.matrix is not None:
-            m = self.matrix.astype(x.dtype, copy=False)
-            return x @ (m.T if transpose else m)
-        blocks = (self.blocks_t if transpose else self.blocks).astype(x.dtype, copy=False)
-        k, b, _ = blocks.shape
         rows = x.shape[0]
-        out = np.empty((rows, self.n), dtype=x.dtype)
-        np.matmul(x.reshape(rows, k, b).transpose(1, 0, 2), blocks,
-                  out=out.reshape(rows, k, b).transpose(1, 0, 2))
-        return out
+        if transpose and self.signs is not None:
+            x = x.reshape(-1, len(self.signs)) * self.signs
+        v = x.reshape(-1, self.b)
+        if self.factors is not None:
+            y = self._apply_factors(v, transpose)
+        else:
+            block = self.block.astype(x.dtype, copy=False)
+            y = v @ (block.T if transpose else block)
+        if not transpose and self.signs is not None:
+            y = y.reshape(-1, len(self.signs))   # a view: y is a fresh C-ordered product
+            y *= self.signs
+        return y.reshape(rows, self.n)
 
-    def _apply_factors(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        # R = P H D, with D the scaled column signs and P the Walsh row
-        # permutation (identity for gh): x @ R = ((x P) H) D and
-        # x @ R.T = ((x D) H) P^T, where x P gathers x by perm_inv and y P^T by perm
-        col_scale = self.col_scale.astype(x.dtype, copy=False)
-        ha, hb = (f.astype(x.dtype, copy=False) for f in self.factors)
-        rows, a, b = x.shape[0], len(ha), len(hb)
+    def _apply_factors(self, v: np.ndarray, transpose: bool) -> np.ndarray:
+        # B = P H / sqrt(b), with P the Walsh row permutation (identity for
+        # Hadamard rows): v @ B = ((v P) H) / sqrt(b) and v @ B.T = (v / sqrt(b)) H P^T,
+        # where v P gathers v by perm_inv and y P^T by perm
+        ha, hc = (f.astype(v.dtype, copy=False) for f in self.factors)
+        rows, a, c = v.shape[0], len(ha), len(hc)
         if transpose:
-            x = x * col_scale
+            v = v * self.scale
         elif self.perm is not None:
-            x = np.take(x, self.perm_inv, axis=1)
-        z = (x.reshape(rows * a, b) @ hb).reshape(rows, a, b)
-        # a fresh x is free to take the second product
-        y = x if transpose or self.perm is not None else np.empty((rows, self.n), x.dtype)
-        np.matmul(ha, z, out=y.reshape(rows, a, b))
+            v = np.take(v, self.perm_inv, axis=1)
+        z = (v.reshape(rows * a, c) @ hc).reshape(rows, a, c)
+        # a fresh v is free to take the second product
+        fresh = (transpose or self.perm is not None) and v.flags.c_contiguous
+        y = v if fresh else np.empty((rows, self.b), v.dtype)
+        np.matmul(ha, z, out=y.reshape(rows, a, c))
         if not transpose:
-            y *= col_scale
+            y *= self.scale
         elif self.perm is not None:
             y = np.take(y, self.perm, axis=1)
         return y

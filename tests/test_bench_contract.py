@@ -6,6 +6,7 @@ library would break the benchmark without failing any other test here.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -63,3 +64,18 @@ def test_rotation_has_every_attribute_the_benchmark_reads(kind):
     for attr in ("n", "kind", "seed", "scale", "group_size", "block_kind", "signs", "dense"):
         assert hasattr(m, attr), attr
     assert workloads.sign_residual(m) == 0.0
+
+
+REFERENCE = json.loads((BENCH / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("scale", ["tiny", "full"])
+@pytest.mark.parametrize("name", ["compare_rtn", "compare_gptq", "rotate_wide"])
+def test_golden_seed_reproduces_the_recorded_outputs(name, scale, tmp_path):
+    # compare_rtn pins its report CSV byte for byte; the others pin values
+    # within the recorded relative tolerance
+    workload = workloads.make(name, 0, scale, tmp_path)
+    got = workload.fingerprint(workload.run())
+    checks = workloads.reference_checks(got, REFERENCE["outputs"][scale][name],
+                                        REFERENCE["rel_tol"])
+    assert checks and all(ok for _, ok in checks), checks

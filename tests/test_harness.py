@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from seqrot import harness
 from seqrot.corpus import CorpusSpec, gen_corpus
-from seqrot.errors import GroupDoesNotDivideError, InvalidConfigError, InvalidSpecError
+from seqrot.errors import (
+    DimensionMismatchError,
+    GroupDoesNotDivideError,
+    InvalidConfigError,
+    InvalidSpecError,
+)
 from seqrot.harness import (
     bootstrap_median_ci,
     directional_tests,
@@ -104,6 +109,11 @@ class TestRunComparison:
         with pytest.raises(InvalidConfigError, match="empty variant name"):
             run_comparison(SMALL_CORPUS, variants, SMALL_SPEC)
 
+    @pytest.mark.parametrize("corpus", [[], [np.ones(64)], [np.ones((4, 64)), np.ones(64)]])
+    def test_rejects_a_corpus_of_no_2d_tensors(self, corpus):
+        with pytest.raises(DimensionMismatchError, match="2-D tensors"):
+            run_comparison(corpus, ("gh",), SMALL_SPEC)
+
 
 ORDER_VARIANTS = KINDS + ("identity",)
 
@@ -149,16 +159,14 @@ class TestStructuredRotation:
 
     @pytest.mark.parametrize("quantizer", ["rtn", "gptq"])
     def test_grouped_rotations_never_densified(self, monkeypatch, quantizer):
-        kinds = []
-        dense = OrthoMatrix.dense
+        # every kind is applied through its one block (or its two factors)
+        def refuse(*args, **kwargs):
+            raise AssertionError("densified")
 
-        def spy(self, *args, **kwargs):
-            kinds.append(self.kind)
-            return dense(self, *args, **kwargs)
-
-        monkeypatch.setattr(OrthoMatrix, "dense", spy)
+        for name in ("dense", "signs", "blocks"):
+            monkeypatch.setattr(OrthoMatrix, name, property(refuse) if name != "dense"
+                                else refuse)
         run_comparison(SMALL_CORPUS[:2], self.VARIANTS, SMALL_SPEC, quantizer=quantizer)
-        assert kinds == [KIND_GH, KIND_GW]   # once each; lh and gsr never
 
     @pytest.mark.parametrize("quantizer", ["rtn", "gptq"])
     def test_matches_dense_products(self, quantizer):

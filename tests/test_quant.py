@@ -591,7 +591,7 @@ class TestGptq:
         assert codes.tobytes() == oracles.gptq_codes(w, h, spec).tobytes()
         assert not np.array_equal(codes, rtn_quantize(w, spec).codes)
 
-    @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), -np.eye(4)])
+    @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), -np.eye(4), np.diag([4.0, 4, 4, -1])])
     def test_not_positive_definite_rejected(self, matrix):
         h = CalibrationHessian(matrix=matrix, sample_count=1)
         with pytest.raises(SingularHessianError):
@@ -640,6 +640,12 @@ class TestQuantError:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             quant_error(np.ones((2, 2)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 5), (16,)])
+    def test_proxy_hessian_of_another_width(self, shape):
+        h = CalibrationHessian(matrix=np.ones(shape), sample_count=1)
+        with pytest.raises(ShapeMismatchError, match="4 columns"):
+            quant_error(np.ones((2, 4)), np.zeros((2, 4)), METRIC_PROXY, h)
 
     @pytest.mark.parametrize("metric", [METRIC_MSE, METRIC_MAX_ABS, METRIC_PROXY])
     @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])

@@ -171,12 +171,31 @@ class TestFuseRotations:
         assert fused.r3_online is None
         assert fused.r4_online is None
 
+    @pytest.mark.parametrize("assign,repeats", [
+        (RotationAssignment(), []),
+        (RotationAssignment(r1="gsr", r4="gw"), [1, 1]),
+        (RotationAssignment(r1="gsr", r2="gh", r4="gw"), [1, 1, 4]),
+        (RotationAssignment(r1="lh", r2="gsr", r3="gw", r4="gh", r4_mode="local"), [1, 1, 1, 4]),
+    ])
+    def test_one_operator_per_slot(self, monkeypatch, assign, repeats):
+        built = []
+
+        class Spy(RotationOperator):
+            def __init__(self, r, repeat=1):
+                built.append(repeat)
+                super().__init__(r, repeat)
+
+        monkeypatch.setattr(rotation, "RotationOperator", Spy)
+        fuse_rotations(build_toy_block(ToyBlockConfig()), assign)
+        # r2 acts on each of the 4 heads: one operator, repeated once per head
+        assert sorted(built) == repeats
+
     def test_r1_only_rotates_wq_rows(self):
         cfg = ToyBlockConfig()
         block = build_toy_block(cfg)
         assign = RotationAssignment(r1="gh", seed=5)
         fused = fuse_rotations(block, assign)
-        r1 = fused.input_rotation.matrix
+        r1 = fused.input_rotation.apply(np.eye(cfg.hidden))   # the dense R1
         assert np.allclose(fused.weights["wq"], r1.T @ block.weights["wq"])
         assert invariance_max_diff(cfg, assign) < 1e-10
 
@@ -256,7 +275,8 @@ class TestFuseRotations:
         assert r.blocks.dtype == np.int8 and np.array_equal(r.blocks, built.blocks)
         assert ((r.scale, r.kind, r.group_size, r.block_kind, r.seed)
                 == (built.scale, built.kind, built.group_size, built.block_kind, built.seed))
-        assert RotationOperator(r).matrix is None
+        op = RotationOperator(r)
+        assert op.block.shape == (64, 64) and op.signs is None
 
     def test_external_wrong_order_rejected(self, tmp_path):
         p = tmp_path / "small.gsrt"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from oracles import ORDERING_NATURAL, ORDERING_SEQUENCY, fwht
 from scipy.linalg import hadamard as scipy_hadamard
 
-from seqrot import transforms
 from seqrot.errors import (
     DimensionMismatchError,
     EmptyRowError,
@@ -403,20 +402,26 @@ class TestRotationOperator:
         x = rng.standard_normal((5, n))
         for m in (gsr(n, g), randomize_signs(build_rotation(KIND_LH, n, g), 9)):
             op = RotationOperator(m)
-            assert (op.matrix is None) == (n > g)   # one block is a dense product
+            # one symmetric g x g block, repeated n/g times, and the n column signs
+            assert op.factors is None and op.block.shape == (g, g)
+            assert np.array_equal(op.block, op.block.T)
+            assert op.signs is None if m.seed is None else op.signs.shape == (n,)
             d = m.dense()
             assert np.max(np.abs(op.apply(x) - x @ d)) < 1e-12
             assert np.max(np.abs(op.apply(x, transpose=True) - x @ d.T)) < 1e-12
 
-    @pytest.mark.parametrize("rows,n", [(16, 128), (512, 512)])
+    @pytest.mark.parametrize("rows,n", [(16, 128), (256, 512), (512, 512)])
     def test_grouped_is_bit_identical_at_compare_shapes(self, rows, n):
         """The golden CSV digest of the benchmark's compare_rtn workload
-        (16x128 and 512x512 tensors, g=64) relies on this. It is a property
-        of the BLAS build: with OpenBLAS 0.3.31, a transposed-operand block
-        product of 64x64 blocks sums in another order than the dense one,
-        which is why the operator keeps contiguous transposed blocks."""
+        (16x128 and 512x512 tensors, g=64) and GPTQ's rotated calibration
+        samples (256x512) rely on this. It is a property of the BLAS build,
+        checked with OpenBLAS 0.3.31: one product of the (rows*n/b, b) view
+        with the block, or with its transposed view, sums each output in the
+        order of the dense product."""
         x = np.random.default_rng(rows).standard_normal((rows, n))
-        for m in (gsr(n, 64), randomize_signs(build_rotation(KIND_LH, n, 64), 9)):
+        for m in (gsr(n, 64), randomize_signs(build_rotation(KIND_LH, n, 64), 9),
+                  walsh_from_hadamard(hadamard_sylvester(n)),
+                  randomize_signs(hadamard_sylvester(n), 9)):
             op, d = RotationOperator(m), m.dense()
             assert np.array_equal(op.apply(x), x @ d)
             assert np.array_equal(op.apply(x, transpose=True), x @ d.T)
@@ -434,7 +439,7 @@ class TestRotationOperator:
         d = m.dense()
         for r in (m, d):
             op = RotationOperator(r)
-            assert op.blocks is None
+            assert op.factors is None and op.block.shape == (32, 32)
             assert np.array_equal(op.apply(x), x @ d)
             assert np.array_equal(op.apply(x, transpose=True), x @ d.T)
 
@@ -447,6 +452,47 @@ class TestRotationOperator:
         for r in (gsr(16, 4), hadamard_sylvester(16)):
             with pytest.raises(DimensionMismatchError):
                 RotationOperator(r).apply(np.zeros((2, 8)))
+
+    @pytest.mark.parametrize("r", [np.ones((3, 4)), np.ones(4), np.ones((2, 4, 4)),
+                                   np.ones((0, 0))])
+    def test_rejects_what_is_not_one_square_matrix(self, r):
+        with pytest.raises(DimensionMismatchError):
+            RotationOperator(r)
+
+    @pytest.mark.parametrize("repeat", [0, -1, 2.0, True, None])
+    def test_rejects_a_repeat_that_is_no_count(self, repeat):
+        with pytest.raises(InvalidConfigError):
+            RotationOperator(gsr(8, 4), repeat=repeat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(KINDS), log_n=st.integers(1, 11), data=st.data(),
+           seed=st.none() | st.integers(0, 2 ** 64 - 1), repeat=st.sampled_from([1, 2, 4]),
+           dtype=st.sampled_from([np.float64, np.float32]), transpose=st.booleans())
+    def test_matches_the_repeated_dense_matrix(self, kind, log_n, data, seed, repeat,
+                                               dtype, transpose):
+        n = 1 << log_n
+        g = (1 << data.draw(st.integers(1, log_n), label="log_g")
+             if kind in (KIND_LH, KIND_GSR) else None)
+        m = build_rotation(kind, n, g, seed)
+        d = m.dense().T if transpose else m.dense()
+        x = np.random.default_rng(log_n).standard_normal((3, repeat * n))
+        got = RotationOperator(m, repeat=repeat).apply(x.astype(dtype), transpose)
+        # x @ np.kron(np.eye(repeat), d), one diagonal block at a time
+        ref = np.hstack([xi @ d for xi in np.hsplit(x, repeat)])
+        assert got.dtype == dtype
+        err = np.max(np.abs(got - ref))
+        assert err <= (1e-12 if dtype == np.float64 else 1e-5 * np.max(np.abs(ref)))
+
+    def test_gsr_at_max_order_in_little_memory(self):
+        x = np.random.default_rng(0).standard_normal((2, MAX_ORDER))
+        out = {}
+
+        def run():
+            op = RotationOperator(gsr(MAX_ORDER, 64))
+            out["back"] = op.apply(op.apply(x), transpose=True)
+
+        assert traced_peak(run) < 8 << 20
+        assert np.max(np.abs(out["back"] - x)) < 1e-12
 
 
 def tiled_dense_product(x, m, transpose=False, tile=1024):
@@ -461,9 +507,9 @@ def fwht_rows(x, ordering):
 
 
 class TestFactoredGlobal:
-    """A library gh/gw rotation of order >= KRON_MIN_ORDER is applied through its
-    Kronecker factors: it matches the dense product to round-off, and the
-    n x n matrix is never built."""
+    """A block of order >= KRON_MIN_ORDER (a gh/gw of that order, or an lh/gsr
+    group) is applied through its Kronecker factors: it matches the dense
+    product to round-off, and neither the block nor the n x n matrix is built."""
 
     ORDERING = {KIND_GH: ORDERING_NATURAL, KIND_GW: ORDERING_SEQUENCY}
 
@@ -476,7 +522,8 @@ class TestFactoredGlobal:
     def test_matches_dense_product_and_fwht(self, kind, seed, n):
         m = build_rotation(kind, n, seed=seed)
         op = RotationOperator(m)
-        assert op.matrix is None and op.blocks is None
+        a = 1 << (n.bit_length() - 1) // 2
+        assert op.block is None and [len(f) for f in op.factors] == [a, n // a]
         x = np.random.default_rng(n).standard_normal((4, n))
         fwd, back = op.apply(x), op.apply(x, transpose=True)
         if n <= 4096:
@@ -512,9 +559,11 @@ class TestFactoredGlobal:
         # a transposed (Fortran-order) input gives the same product
         assert np.array_equal(op.apply(np.asfortranarray(x)), op.apply(x))
 
-    @pytest.mark.parametrize("kind", [KIND_GH, KIND_GW])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_never_densified(self, monkeypatch, kind):
-        m = build_rotation(kind, KRON_MIN_ORDER, seed=4)
+        # a block of order >= KRON_MIN_ORDER, global or local, is never built:
+        # not as an n x n matrix, not as blocks, not as one b x b float block
+        m = build_rotation(kind, 2 * KRON_MIN_ORDER, KRON_MIN_ORDER, seed=4)
         x = np.random.default_rng(3).standard_normal((3, m.n))
 
         def refuse(*args, **kwargs):
@@ -523,9 +572,15 @@ class TestFactoredGlobal:
         monkeypatch.setattr(OrthoMatrix, "dense", refuse)
         monkeypatch.setattr(OrthoMatrix, "signs", property(refuse))
         monkeypatch.setattr(OrthoMatrix, "blocks", property(refuse))
-        monkeypatch.setattr(transforms, "_float_blocks", refuse)
-        op = RotationOperator(m)
-        op.apply(op.apply(x), transpose=True)
+        out = {}
+
+        def run():
+            op = RotationOperator(m)
+            out["block"] = op.block
+            op.apply(op.apply(x), transpose=True)
+
+        assert traced_peak(run) < KRON_MIN_ORDER ** 2   # below even one int8 block
+        assert out["block"] is None
 
     @pytest.mark.parametrize("kind", [KIND_GH, KIND_GW])
     def test_below_threshold_and_external_are_dense_products(self, kind):
