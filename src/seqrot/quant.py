@@ -95,7 +95,6 @@ class QuantizedTensor:
     codes: np.ndarray               # int64, shape = original
     scales: np.ndarray              # float64, (rows, n_groups)
     zero_points: np.ndarray | None  # int64, (rows, n_groups); None when symmetric
-    shape: tuple[int, int]
     spec: QuantSpec
 
     def __post_init__(self):
@@ -103,6 +102,10 @@ class QuantizedTensor:
         self.scales.flags.writeable = False
         if self.zero_points is not None:
             self.zero_points.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.codes.shape
 
 
 @dataclass(frozen=True)
@@ -292,7 +295,8 @@ def _clip_errors(grouped: np.ndarray, spec: QuantSpec,
                    out=x[:, :len(block)], half=half[:, :len(block)])
         q *= scale
         q -= elem
-        np.square(q, out=q)
+        with np.errstate(over="ignore"):   # an inf error is scored as such
+            np.square(q, out=q)
         err[start:start + len(block)] = _pairwise_sum(q)
     return err
 
@@ -309,7 +313,7 @@ def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
     the result does not depend on the tiling or on the memory layout of
     ``grouped``. Each group takes the first ratio reaching its smallest
     error. A NaN error is never chosen, and a group whose every error is NaN
-    or inf gets ratio 1.0.
+    or inf (its squared errors overflow float64) gets ratio 1.0.
     """
     rows, n_groups, g = grouped.shape
     ratios = np.asarray(sorted(set(grid), reverse=True), dtype=np.float64)
@@ -353,8 +357,7 @@ def _encode(w, q, spec: QuantSpec, scale, zero) -> QuantizedTensor:
     the zero point added back and the codes cast to int64."""
     codes = (q if zero is None else q + zero).astype(np.int64)
     return QuantizedTensor(codes=codes.reshape(w.shape), scales=scale[..., 0],
-                           zero_points=None if zero is None else zero[..., 0],
-                           shape=w.shape, spec=spec)
+                           zero_points=None if zero is None else zero[..., 0], spec=spec)
 
 
 def rtn_quantize(w: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
@@ -417,8 +420,9 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     objective delta.T @ H @ delta. This guarantees the sweep never ends up
     worse than RTN under the proxy objective.
 
-    A NaN or inf in the Hessian raises NonFiniteInputError; a Hessian that is
-    not positive definite after dampening raises SingularHessianError.
+    A NaN or inf in the Hessian, or a guard objective that is not finite
+    (it overflows float64), raises NonFiniteInputError; a Hessian that is not positive
+    definite after dampening raises SingularHessianError.
     """
     w, grouped, (scale, zero, lo, hi) = _prepare(w, spec)
     rows, d = w.shape
@@ -468,7 +472,11 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
         delta = w - (q * scale).reshape(rows, d)
         return ((delta @ h) * delta).sum(1)
 
-    keep_rtn = objective(rtn) < objective(sweep)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        obj_rtn, obj_sweep = objective(rtn), objective(sweep)
+    if not (np.isfinite(obj_rtn).all() and np.isfinite(obj_sweep).all()):
+        raise NonFiniteInputError("the guard's proxy objective is not finite")
+    keep_rtn = obj_rtn < obj_sweep
     sweep[keep_rtn] = rtn[keep_rtn]
     return _encode(w, sweep, spec, scale, zero)
 
@@ -480,21 +488,27 @@ METRIC_PROXY = "proxy"
 
 def quant_error(w: np.ndarray, w_hat: np.ndarray, metric: str = METRIC_MSE,
                 hessian: CalibrationHessian | None = None) -> float:
-    """Elementwise error metrics between a matrix and its reconstruction."""
+    """Elementwise error metrics between a matrix and its reconstruction; a
+    result that is not finite raises NonFiniteInputError."""
     w = np.asarray(w, dtype=np.float64)
     w_hat = np.asarray(w_hat, dtype=np.float64)
     if w.shape != w_hat.shape or w.size == 0:
         raise ShapeMismatchError(f"need equal non-empty shapes: {w.shape} vs {w_hat.shape}")
-    delta = w - w_hat
-    if metric == METRIC_MSE:
-        return float(np.mean(delta ** 2))
-    if metric == METRIC_MAX_ABS:
-        return float(np.max(np.abs(delta)))
-    if metric == METRIC_PROXY:
-        if hessian is None:
-            raise InvalidSpecError("proxy metric requires a Hessian")
-        if hessian.matrix.shape != (w.shape[-1],) * 2:
-            raise ShapeMismatchError(
-                f"Hessian is {hessian.matrix.shape}, weights have {w.shape[-1]} columns")
-        return float(np.trace(delta @ hessian.matrix @ delta.T))
-    raise InvalidSpecError(f"unknown metric {metric!r}")
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        delta = w - w_hat
+        if metric == METRIC_MSE:
+            err = np.mean(delta ** 2)
+        elif metric == METRIC_MAX_ABS:
+            err = np.max(np.abs(delta))
+        elif metric == METRIC_PROXY:
+            if hessian is None:
+                raise InvalidSpecError("proxy metric requires a Hessian")
+            if hessian.matrix.shape != (w.shape[-1],) * 2:
+                raise ShapeMismatchError(
+                    f"Hessian is {hessian.matrix.shape}, weights have {w.shape[-1]} columns")
+            err = np.trace(delta @ hessian.matrix @ delta.T)
+        else:
+            raise InvalidSpecError(f"unknown metric {metric!r}")
+    if not np.isfinite(err):
+        raise NonFiniteInputError(f"the {metric} error is not finite")
+    return float(err)

@@ -274,7 +274,7 @@ def load_quantized(path) -> QuantizedTensor:
     return QuantizedTensor(
         codes=codes, scales=np.array(scales, dtype=np.float64).reshape(groups),
         zero_points=None if zeros is None else np.array(zeros, dtype=np.int64).reshape(groups),
-        shape=(rows, cols), spec=spec)
+        spec=spec)
 
 
 REPORT_COLUMNS = ["variant", "tensor_id", "metric", "value"]

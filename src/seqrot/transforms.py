@@ -6,16 +6,15 @@ follow from those four, so nothing else is stored. One row generator builds
 them on demand: row i, without its zeros, is Sylvester Hadamard row i % b of
 the block order b (taken as the Kronecker product of rows of two small
 factors, in Walsh order for gw and gsr) times the seed's column signs of its
-block. ``blocks``, ``signs`` and ``dense`` come from it, and so do the
-sequencies of ``sequency_profile``, a tile of rows at a time.
-``RotationOperator`` is the one place a rotation multiplies data, as
-R = diag(B, ..., B) D: one b x b block repeated, then the column signs.
+block. ``blocks``, ``signs`` and ``dense`` come from it on each read, and
+so do the sequencies of ``sequency_profile``, a tile of rows at a time, and
+the block of ``RotationOperator``: the one place a rotation multiplies data,
+as R = diag(B, ..., B) D, one b x b block repeated, then the column signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .errors import (
     NonSignEntryError,
     NotHadamardError,
     OrderTooLargeError,
+    ShapeMismatchError,
 )
 
 MAX_ORDER = 1 << 16
@@ -151,10 +151,10 @@ class OrthoMatrix:
                 view *= d[lo // b:(hi - 1) // b + 1, None]
             yield rows
 
-    @cached_property
+    @property
     def blocks(self) -> np.ndarray:
         """The read-only (n/b, b, b) unnormalized int8 diagonal blocks, built on
-        first read."""
+        each read, never stored."""
         b = self.group or self.n
         out = next(self._row_tiles(self.n)).reshape(-1, b, b)
         out.flags.writeable = False
@@ -163,11 +163,12 @@ class OrthoMatrix:
     @property
     def signs(self) -> np.ndarray:
         """The read-only n x n {-1, 0, +1} int8 matrix; a view for one block."""
-        k, b, _ = self.blocks.shape
+        blocks = self.blocks
+        k, b, _ = blocks.shape
         if k == 1:
-            return self.blocks[0]
+            return blocks[0]
         out = np.zeros((k, b, k, b), dtype=np.int8)
-        out[np.arange(k), :, np.arange(k), :] = self.blocks
+        out[np.arange(k), :, np.arange(k), :] = blocks
         out.flags.writeable = False
         return out.reshape(self.n, self.n)
 
@@ -186,12 +187,12 @@ class RotationOperator:
     """Right-multiplication by R = diag(B, ..., B) D: ``x @ R``, or ``x @ R.T``.
 
     B is one b x b block and D the column signs. A library rotation's B is the
-    unsigned Sylvester Hadamard of its block order b (the group, or n for
-    gh/gw), rows in Walsh order for gw and gsr, times 1/sqrt(b); it is
-    symmetric. D is the seed's splitmix64 signs, none without a seed. An
-    external float matrix is B, without signs. ``repeat`` puts the whole
-    rotation that many times on the diagonal: R2 is
-    ``RotationOperator(r2, repeat=heads)``.
+    first block of its unsigned rotation, from the same row generator, times
+    1/sqrt(b): the Sylvester Hadamard of its block order b (the group, or n
+    for gh/gw), rows in Walsh order for gw and gsr; it is symmetric. D is
+    the seed's splitmix64 signs, none without a seed. An external float
+    matrix is B, without signs. ``repeat`` puts the whole rotation that many
+    times on the diagonal: R2 is ``RotationOperator(r2, repeat=heads)``.
 
     ``x @ R`` is one product of the (rows*n/b, b) view of x with B, then the
     sign flip; ``x @ R.T`` flips the signs, then multiplies by the view B.T
@@ -214,18 +215,16 @@ class RotationOperator:
             order, b = r.n, r.group or r.n
             if r.seed is not None:
                 self.signs = _splitmix64_signs(r.seed, r.n)
-            ha, hc = _factors(b)
-            perm = walsh_permutation(b) if r.kind in (KIND_GW, KIND_GSR) else None
             if b >= KRON_MIN_ORDER:
-                self.factors = (ha.astype(np.float64), hc.astype(np.float64))
+                self.factors = tuple(f.astype(np.float64) for f in _factors(b))
                 self.scale = r.scale
                 # Walsh row k is natural row perm[k]; natural row i is Walsh row perm_inv[i]
-                if perm is not None:
-                    self.perm, self.perm_inv = perm, natural_sequency_formula(b)
-            else:
-                h = np.kron(ha, hc)
-                self.block = np.multiply(h if perm is None else h[perm], r.scale,
-                                         dtype=np.float64)
+                if r.kind in (KIND_GW, KIND_GSR):
+                    self.perm = walsh_permutation(b)
+                    self.perm_inv = natural_sequency_formula(b)
+            else:   # the first block of the unsigned rotation
+                rows = next(replace(r, seed=None)._row_tiles(b))
+                self.block = np.multiply(rows, r.scale, dtype=np.float64)
         else:
             self.block = np.asarray(r, dtype=np.float64)
             if self.block.ndim != 2 or not 0 < len(self.block) == self.block.shape[1]:
@@ -285,6 +284,8 @@ def hadamard_sylvester(n: int) -> OrthoMatrix:
 def row_sequency(row) -> int:
     """Number of adjacent sign changes in a row of +-1 entries."""
     r = np.asarray(row)
+    if r.ndim != 1:
+        raise ShapeMismatchError(f"a row is 1-D, got shape {r.shape}")
     if r.size == 0:
         raise EmptyRowError("sequency of an empty row is undefined")
     if not np.all(np.abs(r) == 1):
@@ -310,10 +311,7 @@ def natural_sequency_formula(n: int) -> np.ndarray:
     matrix: the inverse of ``walsh_permutation``, since Walsh row k has
     sequency k. Column signs change the sequencies.
     """
-    perm = walsh_permutation(n)
-    seq = np.empty_like(perm)
-    seq[perm] = np.arange(n)
-    return seq
+    return np.argsort(walsh_permutation(n))
 
 
 def walsh_permutation(n: int) -> np.ndarray:

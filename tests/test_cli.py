@@ -287,6 +287,14 @@ class TestCompare:
         assert code == 2
         assert "must be finite" in err and "directional" not in out
 
+    def test_overflowing_errors_exit_1(self, capsys):
+        # finite weights whose squared errors overflow float64 give no inf medians
+        code, out, err = run_cli(capsys, "compare", "--count", "1", "--rows", "8",
+                                 "--cols", "16", "--group", "8", "--outliers", "0",
+                                 "--smooth", "1e200", "--variants", "gh")
+        assert code == 1
+        assert "error is not finite" in err and "inf" not in out
+
     def test_failure_leaves_no_partial_output(self, capsys, tmp_path):
         out = tmp_path / "never.csv"
         code, _, _ = run_cli(capsys, "compare", "--count", "2", "--rows", "16",

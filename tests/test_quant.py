@@ -80,9 +80,16 @@ class TestSpecValidation:
     @pytest.mark.parametrize("shape", [(8,), (2, 2, 2), (2, 0)])
     def test_dequantize_rejects_codes_of_other_shapes(self, shape):
         q = rtn_quantize(np.arange(8.0).reshape(2, 4), QuantSpec(bits=2))
-        bad = replace(q, codes=np.zeros(shape, dtype=np.int64), shape=shape)
+        bad = replace(q, codes=np.zeros(shape, dtype=np.int64))
+        assert bad.shape == shape
         with pytest.raises(ShapeMismatchError):
             dequantize(bad)
+
+    def test_shape_is_the_shape_of_the_codes(self):
+        q = rtn_quantize(np.arange(8.0).reshape(2, 4), QuantSpec(bits=2))
+        assert q.shape == q.codes.shape == dequantize(q).shape == (2, 4)
+        with pytest.raises(TypeError):
+            replace(q, shape=(4, 2))   # not a field: nothing to keep in step
 
 
 class TestRtn:
@@ -387,6 +394,37 @@ class TestNonFinite:
         # pytest turns any RuntimeWarning into an error, so none may escape
         with pytest.raises(NonFiniteInputError, match="overflows"):
             hessian_from_calibration(x)
+
+
+class TestSquaredErrorOverflow:
+    """Finite weights whose squared errors overflow float64: the clip search
+    falls back to ratio 1.0, and an error or objective that is not finite
+    raises, never a RuntimeWarning (which pytest turns into an error)."""
+
+    W = np.array([[1e200, -3e199, 2e199, 5e199]])
+
+    def test_mse_clip_falls_back_to_no_clip(self):
+        got = rtn_quantize(self.W, QuantSpec(bits=2, clip=Clip.mse()))
+        want = rtn_quantize(self.W, QuantSpec(bits=2))
+        assert got.codes.tolist() == want.codes.tolist()
+        assert got.scales.tobytes() == want.scales.tobytes()
+
+    @pytest.mark.parametrize("clip", [Clip.none(), Clip.mse()])
+    def test_gptq_guard_rejects(self, clip):
+        h = hessian_from_calibration(np.random.default_rng(0).standard_normal((8, 4)))
+        with pytest.raises(NonFiniteInputError, match="objective"):
+            gptq_quantize(self.W, h, QuantSpec(bits=2, clip=clip))
+
+    @pytest.mark.parametrize("metric", [METRIC_MSE, METRIC_PROXY])
+    def test_quant_error_rejects(self, metric):
+        h = CalibrationHessian(matrix=np.eye(4), sample_count=1)
+        with pytest.raises(NonFiniteInputError, match=metric):
+            quant_error(self.W, np.zeros_like(self.W), metric, h)
+
+    def test_max_abs_rejects_an_overflowing_difference(self):
+        assert quant_error(self.W, np.zeros_like(self.W), METRIC_MAX_ABS) == 1e200
+        with pytest.raises(NonFiniteInputError, match="max_abs"):
+            quant_error([[1e308]], [[-1e308]], METRIC_MAX_ABS)
 
 
 class TestRangeOverflow:

@@ -18,6 +18,7 @@ from seqrot.errors import (
     NotHadamardError,
     OrderTooLargeError,
     SeqrotError,
+    ShapeMismatchError,
 )
 from seqrot.transforms import (
     BASE_HADAMARD,
@@ -110,6 +111,12 @@ class TestRowSequency:
     def test_empty_row(self):
         with pytest.raises(EmptyRowError):
             row_sequency([])
+
+    @pytest.mark.parametrize("row", [np.array([[1, -1], [1, 1]]), np.array(1), [[]]])
+    def test_rejects_what_is_not_one_row(self, row):
+        # two rows would be compared elementwise, one against the other
+        with pytest.raises(ShapeMismatchError):
+            row_sequency(row)
 
     def test_rejects_non_sign_entries(self):
         with pytest.raises(ValueError):
@@ -390,8 +397,11 @@ class TestDense:
         for m in (hadamard_sylvester(8), walsh_from_hadamard(hadamard_sylvester(8)),
                   randomize_signs(hadamard_sylvester(8), 1)):
             assert m.blocks.shape == (1, 8, 8)
-            assert np.shares_memory(m.signs, m.blocks)   # a view, not a copy
-            assert not m.signs.flags.writeable
+            signs = m.signs
+            assert np.array_equal(signs, m.blocks[0]) and not signs.flags.writeable
+            # each read is built afresh: nothing is kept between reads
+            assert not np.shares_memory(signs, m.signs)
+            assert sorted(vars(m)) == ["group", "kind", "n", "seed"]
 
 
 class TestRotationOperator:
@@ -638,6 +648,22 @@ class TestBlockStorage:
         assert np.max(np.abs(op.apply(op.apply(x), transpose=True) - x)) < 1e-12
 
 
+class TestOperatorBlock:
+    @pytest.mark.parametrize("kind,n,g", [(KIND_GH, 512, None), (KIND_GW, 512, None),
+                                          (KIND_GH, 2, None), (KIND_GW, 8, None),
+                                          (KIND_LH, 1024, 64), (KIND_GSR, 1024, 64),
+                                          (KIND_LH, 2048, 512), (KIND_GSR, 64, 2)])
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_is_the_first_unsigned_block(self, kind, n, g, seed):
+        # the operator's block comes from the rotation's own row generator
+        m = build_rotation(kind, n, g, seed)
+        assert (g or n) < KRON_MIN_ORDER
+        want = dataclasses.replace(m, seed=None).blocks[0] * m.scale
+        got = RotationOperator(m).block
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
 class TestOperatorDtype:
     @pytest.mark.parametrize("r", [randomize_signs(build_rotation(KIND_LH, 64, 16), 1),
                                    walsh_from_hadamard(hadamard_sylvester(64))])
@@ -655,7 +681,7 @@ class TestOperatorDtype:
 class TestValue:
     """A rotation is the value (kind, n, group, seed): checked when it is made,
     equal to every rotation made from the same four, its blocks built on
-    first read."""
+    each read and never stored."""
 
     @pytest.mark.parametrize("args,error", [
         (("x", 8), InvalidConfigError), (("GH", 8), InvalidConfigError),
@@ -685,15 +711,32 @@ class TestValue:
         with pytest.raises(InvalidConfigError):
             randomize_signs(build_rotation(KIND_LH, 16, 4, seed=1), 2)
 
-    def test_blocks_built_once_on_demand_and_read_only(self):
-        m = build_rotation(KIND_LH, 16, 4, 2)
-        assert "blocks" not in vars(m)
-        blocks = m.blocks
-        assert m.blocks is blocks and blocks.shape == (4, 4, 4)
-        with pytest.raises(ValueError):
-            blocks[0, 0, 0] = 0
-        other = dataclasses.replace(m, kind=KIND_GSR)   # a new value builds its own blocks
-        assert "blocks" not in vars(other) and not np.array_equal(other.blocks, blocks)
+    def test_blocks_built_on_each_read_and_read_only(self):
+        for kind, other in ((KIND_GH, KIND_GW), (KIND_GW, KIND_GH), (KIND_LH, KIND_GSR),
+                            (KIND_GSR, KIND_LH)):
+            m = build_rotation(kind, 16, 4, 2)
+            blocks = m.blocks
+            assert blocks.shape == ((4, 4, 4) if m.group else (1, 16, 16))
+            with pytest.raises(ValueError):
+                blocks[0, 0, 0] = 0
+            again = m.blocks
+            assert again is not blocks and not np.shares_memory(again, blocks)
+            assert np.array_equal(again, blocks) and not again.flags.writeable
+            assert m.signs.any() and m.dense().any()
+            assert sorted(vars(m)) == ["group", "kind", "n", "seed"]   # the value, nothing more
+            assert not np.array_equal(dataclasses.replace(m, kind=other).blocks, blocks)
+
+    def test_reading_the_signs_keeps_nothing(self):
+        # a gh at n = 4096 is one 16 MiB int8 block; it lives only while it is read
+        m = build_rotation(KIND_GH, 4096, seed=3)
+        tracemalloc.start()
+        try:
+            signs = m.signs
+            assert tracemalloc.get_traced_memory()[0] >= 16 << 20
+            del signs
+            assert tracemalloc.get_traced_memory()[0] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     @settings(max_examples=80, deadline=None)
     @given(kind=st.sampled_from(KINDS), log_n=st.integers(1, 9), data=st.data(),
