@@ -154,33 +154,35 @@ def _range_params(mn, mx, first, spec: QuantSpec, ratio):
     subnormal multiples of it, so its codes are the values in units of
     2^-1074: symmetric groups round-trip exactly, and no 0/0 turns a code
     into NaN. Every other scale is unchanged. An asymmetric group whose
-    range overflows float64 gets a non-finite scale (see ``_prepare``).
+    range overflows float64 gets a non-finite scale, without a warning
+    (``_prepare`` rejects it).
     """
-    if spec.symmetric:
-        amax = np.maximum(np.abs(mn), np.abs(mx)) * ratio
-        qpos = (1 << (spec.bits - 1)) - 1
-        degenerate = amax == 0.0
-        scale = np.where(degenerate, 1.0, np.maximum(amax / qpos, _MIN_SCALE))
-        zero = None
-        lo = -amax
-        hi = amax
-    else:
-        mid = 0.5 * (mn + mx)
-        half = 0.5 * (mx - mn) * ratio
-        lo = mid - half
-        hi = mid + half
-        levels = (1 << spec.bits) - 1
-        degenerate = mx == mn
-        scale = np.where(degenerate, 1.0, np.maximum((hi - lo) / levels, _MIN_SCALE))
-        zero = np.clip(np.where(degenerate, 0.0, round_half_away(-lo / scale)),
-                       spec.qmin, spec.qmax)
-        if np.any(degenerate):
-            # mid is c itself unless 2c overflows
-            lo = np.where(degenerate, first, lo)
-            hi = np.where(degenerate, first, hi)
-            scale = np.where(degenerate, np.where(first == 0.0, 1.0, np.abs(first)), scale)
-            zero = np.where(degenerate & (first < 0.0), 1.0, zero)
-        zero = zero.astype(np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked by _prepare
+        if spec.symmetric:
+            amax = np.maximum(np.abs(mn), np.abs(mx)) * ratio
+            qpos = (1 << (spec.bits - 1)) - 1
+            degenerate = amax == 0.0
+            scale = np.where(degenerate, 1.0, np.maximum(amax / qpos, _MIN_SCALE))
+            zero = None
+            lo = -amax
+            hi = amax
+        else:
+            mid = 0.5 * (mn + mx)
+            half = 0.5 * (mx - mn) * ratio
+            lo = mid - half
+            hi = mid + half
+            levels = (1 << spec.bits) - 1
+            degenerate = mx == mn
+            scale = np.where(degenerate, 1.0, np.maximum((hi - lo) / levels, _MIN_SCALE))
+            zero = np.clip(np.where(degenerate, 0.0, round_half_away(-lo / scale)),
+                           spec.qmin, spec.qmax)
+            if np.any(degenerate):
+                # mid is c itself unless 2c overflows
+                lo = np.where(degenerate, first, lo)
+                hi = np.where(degenerate, first, hi)
+                scale = np.where(degenerate, np.where(first == 0.0, 1.0, np.abs(first)), scale)
+                zero = np.where(degenerate & (first < 0.0), 1.0, zero)
+            zero = zero.astype(np.int64)
     return scale, zero, lo, hi
 
 
@@ -265,20 +267,22 @@ def _clip_errors(grouped: np.ndarray, spec: QuantSpec,
                  ratios: np.ndarray) -> np.ndarray:
     """Squared round-trip error of every group at every clip ratio.
 
-    ``grouped`` is (rows, n_groups, g) and ``ratios`` 1-D; the result is
-    (len(ratios), rows, n_groups). ``grouped`` is copied to a C-contiguous
-    array and transposed once to element-major (g, rows, n_groups). The
-    ratios are scored k = min(8, len(ratios)) at a time in two
-    (g, k, rows, n_groups) buffers: every elementwise pass runs a contiguous
-    inner loop over rows x n_groups values, with the per-group clamp bounds,
-    scale and zero point broadcast along the outer g axis, and the group sum
-    adds contiguous slices.
+    ``grouped`` is (rows, n_groups, g) and ``ratios`` is (K, 1, 1), K ratios
+    for every group, or (K, rows, n_groups), a ratio per result; the result
+    is (K, rows, n_groups). ``grouped`` is copied to a C-contiguous array and
+    transposed once to element-major (g, rows, n_groups). The ratios are
+    scored k = min(8, K) at a time in two (g, k, rows, n_groups) buffers:
+    every elementwise pass runs a contiguous inner loop over rows x n_groups
+    values, with the per-group clamp bounds, scale and zero point broadcast
+    along the outer g axis, and the group sum adds contiguous slices.
 
     Contract: each error is bit-identical to quantizing that group with
     ``_codes``, dequantizing as ``(code - zero) * scale`` and summing the
     squared error with ``np.sum`` over the contiguous group: ``_codes`` is
     the quantizer arithmetic itself, and ``_pairwise_sum`` replays numpy's
-    summation order.
+    summation order. A group whose parameters are not finite (its range
+    overflows float64) scores NaN, and one whose squares overflow scores
+    inf, without a warning: the search never picks either.
     """
     rows, n_groups, g = grouped.shape
     k = min(_CHUNK, len(ratios))
@@ -290,37 +294,169 @@ def _clip_errors(grouped: np.ndarray, spec: QuantSpec,
     err = np.empty((len(ratios), rows, n_groups))
     for start in range(0, len(ratios), k):
         block = ratios[start:start + k]
-        scale, zero, lo, hi = _range_params(mn, mx, first, spec, block[:, None, None])
-        q = _codes(elem, spec, scale, zero, lo, hi,
-                   out=x[:, :len(block)], half=half[:, :len(block)])
-        q *= scale
-        q -= elem
-        with np.errstate(over="ignore"):   # an inf error is scored as such
+        scale, zero, lo, hi = _range_params(mn, mx, first, spec, block)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = _codes(elem, spec, scale, zero, lo, hi,
+                       out=x[:, :len(block)], half=half[:, :len(block)])
+            q *= scale
+            q -= elem
             np.square(q, out=q)
         err[start:start + len(block)] = _pairwise_sum(q)
     return err
 
 
+# Stage 1 of the clip search trusts a group whose largest magnitude lies in
+# [2^-_WINDOW_EXP, 2^_WINDOW_EXP], and a (group, ratio) pair of it whose values
+# are at most _MAX_T scales; _ROOT_REL bounds the relative error of a float32
+# t = x / scale, see _estimate_roots
+_WINDOW_EXP = 400
+_MAX_T = 2.0 ** 48
+_U32 = 2.0 ** -24   # float32 unit roundoff
+_ROOT_REL = 8 * _U32
+
+
+def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
+    """Stage 1 of the clip search: a float32 estimate of the square root of
+    every error ``_clip_errors`` gives, and a bound on its distance from it.
+
+    ``part`` is (rows, n_groups, g) and ``ratios`` 1-D; both results are
+    (len(ratios), rows, n_groups), and |estimate - sqrt(exact)| <= bound holds
+    for every pair. A pair that is not trusted gets estimate 0 and bound inf.
+
+    Method. The per-group scale, zero point, lo and hi come from
+    ``_range_params`` in float64, and so do a and b, the codes of lo and hi
+    after the code clamp. Each group is scaled by 2^-e, with 2^(e-1) <=
+    max|x| < 2^e, and cast to float32 once per row tile. Per ratio, six
+    float32 passes (a product, a rounding, two clamps, a difference and one
+    ``einsum``) give t = y * float32(2^e / scale) (y the scaled x), c =
+    clip(rint(t), a, b) and the group's sum S of (c - t)^2; the estimate is
+    scale * sqrt(S).
+
+    Bound. With T = x / scale exactly, the exact kernel's code is a nearest
+    integer to T in [a, b] (dividing, rounding half away and clamping are
+    monotone, so the clamp to [lo, hi] becomes one to [a, b]), and c is one to
+    t (rint rounds half to even, but both codes of a half are equally far).
+    So sqrt(exact) = scale |d(T)| and (c - t)^2 = d(t)^2, where d is the
+    distance to the nearest integer in [a, b], |.| the Euclidean norm over
+    the group, and float64 rounding is below the margins. d is 1-Lipschitz,
+    so |d(t)| and |d(T)| differ by at most |t - T| <= 3u |T| = 3u sqrt(Q) /
+    scale, with u = 2^-24 and Q the group's sum of squares: three float32
+    roundings make t. S is a float32 sum of g rounded squares of rounded
+    differences, in some order, so its relative error is below (g + 2) u, and
+    that of its root below (g + 2) u / 2. Hence
+        bound = _ROOT_REL sqrt(Q) + (g + 2) u estimate.
+    Both terms are at least twice their first-order error; the rest covers
+    second-order terms, float64 rounding on both sides and float32 underflow
+    (below 2^-149 per term, while |T| >= 1).
+
+    Trust. A group with one distinct value gets no estimate. The window on
+    max|x| keeps the exact error, the estimate and the bound finite and
+    their underflow below the bound; max|x| <= _MAX_T scale keeps t and S far
+    from float32 overflow. Out-of-window groups (subnormal, near 1e300, or
+    with an overflowing range) are computed on harmless stand-ins, with no
+    warning.
+    """
+    rows, n_groups, g = part.shape
+    mn, mx, first = part.min(axis=2), part.max(axis=2), part[..., 0]
+    amax = np.maximum(np.abs(mn), np.abs(mx))
+    e = np.frexp(amax)[1]
+    y = np.ldexp(part, -e[..., None])
+    scale, zero, lo, hi = _range_params(mn, mx, first, spec, ratios[:, None, None])
+    zf = 0 if zero is None else zero
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # not trusted
+        window = (mx > mn) & (amax >= 2.0 ** -_WINDOW_EXP) & (amax <= 2.0 ** _WINDOW_EXP)
+        trusted = window & (amax <= _MAX_T * scale)
+        root_q = np.where(window, np.ldexp(np.sqrt(np.einsum("rjg,rjg->rj", y, y)), e), 0.0)
+        # a and b, what _codes makes of lo and hi, and 2^e / scale, in float32
+        # with stand-ins where not trusted; one at a time, to keep memory low
+        a, b = (np.where(trusted, np.clip(round_half_away(v / scale), spec.qmin - zf,
+                                          spec.qmax - zf), 0.0).astype(np.float32)
+                for v in (lo, hi))
+        inv = np.where(trusted, 1.0 / np.ldexp(scale, -e), 1.0).astype(np.float32)
+    del zero, lo, hi
+    k = min(_CHUNK, len(ratios))
+    y32 = np.empty((g, k, rows, n_groups), dtype=np.float32)
+    y32[:, 0] = y.transpose(2, 0, 1)
+    y32[:, 1:] = y32[:, :1]   # repeated, so no pass broadcasts it
+    t = np.empty_like(y32)
+    c = np.empty_like(y32)
+    root = np.empty((len(ratios), rows, n_groups))
+    for start in range(0, len(ratios), k):
+        n = min(k, len(ratios) - start)
+        tc, cc = t[:, :n], c[:, :n]
+        np.multiply(y32[:, :n], inv[start:start + n], out=tc)
+        np.rint(tc, out=cc)
+        np.maximum(cc, a[start:start + n], out=cc)
+        np.minimum(cc, b[start:start + n], out=cc)
+        cc -= tc
+        root[start:start + n] = np.einsum("g...,g...->...", cc, cc)
+    del y32, t, c
+    np.sqrt(root, out=root)
+    root *= np.where(trusted, scale, 0.0)
+    bound = (g + 2) * _U32 * root + _ROOT_REL * root_q
+    bound[~trusted] = np.inf
+    return root, bound
+
+
+def _contending_errors(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
+    """``_clip_errors`` of every (ratio, row, group) pair that stage 1 cannot
+    rule out, and inf for the rest; the pairs are scored at one ratio each, at
+    most 2^17 values per call."""
+    g = part.shape[2]
+    root, bound = _estimate_roots(part, spec, ratios)
+    contend = root - bound <= (root + bound).min(axis=0)
+    del root, bound
+    which, row, col = np.nonzero(contend)
+    exact = np.empty(len(which))
+    step = max(1, _TILE_ELEMS // g)
+    for p in range(0, len(which), step):
+        sel = slice(p, p + step)
+        exact[sel] = _clip_errors(part[row[sel], col[sel]][None], spec,
+                                  ratios[which[sel]][None, None])[0, 0]
+    err = np.full(contend.shape, np.inf)
+    err[contend] = exact
+    return err
+
+
+# From this group size the clip search estimates before it scores: below it,
+# the per-pair float64 parameters of stage 1 cost about as much as scoring
+# every pair exactly (at 2 bits on 128x512, group 4: 38 ms exhaustive, 41 ms
+# in two stages; group 8: 27 and 22 ms)
+_ESTIMATE_MIN_GROUP = 8
+
+
 def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
     """Per-group MSE-minimizing clip ratio; ties broken toward the larger ratio.
 
-    ``grouped`` is (rows, n_groups, g); the result is (rows, n_groups). The
-    distinct grid ratios are scored in descending order by ``_clip_errors``
-    on row tiles of ``max(1, 2**17 // (k * cols))`` rows, k = min(8,
-    distinct ratios), so its two element-major (g, k, tile, n_groups) work
-    buffers hold at most 2^17 values each. Every error is bit-identical to
-    the per-group round trip summed by ``np.sum`` (see ``_clip_errors``), so
-    the result does not depend on the tiling or on the memory layout of
-    ``grouped``. Each group takes the first ratio reaching its smallest
-    error. A NaN error is never chosen, and a group whose every error is NaN
-    or inf (its squared errors overflow float64) gets ratio 1.0.
+    ``grouped`` is (rows, n_groups, g); the result is (rows, n_groups). Each
+    group takes the first of the distinct grid ratios, in descending order,
+    that reaches its smallest error as ``_clip_errors`` computes it. A NaN
+    error is never chosen, and a group whose every error is NaN or inf (its
+    squared errors overflow float64) gets ratio 1.0.
+
+    The search runs on row tiles of ``max(1, 2**17 // (k * cols))`` rows, k =
+    min(8, distinct ratios). From g = ``_ESTIMATE_MIN_GROUP`` it runs in two
+    stages. Stage 1, ``_estimate_roots``, estimates the square root of every
+    (group, ratio) error in float32, with a proven bound. Stage 2
+    (``_contending_errors``) scores exactly only the pairs whose estimate
+    minus bound is at most the group's smallest estimate plus bound: every
+    ratio reaching the smallest exact error is among them, ties included, so
+    the pick is that of scoring every pair, which smaller groups do. Every
+    exact error is bit-identical to the per-group round trip summed by
+    ``np.sum``, so the result depends neither on the tiling nor on the
+    memory layout of ``grouped``. Each work buffer holds at most 2^17
+    values.
     """
     rows, n_groups, g = grouped.shape
     ratios = np.asarray(sorted(set(grid), reverse=True), dtype=np.float64)
     tile = max(1, _TILE_ELEMS // (min(_CHUNK, len(ratios)) * n_groups * g))
     best = np.empty((rows, n_groups))
     for r0 in range(0, rows, tile):
-        err = _clip_errors(grouped[r0:r0 + tile], spec, ratios)
+        part = grouped[r0:r0 + tile]
+        if g < _ESTIMATE_MIN_GROUP:
+            err = _clip_errors(part, spec, ratios[:, None, None])
+        else:
+            err = _contending_errors(part, spec, ratios)
         err[np.isnan(err)] = np.inf
         pick = err.argmin(axis=0)
         found = np.take_along_axis(err, pick[None], axis=0)[0] < np.inf

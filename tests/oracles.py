@@ -255,6 +255,24 @@ def mse_clip_search(group, spec, grid=quant.DEFAULT_MSE_GRID):
     return _clip_search(group, spec, grid)
 
 
+def search_ratios(grouped, spec, grid):
+    """The exhaustive clip search: every distinct ratio scored exactly by
+    ``quant._clip_errors`` on row tiles, then the first ratio, in descending
+    order, reaching each group's smallest error; NaN is never chosen, and a
+    group with only NaN or inf errors gets 1.0."""
+    rows, n_groups, g = grouped.shape
+    ratios = np.asarray(sorted(set(grid), reverse=True), dtype=np.float64)
+    tile = max(1, quant._TILE_ELEMS // (min(quant._CHUNK, len(ratios)) * n_groups * g))
+    best = np.empty((rows, n_groups))
+    for r0 in range(0, rows, tile):
+        err = quant._clip_errors(grouped[r0:r0 + tile], spec, ratios[:, None, None])
+        err[np.isnan(err)] = np.inf
+        pick = err.argmin(axis=0)
+        found = np.take_along_axis(err, pick[None], axis=0)[0] < np.inf
+        best[r0:r0 + tile] = np.where(found, ratios[pick], 1.0)
+    return best
+
+
 def quant_params(w, spec):
     """(grouped, scale, zero, lo, hi) with every clip ratio found group by group."""
     w = np.asarray(w, dtype=np.float64)

@@ -1,3 +1,4 @@
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from seqrot.quant import (
     Clip,
     QuantSpec,
     _clip_errors,
+    _estimate_roots,
     _group_view,
     _pairwise_sum,
     _search_ratios,
@@ -228,54 +230,123 @@ GRID_RATIOS = (1.0, 0.97, 0.9, 0.85, 0.8, 0.75, 0.6, 0.5, 0.33)
 
 
 # weights and MSE grids of the kernel-against-oracle tests
+WEIGHT_KINDS = ("t", "lattice", "mirror", "subnormal", "constant")
 WEIGHT_CASES = dict(
     bits=st.integers(2, 8), symmetric=st.booleans(),
     g=st.sampled_from(GROUP_SIZES), rows=st.integers(1, 5),
     n_groups=st.integers(1, 3), transposed=st.booleans(),
-    lattice=st.booleans(), shift=st.sampled_from((0.0, -6.0, 6.0)),
-    seed=st.integers(0, 2 ** 32 - 1),
+    kind=st.sampled_from(WEIGHT_KINDS), shift=st.sampled_from((0.0, -6.0, 6.0)),
+    exponent=st.sampled_from((0, 0, 300, -300)), seed=st.integers(0, 2 ** 32 - 1),
     grid=st.one_of(st.just(DEFAULT_MSE_GRID),
                    st.lists(st.sampled_from(GRID_RATIOS), min_size=1, max_size=12)))
+# the quantizer tests keep to ordinary magnitudes: their oracles' squares and
+# GPTQ's guard objective overflow on the 1e300 groups
+QUANTIZER_CASES = dict(WEIGHT_CASES, kind=st.sampled_from(("t", "lattice")),
+                       exponent=st.just(0))
 
 
-def case_weights(rows, n_groups, g, transposed, lattice, shift, seed):
+def case_weights(rows, n_groups, g, transposed, kind, shift, exponent, seed):
+    """Random groups of one kind, scaled by 10^exponent (t, lattice, mirror):
+    Student-t values, integer lattices (few distinct values: many exact error
+    ties), groups symmetric about 0 (mid == 0), subnormal multiples of 2^-1074,
+    and the constant 1.7e308, whose range midpoint overflows."""
     rng = np.random.default_rng(seed)
     shape = (rows, n_groups * g)
     # a shift makes most groups one-signed, where the code clamps bind
-    if lattice:   # few distinct values: many exact error ties
+    if kind == "lattice":
         w = rng.integers(-3, 4, size=shape) + shift
+    elif kind == "mirror":
+        v = rng.standard_t(4, size=(rows, n_groups, g))
+        amax = np.abs(v).max(axis=2)
+        v[..., 0], v[..., -1] = amax, -amax
+        w = v.reshape(shape)
+    elif kind == "subnormal":
+        w = rng.integers(-40, 41, size=shape) * TINY
+    elif kind == "constant":
+        w = np.full(shape, 1.7e308)
     else:
         w = (rng.standard_t(4, size=shape) + shift) * 10.0 ** rng.uniform(-4, 4)
+    if kind in ("t", "lattice", "mirror"):
+        w = w * 10.0 ** exponent
     if transposed:
         w = np.ascontiguousarray(w.T).T
     return w
 
 
-class TestSearchRatios:
-    """The tiled element-major kernel gives every error and every chosen
-    ratio bit for bit as the per-group oracle ``mse_clip_search``."""
+@contextlib.contextmanager
+def every_pair_rescored():
+    """Stage 1 trusts no estimate, so stage 2 scores every (group, ratio)."""
+    real = quant._estimate_roots
 
-    @settings(max_examples=60, deadline=None)
+    def untrusted(part, spec, ratios):
+        root, bound = real(part, spec, ratios)
+        return root, np.full_like(bound, np.inf)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quant, "_estimate_roots", untrusted)
+        yield
+
+
+class TestSearchRatios:
+    """The two-stage search picks every ratio bit for bit as the exhaustive
+    search (``oracles.search_ratios``) and the per-group oracle
+    ``mse_clip_search``, and the exact kernel gives every error as the latter."""
+
+    @settings(max_examples=120, deadline=None)
     @given(**WEIGHT_CASES)
     def test_matches_per_group_oracle(self, bits, symmetric, g, rows, n_groups,
-                                      transposed, lattice, shift, seed, grid):
-        w = case_weights(rows, n_groups, g, transposed, lattice, shift, seed)
+                                      transposed, kind, shift, exponent, seed, grid):
+        w = case_weights(rows, n_groups, g, transposed, kind, shift, exponent, seed)
         spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric,
                          clip=Clip.mse(tuple(grid)))
         grouped = _group_view(w, g)
         ratios = _search_ratios(grouped, spec, spec.clip.grid)
         distinct = sorted(set(grid), reverse=True)
-        errors = _clip_errors(grouped, spec, np.asarray(distinct))
+        errors = _clip_errors(grouped, spec, np.asarray(distinct)[:, None, None])
+        assert ratios.tobytes() == oracles.search_ratios(grouped, spec, grid).tobytes()
         for r in range(rows):
             for j in range(n_groups):
                 group = grouped[r, j]
                 if group.min() == group.max():
                     continue   # the oracle short-cuts constant groups
-                expected, _ = mse_clip_search(group, spec, spec.clip.grid)
+                # the oracle's own squares overflow on the 1e300 groups
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected, _ = mse_clip_search(group, spec, spec.clip.grid)
+                    per_ratio = [mse_clip_search(group, spec, (x,))[1] for x in distinct]
                 assert ratios[r, j] == expected
-                for i, ratio in enumerate(distinct):
-                    _, err = mse_clip_search(group, spec, (ratio,))
+                for i, err in enumerate(per_ratio):
                     assert errors[i, r, j].tobytes() == np.float64(err).tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(**WEIGHT_CASES)
+    def test_root_estimates_within_bound(self, bits, symmetric, g, rows, n_groups,
+                                         transposed, kind, shift, exponent, seed, grid):
+        w = case_weights(rows, n_groups, g, transposed, kind, shift, exponent, seed)
+        spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric,
+                         clip=Clip.mse(tuple(grid)))
+        grouped = _group_view(w, g)
+        distinct = np.asarray(sorted(set(grid), reverse=True))
+        root, bound = _estimate_roots(grouped, spec, distinct)
+        exact = _clip_errors(grouped, spec, distinct[:, None, None])
+        trusted = bound < np.inf
+        assert np.all(np.abs(root - np.sqrt(exact))[trusted] <= bound[trusted])
+        if kind == "t" and exponent == 0 and g > 1:
+            assert trusted.all()   # ordinary groups take the fast path
+        if kind in ("subnormal", "constant"):
+            assert not trusted.any()
+
+    @settings(max_examples=40, deadline=None)
+    @given(**WEIGHT_CASES)
+    def test_every_pair_rescored_gives_the_same_picks(
+            self, bits, symmetric, g, rows, n_groups, transposed, kind, shift,
+            exponent, seed, grid):
+        w = case_weights(rows, n_groups, g, transposed, kind, shift, exponent, seed)
+        spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric,
+                         clip=Clip.mse(tuple(grid)))
+        grouped = _group_view(w, g)
+        with every_pair_rescored():
+            ratios = _search_ratios(grouped, spec, spec.clip.grid)
+        assert ratios.tobytes() == oracles.search_ratios(grouped, spec, grid).tobytes()
 
     def test_constant_group_gets_largest_ratio(self):
         spec = QuantSpec(bits=2, group_size=4, clip=Clip.mse((0.8, 0.9, 0.9)))
@@ -289,21 +360,34 @@ class TestSearchRatios:
         w = rng.standard_t(4, size=(600, 512))
         spec = QuantSpec(bits=2, group_size=64, clip=Clip.mse())
         whole = _search_ratios(_group_view(w, 64), spec, spec.clip.grid)
+        assert whole.tobytes() == oracles.search_ratios(
+            _group_view(w, 64), spec, spec.clip.grid).tobytes()
         for r in (0, 31, 32, 599):
             one = _search_ratios(_group_view(w[r:r + 1], 64), spec, spec.clip.grid)
             assert np.array_equal(whole[r], one[0])
 
-    def test_nan_error_is_never_chosen(self, monkeypatch):
+    def test_nan_error_is_never_chosen(self):
         # finite weights give NaN errors only in extreme cases (see
         # TestSubnormalRange for the one that no longer does), so the rule is
-        # checked on injected errors: group 0 skips the NaN and keeps the
-        # first of two tied ratios, group 1 has only NaN/inf errors and keeps 1.0
-        spec = QuantSpec(bits=6, group_size=4, clip=Clip.mse((0.96, 0.62, 0.6, 0.12)))
-        err = np.array([[[np.nan, np.nan]], [[2.0, np.inf]], [[3.0, np.nan]],
-                        [[2.0, np.inf]]])
-        monkeypatch.setattr(quant, "_clip_errors", lambda grouped, spec, ratios: err.copy())
-        grouped = _group_view(np.arange(8.0).reshape(1, 8), 4)
-        assert _search_ratios(grouped, spec, spec.clip.grid).tolist() == [[0.62, 1.0]]
+        # checked on injected exact errors, with every pair scored exactly
+        # (group 4) and with every pair rescored by stage 2 (group 8): group 0
+        # skips the NaN and keeps the first of two tied ratios, group 1 has
+        # only NaN/inf errors and keeps 1.0
+        table = {0.96: (np.nan, np.nan), 0.62: (2.0, np.inf), 0.6: (3.0, np.nan),
+                 0.12: (2.0, np.inf)}
+        for g in (4, 8):
+            spec = QuantSpec(bits=6, group_size=g, clip=Clip.mse((0.96, 0.62, 0.6, 0.12)))
+
+            def injected(grouped, spec, ratios):
+                # a ratio per result: (K, 1, 1) for every group, or one per pair
+                first = grouped[..., 0]
+                return np.vectorize(lambda x, f: table[x][int(f) // g])(
+                    np.broadcast_to(ratios, (len(ratios),) + first.shape), first)
+
+            grouped = _group_view(np.arange(2.0 * g).reshape(1, 2 * g), g)
+            with every_pair_rescored(), pytest.MonkeyPatch.context() as mp:
+                mp.setattr(quant, "_clip_errors", injected)
+                assert _search_ratios(grouped, spec, spec.clip.grid).tolist() == [[0.62, 1.0]]
 
     def test_pairwise_sum_replays_numpy_row_sum(self):
         # if numpy ever changes its summation order, this fails first
@@ -320,10 +404,10 @@ class TestQuantizersMatchOracle:
     kernel (``oracles.rtn_quantize``, ``oracles.gptq_codes``)."""
 
     @settings(max_examples=60, deadline=None)
-    @given(clip=st.sampled_from((CLIP_NONE, CLIP_RATIO, CLIP_MSE)), **WEIGHT_CASES)
-    def test_rtn(self, clip, bits, symmetric, g, rows, n_groups, transposed, lattice,
-                 shift, seed, grid):
-        w = case_weights(rows, n_groups, g, transposed, lattice, shift, seed)
+    @given(clip=st.sampled_from((CLIP_NONE, CLIP_RATIO, CLIP_MSE)), **QUANTIZER_CASES)
+    def test_rtn(self, clip, bits, symmetric, g, rows, n_groups, transposed, kind,
+                 shift, exponent, seed, grid):
+        w = case_weights(rows, n_groups, g, transposed, kind, shift, exponent, seed)
         clip = {CLIP_NONE: Clip.none(), CLIP_RATIO: Clip.fixed(min(grid)),
                 CLIP_MSE: Clip.mse(tuple(grid))}[clip]
         spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric, clip=clip)
@@ -337,10 +421,10 @@ class TestQuantizersMatchOracle:
             assert qt.zero_points.tobytes() == zeros.tobytes()
 
     @settings(max_examples=30, deadline=None)
-    @given(**WEIGHT_CASES)
-    def test_gptq(self, bits, symmetric, g, rows, n_groups, transposed, lattice,
-                  shift, seed, grid):
-        w = case_weights(rows, n_groups, g, transposed, lattice, shift, seed)
+    @given(**QUANTIZER_CASES)
+    def test_gptq(self, bits, symmetric, g, rows, n_groups, transposed, kind,
+                  shift, exponent, seed, grid):
+        w = case_weights(rows, n_groups, g, transposed, kind, shift, exponent, seed)
         spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric,
                          clip=Clip.mse(tuple(grid)))
         d = w.shape[1]
@@ -437,18 +521,17 @@ class TestRangeOverflow:
     def test_rejected(self, w, clip):
         spec = QuantSpec(bits=3, group_size=4, clip=clip)
         h = hessian_from_calibration(np.random.default_rng(0).standard_normal((8, 4)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteInputError):
-                rtn_quantize(w, spec)
-            with pytest.raises(NonFiniteInputError):
-                gptq_quantize(w, h, spec)
+        with pytest.raises(NonFiniteInputError):
+            rtn_quantize(w, spec)
+        with pytest.raises(NonFiniteInputError):
+            gptq_quantize(w, h, spec)
 
     @pytest.mark.parametrize("c", [1e308, -1e308, 1.7e308, -1.7e308])
     def test_constant_group_exact(self, c):
         # twice c overflows, but a constant group needs no midpoint
         w = np.full((1, 4), c)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.array_equal(rt(w, QuantSpec(bits=3, group_size=4)), w)
+        for clip in (Clip.none(), Clip.mse()):
+            assert np.array_equal(rt(w, QuantSpec(bits=3, group_size=4, clip=clip)), w)
 
     def test_symmetric_spec_unaffected(self):
         w = np.array([[-1e308, 1e308, 0.0, 0.0]])
@@ -556,7 +639,7 @@ class TestSubnormalRange:
         distinct = sorted(set(grid), reverse=True)
         # underflow is expected here; 0/0 or a division by a zero scale is not
         with np.errstate(invalid="raise", divide="raise", under="ignore"):
-            errors = _clip_errors(grouped, spec, np.asarray(distinct))
+            errors = _clip_errors(grouped, spec, np.asarray(distinct)[:, None, None])
             ratio = _search_ratios(grouped, spec, spec.clip.grid)[0, 0]
             qt = rtn_quantize(w, spec)
         assert not np.isnan(errors).any()
