@@ -96,5 +96,5 @@ def corpus_hash(tensors) -> str:
     """SHA-256 over every tensor's bytes; the fairness fingerprint."""
     h = hashlib.sha256()
     for t in tensors:
-        h.update(np.ascontiguousarray(t, dtype=np.float64).tobytes())
+        h.update(np.ascontiguousarray(t, dtype=np.float64))
     return h.hexdigest()

@@ -120,7 +120,7 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
         hasher = hashlib.sha256()
         for i, w in enumerate(corpus):
             w = np.ascontiguousarray(w, dtype=np.float64)
-            hasher.update(w.tobytes())
+            hasher.update(w)
             rotated = w if r1 is None else r1.apply(w)
             if quantizer == QUANTIZER_RTN:
                 w_hat = dequantize(rtn_quantize(rotated, wspec))
@@ -297,7 +297,7 @@ def r4_ablation(cfg: ToyBlockConfig, weight_spec: QuantSpec, act_spec: QuantSpec
                                         seed=_mix_seed(seed, 3))
             fused = fuse_rotations(block, assign)
             for name, w in fused.weights.items():
-                digest = hashlib.sha256(w.tobytes()).digest()
+                digest = hashlib.sha256(np.ascontiguousarray(w)).digest()
                 if name not in memo or memo[name][0] != digest:
                     memo.pop(name, None)   # free the stale copy first
                     memo[name] = (digest, _quantize_weight(w, weight_spec))

@@ -108,15 +108,37 @@ class QuantizedTensor:
         return self.codes.shape
 
 
-@dataclass(frozen=True)
 class CalibrationHessian:
-    """Symmetric PSD proxy Hessian accumulated from calibration activations."""
+    """Symmetric PSD proxy Hessian H = 2 X^T X / N of N calibration samples X.
 
-    matrix: np.ndarray
-    sample_count: int
+    It takes one of two forms. Given ``matrix``, it is that d x d matrix.
+    Given ``samples``, the (N, d) array X, it keeps X and builds ``matrix``
+    from it on the first read, once; ``samples`` is None in the matrix
+    form. Both arrays are read-only.
+    """
 
-    def __post_init__(self):
-        self.matrix.flags.writeable = False
+    def __init__(self, matrix: np.ndarray | None = None, sample_count: int | None = None,
+                 samples: np.ndarray | None = None):
+        if (matrix is None) == (samples is None):
+            raise InvalidSpecError("a Hessian is given by its matrix or by its samples")
+        for a in (matrix, samples):
+            if a is not None:
+                a.flags.writeable = False
+        self._matrix = matrix
+        self.samples = samples
+        self.sample_count = sample_count if samples is None else samples.shape[0]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The matrix's shape, without building it."""
+        return self._matrix.shape if self.samples is None else (self.samples.shape[1],) * 2
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _gram(self.samples)
+            self._matrix.flags.writeable = False
+        return self._matrix
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -510,22 +532,56 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     return (codes * q.scales[..., None]).reshape(q.shape)
 
 
-def hessian_from_calibration(x: np.ndarray) -> CalibrationHessian:
-    """Proxy Hessian 2 X^T X / samples from a (samples, d) activation matrix."""
-    # a C-contiguous x makes x.T @ x one symmetric rank-k product, exactly
-    # symmetric; a strided view would not
-    x = np.atleast_2d(np.ascontiguousarray(x, dtype=np.float64))
-    if x.shape[0] < 1 or x.size == 0:
-        raise EmptyCalibrationError("calibration requires at least one sample")
-    if not np.isfinite(x).all():
-        raise NonFiniteInputError("calibration activations contain NaN or inf")
+# From this order, a Hessian of fewer samples than columns keeps its samples
+# and builds no d x d matrix. At d = 4096 and 256 samples (2 vCPUs, OpenBLAS
+# 0.3.31) that is 5 ms instead of 196 ms, and a proxy of 128 rows takes 5 ms
+# instead of 35 ms. Below it the Hessian is its matrix, so the proxy keeps the
+# bits of the dense form at n = 512.
+_SAMPLES_MIN_ORDER = 1024
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """2 x^T x / samples of a C-contiguous float64 x; a result that is not
+    finite raises NonFiniteInputError."""
+    # x.T @ x of a C-contiguous x is one symmetric rank-k product, exactly
+    # symmetric; a strided view would not be
     with np.errstate(over="ignore", invalid="ignore"):   # checked below
         h = x.T @ x
         h *= 2.0
         h /= x.shape[0]
     if not np.isfinite(h).all():
         raise NonFiniteInputError("calibration Hessian overflows the float64 range")
-    return CalibrationHessian(matrix=h, sample_count=x.shape[0])
+    return h
+
+
+def hessian_from_calibration(x: np.ndarray) -> CalibrationHessian:
+    """Proxy Hessian 2 X^T X / samples from a (samples, d) activation matrix.
+
+    From d = ``_SAMPLES_MIN_ORDER`` with fewer samples than columns, the
+    Hessian keeps a copy of the samples and builds no matrix; otherwise it
+    is the d x d matrix. Either way a Hessian that would overflow float64
+    raises NonFiniteInputError: the sample form checks its diagonal, the
+    column sums of squares, which bound every entry.
+    """
+    given = x
+    x = np.atleast_2d(np.ascontiguousarray(x, dtype=np.float64))
+    if x.shape[0] < 1 or x.size == 0:
+        raise EmptyCalibrationError("calibration requires at least one sample")
+    if not np.isfinite(x).all():
+        raise NonFiniteInputError("calibration activations contain NaN or inf")
+    samples, d = x.shape
+    if samples >= d or d < _SAMPLES_MIN_ORDER:
+        return CalibrationHessian(matrix=_gram(x), sample_count=samples)
+    with np.errstate(over="ignore"):   # checked below
+        diag = np.einsum("ij,ij->j", x, x) * 2.0
+    if not np.isfinite(diag).all():
+        raise NonFiniteInputError("calibration Hessian overflows the float64 range")
+    return CalibrationHessian(samples=x.copy() if np.may_share_memory(x, given) else x)
+
+
+def _require_width(hessian: CalibrationHessian, d: int) -> None:
+    if hessian.shape != (d, d):
+        raise ShapeMismatchError(f"Hessian is {hessian.shape}, weights have {d} columns")
 
 
 # GPTQ's Hessian dampening, as a fraction of the mean diagonal
@@ -556,17 +612,20 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     objective delta.T @ H @ delta. This guarantees the sweep never ends up
     worse than RTN under the proxy objective.
 
-    A NaN or inf in the Hessian, or a guard objective that is not finite
-    (it overflows float64), raises NonFiniteInputError; a Hessian that is not positive
-    definite after dampening raises SingularHessianError.
+    A Hessian of another width raises ShapeMismatchError, and a NaN or inf
+    in it NonFiniteInputError, before any work on the weights. A guard
+    objective that is not finite (it overflows float64) raises
+    NonFiniteInputError; a Hessian that is not positive definite after
+    dampening raises SingularHessianError.
     """
-    w, grouped, (scale, zero, lo, hi) = _prepare(w, spec)
-    rows, d = w.shape
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim == 2:   # _prepare rejects any other shape
+        _require_width(hessian, w.shape[1])
     h = hessian.matrix
-    if h.shape != (d, d):
-        raise ShapeMismatchError(f"Hessian is {h.shape}, weights have {d} columns")
     if not np.isfinite(h).all():
         raise NonFiniteInputError("Hessian contains NaN or inf")
+    w, grouped, (scale, zero, lo, hi) = _prepare(w, spec)
+    rows, d = w.shape
     g = grouped.shape[2]
 
     hd = h + _DAMP * np.mean(np.diag(h)) * np.eye(d)
@@ -625,7 +684,12 @@ METRIC_PROXY = "proxy"
 def quant_error(w: np.ndarray, w_hat: np.ndarray, metric: str = METRIC_MSE,
                 hessian: CalibrationHessian | None = None) -> float:
     """Elementwise error metrics between a matrix and its reconstruction; a
-    result that is not finite raises NonFiniteInputError."""
+    result that is not finite raises NonFiniteInputError.
+
+    The proxy is trace(delta H delta^T). A Hessian in the sample form gives
+    it as 2 |delta X^T|^2 / N, at rows x d x N flops instead of rows x d^2,
+    and rounds differently, by about 1e-15 relative.
+    """
     w = np.asarray(w, dtype=np.float64)
     w_hat = np.asarray(w_hat, dtype=np.float64)
     if w.shape != w_hat.shape or w.size == 0:
@@ -639,10 +703,12 @@ def quant_error(w: np.ndarray, w_hat: np.ndarray, metric: str = METRIC_MSE,
         elif metric == METRIC_PROXY:
             if hessian is None:
                 raise InvalidSpecError("proxy metric requires a Hessian")
-            if hessian.matrix.shape != (w.shape[-1],) * 2:
-                raise ShapeMismatchError(
-                    f"Hessian is {hessian.matrix.shape}, weights have {w.shape[-1]} columns")
-            err = np.trace(delta @ hessian.matrix @ delta.T)
+            _require_width(hessian, w.shape[-1])
+            if hessian.samples is None:
+                err = np.trace(delta @ hessian.matrix @ delta.T)
+            else:
+                p = delta @ hessian.samples.T
+                err = 2.0 * np.vdot(p, p) / hessian.sample_count
         else:
             raise InvalidSpecError(f"unknown metric {metric!r}")
     if not np.isfinite(err):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -83,3 +85,11 @@ class TestGenCorpus:
         b = [a[0].copy()]
         b[0][0, 0] += 1e-12
         assert corpus_hash(a) != corpus_hash(b)
+
+    def test_corpus_hash_is_of_the_float64_c_order_bytes(self):
+        t = gen_corpus(CorpusSpec(count=1, rows=8, cols=16, seed=0))[0]
+        views = [t, np.asfortranarray(t), t[:, ::2], t.astype(np.float32)]
+        want = hashlib.sha256()
+        for v in views:
+            want.update(np.asarray(v, dtype=np.float64).tobytes())
+        assert corpus_hash(views) == want.hexdigest()

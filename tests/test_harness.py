@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqrot import harness
+from seqrot import harness, quant
 from seqrot.corpus import CorpusSpec, gen_corpus
 from seqrot.errors import (
     DimensionMismatchError,
@@ -77,6 +78,29 @@ class TestRunComparison:
         for v in a.variants:
             for m in a.metrics:
                 assert np.array_equal(a.per_tensor[v][m], b.per_tensor[v][m])
+
+    def test_wide_rtn_builds_no_hessian_matrix(self, monkeypatch):
+        # at d = 4096 the 256 calibration samples are the Hessian; its d x d
+        # matrix would take 128 MiB
+        def no_gram(x):
+            raise AssertionError("a d x d Hessian was built")
+
+        corpus = gen_corpus(CorpusSpec(count=1, rows=8, cols=4096, seed=0))
+        spec = QuantSpec(bits=2, group_size=64, clip=Clip.fixed(0.9))
+        monkeypatch.setattr(quant, "_gram", no_gram)
+        tracemalloc.start()
+        try:
+            rep = run_comparison(corpus, KINDS + ("identity",), spec, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
+        monkeypatch.undo()
+        x_cal = np.random.default_rng(_mix_seed(0, 7)).standard_normal((256, 4096))
+        w = corpus[0]
+        delta = w - dequantize(rtn_quantize(w, spec))
+        want = np.trace(delta @ oracles.hessian_matrix(x_cal) @ delta.T)
+        assert rep.per_tensor["identity"]["proxy"][0] == pytest.approx(want, rel=1e-12)
 
     def test_gptq_quantizer_runs(self):
         rep = run_comparison(SMALL_CORPUS[:3], ("identity", "gsr"), SMALL_SPEC,

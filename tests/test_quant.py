@@ -600,6 +600,103 @@ class TestHessian:
         assert np.array_equal(h.matrix, 2.0 * np.outer(x, x))
 
 
+ORDER = quant._SAMPLES_MIN_ORDER
+
+
+def dense_proxy(w, w_hat, matrix):
+    delta = np.asarray(w, dtype=np.float64) - w_hat
+    return float(np.trace(delta @ matrix @ delta.T))
+
+
+def no_gram(x):
+    raise AssertionError("a d x d Hessian was built")
+
+
+class TestSampleForm:
+    """From ``_SAMPLES_MIN_ORDER`` columns, a Hessian of fewer samples than
+    columns is its samples; its matrix is built only when read."""
+
+    @pytest.mark.parametrize("samples,d,kept", [(256, 512, False), (8, ORDER // 2, False),
+                                                (8, ORDER, True), (ORDER - 1, ORDER, True),
+                                                (ORDER, ORDER, False)])
+    def test_form(self, samples, d, kept):
+        x = np.random.default_rng(d).standard_normal((samples, d))
+        h = hessian_from_calibration(x)
+        assert (h.samples is not None) == kept
+        assert h.shape == (d, d) and h.sample_count == samples
+        if kept:
+            assert np.array_equal(h.samples, x) and not h.samples.flags.writeable
+        m = h.matrix
+        assert m is h.matrix and not m.flags.writeable   # built once
+        assert m.tobytes() == oracles.hessian_matrix(x).tobytes()
+
+    def test_samples_are_a_copy(self):
+        x = np.random.default_rng(0).standard_normal((4, ORDER))
+        h = hessian_from_calibration(x)
+        x[:] = 0.0
+        assert np.all(h.samples[0] != 0.0)
+
+    def test_proxy_builds_no_matrix(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        h = hessian_from_calibration(rng.standard_normal((16, ORDER)))
+        monkeypatch.setattr(quant, "_gram", no_gram)
+        w = rng.standard_normal((3, ORDER))
+        assert quant_error(w, np.zeros_like(w), METRIC_PROXY, h) > 0.0
+
+    @pytest.mark.parametrize("big", [1e200, 1.2e154])   # X^T X, then 2 X^T X overflows
+    def test_overflow_rejected_without_a_matrix(self, monkeypatch, big):
+        monkeypatch.setattr(quant, "_gram", no_gram)
+        x = np.zeros((2, ORDER))
+        x[0, 5] = big
+        with pytest.raises(NonFiniteInputError, match="overflows"):
+            hessian_from_calibration(x)
+
+    def test_proxy_overflow_rejected(self):
+        h = hessian_from_calibration(np.ones((2, ORDER)))
+        w = np.full((1, ORDER), 1e160)
+        with pytest.raises(NonFiniteInputError, match="proxy"):
+            quant_error(w, np.zeros_like(w), METRIC_PROXY, h)
+
+    def test_proxy_of_another_width(self):
+        h = hessian_from_calibration(np.ones((2, ORDER)))
+        with pytest.raises(ShapeMismatchError, match=f"weights have {ORDER // 2} columns"):
+            quant_error(np.ones((1, ORDER // 2)), np.zeros((1, ORDER // 2)), METRIC_PROXY, h)
+
+    def test_one_form_only(self):
+        with pytest.raises(InvalidSpecError):
+            CalibrationHessian()
+        with pytest.raises(InvalidSpecError):
+            CalibrationHessian(matrix=np.eye(2), sample_count=1, samples=np.ones((1, 2)))
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.sampled_from([ORDER, 2 * ORDER]), samples=st.integers(1, 64),
+           rows=st.integers(1, 4), noise=st.floats(-12, 2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_proxy_matches_dense_form(self, d, samples, rows, noise, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((samples, d)) * 10.0 ** rng.uniform(-2, 2, d)
+        w = rng.standard_t(4, size=(rows, d))
+        w_hat = w + 10.0 ** noise * rng.standard_normal((rows, d))
+        h = hessian_from_calibration(x)
+        assert h.samples is not None
+        got = quant_error(w, w_hat, METRIC_PROXY, h)
+        want = dense_proxy(w, w_hat, oracles.hessian_matrix(x))
+        assert abs(got - want) <= 1e-12 * want
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(1, ORDER - 1), samples=st.integers(1, 300),
+           rows=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_proxy_below_the_order_is_the_dense_form(self, d, samples, rows, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((samples, d))
+        w = rng.standard_normal((rows, d))
+        w_hat = rtn_quantize(w, QuantSpec(bits=2)).codes.astype(np.float64)
+        h = hessian_from_calibration(x)
+        assert h.samples is None
+        got = quant_error(w, w_hat, METRIC_PROXY, h)
+        want = dense_proxy(w, w_hat, oracles.hessian_matrix(x))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 TINY = 5e-324   # 2^-1074, the smallest positive double
 
 
@@ -711,6 +808,29 @@ class TestGptq:
         codes = gptq_quantize(w, h, spec).codes
         assert codes.tobytes() == oracles.gptq_codes(w, h, spec).tobytes()
         assert not np.array_equal(codes, rtn_quantize(w, spec).codes)
+
+    @pytest.mark.parametrize("case", ["narrow", "wide", "nan"])
+    def test_hessian_checked_before_the_clip_search(self, monkeypatch, case):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the clip search ran")
+
+        monkeypatch.setattr(quant, "_search_ratios", no_search)
+        matrix = {"narrow": np.eye(4), "wide": np.eye(16), "nan": np.full((8, 8), np.nan)}[case]
+        h = CalibrationHessian(matrix=matrix, sample_count=1)
+        error = NonFiniteInputError if case == "nan" else ShapeMismatchError
+        with pytest.raises(error, match="Hessian"):
+            gptq_quantize(np.ones((2, 8)), h, QuantSpec(bits=2, group_size=4, clip=Clip.mse()))
+
+    def test_sample_form_matches_matrix_form(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((8, ORDER))
+        w = rng.standard_normal((2, ORDER))
+        spec = QuantSpec(bits=2, group_size=64)
+        h = hessian_from_calibration(x)
+        assert h.samples is not None
+        dense = CalibrationHessian(matrix=oracles.hessian_matrix(x), sample_count=8)
+        assert gptq_quantize(w, h, spec).codes.tobytes() \
+            == gptq_quantize(w, dense, spec).codes.tobytes()
 
     @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), -np.eye(4), np.diag([4.0, 4, 4, -1])])
     def test_not_positive_definite_rejected(self, matrix):
