@@ -196,8 +196,8 @@ def _range_params(mn, mx, first, spec: QuantSpec, ratio):
             levels = (1 << spec.bits) - 1
             degenerate = mx == mn
             scale = np.where(degenerate, 1.0, np.maximum((hi - lo) / levels, _MIN_SCALE))
-            zero = np.clip(np.where(degenerate, 0.0, round_half_away(-lo / scale)),
-                           spec.qmin, spec.qmax)
+            zero = np.minimum(np.maximum(
+                np.where(degenerate, 0.0, round_half_away(-lo / scale)), spec.qmin), spec.qmax)
             if np.any(degenerate):
                 # mid is c itself unless 2c overflows
                 lo = np.where(degenerate, first, lo)
@@ -208,21 +208,35 @@ def _range_params(mn, mx, first, spec: QuantSpec, ratio):
     return scale, zero, lo, hi
 
 
-def _codes(x, spec: QuantSpec, scale, zero, lo, hi, out=None, half=None):
+def _code_bounds(spec: QuantSpec, scale, zero, lo, hi):
+    """The ``bounds`` argument of ``_codes``: (qmin - zero, qmax - zero) as
+    floats, each None where it cannot bind for these parameters.
+
+    Codes are monotone in x and x is clamped to [lo, hi] first, so a bound
+    can bind only if the code of lo or hi falls outside it. A NaN code of lo
+    or hi fails the test and keeps the bound.
+    """
+    zf = 0.0 if zero is None else zero.astype(np.float64)
+    qlo, qhi = spec.qmin - zf, spec.qmax - zf
+    if (round_half_away(lo / scale) >= qlo).all():
+        qlo = None
+    if (round_half_away(hi / scale) <= qhi).all():
+        qhi = None
+    return qlo, qhi
+
+
+def _codes(x, scale, lo, hi, bounds, out=None, half=None):
     """The quantizer arithmetic: each code minus its zero point, as a float.
 
     ``x`` is clamped to [lo, hi], divided by ``scale``, rounded half away
-    from zero and clamped to [qmin - zero, qmax - zero]. The parameters
-    broadcast against ``x`` (``zero`` is None for symmetric specs). The
+    from zero and clamped to ``bounds``, which ``_code_bounds`` gives for the
+    same parameters. The parameters broadcast against ``x``. The
     result goes to ``out`` (a new array by default; ``x`` itself works) and
     ``half`` is a scratch buffer of its shape. Codes are small integers,
-    exact in float64, so the result plus ``zero`` is the stored code and the
-    result times ``scale`` is the dequantized value, with the same bits as
-    clamping the code to [qmin, qmax] and subtracting ``zero`` afterwards.
-
-    Codes are monotone in x and x lies in [lo, hi], so a code clamp can bind
-    only if the code of lo or hi falls outside it; it is skipped otherwise.
-    A NaN code of lo or hi fails the test and keeps the clamp.
+    exact in float64, so the result plus the zero point is the stored code
+    and the result times ``scale`` is the dequantized value, with the same
+    bits as clamping the code to [qmin, qmax] and subtracting the zero point
+    afterwards.
     """
     out = np.maximum(x, lo, out=out)
     np.minimum(out, hi, out=out)
@@ -230,11 +244,10 @@ def _codes(x, spec: QuantSpec, scale, zero, lo, hi, out=None, half=None):
     half = np.copysign(0.5, out, out=half)
     out += half
     np.trunc(out, out=out)
-    zf = 0.0 if zero is None else zero.astype(np.float64)
-    qlo, qhi = spec.qmin - zf, spec.qmax - zf
-    if not (round_half_away(lo / scale) >= qlo).all():
+    qlo, qhi = bounds
+    if qlo is not None:
         np.maximum(out, qlo, out=out)
-    if not (round_half_away(hi / scale) <= qhi).all():
+    if qhi is not None:
         np.minimum(out, qhi, out=out)
     return out
 
@@ -318,7 +331,7 @@ def _clip_errors(grouped: np.ndarray, spec: QuantSpec,
         block = ratios[start:start + k]
         scale, zero, lo, hi = _range_params(mn, mx, first, spec, block)
         with np.errstate(over="ignore", invalid="ignore"):
-            q = _codes(elem, spec, scale, zero, lo, hi,
+            q = _codes(elem, scale, lo, hi, _code_bounds(spec, scale, zero, lo, hi),
                        out=x[:, :len(block)], half=half[:, :len(block)])
             q *= scale
             q -= elem
@@ -391,8 +404,9 @@ def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
         root_q = np.where(window, np.ldexp(np.sqrt(np.einsum("rjg,rjg->rj", y, y)), e), 0.0)
         # a and b, what _codes makes of lo and hi, and 2^e / scale, in float32
         # with stand-ins where not trusted; one at a time, to keep memory low
-        a, b = (np.where(trusted, np.clip(round_half_away(v / scale), spec.qmin - zf,
-                                          spec.qmax - zf), 0.0).astype(np.float32)
+        a, b = (np.where(trusted, np.minimum(np.maximum(round_half_away(v / scale),
+                                                        spec.qmin - zf), spec.qmax - zf),
+                         0.0).astype(np.float32)
                 for v in (lo, hi))
         inv = np.where(trusted, 1.0 / np.ldexp(scale, -e), 1.0).astype(np.float32)
     del zero, lo, hi
@@ -521,7 +535,8 @@ def _encode(w, q, spec: QuantSpec, scale, zero) -> QuantizedTensor:
 def rtn_quantize(w: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
     """Round-to-nearest group quantization of a (rows, cols) matrix."""
     w, grouped, (scale, zero, lo, hi) = _prepare(w, spec)
-    return _encode(w, _codes(grouped, spec, scale, zero, lo, hi), spec, scale, zero)
+    q = _codes(grouped, scale, lo, hi, _code_bounds(spec, scale, zero, lo, hi))
+    return _encode(w, q, spec, scale, zero)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
@@ -588,6 +603,32 @@ def _require_width(hessian: CalibrationHessian, d: int) -> None:
 _DAMP = 0.01
 # columns per lazy batch of the GPTQ sweep
 _BLOCK = 128
+# _upper_inverse inverts blocks up to this order with np.linalg.inv, and splits
+# larger ones at a multiple of it
+_INV_BLOCK = 64
+
+
+def _upper_inverse(u: np.ndarray) -> np.ndarray:
+    """Inverse of an upper-triangular matrix, as a new C-contiguous array.
+
+    By blocks, [[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]: the
+    split is at the multiple of ``_INV_BLOCK`` at or below half the order (at
+    least ``_INV_BLOCK``), both diagonal blocks recurse, and the off-diagonal
+    block takes two matrix products. Blocks up to ``_INV_BLOCK`` go to
+    ``np.linalg.inv``. At d = 512 (2 vCPUs, OpenBLAS 0.3.31) that takes
+    1.7 ms, where ``np.linalg.inv`` of the whole matrix takes 8.1 ms, with
+    the same accuracy.
+    """
+    n = u.shape[0]
+    if n <= _INV_BLOCK:
+        return np.linalg.inv(u)
+    m = max(_INV_BLOCK, n // 2 - n // 2 % _INV_BLOCK)
+    a, c = _upper_inverse(u[:m, :m]), _upper_inverse(u[m:, m:])
+    out = np.zeros((n, n))
+    out[:m, :m] = a
+    out[m:, m:] = c
+    out[:m, m:] = -(a @ u[:m, m:]) @ c
+    return out
 
 
 def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
@@ -598,6 +639,12 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     original weights; the left-to-right column sweep then propagates each
     column's rounding residual into the not-yet-quantized columns through the
     inverse-Hessian Cholesky factor. No activation reordering.
+
+    The factor is U with hd^-1 = U^T U, hd the dampened Hessian: one Cholesky
+    of hd with its rows and columns reversed gives a lower-triangular L, and
+    U is the inverse of L reversed, which is upper triangular, from
+    ``_upper_inverse``. The code clamp bounds of each group are settled once
+    (``_code_bounds``), before the sweep.
 
     The sweep runs in lazy batches of ``_BLOCK`` columns on a transposed
     (cols, rows) copy, so each column is a contiguous row. Inside a batch a
@@ -628,24 +675,26 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     rows, d = w.shape
     g = grouped.shape[2]
 
-    hd = h + _DAMP * np.mean(np.diag(h)) * np.eye(d)
+    # the dampened Hessian hd, reversed as J hd J (J the exchange matrix), in one buffer
+    hd = h[::-1, ::-1].copy()
+    hd.flat[::d + 1] += _DAMP * np.mean(np.diag(h))
     try:
-        # one Cholesky of the flipped Hessian: J hd J = L L^T, with J the
-        # exchange matrix, so hd^-1 = U^T U with U = (J L J)^-1 upper triangular
-        low = np.linalg.cholesky(hd[::-1, ::-1])
+        # J hd J = L L^T, so hd^-1 = U^T U with U = (J L J)^-1 upper triangular
+        low = np.linalg.cholesky(hd)
     except np.linalg.LinAlgError as exc:
         raise SingularHessianError(
             f"Hessian is not positive definite after dampening: {exc}") from None
     del hd
-    u = np.linalg.inv(low[::-1, ::-1])
+    u = _upper_inverse(low[::-1, ::-1])
     del low   # only u is read from here on
+    diag = np.diag(u).tolist()
 
     # transposed: row j of work and sweep is column j, row gi of each parameter
     # array is group gi
     work = w.T.copy()
-    col_scale, col_zero, col_lo, col_hi = (
-        None if p is None else np.ascontiguousarray(p[..., 0].T)
-        for p in (scale, zero, lo, hi))
+    col_scale, col_lo, col_hi = (np.ascontiguousarray(p[..., 0].T) for p in (scale, lo, hi))
+    bounds = [_code_bounds(spec, col_scale[gi], None if zero is None else zero[:, gi, 0],
+                           col_lo[gi], col_hi[gi]) for gi in range(d // g)]
     sweep = np.empty((d, rows))   # column j's codes minus zero points in row j
     half = np.empty(rows)
     for b0 in range(0, d, _BLOCK):
@@ -653,15 +702,18 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
         err = np.empty((b1 - b0, rows))
         for j in range(b0, b1):
             gi = j // g
-            col = work[j] - u[b0:j, j] @ err[:j - b0]
-            q = _codes(col, spec, col_scale[gi], None if zero is None else col_zero[gi],
-                       col_lo[gi], col_hi[gi], out=sweep[j], half=half)
-            err[j - b0] = (col - q * col_scale[gi]) / u[j, j]
+            # the first column of a batch takes no product: x - 0.0 is x
+            col = work[j] if j == b0 else work[j] - u[b0:j, j] @ err[:j - b0]
+            q = _codes(col, col_scale[gi], col_lo[gi], col_hi[gi], bounds[gi],
+                       out=sweep[j], half=half)
+            e = np.multiply(q, col_scale[gi], out=err[j - b0])
+            np.subtract(col, e, out=e)
+            e /= diag[j]
         work[b1:] -= u[b0:b1, b1:].T @ err
     del work, err, u   # the RTN guard below is the call's memory peak
 
     sweep = _group_view(sweep.T, spec.group_size)
-    rtn = _codes(grouped, spec, scale, zero, lo, hi)
+    rtn = _codes(grouped, scale, lo, hi, _code_bounds(spec, scale, zero, lo, hi))
 
     def objective(q):
         delta = w - (q * scale).reshape(rows, d)

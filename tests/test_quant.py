@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import oracles
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import mse_clip_search
@@ -33,6 +34,7 @@ from seqrot.quant import (
     _group_view,
     _pairwise_sum,
     _search_ratios,
+    _upper_inverse,
     dequantize,
     gptq_quantize,
     hessian_from_calibration,
@@ -837,6 +839,63 @@ class TestGptq:
         h = CalibrationHessian(matrix=matrix, sample_count=1)
         with pytest.raises(SingularHessianError):
             gptq_quantize(np.ones((2, 4)), h, QuantSpec(bits=2))
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(-100, 100), d=st.sampled_from((8, 72, 136)),
+           seed=st.integers(0, 2 ** 16))
+    def test_codes_keep_their_bits_under_power_of_four_hessian_scaling(self, k, d, seed):
+        # 4^k H has the Cholesky factor 2^k L, so U becomes 2^-k U exactly and
+        # every residual fed forward keeps its bits; at |k| = 100 the
+        # factor's entries are near 2^-100 and 2^100
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((4, d))
+        h = random_spd_hessian(rng, d, samples=d // 2)
+        scaled = CalibrationHessian(matrix=h.matrix * 4.0 ** k, sample_count=h.sample_count)
+        spec = QuantSpec(bits=2, group_size=8, clip=Clip.mse((1.0, 0.8, 0.6)))
+        assert gptq_quantize(w, scaled, spec).codes.tobytes() \
+            == gptq_quantize(w, h, spec).codes.tobytes()
+
+    def test_never_inverts_the_whole_factor(self, monkeypatch):
+        inverted = []
+        inv = np.linalg.inv
+
+        def recording_inv(a):
+            inverted.append(a.shape[0])
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        rng = np.random.default_rng(2)
+        d = 200
+        h = random_spd_hessian(rng, d)
+        gptq_quantize(rng.standard_normal((4, d)), h, QuantSpec(bits=2, group_size=8))
+        assert inverted and max(inverted) <= quant._INV_BLOCK
+
+
+def upper_factor(rng, n, cond):
+    """A well-conditioned upper-triangular Cholesky factor with its columns
+    scaled by 1 down to 1/cond, so its condition number is about cond."""
+    x = rng.standard_normal((n + 8, n))
+    r = np.linalg.cholesky(x.T @ x / n).T
+    return r * np.logspace(0, -np.log10(cond), n)[rng.permutation(n)]
+
+
+class TestUpperInverse:
+    @pytest.mark.parametrize("cond", [1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 127, 128, 129, 520])
+    def test_matches_lapack(self, n, cond):
+        rng = np.random.default_rng(n)
+        u = upper_factor(rng, n, cond)
+        if n >= 63:
+            assert np.linalg.cond(u) >= cond
+        x = _upper_inverse(u)
+        ref = scipy.linalg.lapack.dtrtri(u)[0]
+        assert x.flags.c_contiguous
+        assert not np.tril(x, -1).any()
+        # column scaling of u scales the rows of its inverse, so each row is
+        # compared relative to its own size
+        tol = 8 * n * np.finfo(np.float64).eps
+        assert (np.abs(x - ref) <= tol * np.abs(ref).max(axis=1, keepdims=True)).all()
+        assert np.abs(u @ x - np.eye(n)).max() <= tol
 
 
 def exhaustive_optimum(w, h, q):
