@@ -21,11 +21,9 @@ from .quant import (
     METRIC_MSE,
     METRIC_PROXY,
     QuantSpec,
-    dequantize,
-    gptq_quantize,
+    _errors,
+    _round_trip,
     hessian_from_calibration,
-    quant_error,
-    rtn_quantize,
 )
 from .rotation import (
     R4_GLOBAL,
@@ -81,6 +79,13 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
     The rotation under test plays the hidden-state slot of a query-type
     weight: it acts on the input-channel (column) dimension and the rear side
     is the identity.
+
+    Each pair takes code x scale straight from the quantizer's code step
+    (``quant._round_trip``), in the rotated buffer or, for ``identity``, in a
+    copy of the tensor, so no corpus bytes are written and no integer codes
+    are made. The difference w - back goes into the rotated-back buffer, and
+    ``quant._errors`` scores all three metrics from it, with the bits and the
+    errors of three ``quant_error`` calls.
     """
     if quantizer not in QUANTIZERS:
         raise InvalidSpecError(f"unknown quantizer {quantizer!r}")
@@ -114,6 +119,7 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
     fairness = {}
     for v in variants:
         r1 = None if rots[v] is None else RotationOperator(rots[v])
+        h_rot = None   # RTN reads no Hessian
         if quantizer == QUANTIZER_GPTQ:
             # R^T H R is the Hessian of the rotated samples X R
             h_rot = h_base if r1 is None else hessian_from_calibration(r1.apply(x_cal))
@@ -121,15 +127,13 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
         for i, w in enumerate(corpus):
             w = np.ascontiguousarray(w, dtype=np.float64)
             hasher.update(w)
-            rotated = w if r1 is None else r1.apply(w)
-            if quantizer == QUANTIZER_RTN:
-                w_hat = dequantize(rtn_quantize(rotated, wspec))
-            else:
-                w_hat = dequantize(gptq_quantize(rotated, h_rot, wspec))
+            rotated = w.copy() if r1 is None else r1.apply(w)
+            w_hat = _round_trip(rotated, wspec, h_rot)
             back = w_hat if r1 is None else r1.apply(w_hat, transpose=True)
-            per_tensor[v][METRIC_MSE][i] = quant_error(w, back, METRIC_MSE)
-            per_tensor[v][METRIC_MAX_ABS][i] = quant_error(w, back, METRIC_MAX_ABS)
-            per_tensor[v][METRIC_PROXY][i] = quant_error(w, back, METRIC_PROXY, h_base)
+            with np.errstate(over="ignore", invalid="ignore"):   # checked by _errors
+                delta = np.subtract(w, back, out=back)
+            for m, err in _errors(delta, METRICS, h_base).items():
+                per_tensor[v][m][i] = err
         fairness[v] = hasher.hexdigest()
 
     summary = {v: {m: {"mean": float(np.mean(per_tensor[v][m])),
@@ -246,8 +250,13 @@ class AblationReport:
 
 
 def _quantize_weight(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """Fake-quantize a weight: groups run along input channels of each output."""
-    return dequantize(rtn_quantize(w.T, spec)).T
+    """Fake-quantize a weight: groups run along input channels of each output.
+
+    The RTN round trip runs on a C-contiguous copy of ``w.T``, always a new
+    array, which it consumes, so ``w`` (a fused weight that ``r4_ablation``
+    keeps in its memo) is never written.
+    """
+    return _round_trip(np.array(w.T, dtype=np.float64, order="C"), spec).T
 
 
 # float64 round-off of an exact invariance: an output MSE of at most

@@ -435,14 +435,23 @@ def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
 
 
 def _contending_errors(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
-    """``_clip_errors`` of every (ratio, row, group) pair that stage 1 cannot
-    rule out, and inf for the rest; the pairs are scored at one ratio each, at
-    most 2^17 values per call."""
+    """The errors stage 2 gives every (ratio, row, group) pair: inf for the
+    pairs stage 1 rules out, and ``_clip_errors`` for the others, scored at one
+    ratio each, at most 2^17 values per call.
+
+    A group with one contender whose bound is finite is decided without
+    scoring: every other ratio's error exceeds that contender's estimate
+    plus bound, which the contender's own error does not, so it is the
+    group's unique minimizer, and a trusted pair's error is finite. It gets
+    the stand-in error 0.0. Groups with two or more contenders, or with one
+    that is not trusted, are scored.
+    """
     g = part.shape[2]
     root, bound = _estimate_roots(part, spec, ratios)
     contend = root - bound <= (root + bound).min(axis=0)
+    decided = contend & (contend.sum(axis=0) == 1) & (bound < np.inf)
     del root, bound
-    which, row, col = np.nonzero(contend)
+    which, row, col = np.nonzero(contend & ~decided)
     exact = np.empty(len(which))
     step = max(1, _TILE_ELEMS // g)
     for p in range(0, len(which), step):
@@ -450,7 +459,8 @@ def _contending_errors(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
         exact[sel] = _clip_errors(part[row[sel], col[sel]][None], spec,
                                   ratios[which[sel]][None, None])[0, 0]
     err = np.full(contend.shape, np.inf)
-    err[contend] = exact
+    err[decided] = 0.0
+    err[which, row, col] = exact
     return err
 
 
@@ -477,11 +487,11 @@ def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
     (``_contending_errors``) scores exactly only the pairs whose estimate
     minus bound is at most the group's smallest estimate plus bound: every
     ratio reaching the smallest exact error is among them, ties included, so
-    the pick is that of scoring every pair, which smaller groups do. Every
-    exact error is bit-identical to the per-group round trip summed by
-    ``np.sum``, so the result depends neither on the tiling nor on the
-    memory layout of ``grouped``. Each work buffer holds at most 2^17
-    values.
+    the pick is that of scoring every pair, which smaller groups do; a group
+    left with one trusted contender takes it unscored. Every exact error is
+    bit-identical to the per-group round trip summed by ``np.sum``, so the
+    result depends neither on the tiling nor on the memory layout of
+    ``grouped``. Each work buffer holds at most 2^17 values.
     """
     rows, n_groups, g = grouped.shape
     ratios = np.asarray(sorted(set(grid), reverse=True), dtype=np.float64)
@@ -524,19 +534,28 @@ def _prepare(w, spec: QuantSpec):
     return w, grouped, params
 
 
-def _encode(w, q, spec: QuantSpec, scale, zero) -> QuantizedTensor:
-    """``w`` quantized, from the ``_codes`` output ``q`` on its group view:
-    the zero point added back and the codes cast to int64."""
+def _encode(w, q, scale, zero, spec: QuantSpec) -> QuantizedTensor:
+    """``w`` quantized, from a code step's output: the zero point added back
+    to the ``_codes`` output ``q`` and the codes cast to int64."""
     codes = (q if zero is None else q + zero).astype(np.int64)
     return QuantizedTensor(codes=codes.reshape(w.shape), scales=scale[..., 0],
                            zero_points=None if zero is None else zero[..., 0], spec=spec)
 
 
+def _rtn_codes(w, spec: QuantSpec, consume: bool = False):
+    """The code step of RTN: (``w`` as float64, the ``_codes`` output on its
+    group view, scale, zero). With ``consume`` the codes overwrite the group
+    view, which is ``w``'s own memory when ``w`` is a C-contiguous float64
+    array."""
+    w, grouped, (scale, zero, lo, hi) = _prepare(w, spec)
+    q = _codes(grouped, scale, lo, hi, _code_bounds(spec, scale, zero, lo, hi),
+               out=grouped if consume else None)
+    return w, q, scale, zero
+
+
 def rtn_quantize(w: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
     """Round-to-nearest group quantization of a (rows, cols) matrix."""
-    w, grouped, (scale, zero, lo, hi) = _prepare(w, spec)
-    q = _codes(grouped, scale, lo, hi, _code_bounds(spec, scale, zero, lo, hi))
-    return _encode(w, q, spec, scale, zero)
+    return _encode(*_rtn_codes(w, spec), spec)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
@@ -545,6 +564,27 @@ def dequantize(q: QuantizedTensor) -> np.ndarray:
     if q.zero_points is not None:
         codes -= q.zero_points[..., None]
     return (codes * q.scales[..., None]).reshape(q.shape)
+
+
+def _round_trip(w, spec: QuantSpec, hessian: CalibrationHessian | None = None) -> np.ndarray:
+    """The values of ``dequantize(rtn_quantize(w, spec))``, or with a Hessian
+    of ``dequantize(gptq_quantize(w, hessian, spec))``, as code x scale
+    straight from the code step; C-contiguous for a C-contiguous ``w``.
+
+    The ``_codes`` output is the code minus its zero point, an exact small
+    integer, so its product with the scale is what ``dequantize`` computes
+    from the stored codes, value for value. A zero code of a negative value
+    keeps its sign here (-0.0, where ``dequantize`` gives +0.0); equal values
+    give equal differences, squares and products downstream. RTN writes its
+    codes, and then the result, over a C-contiguous float64 ``w``: the
+    caller passes an array it owns and reads ``w`` no more.
+    """
+    if hessian is None:
+        w, q, scale, _ = _rtn_codes(w, spec, consume=True)
+    else:
+        w, q, scale, _ = _gptq_codes(w, hessian, spec)
+    q *= scale
+    return q.reshape(w.shape)
 
 
 # From this order, a Hessian of fewer samples than columns keeps its samples
@@ -665,6 +705,13 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     NonFiniteInputError; a Hessian that is not positive definite after
     dampening raises SingularHessianError.
     """
+    return _encode(*_gptq_codes(w, hessian, spec), spec)
+
+
+def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec):
+    """The code step of ``gptq_quantize``: (``w`` as float64, the codes minus
+    zero points on the group view of a new array, C-contiguous for a
+    C-contiguous ``w``, scale, zero)."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim == 2:   # _prepare rejects any other shape
         _require_width(hessian, w.shape[1])
@@ -723,9 +770,9 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
         obj_rtn, obj_sweep = objective(rtn), objective(sweep)
     if not (np.isfinite(obj_rtn).all() and np.isfinite(obj_sweep).all()):
         raise NonFiniteInputError("the guard's proxy objective is not finite")
-    keep_rtn = obj_rtn < obj_sweep
-    sweep[keep_rtn] = rtn[keep_rtn]
-    return _encode(w, sweep, spec, scale, zero)
+    # rtn has the layout of w, sweep the transposed one: the rows the sweep wins go into rtn
+    np.copyto(rtn, sweep, where=(obj_rtn >= obj_sweep)[:, None, None])
+    return w, rtn, scale, zero
 
 
 METRIC_MSE = "mse"
@@ -733,36 +780,50 @@ METRIC_MAX_ABS = "max_abs"
 METRIC_PROXY = "proxy"
 
 
-def quant_error(w: np.ndarray, w_hat: np.ndarray, metric: str = METRIC_MSE,
-                hessian: CalibrationHessian | None = None) -> float:
-    """Elementwise error metrics between a matrix and its reconstruction; a
-    result that is not finite raises NonFiniteInputError.
+def _errors(delta: np.ndarray, metrics, hessian: CalibrationHessian | None = None) -> dict:
+    """The error metrics of one difference ``delta`` = w - w_hat, by name.
 
     The proxy is trace(delta H delta^T). A Hessian in the sample form gives
     it as 2 |delta X^T|^2 / N, at rows x d x N flops instead of rows x d^2,
-    and rounds differently, by about 1e-15 relative.
+    and rounds differently, by about 1e-15 relative. max_abs reads delta's
+    largest and smallest values. The mse runs last and squares ``delta`` in
+    place, so the caller reads ``delta`` no more. A value that is not finite
+    raises NonFiniteInputError, checked in the order of ``metrics``.
     """
+    err = {}
+    for metric in metrics:
+        if metric not in (METRIC_MSE, METRIC_MAX_ABS, METRIC_PROXY):
+            raise InvalidSpecError(f"unknown metric {metric!r}")
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        if METRIC_PROXY in metrics:
+            if hessian is None:
+                raise InvalidSpecError("proxy metric requires a Hessian")
+            _require_width(hessian, delta.shape[-1])
+            if hessian.samples is None:
+                err[METRIC_PROXY] = np.trace(delta @ hessian.matrix @ delta.T)
+            else:
+                p = delta @ hessian.samples.T
+                err[METRIC_PROXY] = 2.0 * np.vdot(p, p) / hessian.sample_count
+        if METRIC_MAX_ABS in metrics:
+            # abs: the larger of two zeros may be -0.0
+            err[METRIC_MAX_ABS] = abs(max(delta.max(), -delta.min()))
+        if METRIC_MSE in metrics:
+            delta *= delta
+            err[METRIC_MSE] = np.mean(delta)
+    for metric in metrics:
+        if not np.isfinite(err[metric]):
+            raise NonFiniteInputError(f"the {metric} error is not finite")
+    return {metric: float(err[metric]) for metric in metrics}
+
+
+def quant_error(w: np.ndarray, w_hat: np.ndarray, metric: str = METRIC_MSE,
+                hessian: CalibrationHessian | None = None) -> float:
+    """One error metric between a matrix and its reconstruction, from
+    ``_errors``; a result that is not finite raises NonFiniteInputError."""
     w = np.asarray(w, dtype=np.float64)
     w_hat = np.asarray(w_hat, dtype=np.float64)
     if w.shape != w_hat.shape or w.size == 0:
         raise ShapeMismatchError(f"need equal non-empty shapes: {w.shape} vs {w_hat.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+    with np.errstate(over="ignore", invalid="ignore"):   # checked by _errors
         delta = w - w_hat
-        if metric == METRIC_MSE:
-            err = np.mean(delta ** 2)
-        elif metric == METRIC_MAX_ABS:
-            err = np.max(np.abs(delta))
-        elif metric == METRIC_PROXY:
-            if hessian is None:
-                raise InvalidSpecError("proxy metric requires a Hessian")
-            _require_width(hessian, w.shape[-1])
-            if hessian.samples is None:
-                err = np.trace(delta @ hessian.matrix @ delta.T)
-            else:
-                p = delta @ hessian.samples.T
-                err = 2.0 * np.vdot(p, p) / hessian.sample_count
-        else:
-            raise InvalidSpecError(f"unknown metric {metric!r}")
-    if not np.isfinite(err):
-        raise NonFiniteInputError(f"the {metric} error is not finite")
-    return float(err)
+    return _errors(delta, (metric,), hessian)[metric]

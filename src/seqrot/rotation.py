@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidConfigError
-from .quant import dequantize, rtn_quantize
+from .quant import _round_trip
 from .tensorfile import load_rotation
 from .transforms import (
     KIND_GH,
@@ -268,7 +268,7 @@ def forward(block: ToyBlock, x: np.ndarray, act_spec=None,
     if block.r4_online is not None:
         a = block.r4_online.apply(a)
     if act_spec is not None:
-        a = dequantize(rtn_quantize(a, act_spec)).astype(dtype)
+        a = _round_trip(a, act_spec).astype(dtype)   # a is this call's own array
     return x + a @ wts["wdown"]
 
 

@@ -34,7 +34,14 @@ from seqrot.quant import (
     quant_error,
     rtn_quantize,
 )
-from seqrot.rotation import R4_MODES, RotationAssignment, ToyBlockConfig, resolve_variant
+from seqrot.rotation import (
+    R4_MODES,
+    RotationAssignment,
+    ToyBlockConfig,
+    build_toy_block,
+    forward,
+    resolve_variant,
+)
 from seqrot.transforms import (
     KIND_GH,
     KIND_GW,
@@ -61,8 +68,7 @@ class TestRunComparison:
 
     def test_rotation_neutral_without_quantization(self, monkeypatch):
         # a quantizer that changes nothing isolates the rotate/rotate-back round trip
-        monkeypatch.setattr(harness, "rtn_quantize", lambda w, spec: w)
-        monkeypatch.setattr(harness, "dequantize", lambda qt: qt)
+        monkeypatch.setattr(harness, "_round_trip", lambda w, spec, hessian=None: w)
         rep = run_comparison(SMALL_CORPUS, ("gh", "gw", "lh", "gsr"), SMALL_SPEC, seed=0)
         for v in rep.variants:
             assert rep.per_tensor[v]["max_abs"].max() < 1e-10
@@ -474,3 +480,60 @@ class TestR4AblationArguments:
     def test_no_seeds_rejected(self, n_seeds):
         with pytest.raises(InvalidConfigError):
             r4_ablation(ABLATION_CFG, **NO_CLIP, n_seeds=n_seeds)
+
+
+class TestNoCallerArrayWritten:
+    """The round trip consumes its argument, so every caller hands it an
+    array of its own: no array the caller of the library can see is written."""
+
+    @pytest.mark.parametrize("quantizer", ["rtn", "gptq"])
+    def test_corpus_bytes_unchanged(self, quantizer):
+        corpus = gen_corpus(CorpusSpec(count=2, rows=16, cols=64, seed=3))
+        assert all(t.dtype == np.float64 and t.flags.c_contiguous for t in corpus)
+        before = [t.tobytes() for t in corpus]
+        run_comparison(corpus, ("identity", "gh"), SMALL_SPEC, quantizer=quantizer, seed=0)
+        assert [t.tobytes() for t in corpus] == before
+
+    def test_memoized_fused_weights_unchanged(self, monkeypatch):
+        original = harness._quantize_weight
+        seen = []
+
+        def checked(w, spec):
+            before = w.tobytes()
+            out = original(w, spec)
+            seen.append(w.tobytes() == before)
+            return out
+
+        monkeypatch.setattr(harness, "_quantize_weight", checked)
+        r4_ablation(ABLATION_CFG, weight_spec=ABLATION_WSPEC, act_spec=ABLATION_ASPEC,
+                    n_seeds=2)
+        assert seen and all(seen)
+
+    def test_quantize_weight_of_transposed_layout(self):
+        # w.T of an F-ordered weight is C-ordered: the round trip still gets a copy
+        w = np.asfortranarray(np.random.default_rng(4).standard_t(4, size=(32, 48)))
+        before = w.tobytes()
+        got = harness._quantize_weight(w, ABLATION_WSPEC)
+        assert w.tobytes() == before
+        assert np.array_equal(got, dequantize(rtn_quantize(w.T, ABLATION_WSPEC)).T)
+
+    def test_forward_input_unchanged(self):
+        block = build_toy_block(ABLATION_CFG)
+        x = np.random.default_rng(5).standard_normal((ABLATION_CFG.seq_len,
+                                                      ABLATION_CFG.hidden))
+        before = x.tobytes()
+        forward(block, x, act_spec=ABLATION_ASPEC)
+        assert x.tobytes() == before
+
+
+@pytest.mark.parametrize("quantizer", ["rtn", "gptq"])
+def test_comparison_makes_no_integer_codes(monkeypatch, quantizer):
+    def called(*args, **kwargs):
+        raise AssertionError("run_comparison encoded or dequantized codes")
+
+    monkeypatch.setattr(quant, "_encode", called)
+    monkeypatch.setattr(quant, "dequantize", called)
+    monkeypatch.setattr(harness, "dequantize", called, raising=False)
+    rep = run_comparison(SMALL_CORPUS[:2], ("identity", "gsr"), SMALL_SPEC,
+                         quantizer=quantizer, seed=0)
+    assert rep.fairness_ok()

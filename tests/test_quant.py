@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import mse_clip_search
 
 from seqrot import quant
+from seqrot.corpus import CorpusSpec, gen_corpus
 from seqrot.errors import (
     EmptyCalibrationError,
     GroupDoesNotDivideError,
@@ -30,9 +31,11 @@ from seqrot.quant import (
     Clip,
     QuantSpec,
     _clip_errors,
+    _errors,
     _estimate_roots,
     _group_view,
     _pairwise_sum,
+    _round_trip,
     _search_ratios,
     _upper_inverse,
     dequantize,
@@ -391,6 +394,26 @@ class TestSearchRatios:
                 mp.setattr(quant, "_clip_errors", injected)
                 assert _search_ratios(grouped, spec, spec.clip.grid).tolist() == [[0.62, 1.0]]
 
+    def test_stage_two_scores_only_undecided_groups(self, monkeypatch):
+        # a group left with one trusted contender is decided by stage 1; on a
+        # default 512 x 512 tensor most groups are, where scoring every
+        # contender took about 1.02 exact errors per group
+        w = gen_corpus(CorpusSpec(count=1, rows=512, cols=512, seed=0))[0]
+        spec = QuantSpec(bits=2, group_size=64, clip=Clip.mse())
+        scored = []
+        real = quant._clip_errors
+
+        def counting(grouped, spec, ratios):
+            out = real(grouped, spec, ratios)
+            scored.append(out.size)
+            return out
+
+        monkeypatch.setattr(quant, "_clip_errors", counting)
+        ratios = _search_ratios(_group_view(w, 64), spec, spec.clip.grid)
+        assert 0 < sum(scored) < 512 * 512 // 64
+        assert ratios.tobytes() == oracles.search_ratios(
+            _group_view(w, 64), spec, spec.clip.grid).tobytes()
+
     def test_pairwise_sum_replays_numpy_row_sum(self):
         # if numpy ever changes its summation order, this fails first
         rng = np.random.default_rng(7)
@@ -433,6 +456,80 @@ class TestQuantizersMatchOracle:
         h = hessian_from_calibration(np.random.default_rng(seed).standard_normal((d + 8, d)))
         assert gptq_quantize(w, h, spec).codes.tobytes() \
             == oracles.gptq_codes(w, h, spec).tobytes()
+
+
+def outcome(call):
+    """A call's result, or the text of the NonFiniteInputError it raises."""
+    try:
+        return call()
+    except NonFiniteInputError as exc:
+        return str(exc)
+
+
+def same_values(got, want):
+    """Equal values, the same bits but for the sign of a zero, and C order."""
+    assert type(got) is type(want)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert np.all((got.view(np.int64) == want.view(np.int64)) | (want == 0.0))
+
+
+class TestRoundTrip:
+    """``_round_trip`` gives the values of dequantizing either quantizer's
+    codes, straight from its code step, over the caller's array."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(clip=st.sampled_from((CLIP_NONE, CLIP_RATIO, CLIP_MSE)), per_row=st.booleans(),
+           **WEIGHT_CASES)
+    def test_rtn_equals_dequantized_codes(self, clip, per_row, bits, symmetric, g, rows,
+                                          n_groups, transposed, kind, shift, exponent,
+                                          seed, grid):
+        w = case_weights(rows, n_groups, g, transposed, kind, shift, exponent, seed)
+        if kind == "lattice":
+            w[0, :g] = w[0, 0]   # a degenerate group
+        clip = {CLIP_NONE: Clip.none(), CLIP_RATIO: Clip.fixed(min(grid)),
+                CLIP_MSE: Clip.mse(tuple(grid))}[clip]
+        spec = QuantSpec(bits=bits, group_size=None if per_row else g,
+                         symmetric=symmetric, clip=clip)
+        want = outcome(lambda: dequantize(rtn_quantize(w, spec)))
+        same_values(outcome(lambda: _round_trip(w.copy(), spec)), want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(clip=st.sampled_from((CLIP_NONE, CLIP_RATIO, CLIP_MSE)), per_row=st.booleans(),
+           **WEIGHT_CASES)
+    def test_gptq_equals_dequantized_codes(self, clip, per_row, bits, symmetric, g, rows,
+                                           n_groups, transposed, kind, shift, exponent,
+                                           seed, grid):
+        w = case_weights(rows, n_groups, g, transposed, kind, shift, exponent, seed)
+        clip = {CLIP_NONE: Clip.none(), CLIP_RATIO: Clip.fixed(min(grid)),
+                CLIP_MSE: Clip.mse(tuple(grid))}[clip]
+        spec = QuantSpec(bits=bits, group_size=None if per_row else g,
+                         symmetric=symmetric, clip=clip)
+        d = w.shape[1]
+        h = hessian_from_calibration(np.random.default_rng(seed).standard_normal((d + 8, d)))
+        # the guard's objective overflows on the 1e300 groups: both raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = outcome(lambda: dequantize(gptq_quantize(w, h, spec)))
+            same_values(outcome(lambda: _round_trip(w.copy(), spec, h)), want)
+
+    def test_rtn_writes_over_its_argument(self):
+        w = np.random.default_rng(3).standard_t(4, size=(8, 64))
+        spec = QuantSpec(bits=2, group_size=16, clip=Clip.mse())
+        want = dequantize(rtn_quantize(w, spec))
+        got = _round_trip(w, spec)
+        assert np.shares_memory(got, w)
+        assert np.array_equal(got, want) and np.array_equal(w, want)
+
+    def test_negative_zero_code_keeps_its_sign(self):
+        spec = QuantSpec(bits=2, group_size=4, symmetric=True)
+        w = np.array([[-3.0, -0.5, 1.0, 3.0]])
+        assert dequantize(rtn_quantize(w, spec)).tolist() == [[-3.0, 0.0, 0.0, 3.0]]
+        got = _round_trip(w.copy(), spec)
+        assert got.tolist() == [[-3.0, 0.0, 0.0, 3.0]] and np.signbit(got[0, 1])
 
 
 class TestNonFinite:
@@ -916,6 +1013,59 @@ def exhaustive_optimum(w, h, q):
         obj = float(np.trace(delta @ h.matrix @ delta.T))
         best = min(best, obj)
     return best
+
+
+def written_out_metrics(delta, h):
+    """The three metrics as ``quant_error`` wrote them before ``_errors``."""
+    if h.samples is None:
+        proxy = np.trace(delta @ h.matrix @ delta.T)
+    else:
+        p = delta @ h.samples.T
+        proxy = 2.0 * np.vdot(p, p) / h.sample_count
+    return {METRIC_MSE: np.mean(delta ** 2), METRIC_MAX_ABS: np.max(np.abs(delta)),
+            METRIC_PROXY: proxy}
+
+
+class TestErrors:
+    """``_errors`` scores one difference with the bits and the errors of
+    ``quant_error`` and of the formulas written out."""
+
+    @pytest.mark.parametrize("d, samples", [(64, 256), (1024, 64)])
+    def test_equals_quant_error_bitwise(self, d, samples):
+        rng = np.random.default_rng(d)
+        h = hessian_from_calibration(rng.standard_normal((samples, d)))
+        assert (h.samples is None) == (d == 64)
+        w = rng.standard_t(4, size=(16, d))
+        w_hat = dequantize(rtn_quantize(w, QuantSpec(bits=2, group_size=16)))
+        w_hat[0, :3] = w[0, :3]   # zero differences
+        metrics = (METRIC_MSE, METRIC_MAX_ABS, METRIC_PROXY)
+        got = _errors(w - w_hat, metrics, h)
+        assert list(got) == list(metrics)
+        for m, want in written_out_metrics(w - w_hat, h).items():
+            assert np.float64(got[m]).tobytes() == np.float64(want).tobytes(), m
+            assert np.float64(quant_error(w, w_hat, m, h)).tobytes() \
+                == np.float64(want).tobytes(), m
+
+    def test_max_abs_of_zeros_is_positive_zero(self):
+        delta = np.array([[-0.0, 0.0], [-0.0, -0.0]])
+        assert np.float64(_errors(delta, (METRIC_MAX_ABS,))[METRIC_MAX_ABS]).tobytes() \
+            == np.float64(0.0).tobytes()
+
+    def test_mse_squares_delta_in_place(self):
+        delta = np.array([[1.0, -2.0]])
+        assert _errors(delta, (METRIC_MAX_ABS, METRIC_MSE)) == {
+            METRIC_MAX_ABS: 2.0, METRIC_MSE: 2.5}
+        assert delta.tolist() == [[1.0, 4.0]]
+
+    def test_non_finite_raised_in_metric_order(self):
+        # the mse and the proxy overflow; the first in the given order names the error
+        h = CalibrationHessian(matrix=np.eye(2), sample_count=1)
+        delta = np.array([[1e200, -1e200]])
+        with pytest.raises(NonFiniteInputError, match="the mse error is not finite"):
+            _errors(delta.copy(), (METRIC_MSE, METRIC_MAX_ABS, METRIC_PROXY), h)
+        with pytest.raises(NonFiniteInputError, match="the proxy error is not finite"):
+            _errors(delta.copy(), (METRIC_PROXY, METRIC_MSE), h)
+        assert _errors(delta.copy(), (METRIC_MAX_ABS,)) == {METRIC_MAX_ABS: 1e200}
 
 
 class TestQuantError:
