@@ -141,9 +141,9 @@ class CalibrationHessian:
         return self._matrix
 
 
-def round_half_away(x: np.ndarray) -> np.ndarray:
-    """Round half away from zero (numpy's round is half-even)."""
-    return np.trunc(x + np.copysign(0.5, x))
+def round_half_away(x: np.ndarray, out=None) -> np.ndarray:
+    """Round half away from zero (numpy's round is half-even); ``out`` may be ``x``."""
+    return np.trunc(np.add(x, np.copysign(0.5, x), out=out), out=out)
 
 
 def _group_view(w: np.ndarray, group_size: int | None) -> np.ndarray:
@@ -161,9 +161,33 @@ def _group_view(w: np.ndarray, group_size: int | None) -> np.ndarray:
 _MIN_SCALE = np.nextafter(0.0, 1.0)
 
 
+def _clip_params(mn, mx, spec: QuantSpec, ratio):
+    """``_range_params`` of groups of two or more values, as new arrays from
+    arrays ``mn`` and ``mx``, and lo_code = round_half_away(lo / scale): the
+    zero point, a float, is -lo_code clamped, as round_half_away is odd.
+    zero and lo_code are None when symmetric."""
+    with np.errstate(over="ignore", invalid="ignore"):   # checked by _prepare
+        if spec.symmetric:
+            hi = np.maximum(np.abs(mn), np.abs(mx)) * ratio
+            scale = hi / ((1 << (spec.bits - 1)) - 1)
+            return np.maximum(scale, _MIN_SCALE, out=scale), None, -hi, hi, None
+        mid = 0.5 * (mn + mx)
+        half = 0.5 * (mx - mn) * ratio
+        lo = mid - half
+        hi = np.add(mid, half, out=half)
+        scale = hi - lo
+        scale /= (1 << spec.bits) - 1
+        np.maximum(scale, _MIN_SCALE, out=scale)
+        lo_code = lo / scale
+        round_half_away(lo_code, out=lo_code)
+        zero = np.negative(lo_code)
+        np.minimum(np.maximum(zero, spec.qmin, out=zero), spec.qmax, out=zero)
+    return scale, zero, lo, hi, lo_code
+
+
 def _range_params(mn, mx, first, spec: QuantSpec, ratio):
-    """Per-group (scale, zero_point, lo, hi) from each group's min, max and
-    first element; all five inputs broadcast against each other.
+    """Per-group (scale, zero_point, lo, hi), the zero point a float, from each
+    group's min, max and first element; all five inputs broadcast together.
 
     The clip ratio shrinks both range ends toward the group midpoint
     (asymmetric) or shrinks max|w| (symmetric). Degenerate groups (one
@@ -179,32 +203,17 @@ def _range_params(mn, mx, first, spec: QuantSpec, ratio):
     range overflows float64 gets a non-finite scale, without a warning
     (``_prepare`` rejects it).
     """
-    with np.errstate(over="ignore", invalid="ignore"):   # checked by _prepare
+    scale, zero, lo, hi, _ = _clip_params(mn, mx, spec, ratio)
+    # symmetric: all zero, or a clipped max|w| that underflows
+    degenerate = (hi == 0.0) if spec.symmetric else (mx == mn)
+    if np.any(degenerate):
         if spec.symmetric:
-            amax = np.maximum(np.abs(mn), np.abs(mx)) * ratio
-            qpos = (1 << (spec.bits - 1)) - 1
-            degenerate = amax == 0.0
-            scale = np.where(degenerate, 1.0, np.maximum(amax / qpos, _MIN_SCALE))
-            zero = None
-            lo = -amax
-            hi = amax
-        else:
-            mid = 0.5 * (mn + mx)
-            half = 0.5 * (mx - mn) * ratio
-            lo = mid - half
-            hi = mid + half
-            levels = (1 << spec.bits) - 1
-            degenerate = mx == mn
-            scale = np.where(degenerate, 1.0, np.maximum((hi - lo) / levels, _MIN_SCALE))
-            zero = np.minimum(np.maximum(
-                np.where(degenerate, 0.0, round_half_away(-lo / scale)), spec.qmin), spec.qmax)
-            if np.any(degenerate):
-                # mid is c itself unless 2c overflows
-                lo = np.where(degenerate, first, lo)
-                hi = np.where(degenerate, first, hi)
-                scale = np.where(degenerate, np.where(first == 0.0, 1.0, np.abs(first)), scale)
-                zero = np.where(degenerate & (first < 0.0), 1.0, zero)
-            zero = zero.astype(np.int64)
+            scale = np.where(degenerate, 1.0, scale)
+        else:   # mid is c itself unless 2c overflows
+            lo = np.where(degenerate, first, lo)
+            hi = np.where(degenerate, first, hi)
+            scale = np.where(degenerate, np.where(first == 0.0, 1.0, np.abs(first)), scale)
+            zero = np.where(degenerate, np.where(first < 0.0, 1.0, 0.0), zero)
     return scale, zero, lo, hi
 
 
@@ -216,7 +225,7 @@ def _code_bounds(spec: QuantSpec, scale, zero, lo, hi):
     can bind only if the code of lo or hi falls outside it. A NaN code of lo
     or hi fails the test and keeps the bound.
     """
-    zf = 0.0 if zero is None else zero.astype(np.float64)
+    zf = 0.0 if zero is None else zero
     qlo, qhi = spec.qmin - zf, spec.qmax - zf
     if (round_half_away(lo / scale) >= qlo).all():
         qlo = None
@@ -341,9 +350,8 @@ def _clip_errors(grouped: np.ndarray, spec: QuantSpec,
 
 
 # Stage 1 of the clip search trusts a group whose largest magnitude lies in
-# [2^-_WINDOW_EXP, 2^_WINDOW_EXP], and a (group, ratio) pair of it whose values
-# are at most _MAX_T scales; _ROOT_REL bounds the relative error of a float32
-# t = x / scale, see _estimate_roots
+# [2^-_WINDOW_EXP, 2^_WINDOW_EXP] and is at most _MAX_T scales at every ratio;
+# _ROOT_REL bounds the relative error of a float32 t = x / scale (_estimate_roots)
 _WINDOW_EXP = 400
 _MAX_T = 2.0 ** 48
 _U32 = 2.0 ** -24   # float32 unit roundoff
@@ -351,71 +359,70 @@ _ROOT_REL = 8 * _U32
 
 
 def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
-    """Stage 1 of the clip search: a float32 estimate of the square root of
-    every error ``_clip_errors`` gives, and a bound on its distance from it.
+    """Stage 1 of the clip search: a float32 estimate ``root`` of the square
+    root of every error ``_clip_errors`` gives, and ``beta``, such that
+    |root - sqrt(exact)| <= (g + 2) u root + beta, u = 2^-24. ``part`` is
+    (rows, n_groups, g) and ``ratios`` 1-D; ``root`` is (len(ratios), rows,
+    n_groups) and ``beta`` (rows, n_groups), inf for an untrusted group.
 
-    ``part`` is (rows, n_groups, g) and ``ratios`` 1-D; both results are
-    (len(ratios), rows, n_groups), and |estimate - sqrt(exact)| <= bound holds
-    for every pair. A pair that is not trusted gets estimate 0 and bound inf.
+    Method. ``_clip_params`` gives each pair's scale and the codes a and b
+    that ``_codes`` makes of lo and hi, in float64: the lo code that the
+    zero point rounded and the rounded hi / scale, both clamped to [qmin -
+    zero, qmax - zero]. Each group, scaled by 2^-e with 2^(e-1) <= max|x| <
+    2^e, is cast to float32 once; per ratio, six float32 passes give t = y *
+    float32(2^e / scale) (y the scaled x), c = clip(rint(t), a, b) and the
+    group's sum S of (c - t)^2. The estimate is scale * sqrt(S).
 
-    Method. The per-group scale, zero point, lo and hi come from
-    ``_range_params`` in float64, and so do a and b, the codes of lo and hi
-    after the code clamp. Each group is scaled by 2^-e, with 2^(e-1) <=
-    max|x| < 2^e, and cast to float32 once per row tile. Per ratio, six
-    float32 passes (a product, a rounding, two clamps, a difference and one
-    ``einsum``) give t = y * float32(2^e / scale) (y the scaled x), c =
-    clip(rint(t), a, b) and the group's sum S of (c - t)^2; the estimate is
-    scale * sqrt(S).
+    Bound. With T = x / scale exactly, the exact code is a nearest integer
+    to T in [a, b] (dividing, rounding half away and clamping are monotone),
+    and c is one to t (both codes of a half are equally far). So sqrt(exact)
+    = scale |d(T)| and (c - t)^2 = d(t)^2, d the distance to the nearest
+    integer in [a, b] and |.| the norm over the group. d is 1-Lipschitz, so
+    |d(t)| and |d(T)| differ by at most |t - T| <= 3u |T| = 3u sqrt(Q) /
+    scale, Q the group's sum of squares: three float32 roundings make t. S,
+    a float32 sum of g rounded squares of rounded differences, is within
+    (g + 2) u relative, its root within (g + 2) u / 2. Hence beta =
+    _ROOT_REL sqrt(Q). Both terms of the bound are at least twice their
+    first-order error; the rest covers second-order terms, float64 rounding
+    and float32 underflow (below 2^-149 per term, while |T| >= 1).
 
-    Bound. With T = x / scale exactly, the exact kernel's code is a nearest
-    integer to T in [a, b] (dividing, rounding half away and clamping are
-    monotone, so the clamp to [lo, hi] becomes one to [a, b]), and c is one to
-    t (rint rounds half to even, but both codes of a half are equally far).
-    So sqrt(exact) = scale |d(T)| and (c - t)^2 = d(t)^2, where d is the
-    distance to the nearest integer in [a, b], |.| the Euclidean norm over
-    the group, and float64 rounding is below the margins. d is 1-Lipschitz,
-    so |d(t)| and |d(T)| differ by at most |t - T| <= 3u |T| = 3u sqrt(Q) /
-    scale, with u = 2^-24 and Q the group's sum of squares: three float32
-    roundings make t. S is a float32 sum of g rounded squares of rounded
-    differences, in some order, so its relative error is below (g + 2) u, and
-    that of its root below (g + 2) u / 2. Hence
-        bound = _ROOT_REL sqrt(Q) + (g + 2) u estimate.
-    Both terms are at least twice their first-order error; the rest covers
-    second-order terms, float64 rounding on both sides and float32 underflow
-    (below 2^-149 per term, while |T| >= 1).
-
-    Trust. A group with one distinct value gets no estimate. The window on
-    max|x| keeps the exact error, the estimate and the bound finite and
-    their underflow below the bound; max|x| <= _MAX_T scale keeps t and S far
-    from float32 overflow. Out-of-window groups (subnormal, near 1e300, or
-    with an overflowing range) are computed on harmless stand-ins, with no
-    warning.
+    Trust is per group: two or more distinct values, max|x| in the window
+    (the exact error, estimate and bound stay finite) and max|x| <= _MAX_T
+    scale at the smallest ratio, whose scale is the smallest (t and S stay
+    far from float32 overflow). Only a tile with an untrusted group runs it
+    on stand-ins.
     """
     rows, n_groups, g = part.shape
-    mn, mx, first = part.min(axis=2), part.max(axis=2), part[..., 0]
+    y = part.transpose(2, 0, 1).copy()   # element-major, scaled in place below
+    mn, mx = y.min(axis=0), y.max(axis=0)
     amax = np.maximum(np.abs(mn), np.abs(mx))
     e = np.frexp(amax)[1]
-    y = np.ldexp(part, -e[..., None])
-    scale, zero, lo, hi = _range_params(mn, mx, first, spec, ratios[:, None, None])
-    zf = 0 if zero is None else zero
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # not trusted
-        window = (mx > mn) & (amax >= 2.0 ** -_WINDOW_EXP) & (amax <= 2.0 ** _WINDOW_EXP)
-        trusted = window & (amax <= _MAX_T * scale)
-        root_q = np.where(window, np.ldexp(np.sqrt(np.einsum("rjg,rjg->rj", y, y)), e), 0.0)
-        # a and b, what _codes makes of lo and hi, and 2^e / scale, in float32
-        # with stand-ins where not trusted; one at a time, to keep memory low
-        a, b = (np.where(trusted, np.minimum(np.maximum(round_half_away(v / scale),
-                                                        spec.qmin - zf), spec.qmax - zf),
-                         0.0).astype(np.float32)
-                for v in (lo, hi))
-        inv = np.where(trusted, 1.0 / np.ldexp(scale, -e), 1.0).astype(np.float32)
-    del zero, lo, hi
+    np.ldexp(y, -e, out=y)
     k = min(_CHUNK, len(ratios))
-    y32 = np.empty((g, k, rows, n_groups), dtype=np.float32)
-    y32[:, 0] = y.transpose(2, 0, 1)
-    y32[:, 1:] = y32[:, :1]   # repeated, so no pass broadcasts it
-    t = np.empty_like(y32)
-    c = np.empty_like(y32)
+    a, b, inv = (np.empty((len(ratios), rows, n_groups), dtype=np.float32) for _ in range(3))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # not trusted
+        scale, zero, lo, hi, lo_code = _clip_params(mn, mx, spec, ratios[:, None, None])
+        del lo
+        trusted = ((mx > mn) & (amax >= 2.0 ** -_WINDOW_EXP) & (amax <= 2.0 ** _WINDOW_EXP)
+                   & (amax <= _MAX_T * scale[ratios.argmin()]))
+        root_q = np.ldexp(np.sqrt(np.einsum("g...,g...->...", y, y)), e)
+        beta = np.where(trusted, _ROOT_REL * root_q, np.inf)
+        hi /= scale
+        round_half_away(hi, out=hi)
+        if spec.symmetric:
+            lo_code, qlo, qhi = -hi, spec.qmin, spec.qmax
+        else:
+            qlo = np.subtract(spec.qmin, zero, out=zero)
+            qhi = qlo + (spec.qmax - spec.qmin)
+        np.minimum(np.maximum(lo_code, qlo, out=lo_code), qhi, out=a)
+        np.minimum(np.maximum(hi, qlo, out=hi), qhi, out=b)
+        del zero, hi, lo_code, qlo, qhi
+        np.divide(1.0, np.ldexp(scale, -e), out=inv)
+        if not trusted.all():
+            a[:, ~trusted] = b[:, ~trusted] = scale[:, ~trusted] = 0.0
+            inv[:, ~trusted] = 1.0
+    y32 = np.repeat(y[:, None].astype(np.float32), k, axis=1)   # so no pass broadcasts it
+    t, c = np.empty_like(y32), np.empty_like(y32)
     root = np.empty((len(ratios), rows, n_groups))
     for start in range(0, len(ratios), k):
         n = min(k, len(ratios) - start)
@@ -426,49 +433,60 @@ def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
         np.minimum(cc, b[start:start + n], out=cc)
         cc -= tc
         root[start:start + n] = np.einsum("g...,g...->...", cc, cc)
-    del y32, t, c
-    np.sqrt(root, out=root)
-    root *= np.where(trusted, scale, 0.0)
-    bound = (g + 2) * _U32 * root + _ROOT_REL * root_q
-    bound[~trusted] = np.inf
-    return root, bound
+    np.multiply(np.sqrt(root, out=root), scale, out=root)
+    return root, beta
 
 
-def _contending_errors(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
-    """The errors stage 2 gives every (ratio, row, group) pair: inf for the
-    pairs stage 1 rules out, and ``_clip_errors`` for the others, scored at one
-    ratio each, at most 2^17 values per call.
+def _contending_errors(grouped: np.ndarray, spec: QuantSpec, ratios: np.ndarray, tile: int):
+    """Stage 2 of the clip search, from stage 1 on tiles of ``tile`` rows:
+    each group's first contender (an index), the groups to score, and their
+    error rows in order, ``_clip_errors`` for each contender (2^17 values a
+    call at most) and inf for the other ratios.
 
-    A group with one contender whose bound is finite is decided without
-    scoring: every other ratio's error exceeds that contender's estimate
-    plus bound, which the contender's own error does not, so it is the
-    group's unique minimizer, and a trusted pair's error is finite. It gets
-    the stand-in error 0.0. Groups with two or more contenders, or with one
-    that is not trusted, are scored.
+    A ratio contends iff root (1 - alpha) <= (1 + alpha) min(root) + 2 beta,
+    alpha = (g + 2) u: its estimate minus bound is at most the group's least
+    estimate plus bound. Its float64 roundings, 2^-53 relative to root or
+    beta, lie far inside the bound's factor-two margin (alpha root / 2 +
+    beta / 2 a side), and rounding is monotone, so the least product is that
+    of the least root. A group with one contender and a finite beta takes
+    it: every other ratio's error exceeds its estimate plus bound.
     """
-    g = part.shape[2]
-    root, bound = _estimate_roots(part, spec, ratios)
-    contend = root - bound <= (root + bound).min(axis=0)
-    decided = contend & (contend.sum(axis=0) == 1) & (bound < np.inf)
-    del root, bound
-    which, row, col = np.nonzero(contend & ~decided)
+    rows, n_groups, g = grouped.shape
+    alpha = (g + 2) * _U32
+    first = np.empty((rows, n_groups), dtype=np.intp)
+    undecided = np.empty((rows, n_groups), dtype=bool)
+    contenders = []
+    for r0 in range(0, rows, tile):
+        root, beta = _estimate_roots(grouped[r0:r0 + tile], spec, ratios)
+        contend = root * (1.0 - alpha) <= root.min(axis=0) * (1.0 + alpha) + 2.0 * beta
+        scored = (contend.sum(axis=0) > 1) | (beta == np.inf)
+        first[r0:r0 + tile], undecided[r0:r0 + tile] = contend.argmax(axis=0), scored
+        contenders.append(contend[:, scored])
+    which, group = np.nonzero(np.concatenate(contenders, axis=1))
+    row, col = np.nonzero(undecided)
     exact = np.empty(len(which))
     step = max(1, _TILE_ELEMS // g)
     for p in range(0, len(which), step):
-        sel = slice(p, p + step)
-        exact[sel] = _clip_errors(part[row[sel], col[sel]][None], spec,
-                                  ratios[which[sel]][None, None])[0, 0]
-    err = np.full(contend.shape, np.inf)
-    err[decided] = 0.0
-    err[which, row, col] = exact
-    return err
+        sel = group[p:p + step]
+        exact[p:p + step] = _clip_errors(grouped[row[sel], col[sel]][None], spec,
+                                         ratios[which[p:p + step]][None, None])[0, 0]
+    err = np.full((len(row), len(ratios)), np.inf)
+    err[group, which] = exact
+    return first, undecided, err
+
+
+def _first_minimum(err: np.ndarray, ratios: np.ndarray) -> np.ndarray:
+    """The first ratio reaching each error row's smallest error (ratios on
+    the last axis), NaN never; 1.0 for a row of NaN and inf only."""
+    err[np.isnan(err)] = np.inf
+    return np.where(np.isfinite(err).any(axis=-1), ratios[err.argmin(axis=-1)], 1.0)
 
 
 # From this group size the clip search estimates before it scores: below it,
-# the per-pair float64 parameters of stage 1 cost about as much as scoring
-# every pair exactly (at 2 bits on 128x512, group 4: 38 ms exhaustive, 41 ms
-# in two stages; group 8: 27 and 22 ms)
-_ESTIMATE_MIN_GROUP = 8
+# the per-pair float64 parameters of stage 1 cost more than scoring every pair
+# exactly (at 2 bits on 128x512, group 2: 87 ms exhaustive, 95 ms in two
+# stages; group 4: 53 and 47 ms; group 8: 41 and 19 ms)
+_ESTIMATE_MIN_GROUP = 4
 
 
 def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
@@ -480,33 +498,27 @@ def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
     error is never chosen, and a group whose every error is NaN or inf (its
     squared errors overflow float64) gets ratio 1.0.
 
-    The search runs on row tiles of ``max(1, 2**17 // (k * cols))`` rows, k =
-    min(8, distinct ratios). From g = ``_ESTIMATE_MIN_GROUP`` it runs in two
-    stages. Stage 1, ``_estimate_roots``, estimates the square root of every
-    (group, ratio) error in float32, with a proven bound. Stage 2
-    (``_contending_errors``) scores exactly only the pairs whose estimate
-    minus bound is at most the group's smallest estimate plus bound: every
-    ratio reaching the smallest exact error is among them, ties included, so
-    the pick is that of scoring every pair, which smaller groups do; a group
-    left with one trusted contender takes it unscored. Every exact error is
-    bit-identical to the per-group round trip summed by ``np.sum``, so the
-    result depends neither on the tiling nor on the memory layout of
-    ``grouped``. Each work buffer holds at most 2^17 values.
+    Row tiles of ``max(1, 2**17 // (k * cols))`` rows, k = min(8, distinct
+    ratios), keep each work buffer within 2^17 values. Below g =
+    ``_ESTIMATE_MIN_GROUP`` every pair is scored. From it, stage 1
+    (``_estimate_roots``) bounds every error's root, and stage 2
+    (``_contending_errors``) scores only the contenders of groups with two
+    or more: every ratio reaching the smallest exact error contends. Exact
+    errors have the bits of the per-group round trip summed by ``np.sum``,
+    so the result depends neither on the tiling nor on the layout.
     """
     rows, n_groups, g = grouped.shape
     ratios = np.asarray(sorted(set(grid), reverse=True), dtype=np.float64)
     tile = max(1, _TILE_ELEMS // (min(_CHUNK, len(ratios)) * n_groups * g))
+    if g >= _ESTIMATE_MIN_GROUP:
+        first, undecided, err = _contending_errors(grouped, spec, ratios, tile)
+        best = ratios[first]
+        best[undecided] = _first_minimum(err, ratios)
+        return best
     best = np.empty((rows, n_groups))
     for r0 in range(0, rows, tile):
-        part = grouped[r0:r0 + tile]
-        if g < _ESTIMATE_MIN_GROUP:
-            err = _clip_errors(part, spec, ratios[:, None, None])
-        else:
-            err = _contending_errors(part, spec, ratios)
-        err[np.isnan(err)] = np.inf
-        pick = err.argmin(axis=0)
-        found = np.take_along_axis(err, pick[None], axis=0)[0] < np.inf
-        best[r0:r0 + tile] = np.where(found, ratios[pick], 1.0)
+        err = _clip_errors(grouped[r0:r0 + tile], spec, ratios[:, None, None])
+        best[r0:r0 + tile] = _first_minimum(err.transpose(1, 2, 0), ratios)
     return best
 
 
@@ -539,7 +551,8 @@ def _encode(w, q, scale, zero, spec: QuantSpec) -> QuantizedTensor:
     to the ``_codes`` output ``q`` and the codes cast to int64."""
     codes = (q if zero is None else q + zero).astype(np.int64)
     return QuantizedTensor(codes=codes.reshape(w.shape), scales=scale[..., 0],
-                           zero_points=None if zero is None else zero[..., 0], spec=spec)
+                           zero_points=None if zero is None else zero[..., 0].astype(np.int64),
+                           spec=spec)
 
 
 def _rtn_codes(w, spec: QuantSpec, consume: bool = False):

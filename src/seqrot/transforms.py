@@ -15,6 +15,7 @@ as R = diag(B, ..., B) D, one b x b block repeated, then the column signs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,12 +70,15 @@ def _require_group_divides(g: int, n: int) -> None:
         raise GroupDoesNotDivideError(f"group size {g} is not a positive divisor of {n}")
 
 
+@lru_cache(maxsize=None)
 def _sylvester(n: int) -> np.ndarray:
-    """The int8 Sylvester Hadamard matrix of order n, by Kronecker doubling;
-    only the factors of ``_factors``, of order at most 256, are built this way."""
+    """The read-only int8 Sylvester Hadamard matrix of order n, built once by
+    Kronecker doubling; only the factors of ``_factors`` are built this way,
+    nine orders at most 256, so the cache stays under 90 KiB."""
     h = np.ones((1, 1), dtype=np.int8)
     while len(h) < n:
         h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
     return h
 
 

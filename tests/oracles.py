@@ -224,8 +224,13 @@ def decode(codes, scale, zero):
 
 
 def group_params(grouped, spec, ratio):
-    return quant._range_params(grouped.min(axis=2), grouped.max(axis=2),
-                               grouped[..., 0], spec, ratio)
+    """(scale, zero, lo, hi) with int64 zero points, as the quantizer had them."""
+    scale, zero, lo, hi = quant._range_params(grouped.min(axis=2), grouped.max(axis=2),
+                                              grouped[..., 0], spec, ratio)
+    if zero is not None:
+        with np.errstate(invalid="ignore"):   # the zero point of an overflowing range
+            zero = zero.astype(np.int64)
+    return scale, zero, lo, hi
 
 
 def _clip_search(group, spec, grid):

@@ -35,6 +35,7 @@ from seqrot.quant import (
     _estimate_roots,
     _group_view,
     _pairwise_sum,
+    _range_params,
     _round_trip,
     _search_ratios,
     _upper_inverse,
@@ -284,8 +285,8 @@ def every_pair_rescored():
     real = quant._estimate_roots
 
     def untrusted(part, spec, ratios):
-        root, bound = real(part, spec, ratios)
-        return root, np.full_like(bound, np.inf)
+        root, beta = real(part, spec, ratios)
+        return root, np.full_like(beta, np.inf)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quant, "_estimate_roots", untrusted)
@@ -305,7 +306,9 @@ class TestSearchRatios:
         spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric,
                          clip=Clip.mse(tuple(grid)))
         grouped = _group_view(w, g)
+        before = w.copy()
         ratios = _search_ratios(grouped, spec, spec.clip.grid)
+        assert w.tobytes() == before.tobytes()   # the search reads its input only
         distinct = sorted(set(grid), reverse=True)
         errors = _clip_errors(grouped, spec, np.asarray(distinct)[:, None, None])
         assert ratios.tobytes() == oracles.search_ratios(grouped, spec, grid).tobytes()
@@ -331,14 +334,31 @@ class TestSearchRatios:
                          clip=Clip.mse(tuple(grid)))
         grouped = _group_view(w, g)
         distinct = np.asarray(sorted(set(grid), reverse=True))
-        root, bound = _estimate_roots(grouped, spec, distinct)
+        root, beta = _estimate_roots(grouped, spec, distinct)
         exact = _clip_errors(grouped, spec, distinct[:, None, None])
-        trusted = bound < np.inf
+        bound = (g + 2) * 2.0 ** -24 * root + beta
+        trusted = np.broadcast_to(beta < np.inf, root.shape)
+        assert np.all(root[~trusted] == 0.0)
         assert np.all(np.abs(root - np.sqrt(exact))[trusted] <= bound[trusted])
         if kind == "t" and exponent == 0 and g > 1:
             assert trusted.all()   # ordinary groups take the fast path
         if kind in ("subnormal", "constant"):
             assert not trusted.any()
+
+    @settings(max_examples=120, deadline=None)
+    @given(**WEIGHT_CASES)
+    def test_scale_does_not_decrease_with_the_ratio(
+            self, bits, symmetric, g, rows, n_groups, transposed, kind, shift, exponent,
+            seed, grid):
+        # stage 1 tests a group's trust once, at its smallest ratio
+        w = case_weights(rows, n_groups, g, transposed, kind, shift, exponent, seed)
+        spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric)
+        grouped = _group_view(w, g)
+        ascending = np.asarray(sorted(set(grid)))[:, None, None]
+        scale = _range_params(grouped.min(axis=2), grouped.max(axis=2), grouped[..., 0],
+                              spec, ascending)[0]
+        grows = scale[1:] >= scale[:-1]
+        assert grows[:, ~np.isnan(scale).any(axis=0)].all()
 
     @settings(max_examples=40, deadline=None)
     @given(**WEIGHT_CASES)
@@ -375,12 +395,13 @@ class TestSearchRatios:
         # finite weights give NaN errors only in extreme cases (see
         # TestSubnormalRange for the one that no longer does), so the rule is
         # checked on injected exact errors, with every pair scored exactly
-        # (group 4) and with every pair rescored by stage 2 (group 8): group 0
-        # skips the NaN and keeps the first of two tied ratios, group 1 has
-        # only NaN/inf errors and keeps 1.0
+        # (group 2) and with every pair rescored by stage 2 (groups 4 and 8):
+        # group 0 skips the NaN and keeps the first of two tied ratios, group 1
+        # has only NaN/inf errors and keeps 1.0
         table = {0.96: (np.nan, np.nan), 0.62: (2.0, np.inf), 0.6: (3.0, np.nan),
                  0.12: (2.0, np.inf)}
-        for g in (4, 8):
+        assert 2 < quant._ESTIMATE_MIN_GROUP <= 4
+        for g in (2, 4, 8):
             spec = QuantSpec(bits=6, group_size=g, clip=Clip.mse((0.96, 0.62, 0.6, 0.12)))
 
             def injected(grouped, spec, ratios):
@@ -395,22 +416,37 @@ class TestSearchRatios:
                 assert _search_ratios(grouped, spec, spec.clip.grid).tolist() == [[0.62, 1.0]]
 
     def test_stage_two_scores_only_undecided_groups(self, monkeypatch):
-        # a group left with one trusted contender is decided by stage 1; on a
-        # default 512 x 512 tensor most groups are, where scoring every
+        # a group left with one trusted contender is decided by stage 1, and
+        # _clip_errors sees only the contenders of groups with two or more; on
+        # a default 512 x 512 tensor most groups have one, where scoring every
         # contender took about 1.02 exact errors per group
         w = gen_corpus(CorpusSpec(count=1, rows=512, cols=512, seed=0))[0]
         spec = QuantSpec(bits=2, group_size=64, clip=Clip.mse())
-        scored = []
-        real = quant._clip_errors
+        estimated, scored = [], []
+        real_estimate, real_errors = quant._estimate_roots, quant._clip_errors
 
-        def counting(grouped, spec, ratios):
-            out = real(grouped, spec, ratios)
-            scored.append(out.size)
-            return out
+        def recording_estimate(part, spec, ratios):
+            root, beta = real_estimate(part, spec, ratios)
+            estimated.append((part, ratios, root, beta))
+            return root, beta
 
-        monkeypatch.setattr(quant, "_clip_errors", counting)
+        def recording_errors(grouped, spec, ratios):
+            scored.extend((grp.tobytes(), r) for grp, r in zip(grouped[0], ratios.ravel()))
+            return real_errors(grouped, spec, ratios)
+
+        monkeypatch.setattr(quant, "_estimate_roots", recording_estimate)
+        monkeypatch.setattr(quant, "_clip_errors", recording_errors)
         ratios = _search_ratios(_group_view(w, 64), spec, spec.clip.grid)
-        assert 0 < sum(scored) < 512 * 512 // 64
+        alpha = 66 * 2.0 ** -24
+        contenders = []
+        for part, grid, root, beta in estimated:
+            assert (beta < np.inf).all()
+            contend = root * (1 - alpha) <= root.min(axis=0) * (1 + alpha) + 2 * beta
+            many = contend.sum(axis=0) >= 2
+            contenders += [(part[r, j].tobytes(), grid[k])
+                           for k, r, j in zip(*np.nonzero(contend & many))]
+        assert 0 < len(scored) < 512 * 512 // 64 // 20
+        assert sorted(scored) == sorted(contenders)
         assert ratios.tobytes() == oracles.search_ratios(
             _group_view(w, 64), spec, spec.clip.grid).tobytes()
 

@@ -32,6 +32,7 @@ from seqrot.transforms import (
     MAX_ORDER,
     OrthoMatrix,
     RotationOperator,
+    _factors,
     _mix_seed,
     _row_sequencies,
     _splitmix64_signs,
@@ -662,6 +663,33 @@ class TestOperatorBlock:
         got = RotationOperator(m).block
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind,n,g", [(KIND_GH, 16, None), (KIND_GSR, 64, 16),
+                                          (KIND_GH, 2048, None)])
+    def test_factors_are_built_once(self, kind, n, g, monkeypatch):
+        RotationOperator(build_rotation(kind, n, g, 3))
+        calls = []
+        real = np.block
+
+        def counting(arrays):
+            calls.append(1)
+            return real(arrays)
+
+        monkeypatch.setattr(np, "block", counting)
+        op = RotationOperator(build_rotation(kind, n, g, 4))
+        next(build_rotation(kind, n, g)._row_tiles(n))
+        assert calls == []
+        x = np.random.default_rng(0).standard_normal((2, n))
+        assert np.max(np.abs(op.apply(op.apply(x), transpose=True) - x)) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 256, 1 << 15])
+    def test_cached_factors_are_read_only(self, n):
+        for f in _factors(n):
+            assert f.dtype == np.int8
+            assert not f.flags.writeable
+            with pytest.raises(ValueError):
+                f[0, 0] = 0
+            assert np.array_equal(f, scipy_hadamard(len(f)))
 
 
 class TestOperatorDtype:
