@@ -117,8 +117,7 @@ class CalibrationHessian:
     form. Both arrays are read-only.
     """
 
-    def __init__(self, matrix: np.ndarray | None = None, sample_count: int | None = None,
-                 samples: np.ndarray | None = None):
+    def __init__(self, matrix: np.ndarray | None = None, samples: np.ndarray | None = None):
         if (matrix is None) == (samples is None):
             raise InvalidSpecError("a Hessian is given by its matrix or by its samples")
         for a in (matrix, samples):
@@ -126,7 +125,11 @@ class CalibrationHessian:
                 a.flags.writeable = False
         self._matrix = matrix
         self.samples = samples
-        self.sample_count = sample_count if samples is None else samples.shape[0]
+
+    @property
+    def sample_count(self) -> int | None:
+        """N of the sample form; None for a matrix."""
+        return None if self.samples is None else self.samples.shape[0]
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -162,38 +165,60 @@ _MIN_SCALE = np.nextafter(0.0, 1.0)
 
 
 def _clip_params(mn, mx, spec: QuantSpec, ratio):
-    """``_range_params`` of groups of two or more values, as new arrays from
-    arrays ``mn`` and ``mx``, and lo_code = round_half_away(lo / scale): the
-    zero point, a float, is -lo_code clamped, as round_half_away is odd.
-    zero and lo_code are None when symmetric."""
+    """``_range_params`` before its degenerate-group fix-ups, as new arrays
+    from arrays ``mn`` and ``mx``.
+
+    The clip range [lo, hi] never leaves this function: each end's code,
+    round_half_away(end / scale), is clamped to [qmin - zero, qmax - zero]
+    in its own buffer. The code of lo is the zero point's own rounding, since
+    round_half_away is odd: zero, a float, is minus it clamped to [qmin,
+    qmax]. When symmetric, lo is -hi, so the code of lo is minus that of hi,
+    and zero is None.
+    """
     with np.errstate(over="ignore", invalid="ignore"):   # checked by _prepare
         if spec.symmetric:
-            hi = np.maximum(np.abs(mn), np.abs(mx)) * ratio
-            scale = hi / ((1 << (spec.bits - 1)) - 1)
-            return np.maximum(scale, _MIN_SCALE, out=scale), None, -hi, hi, None
+            b = np.maximum(np.abs(mn), np.abs(mx)) * ratio
+            scale = b / ((1 << (spec.bits - 1)) - 1)
+            np.maximum(scale, _MIN_SCALE, out=scale)
+            b /= scale
+            round_half_away(b, out=b)
+            a = np.negative(b)   # b >= 0, so one clamp each
+            np.maximum(a, spec.qmin, out=a)
+            return scale, None, a, np.minimum(b, spec.qmax, out=b)
         mid = 0.5 * (mn + mx)
-        half = 0.5 * (mx - mn) * ratio
-        lo = mid - half
-        hi = np.add(mid, half, out=half)
-        scale = hi - lo
+        b = 0.5 * (mx - mn) * ratio   # half the clipped range
+        a = mid - b
+        b += mid
+        del mid
+        scale = b - a
         scale /= (1 << spec.bits) - 1
         np.maximum(scale, _MIN_SCALE, out=scale)
-        lo_code = lo / scale
-        round_half_away(lo_code, out=lo_code)
-        zero = np.negative(lo_code)
+        a /= scale
+        round_half_away(a, out=a)
+        zero = np.negative(a)
         np.minimum(np.maximum(zero, spec.qmin, out=zero), spec.qmax, out=zero)
-    return scale, zero, lo, hi, lo_code
+        b /= scale
+        round_half_away(b, out=b)
+        bound = np.subtract(spec.qmin, zero)   # qmin - zero, then qmax - zero
+        np.maximum(a, bound, out=a)
+        np.maximum(b, bound, out=b)
+        bound += spec.qmax - spec.qmin
+        np.minimum(a, bound, out=a)
+        np.minimum(b, bound, out=b)
+    return scale, zero, a, b
 
 
 def _range_params(mn, mx, first, spec: QuantSpec, ratio):
-    """Per-group (scale, zero_point, lo, hi), the zero point a float, from each
+    """Per-group (scale, zero_point, a, b), the zero point a float, from each
     group's min, max and first element; all five inputs broadcast together.
+    a and b are the codes minus zero points of the clip range's ends, the
+    bounds of ``_codes``.
 
     The clip ratio shrinks both range ends toward the group midpoint
     (asymmetric) or shrinks max|w| (symmetric). Degenerate groups (one
-    distinct value c) get an exact representation: lo == hi == c, and scale
-    |c| with the zero point one code below, or scale 1 with code 0 when
-    c == 0; either way the round trip is exact.
+    distinct value c) get an exact representation: scale |c| with the zero
+    point one code below, or scale 1 with code 0 when c == 0, and a == b ==
+    the code of c; either way the round trip is exact.
 
     A scale that underflows to 0 (the clipped range is below about
     levels * 2^-1074) is raised to 2^-1074. The values of such a group are
@@ -203,62 +228,40 @@ def _range_params(mn, mx, first, spec: QuantSpec, ratio):
     range overflows float64 gets a non-finite scale, without a warning
     (``_prepare`` rejects it).
     """
-    scale, zero, lo, hi, _ = _clip_params(mn, mx, spec, ratio)
-    # symmetric: all zero, or a clipped max|w| that underflows
-    degenerate = (hi == 0.0) if spec.symmetric else (mx == mn)
+    scale, zero, a, b = _clip_params(mn, mx, spec, ratio)
+    # symmetric: all zero, or a clipped max|w| that underflows; any other
+    # clipped max is at least 2^-1074 and at least its scale, so b >= 1
+    degenerate = (b == 0.0) if spec.symmetric else (mx == mn)
     if np.any(degenerate):
-        if spec.symmetric:
+        if spec.symmetric:   # a and b are already 0
             scale = np.where(degenerate, 1.0, scale)
-        else:   # mid is c itself unless 2c overflows
-            lo = np.where(degenerate, first, lo)
-            hi = np.where(degenerate, first, hi)
+        else:   # the code of c is its sign
             scale = np.where(degenerate, np.where(first == 0.0, 1.0, np.abs(first)), scale)
             zero = np.where(degenerate, np.where(first < 0.0, 1.0, 0.0), zero)
-    return scale, zero, lo, hi
+            a = np.where(degenerate, np.sign(first), a)
+            b = np.where(degenerate, np.sign(first), b)
+    return scale, zero, a, b
 
 
-def _code_bounds(spec: QuantSpec, scale, zero, lo, hi):
-    """The ``bounds`` argument of ``_codes``: (qmin - zero, qmax - zero) as
-    floats, each None where it cannot bind for these parameters.
-
-    Codes are monotone in x and x is clamped to [lo, hi] first, so a bound
-    can bind only if the code of lo or hi falls outside it. A NaN code of lo
-    or hi fails the test and keeps the bound.
-    """
-    zf = 0.0 if zero is None else zero
-    qlo, qhi = spec.qmin - zf, spec.qmax - zf
-    if (round_half_away(lo / scale) >= qlo).all():
-        qlo = None
-    if (round_half_away(hi / scale) <= qhi).all():
-        qhi = None
-    return qlo, qhi
-
-
-def _codes(x, scale, lo, hi, bounds, out=None, half=None):
+def _codes(x, scale, a, b, out=None, half=None):
     """The quantizer arithmetic: each code minus its zero point, as a float.
 
-    ``x`` is clamped to [lo, hi], divided by ``scale``, rounded half away
-    from zero and clamped to ``bounds``, which ``_code_bounds`` gives for the
-    same parameters. The parameters broadcast against ``x``. The
+    ``x`` is divided by ``scale``, rounded half away from zero and clamped
+    to [a, b], the codes minus zero points of the clip range's ends that
+    ``_range_params`` gives. Dividing and rounding are monotone, so this is
+    clamping ``x`` to the clip range first and the code to [qmin, qmax]
+    after, value for value. The parameters broadcast against ``x``. The
     result goes to ``out`` (a new array by default; ``x`` itself works) and
     ``half`` is a scratch buffer of its shape. Codes are small integers,
     exact in float64, so the result plus the zero point is the stored code
-    and the result times ``scale`` is the dequantized value, with the same
-    bits as clamping the code to [qmin, qmax] and subtracting the zero point
-    afterwards.
+    and the result times ``scale`` is the dequantized value.
     """
-    out = np.maximum(x, lo, out=out)
-    np.minimum(out, hi, out=out)
-    out /= scale
+    out = np.divide(x, scale, out=out)
     half = np.copysign(0.5, out, out=half)
     out += half
     np.trunc(out, out=out)
-    qlo, qhi = bounds
-    if qlo is not None:
-        np.maximum(out, qlo, out=out)
-    if qhi is not None:
-        np.minimum(out, qhi, out=out)
-    return out
+    np.maximum(out, a, out=out)
+    return np.minimum(out, b, out=out)
 
 
 _PAIRWISE_BLOCK = 128   # numpy's PW_BLOCKSIZE
@@ -317,8 +320,8 @@ def _clip_errors(grouped: np.ndarray, spec: QuantSpec,
     transposed once to element-major (g, rows, n_groups). The ratios are
     scored k = min(8, K) at a time in two (g, k, rows, n_groups) buffers:
     every elementwise pass runs a contiguous inner loop over rows x n_groups
-    values, with the per-group clamp bounds, scale and zero point broadcast
-    along the outer g axis, and the group sum adds contiguous slices.
+    values, with the per-group scale and code bounds broadcast along the
+    outer g axis, and the group sum adds contiguous slices.
 
     Contract: each error is bit-identical to quantizing that group with
     ``_codes``, dequantizing as ``(code - zero) * scale`` and summing the
@@ -338,10 +341,9 @@ def _clip_errors(grouped: np.ndarray, spec: QuantSpec,
     err = np.empty((len(ratios), rows, n_groups))
     for start in range(0, len(ratios), k):
         block = ratios[start:start + k]
-        scale, zero, lo, hi = _range_params(mn, mx, first, spec, block)
+        scale, _, a, b = _range_params(mn, mx, first, spec, block)
         with np.errstate(over="ignore", invalid="ignore"):
-            q = _codes(elem, scale, lo, hi, _code_bounds(spec, scale, zero, lo, hi),
-                       out=x[:, :len(block)], half=half[:, :len(block)])
+            q = _codes(elem, scale, a, b, out=x[:, :len(block)], half=half[:, :len(block)])
             q *= scale
             q -= elem
             np.square(q, out=q)
@@ -365,18 +367,17 @@ def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
     (rows, n_groups, g) and ``ratios`` 1-D; ``root`` is (len(ratios), rows,
     n_groups) and ``beta`` (rows, n_groups), inf for an untrusted group.
 
-    Method. ``_clip_params`` gives each pair's scale and the codes a and b
-    that ``_codes`` makes of lo and hi, in float64: the lo code that the
-    zero point rounded and the rounded hi / scale, both clamped to [qmin -
-    zero, qmax - zero]. Each group, scaled by 2^-e with 2^(e-1) <= max|x| <
-    2^e, is cast to float32 once; per ratio, six float32 passes give t = y *
-    float32(2^e / scale) (y the scaled x), c = clip(rint(t), a, b) and the
-    group's sum S of (c - t)^2. The estimate is scale * sqrt(S).
+    Method. ``_clip_params`` gives each pair's scale and the code bounds a
+    and b of ``_codes``, cast to float32 (they are small integers). Each
+    group, scaled by 2^-e with 2^(e-1) <= max|x| < 2^e, is cast to float32
+    once; per ratio, six float32 passes give t = y * float32(2^e / scale)
+    (y the scaled x), c = clip(rint(t), a, b) and the group's sum S of
+    (c - t)^2. The estimate is scale * sqrt(S).
 
     Bound. With T = x / scale exactly, the exact code is a nearest integer
-    to T in [a, b] (dividing, rounding half away and clamping are monotone),
-    and c is one to t (both codes of a half are equally far). So sqrt(exact)
-    = scale |d(T)| and (c - t)^2 = d(t)^2, d the distance to the nearest
+    to T in [a, b] (dividing and rounding half away are monotone), and c is
+    one to t (both codes of a half are equally far). So sqrt(exact) =
+    scale |d(T)| and (c - t)^2 = d(t)^2, d the distance to the nearest
     integer in [a, b] and |.| the norm over the group. d is 1-Lipschitz, so
     |d(t)| and |d(T)| differ by at most |t - T| <= 3u |T| = 3u sqrt(Q) /
     scale, Q the group's sum of squares: three float32 roundings make t. S,
@@ -399,24 +400,16 @@ def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
     e = np.frexp(amax)[1]
     np.ldexp(y, -e, out=y)
     k = min(_CHUNK, len(ratios))
-    a, b, inv = (np.empty((len(ratios), rows, n_groups), dtype=np.float32) for _ in range(3))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # not trusted
-        scale, zero, lo, hi, lo_code = _clip_params(mn, mx, spec, ratios[:, None, None])
-        del lo
+        scale, zero, a, b = _clip_params(mn, mx, spec, ratios[:, None, None])
+        del zero
+        a = a.astype(np.float32)
+        b = b.astype(np.float32)
         trusted = ((mx > mn) & (amax >= 2.0 ** -_WINDOW_EXP) & (amax <= 2.0 ** _WINDOW_EXP)
                    & (amax <= _MAX_T * scale[ratios.argmin()]))
         root_q = np.ldexp(np.sqrt(np.einsum("g...,g...->...", y, y)), e)
         beta = np.where(trusted, _ROOT_REL * root_q, np.inf)
-        hi /= scale
-        round_half_away(hi, out=hi)
-        if spec.symmetric:
-            lo_code, qlo, qhi = -hi, spec.qmin, spec.qmax
-        else:
-            qlo = np.subtract(spec.qmin, zero, out=zero)
-            qhi = qlo + (spec.qmax - spec.qmin)
-        np.minimum(np.maximum(lo_code, qlo, out=lo_code), qhi, out=a)
-        np.minimum(np.maximum(hi, qlo, out=hi), qhi, out=b)
-        del zero, hi, lo_code, qlo, qhi
+        inv = np.empty(scale.shape, dtype=np.float32)
         np.divide(1.0, np.ldexp(scale, -e), out=inv)
         if not trusted.all():
             a[:, ~trusted] = b[:, ~trusted] = scale[:, ~trusted] = 0.0
@@ -482,10 +475,12 @@ def _first_minimum(err: np.ndarray, ratios: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(err).any(axis=-1), ratios[err.argmin(axis=-1)], 1.0)
 
 
-# From this group size the clip search estimates before it scores: below it,
-# the per-pair float64 parameters of stage 1 cost more than scoring every pair
-# exactly (at 2 bits on 128x512, group 2: 87 ms exhaustive, 95 ms in two
-# stages; group 4: 53 and 47 ms; group 8: 41 and 19 ms)
+# From this group size the clip search estimates before it scores. Group 1 is
+# why smaller groups are scored exhaustively: every group of one value is
+# untrusted, so stage 1 is wasted and stage 2 scores every pair (2 vCPUs, 2
+# bits, 128x512: group 1, 198 ms exhaustive and 756 ms in two stages; groups
+# 2 and 3 within 15% either way; group 4, 30-44 and 23-36 ms; group 8, 25 and
+# 14 ms)
 _ESTIMATE_MIN_GROUP = 4
 
 
@@ -498,8 +493,9 @@ def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
     error is never chosen, and a group whose every error is NaN or inf (its
     squared errors overflow float64) gets ratio 1.0.
 
-    Row tiles of ``max(1, 2**17 // (k * cols))`` rows, k = min(8, distinct
-    ratios), keep each work buffer within 2^17 values. Below g =
+    Row tiles of ``max(1, 2**17 // (n_groups * max(k * g, K)))`` rows, K
+    distinct ratios and k = min(8, K), keep each work buffer within 2^17
+    values, and stage 1's per-pair arrays within 2^17 pairs. Below g =
     ``_ESTIMATE_MIN_GROUP`` every pair is scored. From it, stage 1
     (``_estimate_roots``) bounds every error's root, and stage 2
     (``_contending_errors``) scores only the contenders of groups with two
@@ -509,7 +505,8 @@ def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
     """
     rows, n_groups, g = grouped.shape
     ratios = np.asarray(sorted(set(grid), reverse=True), dtype=np.float64)
-    tile = max(1, _TILE_ELEMS // (min(_CHUNK, len(ratios)) * n_groups * g))
+    k = min(_CHUNK, len(ratios))
+    tile = max(1, _TILE_ELEMS // (n_groups * max(k * g, len(ratios))))
     if g >= _ESTIMATE_MIN_GROUP:
         first, undecided, err = _contending_errors(grouped, spec, ratios, tile)
         best = ratios[first]
@@ -524,10 +521,10 @@ def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
 
 def _prepare(w, spec: QuantSpec):
     """The prologue both quantizers share: ``w`` as float64, its
-    (rows, n_groups, g) view, and the per-group (scale, zero, lo, hi), each
-    (rows, n_groups, 1). NaN/inf weights, and an asymmetric group whose
-    range overflows float64 (its scale is not finite), raise
-    NonFiniteInputError.
+    (rows, n_groups, g) view, and the per-group (scale, zero, a, b) of
+    ``_range_params``, each (rows, n_groups, 1). NaN/inf weights, and an
+    asymmetric group whose range overflows float64 (its scale is not
+    finite), raise NonFiniteInputError.
     """
     w = np.asarray(w, dtype=np.float64)
     if not np.isfinite(w).all():
@@ -560,9 +557,8 @@ def _rtn_codes(w, spec: QuantSpec, consume: bool = False):
     group view, scale, zero). With ``consume`` the codes overwrite the group
     view, which is ``w``'s own memory when ``w`` is a C-contiguous float64
     array."""
-    w, grouped, (scale, zero, lo, hi) = _prepare(w, spec)
-    q = _codes(grouped, scale, lo, hi, _code_bounds(spec, scale, zero, lo, hi),
-               out=grouped if consume else None)
+    w, grouped, (scale, zero, a, b) = _prepare(w, spec)
+    q = _codes(grouped, scale, a, b, out=grouped if consume else None)
     return w, q, scale, zero
 
 
@@ -587,8 +583,10 @@ def _round_trip(w, spec: QuantSpec, hessian: CalibrationHessian | None = None) -
     The ``_codes`` output is the code minus its zero point, an exact small
     integer, so its product with the scale is what ``dequantize`` computes
     from the stored codes, value for value. A zero code of a negative value
-    keeps its sign here (-0.0, where ``dequantize`` gives +0.0); equal values
-    give equal differences, squares and products downstream. RTN writes its
+    is -0.0 here, where ``dequantize`` gives +0.0, unless the clamp to
+    [a, b] meets a bound that is zero: on a tie numpy's maximum and minimum
+    return the second operand, the bound. Equal values give equal
+    differences, squares and products downstream. RTN writes its
     codes, and then the result, over a C-contiguous float64 ``w``: the
     caller passes an array it owns and reads ``w`` no more.
     """
@@ -639,7 +637,7 @@ def hessian_from_calibration(x: np.ndarray) -> CalibrationHessian:
         raise NonFiniteInputError("calibration activations contain NaN or inf")
     samples, d = x.shape
     if samples >= d or d < _SAMPLES_MIN_ORDER:
-        return CalibrationHessian(matrix=_gram(x), sample_count=samples)
+        return CalibrationHessian(matrix=_gram(x))
     with np.errstate(over="ignore"):   # checked below
         diag = np.einsum("ij,ij->j", x, x) * 2.0
     if not np.isfinite(diag).all():
@@ -696,8 +694,8 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     The factor is U with hd^-1 = U^T U, hd the dampened Hessian: one Cholesky
     of hd with its rows and columns reversed gives a lower-triangular L, and
     U is the inverse of L reversed, which is upper triangular, from
-    ``_upper_inverse``. The code clamp bounds of each group are settled once
-    (``_code_bounds``), before the sweep.
+    ``_upper_inverse``. Each column reads its group's scale and code bounds
+    from transposed copies made before the sweep.
 
     The sweep runs in lazy batches of ``_BLOCK`` columns on a transposed
     (cols, rows) copy, so each column is a contiguous row. Inside a batch a
@@ -731,7 +729,7 @@ def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec):
     h = hessian.matrix
     if not np.isfinite(h).all():
         raise NonFiniteInputError("Hessian contains NaN or inf")
-    w, grouped, (scale, zero, lo, hi) = _prepare(w, spec)
+    w, grouped, (scale, zero, a, b) = _prepare(w, spec)
     rows, d = w.shape
     g = grouped.shape[2]
 
@@ -752,9 +750,7 @@ def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec):
     # transposed: row j of work and sweep is column j, row gi of each parameter
     # array is group gi
     work = w.T.copy()
-    col_scale, col_lo, col_hi = (np.ascontiguousarray(p[..., 0].T) for p in (scale, lo, hi))
-    bounds = [_code_bounds(spec, col_scale[gi], None if zero is None else zero[:, gi, 0],
-                           col_lo[gi], col_hi[gi]) for gi in range(d // g)]
+    col_scale, col_a, col_b = (np.ascontiguousarray(p[..., 0].T) for p in (scale, a, b))
     sweep = np.empty((d, rows))   # column j's codes minus zero points in row j
     half = np.empty(rows)
     for b0 in range(0, d, _BLOCK):
@@ -764,8 +760,7 @@ def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec):
             gi = j // g
             # the first column of a batch takes no product: x - 0.0 is x
             col = work[j] if j == b0 else work[j] - u[b0:j, j] @ err[:j - b0]
-            q = _codes(col, col_scale[gi], col_lo[gi], col_hi[gi], bounds[gi],
-                       out=sweep[j], half=half)
+            q = _codes(col, col_scale[gi], col_a[gi], col_b[gi], out=sweep[j], half=half)
             e = np.multiply(q, col_scale[gi], out=err[j - b0])
             np.subtract(col, e, out=e)
             e /= diag[j]
@@ -773,7 +768,7 @@ def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec):
     del work, err, u   # the RTN guard below is the call's memory peak
 
     sweep = _group_view(sweep.T, spec.group_size)
-    rtn = _codes(grouped, scale, lo, hi, _code_bounds(spec, scale, zero, lo, hi))
+    rtn = _codes(grouped, scale, a, b)
 
     def objective(q):
         delta = w - (q * scale).reshape(rows, d)

@@ -200,8 +200,9 @@ def fwht(x, ordering: str = ORDERING_NATURAL) -> np.ndarray:
 
 
 # The group quantizer written out with the formulas it had before the library
-# shared one clamp-and-round kernel: the codes are clipped after adding the
-# zero point, and dequantized as (codes - zero) * scale.
+# shared one clamp-and-round kernel: each group's (scale, zero, lo, hi) from
+# its own formulas, values clamped to [lo, hi] before rounding, codes clipped
+# after adding the zero point, and dequantized as (codes - zero) * scale.
 
 def _round_half_away(x):
     return np.trunc(x + np.copysign(0.5, x))
@@ -224,13 +225,36 @@ def decode(codes, scale, zero):
 
 
 def group_params(grouped, spec, ratio):
-    """(scale, zero, lo, hi) with int64 zero points, as the quantizer had them."""
-    scale, zero, lo, hi = quant._range_params(grouped.min(axis=2), grouped.max(axis=2),
-                                              grouped[..., 0], spec, ratio)
-    if zero is not None:
-        with np.errstate(invalid="ignore"):   # the zero point of an overflowing range
-            zero = zero.astype(np.int64)
-    return scale, zero, lo, hi
+    """(scale, zero, lo, hi) with int64 zero points, as the quantizer had them.
+
+    The clip ratio shrinks max|w| (symmetric) or both range ends toward the
+    midpoint. A scale that underflows is raised to 2^-1074. A group of one
+    value c has lo == hi == c and scale |c| (1 when c == 0), with the zero
+    point one code below c when c < 0; a symmetric group whose clipped max
+    is 0 has scale 1.
+    """
+    mn, mx, first = grouped.min(axis=2), grouped.max(axis=2), grouped[..., 0]
+    tiny = np.nextafter(0.0, 1.0)
+    # an overflowing range, and the midpoint of a constant 1.7e308 group
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.symmetric:
+            amax = np.maximum(np.abs(mn), np.abs(mx)) * ratio
+            qpos = (1 << (spec.bits - 1)) - 1
+            scale = np.where(amax == 0.0, 1.0, np.maximum(amax / qpos, tiny))
+            return scale, None, -amax, amax
+        mid = 0.5 * (mn + mx)
+        half = 0.5 * (mx - mn) * ratio
+        lo, hi = mid - half, mid + half
+        degenerate = mx == mn
+        scale = np.where(degenerate, 1.0,
+                         np.maximum((hi - lo) / ((1 << spec.bits) - 1), tiny))
+        zero = np.clip(np.where(degenerate, 0.0, _round_half_away(-lo / scale)),
+                       spec.qmin, spec.qmax)
+        lo = np.where(degenerate, first, lo)
+        hi = np.where(degenerate, first, hi)
+        scale = np.where(degenerate, np.where(first == 0.0, 1.0, np.abs(first)), scale)
+        zero = np.where(degenerate & (first < 0.0), 1.0, zero)
+        return scale, zero.astype(np.int64), lo, hi
 
 
 def _clip_search(group, spec, grid):

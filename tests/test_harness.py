@@ -174,7 +174,7 @@ def dense_reference(corpus, variants, wspec, quantizer, seed=0, calib_samples=25
         r = resolve_variant(v, cols, wspec.group_size,
                             _mix_seed(seed, 100 + KINDS.index(v))).dense()
         hm = r.T @ h.matrix @ r
-        h_rot = CalibrationHessian(matrix=0.5 * (hm + hm.T), sample_count=h.sample_count)
+        h_rot = CalibrationHessian(matrix=0.5 * (hm + hm.T))
         errs = []
         for w in corpus:
             q = (rtn_quantize(w @ r, wspec) if quantizer == "rtn"

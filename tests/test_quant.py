@@ -5,7 +5,7 @@ import numpy as np
 import oracles
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import mse_clip_search
 
@@ -31,6 +31,7 @@ from seqrot.quant import (
     Clip,
     QuantSpec,
     _clip_errors,
+    _clip_params,
     _errors,
     _estimate_roots,
     _group_view,
@@ -231,7 +232,7 @@ class TestMseClipSearch:
             assert err <= full + 1e-15
 
 
-GROUP_SIZES = (1, 3, 7, 8, 15, 64, 100, 128, 129, 136, 300)
+GROUP_SIZES = (1, 2, 3, 4, 7, 8, 15, 64, 100, 128, 129, 136, 300)
 GRID_RATIOS = (1.0, 0.97, 0.9, 0.85, 0.8, 0.75, 0.6, 0.5, 0.33)
 
 
@@ -347,18 +348,29 @@ class TestSearchRatios:
 
     @settings(max_examples=120, deadline=None)
     @given(**WEIGHT_CASES)
+    # seed 0 draws [[28, 11, 1]] * 2^-1074: at ratio 0.5 the last group's
+    # clipped max, 2^-1075, underflows and the fix-ups set its scale to 1.0;
+    # at 0.51 the scale is 2^-1074
+    @example(bits=2, symmetric=True, g=1, rows=1, n_groups=3, transposed=False,
+             kind="subnormal", shift=0.0, exponent=0, seed=0, grid=[0.51, 0.5])
     def test_scale_does_not_decrease_with_the_ratio(
             self, bits, symmetric, g, rows, n_groups, transposed, kind, shift, exponent,
             seed, grid):
-        # stage 1 tests a group's trust once, at its smallest ratio
+        # stage 1 tests a group's trust once, at its smallest ratio, on the
+        # scale before the degenerate-group fix-ups; the fixed-up scale may
+        # differ from it only on groups that stage 1 does not trust
         w = case_weights(rows, n_groups, g, transposed, kind, shift, exponent, seed)
         spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric)
         grouped = _group_view(w, g)
-        ascending = np.asarray(sorted(set(grid)))[:, None, None]
-        scale = _range_params(grouped.min(axis=2), grouped.max(axis=2), grouped[..., 0],
-                              spec, ascending)[0]
+        mn, mx = grouped.min(axis=2), grouped.max(axis=2)
+        ascending = np.asarray(sorted(set(grid)))
+        scale = _clip_params(mn, mx, spec, ascending[:, None, None])[0]
         grows = scale[1:] >= scale[:-1]
         assert grows[:, ~np.isnan(scale).any(axis=0)].all()
+        fixed = _range_params(mn, mx, grouped[..., 0], spec, ascending[:, None, None])[0]
+        moved = (fixed != scale).any(axis=0)
+        beta = _estimate_roots(grouped, spec, ascending[::-1])[1]
+        assert (beta[moved] == np.inf).all()
 
     @settings(max_examples=40, deadline=None)
     @given(**WEIGHT_CASES)
@@ -595,7 +607,7 @@ class TestNonFinite:
             m[2, 5] = m[5, 2] = np.nan
         else:
             m[3, 3] = np.inf
-        h = CalibrationHessian(matrix=m, sample_count=16)
+        h = CalibrationHessian(matrix=m)
         with pytest.raises(NonFiniteInputError, match="Hessian"):
             gptq_quantize(np.ones((2, 8)), h, QuantSpec(bits=2, group_size=4))
 
@@ -636,7 +648,7 @@ class TestSquaredErrorOverflow:
 
     @pytest.mark.parametrize("metric", [METRIC_MSE, METRIC_PROXY])
     def test_quant_error_rejects(self, metric):
-        h = CalibrationHessian(matrix=np.eye(4), sample_count=1)
+        h = CalibrationHessian(matrix=np.eye(4))
         with pytest.raises(NonFiniteInputError, match=metric):
             quant_error(self.W, np.zeros_like(self.W), metric, h)
 
@@ -683,7 +695,7 @@ class TestHessian:
         expected = np.zeros((4, 4))
         expected[2, 2] = 2.0
         assert np.array_equal(h.matrix, expected)
-        assert h.sample_count == 1
+        assert h.sample_count is None   # the matrix form keeps no samples
 
     def test_identity_samples(self):
         h = hessian_from_calibration(np.eye(4))
@@ -731,7 +743,7 @@ class TestHessian:
     def test_one_sample_vector(self):
         x = np.array([1.0, -2.0, 3.0])
         h = hessian_from_calibration(x)
-        assert h.sample_count == 1
+        assert h.shape == (3, 3) and h.sample_count is None
         assert np.array_equal(h.matrix, 2.0 * np.outer(x, x))
 
 
@@ -758,7 +770,7 @@ class TestSampleForm:
         x = np.random.default_rng(d).standard_normal((samples, d))
         h = hessian_from_calibration(x)
         assert (h.samples is not None) == kept
-        assert h.shape == (d, d) and h.sample_count == samples
+        assert h.shape == (d, d) and h.sample_count == (samples if kept else None)
         if kept:
             assert np.array_equal(h.samples, x) and not h.samples.flags.writeable
         m = h.matrix
@@ -801,7 +813,7 @@ class TestSampleForm:
         with pytest.raises(InvalidSpecError):
             CalibrationHessian()
         with pytest.raises(InvalidSpecError):
-            CalibrationHessian(matrix=np.eye(2), sample_count=1, samples=np.ones((1, 2)))
+            CalibrationHessian(matrix=np.eye(2), samples=np.ones((1, 2)))
 
     @settings(max_examples=25, deadline=None)
     @given(d=st.sampled_from([ORDER, 2 * ORDER]), samples=st.integers(1, 64),
@@ -894,7 +906,7 @@ class TestGptq:
         rng = np.random.default_rng(1)
         w = rng.standard_normal((4, 1))
         spec = QuantSpec(bits=2, group_size=1)
-        h = CalibrationHessian(matrix=np.array([[2.0]]), sample_count=1)
+        h = CalibrationHessian(matrix=np.array([[2.0]]))
         assert np.array_equal(gptq_quantize(w, h, spec).codes,
                               rtn_quantize(w, spec).codes)
 
@@ -902,7 +914,7 @@ class TestGptq:
         rng = np.random.default_rng(4)
         w = rng.standard_normal((4, 8))
         spec = QuantSpec(bits=2, group_size=8)
-        h = CalibrationHessian(matrix=3.0 * np.eye(8), sample_count=8)
+        h = CalibrationHessian(matrix=3.0 * np.eye(8))
         g = quant_error(w, dequantize(gptq_quantize(w, h, spec)), METRIC_PROXY, h)
         r = quant_error(w, dequantize(rtn_quantize(w, spec)), METRIC_PROXY, h)
         assert abs(g - r) < 1e-12
@@ -951,7 +963,7 @@ class TestGptq:
 
         monkeypatch.setattr(quant, "_search_ratios", no_search)
         matrix = {"narrow": np.eye(4), "wide": np.eye(16), "nan": np.full((8, 8), np.nan)}[case]
-        h = CalibrationHessian(matrix=matrix, sample_count=1)
+        h = CalibrationHessian(matrix=matrix)
         error = NonFiniteInputError if case == "nan" else ShapeMismatchError
         with pytest.raises(error, match="Hessian"):
             gptq_quantize(np.ones((2, 8)), h, QuantSpec(bits=2, group_size=4, clip=Clip.mse()))
@@ -963,13 +975,13 @@ class TestGptq:
         spec = QuantSpec(bits=2, group_size=64)
         h = hessian_from_calibration(x)
         assert h.samples is not None
-        dense = CalibrationHessian(matrix=oracles.hessian_matrix(x), sample_count=8)
+        dense = CalibrationHessian(matrix=oracles.hessian_matrix(x))
         assert gptq_quantize(w, h, spec).codes.tobytes() \
             == gptq_quantize(w, dense, spec).codes.tobytes()
 
     @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), -np.eye(4), np.diag([4.0, 4, 4, -1])])
     def test_not_positive_definite_rejected(self, matrix):
-        h = CalibrationHessian(matrix=matrix, sample_count=1)
+        h = CalibrationHessian(matrix=matrix)
         with pytest.raises(SingularHessianError):
             gptq_quantize(np.ones((2, 4)), h, QuantSpec(bits=2))
 
@@ -983,7 +995,7 @@ class TestGptq:
         rng = np.random.default_rng(seed)
         w = rng.standard_normal((4, d))
         h = random_spd_hessian(rng, d, samples=d // 2)
-        scaled = CalibrationHessian(matrix=h.matrix * 4.0 ** k, sample_count=h.sample_count)
+        scaled = CalibrationHessian(matrix=h.matrix * 4.0 ** k)
         spec = QuantSpec(bits=2, group_size=8, clip=Clip.mse((1.0, 0.8, 0.6)))
         assert gptq_quantize(w, scaled, spec).codes.tobytes() \
             == gptq_quantize(w, h, spec).codes.tobytes()
@@ -1095,7 +1107,7 @@ class TestErrors:
 
     def test_non_finite_raised_in_metric_order(self):
         # the mse and the proxy overflow; the first in the given order names the error
-        h = CalibrationHessian(matrix=np.eye(2), sample_count=1)
+        h = CalibrationHessian(matrix=np.eye(2))
         delta = np.array([[1e200, -1e200]])
         with pytest.raises(NonFiniteInputError, match="the mse error is not finite"):
             _errors(delta.copy(), (METRIC_MSE, METRIC_MAX_ABS, METRIC_PROXY), h)
@@ -1107,7 +1119,7 @@ class TestErrors:
 class TestQuantError:
     def test_zero_for_identical(self):
         w = np.ones((3, 3))
-        h = CalibrationHessian(matrix=np.eye(3), sample_count=1)
+        h = CalibrationHessian(matrix=np.eye(3))
         assert quant_error(w, w, METRIC_MSE) == 0.0
         assert quant_error(w, w, METRIC_MAX_ABS) == 0.0
         assert quant_error(w, w, METRIC_PROXY, h) == 0.0
@@ -1119,7 +1131,7 @@ class TestQuantError:
         rng = np.random.default_rng(6)
         w = rng.standard_normal((4, 4))
         w_hat = rng.standard_normal((4, 4))
-        h = CalibrationHessian(matrix=np.eye(4), sample_count=1)
+        h = CalibrationHessian(matrix=np.eye(4))
         frob = float(np.sum((w - w_hat) ** 2))
         assert quant_error(w, w_hat, METRIC_PROXY, h) == pytest.approx(frob, rel=1e-12)
 
@@ -1129,13 +1141,13 @@ class TestQuantError:
 
     @pytest.mark.parametrize("shape", [(3, 3), (4, 5), (16,)])
     def test_proxy_hessian_of_another_width(self, shape):
-        h = CalibrationHessian(matrix=np.ones(shape), sample_count=1)
+        h = CalibrationHessian(matrix=np.ones(shape))
         with pytest.raises(ShapeMismatchError, match="4 columns"):
             quant_error(np.ones((2, 4)), np.zeros((2, 4)), METRIC_PROXY, h)
 
     @pytest.mark.parametrize("metric", [METRIC_MSE, METRIC_MAX_ABS, METRIC_PROXY])
     @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
     def test_empty_input_rejected(self, metric, shape):
-        h = CalibrationHessian(matrix=np.eye(shape[1]), sample_count=1)
+        h = CalibrationHessian(matrix=np.eye(shape[1]))
         with pytest.raises(ShapeMismatchError, match="non-empty"):
             quant_error(np.zeros(shape), np.zeros(shape), metric, h)
