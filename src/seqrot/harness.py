@@ -22,6 +22,8 @@ from .quant import (
     METRIC_PROXY,
     QuantSpec,
     _errors,
+    _group_length,
+    _group_view,
     _round_trip,
     hessian_from_calibration,
 )
@@ -249,14 +251,31 @@ class AblationReport:
     verdict: dict        # setting -> the verdict line's words
 
 
-def _quantize_weight(w: np.ndarray, spec: QuantSpec) -> np.ndarray:
-    """Fake-quantize a weight: groups run along input channels of each output.
+def _quantize_weights(weights, spec: QuantSpec) -> list:
+    """Fake-quantize weights: groups run along input channels of each output.
 
-    The RTN round trip runs on a C-contiguous copy of ``w.T``, always a new
-    array, which it consumes, so ``w`` (a fused weight that ``r4_ablation``
-    keeps in its memo) is never written.
+    Each weight's transpose, C-ordered, is written into one (groups, g)
+    float64 buffer per group length g, whose rows are the groups of every
+    weight of that length, and one RTN round trip per buffer quantizes them
+    all; each result is a view of its buffer in the weight's shape. Scale,
+    zero point, code bounds and clip pick depend only on a group's own
+    values, so each result has the bits of quantizing its weight alone. No
+    weight is written, and every shape is checked before any work.
     """
-    return _round_trip(np.array(w.T, dtype=np.float64, order="C"), spec).T
+    views = [_group_view(w.T, spec.group_size) for w in weights]   # no copies yet
+    groups = {}
+    for v in views:
+        groups[v.shape[2]] = groups.get(v.shape[2], 0) + v.shape[0] * v.shape[1]
+    stacks = {g: np.empty((n, g)) for g, n in groups.items()}
+    places, start = [], dict.fromkeys(groups, 0)
+    for v in views:
+        rows, n_groups, g = v.shape
+        stop = start[g] + rows * n_groups
+        np.copyto(stacks[g][start[g]:stop].reshape(v.shape), v)
+        places.append((g, start[g], stop, (rows, n_groups * g)))
+        start[g] = stop
+    done = {g: _round_trip(stack, spec) for g, stack in stacks.items()}
+    return [done[g][lo:hi].reshape(shape).T for g, lo, hi, shape in places]
 
 
 # float64 round-off of an exact invariance: an output MSE of at most
@@ -274,11 +293,13 @@ def r4_ablation(cfg: ToyBlockConfig, weight_spec: QuantSpec, act_spec: QuantSpec
     block: the no-quant setting checks invariance, the weight-only and
     weight+activation settings measure the quantization damage per mode.
 
-    Each distinct fused weight is fake-quantized once per seed: both
-    quantized settings of a mode share one pre-quantized block, and a weight
-    whose bytes are the same in another mode (all but ``wdown``) reuses its
-    quantized copy. The cells are the same bits as quantizing every weight
-    afresh for each ``forward`` call.
+    Each seed fuses both modes first and fake-quantizes its distinct fused
+    weights in one ``_quantize_weights`` call: one RTN round trip per group
+    length, on a stacked matrix whose rows are groups. A weight whose bytes
+    equal the first mode's (all but ``wdown``) is quantized once, and both
+    quantized settings of a mode share one pre-quantized block. The cells
+    are the same bits as quantizing every weight afresh for each ``forward``
+    call.
 
     A local-vs-global difference is tested with a bootstrap CI of its median
     over at least 2 seeds. A setting whose every cell, in both modes, is
@@ -290,9 +311,13 @@ def r4_ablation(cfg: ToyBlockConfig, weight_spec: QuantSpec, act_spec: QuantSpec
     wlabel = f"w{weight_spec.bits}"
     settings = ("w16a16", wlabel, f"{wlabel}a{act_spec.bits}")
 
+    # the block's weights have hidden or ffn input channels: a weight group
+    # that does not divide them fails before any work, as in the quantizer
+    for cols in (cfg.hidden, cfg.ffn):
+        _group_length(cols, weight_spec.group_size)
+
     cells = {mode: {s: np.zeros(n_seeds) for s in settings} for mode in R4_MODES}
     ref_power = np.zeros(n_seeds)   # mean(y_ref^2) per seed
-    memo = {}   # weight name -> (sha256 of the fused weight, quantized copy)
     for i in range(n_seeds):
         seed = base_seed + i
         cfg_i = replace(cfg, seed=_mix_seed(seed, 1))
@@ -301,28 +326,27 @@ def r4_ablation(cfg: ToyBlockConfig, weight_spec: QuantSpec, act_spec: QuantSpec
         x = rng.standard_normal((cfg.seq_len, cfg.hidden))
         y_ref = forward(block, x)
         ref_power[i] = np.mean(y_ref ** 2)
-        for mode in R4_MODES:
-            assign = RotationAssignment(r1=r1_kind, r4=KIND_GH, r4_mode=mode,
-                                        seed=_mix_seed(seed, 3))
-            fused = fuse_rotations(block, assign)
-            for name, w in fused.weights.items():
-                digest = hashlib.sha256(np.ascontiguousarray(w)).digest()
-                if name not in memo or memo[name][0] != digest:
-                    memo.pop(name, None)   # free the stale copy first
-                    memo[name] = (digest, _quantize_weight(w, weight_spec))
-            qblock = replace(fused, weights={k: q for k, (_, q) in memo.items()})
-            r1 = fused.input_rotation
+        fused = [fuse_rotations(block, RotationAssignment(
+            r1=r1_kind, r4=KIND_GH, r4_mode=mode, seed=_mix_seed(seed, 3)))
+            for mode in R4_MODES]
+        first = fused[0].weights
+        distinct = [(m, name) for m, f in enumerate(fused) for name, w in f.weights.items()
+                    if m == 0 or w.tobytes() != first[name].tobytes()]
+        quantized = dict(zip(distinct, _quantize_weights(
+            [fused[m].weights[name] for m, name in distinct], weight_spec)))
+        for m, mode in enumerate(R4_MODES):
+            qblock = replace(fused[m], weights={
+                name: quantized.get((m, name), quantized[0, name]) for name in first})
+            r1 = fused[m].input_rotation
             x_in = x if r1 is None else r1.apply(x)
-            outputs = (forward(fused, x_in), forward(qblock, x_in),
+            outputs = (forward(fused[m], x_in), forward(qblock, x_in),
                        forward(qblock, x_in, act_spec=act_spec))
-            # nothing may keep a mode's quantized block (and with it a stale
-            # wdown copy and r4 matrix) alive into the next mode
-            del qblock
             for s, y in zip(settings, outputs):
                 if r1 is not None:
                     y = r1.apply(y, transpose=True)
                 cells[mode][s][i] = float(np.mean((y - y_ref) ** 2))
-        memo.clear()
+        # the next seed builds its blocks only after this seed's are freed
+        del fused, first, quantized, qblock
 
     medians = {mode: {s: float(np.median(cells[mode][s])) for s in settings}
                for mode in R4_MODES}

@@ -149,14 +149,21 @@ def round_half_away(x: np.ndarray, out=None) -> np.ndarray:
     return np.trunc(np.add(x, np.copysign(0.5, x), out=out), out=out)
 
 
+def _group_length(cols: int, group_size: int | None) -> int:
+    """The length of the groups of a row of ``cols`` values; a group size
+    that does not divide the row raises GroupDoesNotDivideError."""
+    g = cols if group_size is None else group_size
+    if cols % g != 0:
+        raise GroupDoesNotDivideError(f"group size {g} does not divide row length {cols}")
+    return g
+
+
 def _group_view(w: np.ndarray, group_size: int | None) -> np.ndarray:
     if w.ndim != 2 or w.shape[1] == 0:
         raise ShapeMismatchError(
             f"expected a (rows, cols) matrix with cols >= 1, got shape {w.shape}")
     rows, cols = w.shape
-    g = cols if group_size is None else group_size
-    if cols % g != 0:
-        raise GroupDoesNotDivideError(f"group size {g} does not divide row length {cols}")
+    g = _group_length(cols, group_size)
     return w.reshape(rows, cols // g, g)
 
 
@@ -173,7 +180,9 @@ def _clip_params(mn, mx, spec: QuantSpec, ratio):
     in its own buffer. The code of lo is the zero point's own rounding, since
     round_half_away is odd: zero, a float, is minus it clamped to [qmin,
     qmax]. When symmetric, lo is -hi, so the code of lo is minus that of hi,
-    and zero is None.
+    and zero is None. An asymmetric group of one value (mx == mn) gets scale
+    1.0, and a group with a nonzero range too small for a normal scale
+    2^-1074.
     """
     with np.errstate(over="ignore", invalid="ignore"):   # checked by _prepare
         if spec.symmetric:
@@ -193,6 +202,12 @@ def _clip_params(mn, mx, spec: QuantSpec, ratio):
         scale = b - a
         scale /= (1 << spec.bits) - 1
         np.maximum(scale, _MIN_SCALE, out=scale)
+        one_value = mx == mn
+        if one_value.any():
+            # _range_params replaces such a group's parameters and stage 1
+            # does not trust it; scale 1 spares the divisions below a
+            # subnormal divisor, about ten times slower than a normal one
+            np.copyto(scale, 1.0, where=one_value)
         a /= scale
         round_half_away(a, out=a)
         zero = np.negative(a)
@@ -308,6 +323,11 @@ def _pairwise_rows(x: np.ndarray) -> np.ndarray:
 # tile x cols stays within 2^17 float64 (1 MiB), so both buffers fit in L2
 _CHUNK = 8
 _TILE_ELEMS = 1 << 17
+# (group, ratio) pairs per stage-1 row tile: stage 1 keeps several float64
+# arrays of one value per pair, and this holds them near the size of one toy
+# block weight's (256 or 512 groups of 16 at 51 ratios), however many groups
+# a stacked call brings
+_TILE_PAIRS = 1 << 14
 
 
 def _clip_errors(grouped: np.ndarray, spec: QuantSpec,
@@ -478,9 +498,9 @@ def _first_minimum(err: np.ndarray, ratios: np.ndarray) -> np.ndarray:
 # From this group size the clip search estimates before it scores. Group 1 is
 # why smaller groups are scored exhaustively: every group of one value is
 # untrusted, so stage 1 is wasted and stage 2 scores every pair (2 vCPUs, 2
-# bits, 128x512: group 1, 198 ms exhaustive and 756 ms in two stages; groups
-# 2 and 3 within 15% either way; group 4, 30-44 and 23-36 ms; group 8, 25 and
-# 14 ms)
+# bits, 128x512, fastest of 9: group 1, 94 ms exhaustive and 434 ms in two
+# stages; groups 2 and 3, 46 and 51 ms, 36 and 43 ms; group 4, 31 and 28 ms;
+# groups 8 and 16 within 10% either way)
 _ESTIMATE_MIN_GROUP = 4
 
 
@@ -495,7 +515,8 @@ def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
 
     Row tiles of ``max(1, 2**17 // (n_groups * max(k * g, K)))`` rows, K
     distinct ratios and k = min(8, K), keep each work buffer within 2^17
-    values, and stage 1's per-pair arrays within 2^17 pairs. Below g =
+    values and each error table within 2^17 pairs; stage 1's tiles also stay
+    within 2^14 pairs, since it keeps several per-pair arrays. Below g =
     ``_ESTIMATE_MIN_GROUP`` every pair is scored. From it, stage 1
     (``_estimate_roots``) bounds every error's root, and stage 2
     (``_contending_errors``) scores only the contenders of groups with two
@@ -508,6 +529,7 @@ def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
     k = min(_CHUNK, len(ratios))
     tile = max(1, _TILE_ELEMS // (n_groups * max(k * g, len(ratios))))
     if g >= _ESTIMATE_MIN_GROUP:
+        tile = max(1, min(tile, _TILE_PAIRS // (n_groups * len(ratios))))
         first, undecided, err = _contending_errors(grouped, spec, ratios, tile)
         best = ratios[first]
         best[undecided] = _first_minimum(err, ratios)

@@ -14,6 +14,7 @@ from seqrot.errors import (
     GroupDoesNotDivideError,
     InvalidConfigError,
     InvalidSpecError,
+    NonFiniteInputError,
 )
 from seqrot.harness import (
     bootstrap_median_ci,
@@ -403,16 +404,16 @@ def _bits(a):
 def place_r4(monkeypatch, r4_kind):
     """Make the ablation's assignments put ``r4_kind`` in the R4 slot.
 
-    The ablation's R4 is always gh; the memo keys on weight bytes, not on the
-    kind, and gw (other blocks) and identity (a wdown equal in both modes)
-    give it other weights to key on."""
+    The ablation's R4 is always gh; a seed's distinct weights are found by
+    their bytes, not by the kind, and gw (other blocks) and identity (a wdown
+    equal in both modes) give it other weights to compare."""
     monkeypatch.setattr(harness, "RotationAssignment",
                         lambda **kw: RotationAssignment(**{**kw, "r4": r4_kind}))
 
 
 class TestR4AblationMemo:
-    """Each distinct fused weight is quantized once per seed, with the same
-    cells as quantizing inside every forward call."""
+    """Each distinct fused weight is quantized once per seed, in one round
+    trip, with the same cells as quantizing inside every forward call."""
 
     @pytest.mark.parametrize("r4_kind", ["gh", "gw", "identity"])
     @pytest.mark.parametrize("r1_kind", ["gsr", "gh", "identity"])
@@ -434,17 +435,25 @@ class TestR4AblationMemo:
     @pytest.mark.parametrize("r4_kind, per_seed", [("gh", 8), ("gw", 8), ("identity", 7)])
     def test_quantizes_each_distinct_weight_once_per_seed(self, monkeypatch, r4_kind,
                                                            per_seed):
-        calls = []
-        original = harness._quantize_weight
+        calls, trips = [], []
+        original, round_trip = harness._quantize_weights, harness._round_trip
 
-        def counting(w, spec):
-            calls.append(w.shape)
-            return original(w, spec)
+        def counting(weights, spec):
+            calls.extend(w.shape for w in weights)
+            return original(weights, spec)
 
-        monkeypatch.setattr(harness, "_quantize_weight", counting)
+        def counting_trips(w, spec, hessian=None):
+            trips.append(w.shape)
+            return round_trip(w, spec, hessian)
+
+        monkeypatch.setattr(harness, "_quantize_weights", counting)
+        monkeypatch.setattr(harness, "_round_trip", counting_trips)
         place_r4(monkeypatch, r4_kind)
         r4_ablation(ABLATION_CFG, **NO_CLIP, n_seeds=3)
         assert len(calls) == 3 * per_seed
+        # one stacked round trip per seed: rows are the groups of its weights
+        groups = sum(rows * cols for rows, cols in calls) // 16 // 3
+        assert trips == [(groups, 16)] * 3
 
 
 class TestR4AblationVerdicts:
@@ -495,16 +504,18 @@ class TestNoCallerArrayWritten:
         assert [t.tobytes() for t in corpus] == before
 
     def test_memoized_fused_weights_unchanged(self, monkeypatch):
-        original = harness._quantize_weight
+        # the fused weights a seed quantizes stay as they are: both modes'
+        # blocks run forward on them after the round trip
+        original = harness._quantize_weights
         seen = []
 
-        def checked(w, spec):
-            before = w.tobytes()
-            out = original(w, spec)
-            seen.append(w.tobytes() == before)
+        def checked(weights, spec):
+            before = [w.tobytes() for w in weights]
+            out = original(weights, spec)
+            seen.extend(w.tobytes() == b for w, b in zip(weights, before))
             return out
 
-        monkeypatch.setattr(harness, "_quantize_weight", checked)
+        monkeypatch.setattr(harness, "_quantize_weights", checked)
         r4_ablation(ABLATION_CFG, weight_spec=ABLATION_WSPEC, act_spec=ABLATION_ASPEC,
                     n_seeds=2)
         assert seen and all(seen)
@@ -513,7 +524,7 @@ class TestNoCallerArrayWritten:
         # w.T of an F-ordered weight is C-ordered: the round trip still gets a copy
         w = np.asfortranarray(np.random.default_rng(4).standard_t(4, size=(32, 48)))
         before = w.tobytes()
-        got = harness._quantize_weight(w, ABLATION_WSPEC)
+        got, = harness._quantize_weights([w], ABLATION_WSPEC)
         assert w.tobytes() == before
         assert np.array_equal(got, dequantize(rtn_quantize(w.T, ABLATION_WSPEC)).T)
 
@@ -524,6 +535,59 @@ class TestNoCallerArrayWritten:
         before = x.tobytes()
         forward(block, x, act_spec=ABLATION_ASPEC)
         assert x.tobytes() == before
+
+
+class TestQuantizeWeights:
+    """One stacked round trip per group length gives each weight the bits of
+    its own round trip."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), group=st.sampled_from([None, 1, 2, 3, 4, 8, 16]),
+           bits=st.integers(2, 8), symmetric=st.booleans(),
+           clip=st.sampled_from([Clip.none(), Clip.fixed(0.8), Clip.mse()]),
+           kind=st.sampled_from(["normal", "t", "lattice"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_each_round_trip_alone(self, data, group, bits, symmetric, clip,
+                                           kind, seed):
+        # mixed shapes: at a set group they share g, and without one each
+        # row length is a group length of its own
+        shapes = data.draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 6)),
+                                    min_size=1, max_size=4), label="(groups per row, outputs)")
+        rng = np.random.default_rng(seed)
+        weights = []
+        for n_groups, outs in shapes:
+            cols = n_groups * (group or data.draw(st.integers(1, 9), label="group length"))
+            w = {"normal": rng.standard_normal, "t": lambda size: rng.standard_t(2, size),
+                 "lattice": lambda size: rng.integers(-2, 3, size) / 4.0}[kind]((outs, cols))
+            weights.append(w.T)   # (in, out): groups run along the input channels
+        spec = QuantSpec(bits=bits, group_size=group, symmetric=symmetric, clip=clip)
+        before = [w.tobytes() for w in weights]
+        got = harness._quantize_weights(weights, spec)
+        assert [w.tobytes() for w in weights] == before
+        for w, q in zip(weights, got):
+            want = quant._round_trip(np.array(w.T, order="C"), spec).T
+            assert q.shape == w.shape
+            assert np.array_equal(_bits(q), _bits(want))
+
+    def test_group_that_does_not_divide_raises(self, monkeypatch):
+        # the transpose of an (8, 64) weight is (64, 8): its 512 values would
+        # fill 32 rows of a group-16 stack, each mixing two outputs' groups
+        monkeypatch.setattr(harness, "_round_trip", None)   # no work before the check
+        with pytest.raises(GroupDoesNotDivideError,
+                           match="^group size 16 does not divide row length 8$"):
+            harness._quantize_weights([np.ones((16, 4)), np.ones((8, 64))],
+                                      QuantSpec(bits=2, group_size=16))
+
+    def test_ablation_group_that_does_not_divide_ffn_raises(self):
+        with pytest.raises(GroupDoesNotDivideError,
+                           match="^group size 16 does not divide row length 8$"):
+            r4_ablation(ToyBlockConfig(ffn=8), **NO_CLIP, n_seeds=2)
+
+    def test_non_finite_weight_raises(self):
+        w = np.ones((16, 4))
+        w[3, 2] = np.nan
+        with pytest.raises(NonFiniteInputError, match="^weights contain NaN or inf$"):
+            harness._quantize_weights([np.ones((16, 4)), w], ABLATION_WSPEC)
 
 
 @pytest.mark.parametrize("quantizer", ["rtn", "gptq"])

@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -391,17 +392,57 @@ class TestSearchRatios:
         ratios = _search_ratios(_group_view(w, 4), spec, spec.clip.grid)
         assert ratios[0, 0] == 0.9
 
-    def test_multi_tile_matches_single_rows(self):
-        # 600 rows of 512 columns span many row tiles and a ragged last tile
+    @pytest.mark.parametrize("rows, cols, g, edges", [
+        # 600 rows of 512 columns span many row tiles of 32 (bounded by
+        # elements) and a ragged last tile
+        (600, 512, 64, (0, 31, 32, 599)),
+        # a stacked call, one group of 16 per row, in tiles of 2^14 // 51 =
+        # 321 rows (bounded by pairs: by elements they would be 1024)
+        (700, 16, 16, (0, 320, 321, 642, 699)),
+    ])
+    def test_multi_tile_matches_single_rows(self, rows, cols, g, edges):
         rng = np.random.default_rng(2)
-        w = rng.standard_t(4, size=(600, 512))
-        spec = QuantSpec(bits=2, group_size=64, clip=Clip.mse())
-        whole = _search_ratios(_group_view(w, 64), spec, spec.clip.grid)
+        w = rng.standard_t(4, size=(rows, cols))
+        spec = QuantSpec(bits=2, group_size=g, clip=Clip.mse())
+        whole = _search_ratios(_group_view(w, g), spec, spec.clip.grid)
         assert whole.tobytes() == oracles.search_ratios(
-            _group_view(w, 64), spec, spec.clip.grid).tobytes()
-        for r in (0, 31, 32, 599):
-            one = _search_ratios(_group_view(w[r:r + 1], 64), spec, spec.clip.grid)
+            _group_view(w, g), spec, spec.clip.grid).tobytes()
+        for r in edges:
+            one = _search_ratios(_group_view(w[r:r + 1], g), spec, spec.clip.grid)
             assert np.array_equal(whole[r], one[0])
+
+    @pytest.mark.parametrize("rows, cols, g, tiles", [
+        (512, 512, 64, 16),    # 2^17 values a tile: 32 rows, as before the pair bound
+        (3072, 16, 16, 10),    # 2^14 pairs a tile: 321 rows
+    ])
+    def test_row_tiles(self, monkeypatch, rows, cols, g, tiles):
+        calls = []
+        real = quant._estimate_roots
+
+        def counting(part, spec, ratios):
+            calls.append(part.shape[0])
+            return real(part, spec, ratios)
+
+        monkeypatch.setattr(quant, "_estimate_roots", counting)
+        w = np.random.default_rng(3).standard_normal((rows, cols))
+        spec = QuantSpec(bits=2, group_size=g, clip=Clip.mse())
+        _search_ratios(_group_view(w, g), spec, spec.clip.grid)
+        assert len(calls) == tiles
+
+    def test_stacked_search_memory(self):
+        # the 3072 groups of 16 that one toy-block seed quantizes, stacked:
+        # tiles bounded by elements alone peaked at 3.59 MiB, while the
+        # largest weight searched alone (64 x 128) peaks at 1.05 MiB and the
+        # stacked call at 1.23 MiB (input 0.38 MiB)
+        grouped = _group_view(np.random.default_rng(4).standard_normal((3072, 16)), 16)
+        spec = QuantSpec(bits=2, group_size=16, clip=Clip.mse())
+        tracemalloc.start()
+        try:
+            _search_ratios(grouped, spec, spec.clip.grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_nan_error_is_never_chosen(self):
         # finite weights give NaN errors only in extreme cases (see
