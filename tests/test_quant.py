@@ -392,15 +392,8 @@ class TestSearchRatios:
         ratios = _search_ratios(_group_view(w, 4), spec, spec.clip.grid)
         assert ratios[0, 0] == 0.9
 
-    @pytest.mark.parametrize("rows, cols, g, edges", [
-        # 600 rows of 512 columns span many row tiles of 32 (bounded by
-        # elements) and a ragged last tile
-        (600, 512, 64, (0, 31, 32, 599)),
-        # a stacked call, one group of 16 per row, in tiles of 2^14 // 51 =
-        # 321 rows (bounded by pairs: by elements they would be 1024)
-        (700, 16, 16, (0, 320, 321, 642, 699)),
-    ])
-    def test_multi_tile_matches_single_rows(self, rows, cols, g, edges):
+    @staticmethod
+    def _check_tiles_against_single_rows(rows, cols, g, edges):
         rng = np.random.default_rng(2)
         w = rng.standard_t(4, size=(rows, cols))
         spec = QuantSpec(bits=2, group_size=g, clip=Clip.mse())
@@ -410,6 +403,16 @@ class TestSearchRatios:
         for r in edges:
             one = _search_ratios(_group_view(w[r:r + 1], g), spec, spec.clip.grid)
             assert np.array_equal(whole[r], one[0])
+
+    def test_multi_tile_matches_single_rows(self):
+        # 600 rows of 512 columns span many row tiles of 32 (bounded by
+        # elements) and a ragged last tile
+        self._check_tiles_against_single_rows(600, 512, 64, (0, 31, 32, 599))
+
+    def test_stacked_multi_tile_matches_single_rows(self):
+        # a stacked call, one group of 16 per row, in tiles of 2^14 // 51 =
+        # 321 rows (bounded by pairs: by elements they would be 1024)
+        self._check_tiles_against_single_rows(700, 16, 16, (0, 320, 321, 642, 699))
 
     @pytest.mark.parametrize("rows, cols, g, tiles", [
         (512, 512, 64, 16),    # 2^17 values a tile: 32 rows, as before the pair bound
