@@ -205,7 +205,7 @@ def _clip_params(mn, mx, spec: QuantSpec, ratio):
         one_value = mx == mn
         if one_value.any():
             # _range_params replaces such a group's parameters and stage 1
-            # does not trust it; scale 1 spares the divisions below a
+            # does not estimate it; scale 1 spares the divisions below a
             # subnormal divisor, about ten times slower than a normal one
             np.copyto(scale, 1.0, where=one_value)
         a /= scale
@@ -279,48 +279,8 @@ def _codes(x, scale, a, b, out=None, half=None):
     return np.minimum(out, b, out=out)
 
 
-_PAIRWISE_BLOCK = 128   # numpy's PW_BLOCKSIZE
-
-
-def _pairwise_sum(x: np.ndarray) -> np.ndarray:
-    """Sum ``x`` over its first axis in exactly the order ``np.sum`` adds a
-    contiguous float64 row, so ``_pairwise_sum(a.T) == a.sum(axis=-1)``.
-
-    Below 8 terms the row is added left to right. Up to 128 terms, 8
-    accumulators take every 8th term, are combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the tail is added left to right.
-    Above 128 the row splits at the multiple of 8 at or below its half and
-    both halves recurse. ``np.sum`` adds the result to its initial 0.0, which
-    turns an all -0.0 sum into +0.0. Each step adds whole slices, so every
-    other axis is summed at once.
-    """
-    return 0.0 + _pairwise_rows(x)
-
-
-def _pairwise_rows(x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    if n < 8:
-        res = np.zeros(x.shape[1:])
-        for i in range(n):
-            res += x[i]
-        return res
-    if n <= _PAIRWISE_BLOCK:
-        m = n - n % 8
-        r = x[:8].copy()
-        for i in range(8, m, 8):
-            r += x[i:i + 8]
-        res = (r[0] + r[1]) + (r[2] + r[3])
-        res += (r[4] + r[5]) + (r[6] + r[7])
-        for i in range(m, n):
-            res += x[i]
-        return res
-    n2 = n // 2
-    n2 -= n2 % 8
-    return _pairwise_rows(x[:n2]) + _pairwise_rows(x[n2:])
-
-
-# ratios scored per pass, and values per work buffer: a chunk of ratios x a row
-# tile x cols stays within 2^17 float64 (1 MiB), so both buffers fit in L2
+# ratios per stage-1 pass, and values per work buffer: a pass over a chunk of
+# ratios x a row tile x cols, and an exact scoring call, stay within 2^17 values
 _CHUNK = 8
 _TILE_ELEMS = 1 << 17
 # (group, ratio) pairs per stage-1 row tile: stage 1 keeps several float64
@@ -332,43 +292,32 @@ _TILE_PAIRS = 1 << 14
 
 def _clip_errors(grouped: np.ndarray, spec: QuantSpec,
                  ratios: np.ndarray) -> np.ndarray:
-    """Squared round-trip error of every group at every clip ratio.
+    """Squared round-trip error of groups at clip ratios.
 
-    ``grouped`` is (rows, n_groups, g) and ``ratios`` is (K, 1, 1), K ratios
-    for every group, or (K, rows, n_groups), a ratio per result; the result
-    is (K, rows, n_groups). ``grouped`` is copied to a C-contiguous array and
-    transposed once to element-major (g, rows, n_groups). The ratios are
-    scored k = min(8, K) at a time in two (g, k, rows, n_groups) buffers:
-    every elementwise pass runs a contiguous inner loop over rows x n_groups
-    values, with the per-group scale and code bounds broadcast along the
-    outer g axis, and the group sum adds contiguous slices.
+    ``grouped`` is (rows, n_groups, g), and ``ratios`` broadcasts against
+    (rows, n_groups): (K, 1, 1) scores every group at K ratios, and one
+    ratio per group scores each group once. The result has that broadcast
+    shape. The work runs group-major: each group's values stay contiguous,
+    with its scale and code bounds broadcast along them.
 
     Contract: each error is bit-identical to quantizing that group with
     ``_codes``, dequantizing as ``(code - zero) * scale`` and summing the
     squared error with ``np.sum`` over the contiguous group: ``_codes`` is
-    the quantizer arithmetic itself, and ``_pairwise_sum`` replays numpy's
-    summation order. A group whose parameters are not finite (its range
+    the quantizer arithmetic itself, and the sum runs along each group's
+    contiguous row. A group whose parameters are not finite (its range
     overflows float64) scores NaN, and one whose squares overflow scores
     inf, without a warning: the search never picks either.
     """
-    rows, n_groups, g = grouped.shape
-    k = min(_CHUNK, len(ratios))
     part = np.ascontiguousarray(grouped)
-    elem = np.ascontiguousarray(part.transpose(2, 0, 1))[:, None]
     mn, mx, first = part.min(axis=2), part.max(axis=2), part[..., 0]
-    x = np.empty((g, k, rows, n_groups))
-    half = np.empty_like(x)
-    err = np.empty((len(ratios), rows, n_groups))
-    for start in range(0, len(ratios), k):
-        block = ratios[start:start + k]
-        scale, _, a, b = _range_params(mn, mx, first, spec, block)
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = _codes(elem, scale, a, b, out=x[:, :len(block)], half=half[:, :len(block)])
-            q *= scale
-            q -= elem
-            np.square(q, out=q)
-        err[start:start + len(block)] = _pairwise_sum(q)
-    return err
+    scale, _, a, b = _range_params(mn, mx, first, spec, ratios)
+    scale, a, b = scale[..., None], a[..., None], b[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _codes(part, scale, a, b, out=np.empty(scale.shape[:-1] + part.shape[-1:]))
+        q *= scale
+        q -= part
+        np.square(q, out=q)
+    return q.sum(axis=-1)
 
 
 # Stage 1 of the clip search trusts a group whose largest magnitude lies in
@@ -386,6 +335,8 @@ def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
     |root - sqrt(exact)| <= (g + 2) u root + beta, u = 2^-24. ``part`` is
     (rows, n_groups, g) and ``ratios`` 1-D; ``root`` is (len(ratios), rows,
     n_groups) and ``beta`` (rows, n_groups), inf for an untrusted group.
+    An asymmetric group of one value has exact error 0 at every ratio, since
+    ``_range_params`` represents it exactly: its root and beta are 0.
 
     Method. ``_clip_params`` gives each pair's scale and the code bounds a
     and b of ``_codes``, cast to float32 (they are small integers). Each
@@ -407,11 +358,14 @@ def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
     first-order error; the rest covers second-order terms, float64 rounding
     and float32 underflow (below 2^-149 per term, while |T| >= 1).
 
-    Trust is per group: two or more distinct values, max|x| in the window
-    (the exact error, estimate and bound stay finite) and max|x| <= _MAX_T
-    scale at the smallest ratio, whose scale is the smallest (t and S stay
-    far from float32 overflow). Only a tile with an untrusted group runs it
-    on stand-ins.
+    Trust is per group: max|x| in the window (the exact error, estimate and
+    bound stay finite) and max|x| <= _MAX_T scale at the smallest ratio,
+    whose scale is the smallest (t and S stay far from float32 overflow).
+    That holds for a symmetric group of one value too: the symmetric fix-up
+    of ``_range_params`` fires only when the clipped max is 0, which the
+    second condition rules out, so its parameters are these. Only a tile
+    with a group that is untrusted, or asymmetric with one value, runs the
+    passes on stand-ins for it.
     """
     rows, n_groups, g = part.shape
     y = part.transpose(2, 0, 1).copy()   # element-major, scaled in place below
@@ -425,10 +379,11 @@ def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
         del zero
         a = a.astype(np.float32)
         b = b.astype(np.float32)
-        trusted = ((mx > mn) & (amax >= 2.0 ** -_WINDOW_EXP) & (amax <= 2.0 ** _WINDOW_EXP)
+        exact = (mx == mn) & (not spec.symmetric)
+        trusted = (~exact & (amax >= 2.0 ** -_WINDOW_EXP) & (amax <= 2.0 ** _WINDOW_EXP)
                    & (amax <= _MAX_T * scale[ratios.argmin()]))
         root_q = np.ldexp(np.sqrt(np.einsum("g...,g...->...", y, y)), e)
-        beta = np.where(trusted, _ROOT_REL * root_q, np.inf)
+        beta = np.where(trusted, _ROOT_REL * root_q, np.where(exact, 0.0, np.inf))
         inv = np.empty(scale.shape, dtype=np.float32)
         np.divide(1.0, np.ldexp(scale, -e), out=inv)
         if not trusted.all():
@@ -462,7 +417,8 @@ def _contending_errors(grouped: np.ndarray, spec: QuantSpec, ratios: np.ndarray,
     beta, lie far inside the bound's factor-two margin (alpha root / 2 +
     beta / 2 a side), and rounding is monotone, so the least product is that
     of the least root. A group with one contender and a finite beta takes
-    it: every other ratio's error exceeds its estimate plus bound.
+    it: every other ratio's error exceeds its estimate plus bound. A group
+    with beta 0 takes its first ratio: its error is 0 at every ratio.
     """
     rows, n_groups, g = grouped.shape
     alpha = (g + 2) * _U32
@@ -472,7 +428,7 @@ def _contending_errors(grouped: np.ndarray, spec: QuantSpec, ratios: np.ndarray,
     for r0 in range(0, rows, tile):
         root, beta = _estimate_roots(grouped[r0:r0 + tile], spec, ratios)
         contend = root * (1.0 - alpha) <= root.min(axis=0) * (1.0 + alpha) + 2.0 * beta
-        scored = (contend.sum(axis=0) > 1) | (beta == np.inf)
+        scored = ((contend.sum(axis=0) > 1) & (beta > 0.0)) | (beta == np.inf)
         first[r0:r0 + tile], undecided[r0:r0 + tile] = contend.argmax(axis=0), scored
         contenders.append(contend[:, scored])
     which, group = np.nonzero(np.concatenate(contenders, axis=1))
@@ -482,7 +438,7 @@ def _contending_errors(grouped: np.ndarray, spec: QuantSpec, ratios: np.ndarray,
     for p in range(0, len(which), step):
         sel = group[p:p + step]
         exact[p:p + step] = _clip_errors(grouped[row[sel], col[sel]][None], spec,
-                                         ratios[which[p:p + step]][None, None])[0, 0]
+                                         ratios[which[p:p + step]])[0]
     err = np.full((len(row), len(ratios)), np.inf)
     err[group, which] = exact
     return first, undecided, err
@@ -495,15 +451,6 @@ def _first_minimum(err: np.ndarray, ratios: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(err).any(axis=-1), ratios[err.argmin(axis=-1)], 1.0)
 
 
-# From this group size the clip search estimates before it scores. Group 1 is
-# why smaller groups are scored exhaustively: every group of one value is
-# untrusted, so stage 1 is wasted and stage 2 scores every pair (2 vCPUs, 2
-# bits, 128x512, fastest of 9: group 1, 94 ms exhaustive and 434 ms in two
-# stages; groups 2 and 3, 46 and 51 ms, 36 and 43 ms; group 4, 31 and 28 ms;
-# groups 8 and 16 within 10% either way)
-_ESTIMATE_MIN_GROUP = 4
-
-
 def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
     """Per-group MSE-minimizing clip ratio; ties broken toward the larger ratio.
 
@@ -513,31 +460,23 @@ def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
     error is never chosen, and a group whose every error is NaN or inf (its
     squared errors overflow float64) gets ratio 1.0.
 
-    Row tiles of ``max(1, 2**17 // (n_groups * max(k * g, K)))`` rows, K
-    distinct ratios and k = min(8, K), keep each work buffer within 2^17
-    values and each error table within 2^17 pairs; stage 1's tiles also stay
-    within 2^14 pairs, since it keeps several per-pair arrays. Below g =
-    ``_ESTIMATE_MIN_GROUP`` every pair is scored. From it, stage 1
-    (``_estimate_roots``) bounds every error's root, and stage 2
-    (``_contending_errors``) scores only the contenders of groups with two
-    or more: every ratio reaching the smallest exact error contends. Exact
-    errors have the bits of the per-group round trip summed by ``np.sum``,
-    so the result depends neither on the tiling nor on the layout.
+    Row tiles of ``max(1, 2**17 // (n_groups * k * g))`` rows, k = min(8, K)
+    for K distinct ratios, and at most 2^14 // (n_groups * K), keep stage 1's
+    work buffers within 2^17 values and its per-pair arrays within 2^14
+    pairs. Stage 1 (``_estimate_roots``) bounds every error's root, and
+    stage 2 (``_contending_errors``) scores only the contenders of groups
+    with two or more: every ratio reaching the smallest exact error
+    contends. Exact errors have the bits of the per-group round trip summed
+    by ``np.sum``, so the result depends neither on the tiling nor on the
+    layout.
     """
-    rows, n_groups, g = grouped.shape
+    n_groups, g = grouped.shape[1:]
     ratios = np.asarray(sorted(set(grid), reverse=True), dtype=np.float64)
-    k = min(_CHUNK, len(ratios))
-    tile = max(1, _TILE_ELEMS // (n_groups * max(k * g, len(ratios))))
-    if g >= _ESTIMATE_MIN_GROUP:
-        tile = max(1, min(tile, _TILE_PAIRS // (n_groups * len(ratios))))
-        first, undecided, err = _contending_errors(grouped, spec, ratios, tile)
-        best = ratios[first]
-        best[undecided] = _first_minimum(err, ratios)
-        return best
-    best = np.empty((rows, n_groups))
-    for r0 in range(0, rows, tile):
-        err = _clip_errors(grouped[r0:r0 + tile], spec, ratios[:, None, None])
-        best[r0:r0 + tile] = _first_minimum(err.transpose(1, 2, 0), ratios)
+    tile = min(_TILE_ELEMS // (n_groups * min(_CHUNK, len(ratios)) * g),
+               _TILE_PAIRS // (n_groups * len(ratios)))
+    first, undecided, err = _contending_errors(grouped, spec, ratios, max(1, tile))
+    best = ratios[first]
+    best[undecided] = _first_minimum(err, ratios)
     return best
 
 

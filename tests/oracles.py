@@ -291,7 +291,7 @@ def search_ratios(grouped, spec, grid):
     group with only NaN or inf errors gets 1.0."""
     rows, n_groups, g = grouped.shape
     ratios = np.asarray(sorted(set(grid), reverse=True), dtype=np.float64)
-    tile = max(1, quant._TILE_ELEMS // (min(quant._CHUNK, len(ratios)) * n_groups * g))
+    tile = max(1, quant._TILE_ELEMS // (len(ratios) * n_groups * g))
     best = np.empty((rows, n_groups))
     for r0 in range(0, rows, tile):
         err = quant._clip_errors(grouped[r0:r0 + tile], spec, ratios[:, None, None])
