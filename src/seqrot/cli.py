@@ -263,8 +263,9 @@ def cmd_r4_ablation(args) -> int:
 
 
 def _add_toy_block_flags(p: argparse.ArgumentParser) -> None:
-    for flag, default in (("--hidden", 64), ("--heads", 4), ("--ffn", 128), ("--group", 16),
-                          ("--seq-len", 8), ("--seeds", 20)):
+    for flag, default in (("--hidden", ToyBlockConfig.hidden), ("--heads", ToyBlockConfig.heads),
+                          ("--ffn", ToyBlockConfig.ffn), ("--group", ToyBlockConfig.group_size),
+                          ("--seq-len", ToyBlockConfig.seq_len), ("--seeds", 20)):
         p.add_argument(flag, type=int, default=default)
 
 
@@ -303,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", type=int, default=64)
     p.add_argument("--quantizer", choices=harness.QUANTIZERS, default=harness.QUANTIZER_RTN)
     p.add_argument("--clip", default="mse")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--rows", type=int, default=512)
-    p.add_argument("--cols", type=int, default=512)
-    p.add_argument("--dist", choices=DISTS, default=DIST_STUDENT_T)
+    p.add_argument("--count", type=int, default=CorpusSpec.count)
+    p.add_argument("--rows", type=int, default=CorpusSpec.rows)
+    p.add_argument("--cols", type=int, default=CorpusSpec.cols)
+    p.add_argument("--dist", choices=DISTS, default=CorpusSpec.base_dist)
     p.add_argument("--t-dof", type=float, default=None)
-    p.add_argument("--outliers", type=int, default=4)
+    p.add_argument("--outliers", type=int, default=CorpusSpec.outlier_channels)
     p.add_argument("--outlier-gain", type=float, default=None)
-    p.add_argument("--smooth", type=float, default=0.3)
+    p.add_argument("--smooth", type=float, default=CorpusSpec.smooth_weight)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)

@@ -365,7 +365,8 @@ def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
     of ``_range_params`` fires only when the clipped max is 0, which the
     second condition rules out, so its parameters are these. Only a tile
     with a group that is untrusted, or asymmetric with one value, runs the
-    passes on stand-ins for it.
+    passes on stand-ins for it, whose roots are 0; a tile with no trusted
+    group skips the passes.
     """
     rows, n_groups, g = part.shape
     y = part.transpose(2, 0, 1).copy()   # element-major, scaled in place below
@@ -384,6 +385,8 @@ def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
                    & (amax <= _MAX_T * scale[ratios.argmin()]))
         root_q = np.ldexp(np.sqrt(np.einsum("g...,g...->...", y, y)), e)
         beta = np.where(trusted, _ROOT_REL * root_q, np.where(exact, 0.0, np.inf))
+        if not trusted.any():
+            return np.zeros((len(ratios), rows, n_groups)), beta
         inv = np.empty(scale.shape, dtype=np.float32)
         np.divide(1.0, np.ldexp(scale, -e), out=inv)
         if not trusted.all():

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (
     BadMagicError,
     CorruptFileError,
-    InvalidSpecError,
     IoFailureError,
     NotOrthogonalError,
     SeqrotError,
@@ -39,14 +38,13 @@ from .errors import (
     UnsupportedDtypeError,
     VersionUnsupportedError,
 )
-from .quant import Clip, QuantizedTensor, QuantSpec
-from .transforms import OrthoMatrix, _is_int, orthogonality_residual
+from .transforms import OrthoMatrix, orthogonality_residual
 
 MAGIC = b"GSRT"
 VERSION = 1
 
 _DTYPE_CODES = {0: np.dtype("<f8"), 1: np.dtype("<f4"), 2: np.dtype("i1")}
-_CODE_FOR_KIND = {("f", 8): 0, ("f", 4): 1, ("i", 1): 2}
+_CODE_FOR_KIND = {(dtype.kind, dtype.itemsize): code for code, dtype in _DTYPE_CODES.items()}
 
 
 def _dtype_code(dtype: np.dtype) -> int:
@@ -162,16 +160,6 @@ def save_rotation(path, m: OrthoMatrix) -> None:
                            "seed": m.seed})
 
 
-def _is_positive_float(v) -> bool:
-    """An int or float that is a finite positive double (10**400 is not)."""
-    if not (_is_int(v) or isinstance(v, float)):
-        return False
-    try:
-        return 0 < float(v) < math.inf
-    except OverflowError:
-        return False
-
-
 def load_rotation(path) -> OrthoMatrix | np.ndarray:
     """Read and check a rotation file: the ``OrthoMatrix`` its metadata names, for a
     file written by ``save_rotation``, or the float64 matrix of an external float
@@ -205,7 +193,7 @@ def save_quantized(path, qt) -> None:
     """Serialize a QuantizedTensor: int8 codes payload, parameters in metadata.
 
     Asymmetric codes are shifted by -2^(bits-1) so 8-bit codes fit int8; the
-    shift is recorded and undone on load.
+    shift is recorded as ``code_offset``, for a reader to add back.
     """
     spec = qt.spec
     offset = 0 if spec.symmetric else 1 << (spec.bits - 1)
@@ -222,59 +210,6 @@ def save_quantized(path, qt) -> None:
         "zero_points": None if qt.zero_points is None else qt.zero_points.tolist(),
         "shape": list(qt.shape),
     })
-
-
-def _matrix_of(value, shape, ok) -> bool:
-    """``value`` is a list of ``shape[0]`` lists of ``shape[1]`` entries passing ``ok``."""
-    return (isinstance(value, list) and len(value) == shape[0]
-            and all(isinstance(row, list) and len(row) == shape[1] and all(map(ok, row))
-                    for row in value))
-
-
-def load_quantized(path) -> QuantizedTensor:
-    """Read a file written by ``save_quantized``; CorruptFileError unless its
-    metadata describes the int8 codes it holds."""
-    arr, meta = read_tensor(path)
-    if meta.get("content") != "quantized":
-        raise UnsupportedDtypeError(f"{path} does not hold a quantized tensor")
-
-    def check(ok, what):
-        if not ok:
-            raise CorruptFileError(f"{path}: bad quantized-tensor metadata: {what}")
-
-    bits, group, symmetric, clip, shape, offset, scales, zeros = (meta.get(k) for k in (
-        "bits", "group_size", "symmetric", "clip", "shape", "code_offset", "scales",
-        "zero_points"))
-    check(arr.dtype == np.int8 and arr.ndim == 2 and isinstance(shape, list)
-          and all(map(_is_int, shape)) and tuple(shape) == arr.shape,
-          f"shape {shape!r} for {arr.dtype} codes of shape {arr.shape}")
-    check(_is_int(bits) and (group is None or _is_int(group)) and isinstance(symmetric, bool),
-          f"bits {bits!r}, group size {group!r}, symmetric {symmetric!r}")
-    check(isinstance(clip, dict) and isinstance(clip.get("kind"), str)
-          and _is_positive_float(clip.get("ratio")) and isinstance(clip.get("grid"), list)
-          and all(map(_is_positive_float, clip["grid"])), f"clip {clip!r}")
-    try:
-        spec = QuantSpec(bits=bits, group_size=group, symmetric=symmetric,
-                         clip=Clip(kind=clip["kind"], ratio=float(clip["ratio"]),
-                                   grid=tuple(map(float, clip["grid"]))))
-    except InvalidSpecError as exc:
-        raise CorruptFileError(f"{path}: bad quantized-tensor metadata: {exc}") from None
-    check(_is_int(offset) and offset == (0 if symmetric else 1 << (bits - 1)),
-          f"code offset {offset!r}")
-    codes = arr.astype(np.int64) + offset
-    check(codes.size == 0 or spec.qmin <= codes.min() and codes.max() <= spec.qmax,
-          f"codes outside [{spec.qmin}, {spec.qmax}]")
-    rows, cols = arr.shape
-    g = cols if group is None else group
-    check(g >= 1 and cols % g == 0, f"group size {group!r} for {cols} columns")
-    groups = (rows, cols // g)
-    check(_matrix_of(scales, groups, _is_positive_float), "scales")
-    check(zeros is None if symmetric else _matrix_of(
-        zeros, groups, lambda z: _is_int(z) and spec.qmin <= z <= spec.qmax), "zero points")
-    return QuantizedTensor(
-        codes=codes, scales=np.array(scales, dtype=np.float64).reshape(groups),
-        zero_points=None if zeros is None else np.array(zeros, dtype=np.int64).reshape(groups),
-        spec=spec)
 
 
 REPORT_COLUMNS = ["variant", "tensor_id", "metric", "value"]

@@ -5,11 +5,11 @@ import pytest
 
 from seqrot import cli, transforms
 from seqrot.cli import build_parser, config_line, main
-from seqrot.quant import rtn_quantize
+from seqrot.quant import Clip, QuantSpec, rtn_quantize
 from seqrot.tensorfile import (
-    load_quantized,
     load_rotation,
     read_report,
+    read_tensor,
     save_rotation,
     write_tensor,
 )
@@ -186,9 +186,9 @@ class TestQuantize:
         code, _, _ = run_cli(capsys, "quantize", "--file", str(src), "--bits", "4",
                              "--group", "8", "--clip", "mse", "--out", str(dst))
         assert code == 0
-        qt = load_quantized(dst)
-        ref = rtn_quantize(w, qt.spec)
-        assert np.array_equal(qt.codes, ref.codes)
+        codes, meta = read_tensor(dst)
+        ref = rtn_quantize(w, QuantSpec(bits=4, group_size=8, clip=Clip.mse()))
+        assert np.array_equal(codes.astype(np.int64) + meta["code_offset"], ref.codes)
 
     def test_gptq_scheme_runs(self, capsys, tmp_path):
         src = tmp_path / "w.gsrt"
