@@ -87,7 +87,9 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
     copy of the tensor, so no corpus bytes are written and no integer codes
     are made. The difference w - back goes into the rotated-back buffer, and
     ``quant._errors`` scores all three metrics from it, with the bits and the
-    errors of three ``quant_error`` calls.
+    errors of three ``quant_error`` calls. An item's rotated buffer is
+    released before its metrics, and its rotated-back buffer before the next
+    item, so one item's buffers are alive at a time.
     """
     if quantizer not in QUANTIZERS:
         raise InvalidSpecError(f"unknown quantizer {quantizer!r}")
@@ -111,31 +113,34 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
     rots = {v: resolve_variant(v, cols, group, _mix_seed(seed, 100 + KINDS.index(v))
                                if v in KINDS else None) for v in variants}
 
-    rng = np.random.default_rng(_mix_seed(seed, 7))
-    x_cal = rng.standard_normal((calib_samples, cols))
-    h_base = hessian_from_calibration(x_cal)
-    if quantizer == QUANTIZER_RTN:
-        del x_cal   # only GPTQ's rotated Hessians read it; held, it raises the peak by ~2 MiB
+    def hessian(r1=None):
+        # the calibration samples are drawn afresh from their seed stream for
+        # each Hessian, the same bytes every time, and not held between them;
+        # R^T H R is the Hessian of the rotated samples X R
+        x_cal = np.random.default_rng(_mix_seed(seed, 7)).standard_normal((calib_samples, cols))
+        return hessian_from_calibration(x_cal if r1 is None else r1.apply(x_cal))
 
+    h_base = hessian()
     per_tensor = {v: {m: np.zeros(len(corpus)) for m in METRICS} for v in variants}
     fairness = {}
     for v in variants:
         r1 = None if rots[v] is None else RotationOperator(rots[v])
         h_rot = None   # RTN reads no Hessian
         if quantizer == QUANTIZER_GPTQ:
-            # R^T H R is the Hessian of the rotated samples X R
-            h_rot = h_base if r1 is None else hessian_from_calibration(r1.apply(x_cal))
+            h_rot = h_base if r1 is None else hessian(r1)
         hasher = hashlib.sha256()
         for i, w in enumerate(corpus):
             w = np.ascontiguousarray(w, dtype=np.float64)
             hasher.update(w)
             rotated = w.copy() if r1 is None else r1.apply(w)
-            w_hat = _round_trip(rotated, wspec, h_rot)
+            w_hat = _round_trip(rotated, wspec, h_rot)   # over rotated
             back = w_hat if r1 is None else r1.apply(w_hat, transpose=True)
+            del rotated, w_hat   # before the metrics
             with np.errstate(over="ignore", invalid="ignore"):   # checked by _errors
                 delta = np.subtract(w, back, out=back)
             for m, err in _errors(delta, METRICS, h_base).items():
                 per_tensor[v][m][i] = err
+            del back, delta   # before the next item's buffers
         fairness[v] = hasher.hexdigest()
 
     summary = {v: {m: {"mean": float(np.mean(per_tensor[v][m])),

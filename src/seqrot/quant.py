@@ -550,14 +550,14 @@ def _round_trip(w, spec: QuantSpec, hessian: CalibrationHessian | None = None) -
     is -0.0 here, where ``dequantize`` gives +0.0, unless the clamp to
     [a, b] meets a bound that is zero: on a tie numpy's maximum and minimum
     return the second operand, the bound. Equal values give equal
-    differences, squares and products downstream. RTN writes its
-    codes, and then the result, over a C-contiguous float64 ``w``: the
-    caller passes an array it owns and reads ``w`` no more.
+    differences, squares and products downstream. Both quantizers write
+    their codes, and then the result, over a C-contiguous float64 ``w``:
+    the caller passes an array it owns and reads ``w`` no more.
     """
     if hessian is None:
         w, q, scale, _ = _rtn_codes(w, spec, consume=True)
     else:
-        w, q, scale, _ = _gptq_codes(w, hessian, spec)
+        w, q, scale, _ = _gptq_codes(w, hessian, spec, consume=True)
     q *= scale
     return q.reshape(w.shape)
 
@@ -623,8 +623,9 @@ _BLOCK = 128
 _INV_BLOCK = 64
 
 
-def _upper_inverse(u: np.ndarray) -> np.ndarray:
-    """Inverse of an upper-triangular matrix, as a new C-contiguous array.
+def _upper_inverse(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of an upper-triangular matrix, as a new C-contiguous array,
+    or written into ``out``, an array of zeros of its shape.
 
     By blocks, [[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]: the
     split is at the multiple of ``_INV_BLOCK`` at or below half the order (at
@@ -632,17 +633,20 @@ def _upper_inverse(u: np.ndarray) -> np.ndarray:
     block takes two matrix products. Blocks up to ``_INV_BLOCK`` go to
     ``np.linalg.inv``. At d = 512 (2 vCPUs, OpenBLAS 0.3.31) that takes
     1.7 ms, where ``np.linalg.inv`` of the whole matrix takes 8.1 ms, with
-    the same accuracy.
+    the same accuracy. The diagonal blocks are inverted in place in
+    ``out``, so the only other buffers are the off-diagonal block's products.
     """
     n = u.shape[0]
+    if out is None:
+        out = np.zeros((n, n))
     if n <= _INV_BLOCK:
-        return np.linalg.inv(u)
+        out[...] = np.linalg.inv(u)
+        return out
     m = max(_INV_BLOCK, n // 2 - n // 2 % _INV_BLOCK)
-    a, c = _upper_inverse(u[:m, :m]), _upper_inverse(u[m:, m:])
-    out = np.zeros((n, n))
-    out[:m, :m] = a
-    out[m:, m:] = c
-    out[:m, m:] = -(a @ u[:m, m:]) @ c
+    a = _upper_inverse(u[:m, :m], out[:m, :m])
+    c = _upper_inverse(u[m:, m:], out[m:, m:])
+    off = np.matmul(a @ u[:m, m:], c, out=out[:m, m:])
+    np.negative(off, out=off)
     return out
 
 
@@ -683,10 +687,23 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     return _encode(*_gptq_codes(w, hessian, spec), spec)
 
 
-def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec):
+def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec, consume: bool = False):
     """The code step of ``gptq_quantize``: (``w`` as float64, the codes minus
     zero points on the group view of a new array, C-contiguous for a
-    C-contiguous ``w``, scale, zero)."""
+    C-contiguous ``w``, scale, zero). With ``consume`` the codes overwrite
+    the group view instead, as in ``_rtn_codes``, one row tile at a time
+    once the guard has read that tile of ``w``.
+
+    Working set beyond ``w`` and the Hessian, in rows x d arrays (R) and
+    d x d arrays (D). The factor phase holds the reversed dampened Hessian
+    and its Cholesky factor, then that factor and U (2 D, and the smaller
+    blocks of ``_upper_inverse``). The sweep holds U and the transposed work
+    buffer (1 D + 1 R, and one product of a batch's errors), and writes each
+    finished column's codes over that column's row of the work buffer. The
+    guard holds the work buffer and the output buffer (2 R; 1 R with
+    ``consume``) and, per tile of ``_TILE_ELEMS // d`` rows, the tile's RTN
+    codes and an objective's two products.
+    """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim == 2:   # _prepare rejects any other shape
         _require_width(hessian, w.shape[1])
@@ -711,40 +728,58 @@ def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec):
     del low   # only u is read from here on
     diag = np.diag(u).tolist()
 
-    # transposed: row j of work and sweep is column j, row gi of each parameter
-    # array is group gi
+    # transposed: row j of work is column j, row gi of each parameter array is
+    # group gi; a finished column's codes minus zero points replace its row
     work = w.T.copy()
     col_scale, col_a, col_b = (np.ascontiguousarray(p[..., 0].T) for p in (scale, a, b))
-    sweep = np.empty((d, rows))   # column j's codes minus zero points in row j
     half = np.empty(rows)
     for b0 in range(0, d, _BLOCK):
         b1 = min(b0 + _BLOCK, d)
         err = np.empty((b1 - b0, rows))
         for j in range(b0, b1):
             gi = j // g
-            # the first column of a batch takes no product: x - 0.0 is x
-            col = work[j] if j == b0 else work[j] - u[b0:j, j] @ err[:j - b0]
-            q = _codes(col, col_scale[gi], col_a[gi], col_b[gi], out=sweep[j], half=half)
-            e = np.multiply(q, col_scale[gi], out=err[j - b0])
-            np.subtract(col, e, out=e)
-            e /= diag[j]
-        work[b1:] -= u[b0:b1, b1:].T @ err
-    del work, err, u   # the RTN guard below is the call's memory peak
+            # column j, after the batch's earlier residuals, goes into its
+            # residual's row; the first column of a batch takes no product
+            col = err[j - b0]
+            if j == b0:
+                np.copyto(col, work[j])
+            else:
+                np.subtract(work[j], u[b0:j, j] @ err[:j - b0], out=col)
+            q = _codes(col, col_scale[gi], col_a[gi], col_b[gi], out=work[j], half=half)
+            col -= np.multiply(q, col_scale[gi], out=half)
+            col /= diag[j]
+        for c0 in range(b1, d, _BLOCK):   # the later columns, a batch's width at a time
+            work[c0:c0 + _BLOCK] -= u[b0:b1, c0:c0 + _BLOCK].T @ err
+    del err, col, u   # col is a row of err
 
-    sweep = _group_view(sweep.T, spec.group_size)
-    rtn = _codes(grouped, scale, a, b)
+    # the per-row guard, by row tiles: each row keeps the RTN or the sweep
+    # codes, whichever has the smaller objective, in the output
+    out = grouped if consume else np.empty_like(grouped)
+    tile = max(1, _TILE_ELEMS // d)
+    for r0 in range(0, rows, tile):
+        r1 = min(r0 + tile, rows)
+        t_w, t_scale = w[r0:r1], scale[r0:r1]
+        rtn = _codes(grouped[r0:r1], t_scale, a[r0:r1], b[r0:r1])
+        sweep = _group_view(work[:, r0:r1].T, spec.group_size)
+        with np.errstate(over="ignore", invalid="ignore"):   # checked below
+            obj_rtn = _guard_objective(t_w, rtn, t_scale, h)
+            obj_sweep = _guard_objective(t_w, sweep, t_scale, h)
+        if not (np.isfinite(obj_rtn).all() and np.isfinite(obj_sweep).all()):
+            raise NonFiniteInputError("the guard's proxy objective is not finite")
+        np.copyto(rtn, sweep, where=(obj_rtn >= obj_sweep)[:, None, None])
+        out[r0:r1] = rtn
+    return w, out, scale, zero
 
-    def objective(q):
-        delta = w - (q * scale).reshape(rows, d)
-        return ((delta @ h) * delta).sum(1)
 
-    with np.errstate(over="ignore", invalid="ignore"):   # checked below
-        obj_rtn, obj_sweep = objective(rtn), objective(sweep)
-    if not (np.isfinite(obj_rtn).all() and np.isfinite(obj_sweep).all()):
-        raise NonFiniteInputError("the guard's proxy objective is not finite")
-    # rtn has the layout of w, sweep the transposed one: the rows the sweep wins go into rtn
-    np.copyto(rtn, sweep, where=(obj_rtn >= obj_sweep)[:, None, None])
-    return w, rtn, scale, zero
+def _guard_objective(w, q, scale, h):
+    """Each row's proxy objective delta H delta^T, delta = w - q x scale,
+    for ``w`` (rows, d) and codes minus zero points ``q`` on its group view."""
+    delta = np.multiply(q, scale)
+    np.subtract(w.reshape(delta.shape), delta, out=delta)
+    delta = delta.reshape(w.shape)
+    p = delta @ h
+    p *= delta
+    return p.sum(1)
 
 
 METRIC_MSE = "mse"

@@ -2,8 +2,10 @@
 Hessian formula, the group quantizers and the R4 ablation, kept as oracles:
 the library versions must match them bit for bit. Also the n x n sign
 constructions, the dense rotation fusion and the fast Walsh-Hadamard
-transform, as independent references."""
+transform, as independent references. And ``traced_peak``, the memory
+probe of the memory-contract tests."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +26,16 @@ from seqrot.rotation import (
 from seqrot.transforms import OrthoMatrix, _mix_seed, _require_power_of_two
 
 _MASK64 = (1 << 64) - 1
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def row_sequencies(signs: np.ndarray) -> np.ndarray:

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -95,13 +94,11 @@ class TestRunComparison:
         corpus = gen_corpus(CorpusSpec(count=1, rows=8, cols=4096, seed=0))
         spec = QuantSpec(bits=2, group_size=64, clip=Clip.fixed(0.9))
         monkeypatch.setattr(quant, "_gram", no_gram)
-        tracemalloc.start()
-        try:
-            rep = run_comparison(corpus, KINDS + ("identity",), spec, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        reports = []
+        peak = oracles.traced_peak(lambda: reports.append(
+            run_comparison(corpus, KINDS + ("identity",), spec, seed=0)))
         assert peak < 48 * 2 ** 20
+        rep, = reports
         monkeypatch.undo()
         x_cal = np.random.default_rng(_mix_seed(0, 7)).standard_normal((256, 4096))
         w = corpus[0]
@@ -114,6 +111,34 @@ class TestRunComparison:
                              quantizer="gptq", seed=1)
         for v in rep.variants:
             assert np.all(np.isfinite(rep.per_tensor[v]["mse"]))
+
+    def test_gptq_items_keep_the_bits_of_one_sample_draw(self):
+        # every Hessian redraws the calibration samples from their seed
+        # stream: the bits of rotating one draw of them
+        corpus = SMALL_CORPUS[:2]
+        rep = run_comparison(corpus, ("gsr", "identity"), SMALL_SPEC, quantizer="gptq", seed=4)
+        x_cal = np.random.default_rng(_mix_seed(4, 7)).standard_normal((256, 64))
+        h = hessian_from_calibration(x_cal)
+        op = RotationOperator(resolve_variant("gsr", 64, 16, _mix_seed(4, 100 + KINDS.index("gsr"))))
+        h_rot = hessian_from_calibration(op.apply(x_cal))
+        for i, w in enumerate(corpus):
+            backs = {"gsr": op.apply(dequantize(gptq_quantize(op.apply(w), h_rot, SMALL_SPEC)),
+                                     transpose=True),
+                     "identity": dequantize(gptq_quantize(w, h, SMALL_SPEC))}
+            for v, back in backs.items():
+                for m, err in quant._errors(w - back, harness.METRICS, h).items():
+                    assert rep.per_tensor[v][m][i] == err, (v, m)
+
+    def test_gptq_item_memory(self):
+        # the two Hessians, gh's 512 x 512 block, the rotated tensor and the
+        # GPTQ round trip: 13.3 MiB, where holding the calibration samples,
+        # the sweep's codes in a second buffer, the guard's full-size arrays
+        # and each item's earlier buffers took 21.8 MiB
+        corpus = gen_corpus(CorpusSpec(count=1, rows=512, cols=512, seed=0))
+        spec = QuantSpec(bits=2, group_size=64, clip=Clip.mse())
+        peak = oracles.traced_peak(lambda: run_comparison(
+            corpus, (KIND_GH, KIND_GW, "lh", "gsr"), spec, quantizer="gptq", seed=0))
+        assert peak <= 14 * 2 ** 20
 
     def test_rejects_unknown_quantizer(self):
         with pytest.raises(InvalidSpecError):

@@ -1,5 +1,4 @@
 import contextlib
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -443,13 +442,8 @@ class TestSearchRatios:
         # stacked call at 1.23 MiB (input 0.38 MiB)
         grouped = _group_view(np.random.default_rng(4).standard_normal((3072, 16)), 16)
         spec = QuantSpec(bits=2, group_size=16, clip=Clip.mse())
-        tracemalloc.start()
-        try:
-            _search_ratios(grouped, spec, spec.clip.grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2 ** 20
+        assert oracles.traced_peak(lambda: _search_ratios(grouped, spec, spec.clip.grid)) \
+            < 2 * 2 ** 20
 
     def test_nan_error_is_never_chosen(self):
         # finite weights give NaN errors only in extreme cases (see
@@ -1042,6 +1036,47 @@ class TestGptq:
         codes = gptq_quantize(w, h, spec).codes
         assert codes.tobytes() == oracles.gptq_codes(w, h, spec).tobytes()
         assert not np.array_equal(codes, rtn_quantize(w, spec).codes)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("d,rows", [(512, 600), (64, 4196)])
+    def test_guard_row_tiles_match_oracle(self, monkeypatch, d, rows, symmetric):
+        # the guard runs by tiles of 2^17 // d rows: three here, the last partial
+        tile = quant._TILE_ELEMS // d
+        assert 0 < rows - 2 * tile < tile
+        tiles = []
+        objective = quant._guard_objective
+
+        def recording(w, q, scale, h):
+            tiles.append(len(w))
+            return objective(w, q, scale, h)
+
+        monkeypatch.setattr(quant, "_guard_objective", recording)
+        rng = np.random.default_rng(d)
+        w = rng.standard_normal((rows, d))
+        h = random_spd_hessian(rng, d, samples=d + 8)
+        spec = QuantSpec(bits=2, group_size=16, symmetric=symmetric, clip=Clip.fixed(0.9))
+        qt = gptq_quantize(w, h, spec)
+        assert tiles == [tile] * 4 + [rows - 2 * tile] * 2   # two objectives a tile
+        assert qt.codes.tobytes() == oracles.gptq_codes(w, h, spec).tobytes()
+        rtn = rtn_quantize(w, spec).codes
+        for r0 in range(0, rows, tile):   # the sweep wins rows in every tile
+            assert not np.array_equal(qt.codes[r0:r0 + tile], rtn[r0:r0 + tile])
+        # the round trip writes the same codes over its argument, tile by tile
+        x = w.copy()
+        got = _round_trip(x, spec, h)
+        assert np.shares_memory(got, x)
+        same_values(got, dequantize(qt))
+
+    def test_round_trip_memory(self):
+        # beyond its input: the factor, the sweep's work buffer holding its
+        # codes, and a row tile's RTN codes and objective products; 2.66
+        # w.nbytes, where a second buffer for the sweep's codes and the
+        # guard's full-size arrays took 4.38
+        rng = np.random.default_rng(6)
+        w = rng.standard_normal((512, 512))
+        h = random_spd_hessian(rng, 512, samples=256)
+        spec = QuantSpec(bits=2, group_size=64, clip=Clip.mse())
+        assert oracles.traced_peak(lambda: _round_trip(w, spec, h)) <= 3.5 * w.nbytes
 
     @pytest.mark.parametrize("case", ["narrow", "wide", "nan"])
     def test_hessian_checked_before_the_clip_search(self, monkeypatch, case):

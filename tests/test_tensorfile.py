@@ -1,7 +1,6 @@
 import json
 import os
 import struct
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -456,12 +455,9 @@ class TestRotationFiles:
         # the block of this file would be 4 GiB
         p = tmp_path / "gh.gsrt"
         save_rotation(p, build_rotation("gh", MAX_ORDER, seed=3))
-        tracemalloc.start()
-        try:
-            back = load_rotation(p)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        loaded = []
+        peak = oracles.traced_peak(lambda: loaded.append(load_rotation(p)))
+        back, = loaded
         assert back == OrthoMatrix("gh", MAX_ORDER, None, 3)
         assert "blocks" not in vars(back) and peak < 1 << 20
 

@@ -6,7 +6,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import ORDERING_NATURAL, ORDERING_SEQUENCY, fwht
+from oracles import ORDERING_NATURAL, ORDERING_SEQUENCY, fwht, traced_peak
 from scipy.linalg import hadamard as scipy_hadamard
 
 from seqrot.errors import (
@@ -794,16 +794,6 @@ class TestValue:
         assert np.array_equal(seq, _row_sequencies(m.blocks.reshape(n, -1)))
         if g is None:
             assert m.signs.tobytes() == oracles.rotation_signs(kind, n, g, 7).tobytes()
-
-
-def traced_peak(fn) -> int:
-    """Peak bytes that numpy and Python allocate while ``fn`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestGlobalKindsAtScale:
