@@ -618,36 +618,34 @@ def _require_width(hessian: CalibrationHessian, d: int) -> None:
 _DAMP = 0.01
 # columns per lazy batch of the GPTQ sweep
 _BLOCK = 128
-# _upper_inverse inverts blocks up to this order with np.linalg.inv, and splits
-# larger ones at a multiple of it
+# _inverse_factor's largest LAPACK block, and the unit of its splits
 _INV_BLOCK = 64
 
 
-def _upper_inverse(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of an upper-triangular matrix, as a new C-contiguous array,
-    or written into ``out``, an array of zeros of its shape.
+def _inverse_factor(hd: np.ndarray) -> None:
+    """Write U, upper triangular with U^T U = hd^-1, over the symmetric
+    ``hd``; np.linalg.LinAlgError if ``hd`` is not positive definite.
 
-    By blocks, [[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]]: the
-    split is at the multiple of ``_INV_BLOCK`` at or below half the order (at
-    least ``_INV_BLOCK``), both diagonal blocks recurse, and the off-diagonal
-    block takes two matrix products. Blocks up to ``_INV_BLOCK`` go to
-    ``np.linalg.inv``. At d = 512 (2 vCPUs, OpenBLAS 0.3.31) that takes
-    1.7 ms, where ``np.linalg.inv`` of the whole matrix takes 8.1 ms, with
-    the same accuracy. The diagonal blocks are inverted in place in
-    ``out``, so the only other buffers are the off-diagonal block's products.
+    Split at k, the multiple of ``_INV_BLOCK`` at or below half the order
+    (at least ``_INV_BLOCK``), hd = [[A, B], [B^T, C]]: in place, U22 =
+    F(C), X = B U22^T, U11 = F(A - X X^T) and U12 = -U11 (X U22) over B, F
+    this function; beyond ``hd`` it holds X and one product at a time. A
+    block up to ``_INV_BLOCK`` is reversed, J hd J = L L^T (J the exchange
+    matrix), and U = (J L J)^-1.
     """
-    n = u.shape[0]
-    if out is None:
-        out = np.zeros((n, n))
+    n = hd.shape[0]
     if n <= _INV_BLOCK:
-        out[...] = np.linalg.inv(u)
-        return out
-    m = max(_INV_BLOCK, n // 2 - n // 2 % _INV_BLOCK)
-    a = _upper_inverse(u[:m, :m], out[:m, :m])
-    c = _upper_inverse(u[m:, m:], out[m:, m:])
-    off = np.matmul(a @ u[:m, m:], c, out=out[:m, m:])
-    np.negative(off, out=off)
-    return out
+        hd[...] = np.linalg.inv(np.linalg.cholesky(hd[::-1, ::-1])[::-1, ::-1])
+        return
+    k = max(_INV_BLOCK, n // 2 - n // 2 % _INV_BLOCK)
+    a, b, c = hd[:k, :k], hd[:k, k:], hd[k:, k:]
+    _inverse_factor(c)
+    x = b @ c.T
+    a -= x @ x.T
+    np.matmul(x, c, out=b)
+    _inverse_factor(a)
+    np.negative(a @ b, out=b)
+    hd[k:, :k] = 0.0
 
 
 def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
@@ -659,11 +657,9 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     column's rounding residual into the not-yet-quantized columns through the
     inverse-Hessian Cholesky factor. No activation reordering.
 
-    The factor is U with hd^-1 = U^T U, hd the dampened Hessian: one Cholesky
-    of hd with its rows and columns reversed gives a lower-triangular L, and
-    U is the inverse of L reversed, which is upper triangular, from
-    ``_upper_inverse``. Each column reads its group's scale and code bounds
-    from transposed copies made before the sweep.
+    The factor is U with hd^-1 = U^T U, hd the dampened Hessian, which
+    ``_inverse_factor`` writes over one copy of hd. Each column reads its
+    group's scale and code bounds from transposed copies made before the sweep.
 
     The sweep runs in lazy batches of ``_BLOCK`` columns on a transposed
     (cols, rows) copy, so each column is a contiguous row. Inside a batch a
@@ -675,14 +671,14 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     At very low bit-widths the greedy sweep can occasionally lose to plain
     rounding once codes saturate the clamp range, so each row keeps whichever
     assignment (sweep or straight RTN, same scales) has the smaller proxy
-    objective delta.T @ H @ delta. This guarantees the sweep never ends up
-    worse than RTN under the proxy objective.
+    objective delta.T @ H @ delta, the sweep's on a tie (``_guard_choice``),
+    so the sweep never ends up worse than RTN under the proxy objective.
 
     A Hessian of another width raises ShapeMismatchError, and a NaN or inf
     in it NonFiniteInputError, before any work on the weights. A guard
-    objective that is not finite (it overflows float64) raises
-    NonFiniteInputError; a Hessian that is not positive definite after
-    dampening raises SingularHessianError.
+    difference that is not finite (it overflows float64) in a row whose two
+    code sets differ raises NonFiniteInputError; a Hessian that is not
+    positive definite after dampening raises SingularHessianError.
     """
     return _encode(*_gptq_codes(w, hessian, spec), spec)
 
@@ -695,14 +691,14 @@ def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec, consume: bool =
     once the guard has read that tile of ``w``.
 
     Working set beyond ``w`` and the Hessian, in rows x d arrays (R) and
-    d x d arrays (D). The factor phase holds the reversed dampened Hessian
-    and its Cholesky factor, then that factor and U (2 D, and the smaller
-    blocks of ``_upper_inverse``). The sweep holds U and the transposed work
-    buffer (1 D + 1 R, and one product of a batch's errors), and writes each
-    finished column's codes over that column's row of the work buffer. The
+    d x d arrays (D). The factor phase holds U over a copy of the Hessian
+    (1 D, and X and one product of D / 4 at ``_inverse_factor``'s first
+    split). The sweep holds U and the transposed work buffer (1 D + 1 R,
+    and one product of a batch's errors), and writes each finished
+    column's codes over that column's row of the work buffer. The
     guard holds the work buffer and the output buffer (2 R; 1 R with
     ``consume``) and, per tile of ``_TILE_ELEMS // d`` rows, the tile's RTN
-    codes and an objective's two products.
+    codes and the two buffers of ``_guard_choice``.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim == 2:   # _prepare rejects any other shape
@@ -714,18 +710,14 @@ def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec, consume: bool =
     rows, d = w.shape
     g = grouped.shape[2]
 
-    # the dampened Hessian hd, reversed as J hd J (J the exchange matrix), in one buffer
-    hd = h[::-1, ::-1].copy()
-    hd.flat[::d + 1] += _DAMP * np.mean(np.diag(h))
+    # the dampened Hessian hd, then U with hd^-1 = U^T U over it
+    u = h.copy()
+    u.flat[::d + 1] += _DAMP * np.mean(np.diag(h))
     try:
-        # J hd J = L L^T, so hd^-1 = U^T U with U = (J L J)^-1 upper triangular
-        low = np.linalg.cholesky(hd)
+        _inverse_factor(u)
     except np.linalg.LinAlgError as exc:
         raise SingularHessianError(
             f"Hessian is not positive definite after dampening: {exc}") from None
-    del hd
-    u = _upper_inverse(low[::-1, ::-1])
-    del low   # only u is read from here on
     diag = np.diag(u).tolist()
 
     # transposed: row j of work is column j, row gi of each parameter array is
@@ -758,28 +750,36 @@ def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec, consume: bool =
     tile = max(1, _TILE_ELEMS // d)
     for r0 in range(0, rows, tile):
         r1 = min(r0 + tile, rows)
-        t_w, t_scale = w[r0:r1], scale[r0:r1]
-        rtn = _codes(grouped[r0:r1], t_scale, a[r0:r1], b[r0:r1])
+        rtn = _codes(grouped[r0:r1], scale[r0:r1], a[r0:r1], b[r0:r1])
         sweep = _group_view(work[:, r0:r1].T, spec.group_size)
-        with np.errstate(over="ignore", invalid="ignore"):   # checked below
-            obj_rtn = _guard_objective(t_w, rtn, t_scale, h)
-            obj_sweep = _guard_objective(t_w, sweep, t_scale, h)
-        if not (np.isfinite(obj_rtn).all() and np.isfinite(obj_sweep).all()):
-            raise NonFiniteInputError("the guard's proxy objective is not finite")
-        np.copyto(rtn, sweep, where=(obj_rtn >= obj_sweep)[:, None, None])
+        keep = _guard_choice(w[r0:r1], rtn, sweep, scale[r0:r1], h)[:, None, None]
+        np.copyto(rtn, sweep, where=keep)
         out[r0:r1] = rtn
     return w, out, scale, zero
 
 
-def _guard_objective(w, q, scale, h):
-    """Each row's proxy objective delta H delta^T, delta = w - q x scale,
-    for ``w`` (rows, d) and codes minus zero points ``q`` on its group view."""
-    delta = np.multiply(q, scale)
-    np.subtract(w.reshape(delta.shape), delta, out=delta)
-    delta = delta.reshape(w.shape)
-    p = delta @ h
-    p *= delta
-    return p.sum(1)
+def _guard_choice(w, rtn, sweep, scale, h):
+    """Whether each row of ``w`` (rows, d) keeps the sweep's codes over the
+    RTN codes, both minus zero points on its group view. With the errors
+    d_r = w - rtn x scale and d_s = w - sweep x scale, it does iff the
+    difference d_r H d_r^T - d_s H d_s^T = (d_r - d_s) H (d_r + d_s)^T, one
+    product, is >= 0: a tie keeps the sweep's. A difference that is not
+    finite raises NonFiniteInputError in a row whose two code sets differ;
+    a row where they agree has nothing to decide."""
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        pair = np.subtract(sweep, rtn, order="C")   # flat below is a view of it
+        pair *= scale
+        flat = pair.reshape(w.shape)
+        differ = flat.any(axis=1)
+        diff = flat @ h
+        np.add(rtn, sweep, out=pair)
+        pair *= scale
+        np.subtract(w, flat, out=flat)
+        flat += w
+        diff = np.multiply(diff, flat, out=diff).sum(1)
+    if not np.isfinite(diff[differ]).all():
+        raise NonFiniteInputError("the guard's proxy objective is not finite")
+    return diff >= 0.0
 
 
 METRIC_MSE = "mse"

@@ -35,10 +35,11 @@ from seqrot.quant import (
     _errors,
     _estimate_roots,
     _group_view,
+    _guard_choice,
+    _inverse_factor,
     _range_params,
     _round_trip,
     _search_ratios,
-    _upper_inverse,
     dequantize,
     gptq_quantize,
     hessian_from_calibration,
@@ -982,6 +983,20 @@ def random_spd_hessian(rng, d, samples=None):
     return hessian_from_calibration(x)
 
 
+def indefinite(n, block):
+    """The identity of order n past ``_inverse_factor``'s first split, with
+    a direction of eigenvalue -1 in its leading or its trailing block. In
+    the leading block only the Schur complement shows it: both diagonal
+    blocks stay the identity, and A - X X^T = I - 4 e0 e0^T up to the
+    dampening."""
+    m = np.eye(n)
+    if block == "leading":
+        m[0, -1] = m[-1, 0] = 2.0
+    else:
+        m[-1, -1] = -1.0
+    return m
+
+
 class TestGptq:
     def test_single_column_equals_rtn(self):
         rng = np.random.default_rng(1)
@@ -1044,19 +1059,19 @@ class TestGptq:
         tile = quant._TILE_ELEMS // d
         assert 0 < rows - 2 * tile < tile
         tiles = []
-        objective = quant._guard_objective
+        choice = quant._guard_choice
 
-        def recording(w, q, scale, h):
+        def recording(w, rtn, sweep, scale, h):
             tiles.append(len(w))
-            return objective(w, q, scale, h)
+            return choice(w, rtn, sweep, scale, h)
 
-        monkeypatch.setattr(quant, "_guard_objective", recording)
+        monkeypatch.setattr(quant, "_guard_choice", recording)
         rng = np.random.default_rng(d)
         w = rng.standard_normal((rows, d))
         h = random_spd_hessian(rng, d, samples=d + 8)
         spec = QuantSpec(bits=2, group_size=16, symmetric=symmetric, clip=Clip.fixed(0.9))
         qt = gptq_quantize(w, h, spec)
-        assert tiles == [tile] * 4 + [rows - 2 * tile] * 2   # two objectives a tile
+        assert tiles == [tile] * 2 + [rows - 2 * tile]   # one choice a tile
         assert qt.codes.tobytes() == oracles.gptq_codes(w, h, spec).tobytes()
         rtn = rtn_quantize(w, spec).codes
         for r0 in range(0, rows, tile):   # the sweep wins rows in every tile
@@ -1067,9 +1082,35 @@ class TestGptq:
         assert np.shares_memory(got, x)
         same_values(got, dequantize(qt))
 
+    @pytest.mark.parametrize("scale", [1.0, 0.375, 2.0 ** -500])
+    def test_guard_tie_keeps_the_sweep_codes(self, scale):
+        # row 0: mirrored errors, d_r = -d_s exactly, so the objectives tie;
+        # row 1: w is the sweep's round trip, row 2: the RTN round trip;
+        # row 3: both code sets agree
+        rtn = np.array([[0.0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3], [1, 1, 0, 2]])
+        sweep = np.array([[1.0, 0, 3, 2], [1, 1, 2, 2], [1, 1, 2, 2], [1, 1, 0, 2]])
+        w = np.vstack([(rtn[0] + sweep[0]) / 2, sweep[1], rtn[2], [0.25, 1.5, -1, 2]]) * scale
+        h = random_spd_hessian(np.random.default_rng(3), 4).matrix
+        d_r, d_s = w[0] - rtn[0] * scale, w[0] - sweep[0] * scale
+        assert np.array_equal(d_s, -d_r) and d_r.all()
+        assert d_r @ h @ d_r == d_s @ h @ d_s
+        keep = _guard_choice(w, rtn[:, None], sweep[:, None], np.full((4, 1, 1), scale), h)
+        assert keep[:3].tolist() == [True, True, False]
+
+    def test_guard_decides_only_rows_whose_codes_differ(self):
+        # 2 w overflows; with one code set there is nothing to decide, and
+        # with two the difference is not finite
+        w = np.full((1, 2), 1.7e308)
+        q = np.array([[[1.0, 1.0]]])
+        h = np.eye(2)
+        scale = np.full((1, 1, 1), 1.7e308)
+        _guard_choice(w, q, q.copy(), scale, h)
+        with pytest.raises(NonFiniteInputError, match="objective"):
+            _guard_choice(w, q, np.array([[[1.0, 0.0]]]), scale, h)
+
     def test_round_trip_memory(self):
         # beyond its input: the factor, the sweep's work buffer holding its
-        # codes, and a row tile's RTN codes and objective products; 2.66
+        # codes, and a row tile's RTN codes and guard buffers; 2.66
         # w.nbytes, where a second buffer for the sweep's codes and the
         # guard's full-size arrays took 4.38
         rng = np.random.default_rng(6)
@@ -1077,6 +1118,19 @@ class TestGptq:
         h = random_spd_hessian(rng, 512, samples=256)
         spec = QuantSpec(bits=2, group_size=64, clip=Clip.mse())
         assert oracles.traced_peak(lambda: _round_trip(w, spec, h)) <= 3.5 * w.nbytes
+
+    def test_factor_memory(self):
+        # a few rows: the factor phase sets the peak, U written over the
+        # dampened Hessian's copy plus X and one product of a quarter of it;
+        # 1.52 d^2 x 8 bytes, where a reversed copy and a separate Cholesky
+        # factor took 2.25
+        rng = np.random.default_rng(7)
+        d = 1024
+        h = random_spd_hessian(rng, d)
+        assert h.samples is None   # the matrix is built outside the trace
+        w = rng.standard_normal((16, d))
+        spec = QuantSpec(bits=2, group_size=64, clip=Clip.fixed(0.9))
+        assert oracles.traced_peak(lambda: _round_trip(w, spec, h)) <= 1.75 * d * d * 8
 
     @pytest.mark.parametrize("case", ["narrow", "wide", "nan"])
     def test_hessian_checked_before_the_clip_search(self, monkeypatch, case):
@@ -1101,11 +1155,14 @@ class TestGptq:
         assert gptq_quantize(w, h, spec).codes.tobytes() \
             == gptq_quantize(w, dense, spec).codes.tobytes()
 
-    @pytest.mark.parametrize("matrix", [np.zeros((4, 4)), -np.eye(4), np.diag([4.0, 4, 4, -1])])
+    @pytest.mark.parametrize("matrix", [
+        np.zeros((4, 4)), -np.eye(4), np.diag([4.0, 4, 4, -1]),
+        *(pytest.param(indefinite(n, block), id=f"{n}-{block}")
+          for n in (65, 130, 520) for block in ("leading", "trailing"))])
     def test_not_positive_definite_rejected(self, matrix):
         h = CalibrationHessian(matrix=matrix)
-        with pytest.raises(SingularHessianError):
-            gptq_quantize(np.ones((2, 4)), h, QuantSpec(bits=2))
+        with pytest.raises(SingularHessianError, match="not positive definite after dampening"):
+            gptq_quantize(np.ones((2, len(matrix))), h, QuantSpec(bits=2))
 
     @settings(max_examples=20, deadline=None)
     @given(k=st.integers(-100, 100), d=st.sampled_from((8, 72, 136)),
@@ -1138,31 +1195,37 @@ class TestGptq:
         assert inverted and max(inverted) <= quant._INV_BLOCK
 
 
-def upper_factor(rng, n, cond):
-    """A well-conditioned upper-triangular Cholesky factor with its columns
-    scaled by 1 down to 1/cond, so its condition number is about cond."""
-    x = rng.standard_normal((n + 8, n))
-    r = np.linalg.cholesky(x.T @ x / n).T
-    return r * np.logspace(0, -np.log10(cond), n)[rng.permutation(n)]
+def graded_hessian(rng, n, cond):
+    """S A S, A the Gram matrix of random samples and S a diagonal from 1 down
+    to 1/sqrt(cond) in random order, so its condition number is about cond;
+    exactly symmetric."""
+    s = np.logspace(0, -np.log10(cond) / 2, n)[rng.permutation(n)]
+    x = rng.standard_normal((n + 8, n)) * s
+    return x.T @ x / n
 
 
 class TestUpperInverse:
+    """U, the upper-triangular inverse factor of hd (U^T U = hd^-1) that
+    ``_inverse_factor`` writes over hd."""
+
     @pytest.mark.parametrize("cond", [1.0, 1e6, 1e12])
     @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 127, 128, 129, 520])
     def test_matches_lapack(self, n, cond):
         rng = np.random.default_rng(n)
-        u = upper_factor(rng, n, cond)
+        hd = graded_hessian(rng, n, cond)
         if n >= 63:
-            assert np.linalg.cond(u) >= cond
-        x = _upper_inverse(u)
-        ref = scipy.linalg.lapack.dtrtri(u)[0]
+            assert np.linalg.cond(hd) >= cond
+        # LAPACK: J hd J = L L^T, J the exchange matrix, and U = (J L J)^-1
+        low = scipy.linalg.cholesky(hd[::-1, ::-1], lower=True)
+        ref = scipy.linalg.lapack.dtrtri(np.ascontiguousarray(low[::-1, ::-1]))[0]
+        x = hd.copy()
+        _inverse_factor(x)
         assert x.flags.c_contiguous
         assert not np.tril(x, -1).any()
-        # column scaling of u scales the rows of its inverse, so each row is
+        # scaling hd by S scales the columns of U by 1/S, and each row is
         # compared relative to its own size
         tol = 8 * n * np.finfo(np.float64).eps
         assert (np.abs(x - ref) <= tol * np.abs(ref).max(axis=1, keepdims=True)).all()
-        assert np.abs(u @ x - np.eye(n)).max() <= tol
 
 
 def exhaustive_optimum(w, h, q):
