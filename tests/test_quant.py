@@ -1226,6 +1226,8 @@ class TestUpperInverse:
         # compared relative to its own size
         tol = 8 * n * np.finfo(np.float64).eps
         assert (np.abs(x - ref) <= tol * np.abs(ref).max(axis=1, keepdims=True)).all()
+        # U inverts J L J; in U (J L J) the grading S cancels
+        assert np.abs(x @ low[::-1, ::-1] - np.eye(n)).max() <= tol
 
 
 def exhaustive_optimum(w, h, q):
