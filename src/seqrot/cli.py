@@ -147,7 +147,8 @@ def cmd_inspect(args) -> int:
 
 def cmd_quantize(args) -> int:
     gptq = args.scheme == harness.QUANTIZER_GPTQ
-    samples = _dependent("--calib-samples", args.calib_samples, gptq, 256, "to --scheme gptq")
+    samples = _dependent("--calib-samples", args.calib_samples, gptq, harness.CALIB_SAMPLES,
+                         "to --scheme gptq")
     seed = _dependent("--seed", args.seed, gptq, 0, "to --scheme gptq")
     _check_at_least_one("--calib-samples", samples)
     arr, _ = read_tensor(args.file)

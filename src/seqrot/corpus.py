@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError
+from .transforms import _is_int
 
 DIST_GAUSSIAN = "gaussian"
 DIST_STUDENT_T = "student_t"
@@ -37,6 +38,11 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("count", "rows", "cols", "outlier_channels", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidSpecError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be non-negative, got {self.seed}")
         if not np.isfinite([self.t_dof, self.outlier_gain, self.smooth_weight]).all():
             raise InvalidSpecError("t_dof, outlier_gain and smooth_weight must be finite")
         if self.count < 1:

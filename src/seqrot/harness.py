@@ -55,6 +55,8 @@ METRICS = (METRIC_MSE, METRIC_MAX_ABS, METRIC_PROXY)
 QUANTIZER_RTN = "rtn"
 QUANTIZER_GPTQ = "gptq"
 QUANTIZERS = (QUANTIZER_RTN, QUANTIZER_GPTQ)
+# calibration rows of each GPTQ Hessian (a comparison's and `seqrot quantize`'s)
+CALIB_SAMPLES = 256
 
 DEFAULT_PAIRS = ((KIND_GW, KIND_GH), (KIND_GSR, KIND_LH), (KIND_GSR, KIND_GH))
 
@@ -74,8 +76,7 @@ class ExperimentReport:
 
 
 def run_comparison(corpus, variants, wspec: QuantSpec,
-                   quantizer: str = QUANTIZER_RTN, seed: int = 0,
-                   calib_samples: int = 256) -> ExperimentReport:
+                   quantizer: str = QUANTIZER_RTN, seed: int = 0) -> ExperimentReport:
     """Rotate, quantize, rotate back, and score every (tensor, variant) pair.
 
     The rotation under test plays the hidden-state slot of a query-type
@@ -117,7 +118,7 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
         # the calibration samples are drawn afresh from their seed stream for
         # each Hessian, the same bytes every time, and not held between them;
         # R^T H R is the Hessian of the rotated samples X R
-        x_cal = np.random.default_rng(_mix_seed(seed, 7)).standard_normal((calib_samples, cols))
+        x_cal = np.random.default_rng(_mix_seed(seed, 7)).standard_normal((CALIB_SAMPLES, cols))
         return hessian_from_calibration(x_cal if r1 is None else r1.apply(x_cal))
 
     h_base = hessian()
@@ -188,18 +189,18 @@ class DirectionalResult:
         return self.median_better < self.median_worse and self.p_value < 0.05
 
 
-def directional_tests(report: ExperimentReport, pairs=DEFAULT_PAIRS,
-                      metric: str = METRIC_MSE) -> list[DirectionalResult]:
-    """Median comparison plus sign test for each (expected-better, worse) pair."""
+def directional_tests(report: ExperimentReport) -> list[DirectionalResult]:
+    """Median MSE comparison plus sign test for each (expected-better, worse)
+    pair of ``DEFAULT_PAIRS`` whose variants the report holds."""
     out = []
-    for a, b in pairs:
+    for a, b in DEFAULT_PAIRS:
         if a not in report.per_tensor or b not in report.per_tensor:
             continue
-        xa = report.per_tensor[a][metric]
-        xb = report.per_tensor[b][metric]
+        xa = report.per_tensor[a][METRIC_MSE]
+        xb = report.per_tensor[b][METRIC_MSE]
         wins, n, p = sign_test(xa, xb)
         out.append(DirectionalResult(
-            better=a, worse=b, metric=metric,
+            better=a, worse=b, metric=METRIC_MSE,
             median_better=float(np.median(xa)), median_worse=float(np.median(xb)),
             wins=wins, n=n, ties=xa.size - n, p_value=p))
     return out

@@ -22,6 +22,7 @@ from .errors import (
     ShapeMismatchError,
     SingularHessianError,
 )
+from .transforms import _is_int
 
 # MSE clip search grid: 1.00, 0.99, ..., 0.50
 DEFAULT_MSE_GRID = tuple(round(1.0 - 0.01 * i, 2) for i in range(51))
@@ -54,6 +55,10 @@ class Clip:
     def validate(self) -> None:
         if self.kind not in (CLIP_NONE, CLIP_RATIO, CLIP_MSE):
             raise InvalidSpecError(f"unknown clip kind {self.kind!r}")
+        if self.kind != CLIP_RATIO and self.ratio != 1.0:
+            raise InvalidSpecError(f"clip kind {self.kind!r} reads no ratio, got {self.ratio}")
+        if self.kind != CLIP_MSE and self.grid:
+            raise InvalidSpecError(f"clip kind {self.kind!r} reads no grid, got {self.grid}")
         if self.kind == CLIP_RATIO and not 0.0 < self.ratio <= 1.0:
             raise InvalidSpecError(f"clip ratio must be in (0, 1], got {self.ratio}")
         if self.kind == CLIP_MSE:
@@ -73,10 +78,10 @@ class QuantSpec:
     clip: Clip = field(default_factory=Clip.none)
 
     def __post_init__(self):
-        if not 2 <= self.bits <= 8:
-            raise InvalidSpecError(f"bits must be in [2, 8], got {self.bits}")
-        if self.group_size is not None and self.group_size < 1:
-            raise InvalidSpecError(f"group size must be positive, got {self.group_size}")
+        if not (_is_int(self.bits) and 2 <= self.bits <= 8):
+            raise InvalidSpecError(f"bits must be an int in [2, 8], got {self.bits!r}")
+        if not (self.group_size is None or _is_int(self.group_size) and self.group_size >= 1):
+            raise InvalidSpecError(f"group size must be a positive int, got {self.group_size!r}")
         self.clip.validate()
 
     @property
@@ -172,17 +177,25 @@ _MIN_SCALE = np.nextafter(0.0, 1.0)
 
 
 def _clip_params(mn, mx, spec: QuantSpec, ratio):
-    """``_range_params`` before its degenerate-group fix-ups, as new arrays
-    from arrays ``mn`` and ``mx``.
+    """Per-group (scale, zero, a, b) as new arrays from each group's min
+    ``mn`` and max ``mx``; the four inputs broadcast together. The zero point
+    is a float (None when symmetric), and a and b, the bounds of ``_codes``,
+    are the codes minus zero points of the clip range's ends lo and hi.
 
-    The clip range [lo, hi] never leaves this function: each end's code,
-    round_half_away(end / scale), is clamped to [qmin - zero, qmax - zero]
-    in its own buffer. The code of lo is the zero point's own rounding, since
-    round_half_away is odd: zero, a float, is minus it clamped to [qmin,
-    qmax]. When symmetric, lo is -hi, so the code of lo is minus that of hi,
-    and zero is None. An asymmetric group of one value (mx == mn) gets scale
-    1.0, and a group with a nonzero range too small for a normal scale
-    2^-1074.
+    The ratio shrinks both range ends toward the group midpoint (asymmetric)
+    or shrinks max|w| (symmetric, lo = -hi). Each end's code,
+    round_half_away(end / scale), is clamped to [qmin - zero, qmax - zero];
+    that of lo is the zero point's own rounding (round_half_away is odd), so
+    zero is minus it clamped to [qmin, qmax]. lo and hi never leave here.
+
+    Degenerate groups are exact. An asymmetric group of one value c has lo =
+    hi = c, with no midpoint (that of 1.7e308 overflows), and scale |c| (1
+    for c = 0): a = b = sign(c), zero 1 for c < 0 and 0 otherwise. A
+    symmetric group whose b rounds to 0 has scale 1. Any other scale below
+    2^-1074 is raised to it: such a group's codes are its values in units of
+    2^-1074, so symmetric ones round-trip exactly and no 0/0 makes a NaN
+    code. An asymmetric group whose range overflows float64 gets a
+    non-finite scale, without a warning (``_prepare`` rejects it).
     """
     with np.errstate(over="ignore", invalid="ignore"):   # checked by _prepare
         if spec.symmetric:
@@ -191,6 +204,8 @@ def _clip_params(mn, mx, spec: QuantSpec, ratio):
             np.maximum(scale, _MIN_SCALE, out=scale)
             b /= scale
             round_half_away(b, out=b)
+            # a clipped max of 2^-1074 or more is at least its scale, so b >= 1
+            np.copyto(scale, 1.0, where=b == 0.0)
             a = np.negative(b)   # b >= 0, so one clamp each
             np.maximum(a, spec.qmin, out=a)
             return scale, None, a, np.minimum(b, spec.qmax, out=b)
@@ -204,10 +219,9 @@ def _clip_params(mn, mx, spec: QuantSpec, ratio):
         np.maximum(scale, _MIN_SCALE, out=scale)
         one_value = mx == mn
         if one_value.any():
-            # _range_params replaces such a group's parameters and stage 1
-            # does not estimate it; scale 1 spares the divisions below a
-            # subnormal divisor, about ten times slower than a normal one
-            np.copyto(scale, 1.0, where=one_value)
+            np.copyto(scale, np.where(mn == 0.0, 1.0, np.abs(mn)), where=one_value)
+            np.copyto(a, mn, where=one_value)
+            np.copyto(b, mn, where=one_value)
         a /= scale
         round_half_away(a, out=a)
         zero = np.negative(a)
@@ -223,47 +237,12 @@ def _clip_params(mn, mx, spec: QuantSpec, ratio):
     return scale, zero, a, b
 
 
-def _range_params(mn, mx, first, spec: QuantSpec, ratio):
-    """Per-group (scale, zero_point, a, b), the zero point a float, from each
-    group's min, max and first element; all five inputs broadcast together.
-    a and b are the codes minus zero points of the clip range's ends, the
-    bounds of ``_codes``.
-
-    The clip ratio shrinks both range ends toward the group midpoint
-    (asymmetric) or shrinks max|w| (symmetric). Degenerate groups (one
-    distinct value c) get an exact representation: scale |c| with the zero
-    point one code below, or scale 1 with code 0 when c == 0, and a == b ==
-    the code of c; either way the round trip is exact.
-
-    A scale that underflows to 0 (the clipped range is below about
-    levels * 2^-1074) is raised to 2^-1074. The values of such a group are
-    subnormal multiples of it, so its codes are the values in units of
-    2^-1074: symmetric groups round-trip exactly, and no 0/0 turns a code
-    into NaN. Every other scale is unchanged. An asymmetric group whose
-    range overflows float64 gets a non-finite scale, without a warning
-    (``_prepare`` rejects it).
-    """
-    scale, zero, a, b = _clip_params(mn, mx, spec, ratio)
-    # symmetric: all zero, or a clipped max|w| that underflows; any other
-    # clipped max is at least 2^-1074 and at least its scale, so b >= 1
-    degenerate = (b == 0.0) if spec.symmetric else (mx == mn)
-    if np.any(degenerate):
-        if spec.symmetric:   # a and b are already 0
-            scale = np.where(degenerate, 1.0, scale)
-        else:   # the code of c is its sign
-            scale = np.where(degenerate, np.where(first == 0.0, 1.0, np.abs(first)), scale)
-            zero = np.where(degenerate, np.where(first < 0.0, 1.0, 0.0), zero)
-            a = np.where(degenerate, np.sign(first), a)
-            b = np.where(degenerate, np.sign(first), b)
-    return scale, zero, a, b
-
-
 def _codes(x, scale, a, b, out=None, half=None):
     """The quantizer arithmetic: each code minus its zero point, as a float.
 
     ``x`` is divided by ``scale``, rounded half away from zero and clamped
     to [a, b], the codes minus zero points of the clip range's ends that
-    ``_range_params`` gives. Dividing and rounding are monotone, so this is
+    ``_clip_params`` gives. Dividing and rounding are monotone, so this is
     clamping ``x`` to the clip range first and the code to [qmin, qmax]
     after, value for value. The parameters broadcast against ``x``. The
     result goes to ``out`` (a new array by default; ``x`` itself works) and
@@ -309,8 +288,7 @@ def _clip_errors(grouped: np.ndarray, spec: QuantSpec,
     inf, without a warning: the search never picks either.
     """
     part = np.ascontiguousarray(grouped)
-    mn, mx, first = part.min(axis=2), part.max(axis=2), part[..., 0]
-    scale, _, a, b = _range_params(mn, mx, first, spec, ratios)
+    scale, _, a, b = _clip_params(part.min(axis=2), part.max(axis=2), spec, ratios)
     scale, a, b = scale[..., None], a[..., None], b[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
         q = _codes(part, scale, a, b, out=np.empty(scale.shape[:-1] + part.shape[-1:]))
@@ -336,7 +314,7 @@ def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
     (rows, n_groups, g) and ``ratios`` 1-D; ``root`` is (len(ratios), rows,
     n_groups) and ``beta`` (rows, n_groups), inf for an untrusted group.
     An asymmetric group of one value has exact error 0 at every ratio, since
-    ``_range_params`` represents it exactly: its root and beta are 0.
+    ``_clip_params`` represents it exactly: its root and beta are 0.
 
     Method. ``_clip_params`` gives each pair's scale and the code bounds a
     and b of ``_codes``, cast to float32 (they are small integers). Each
@@ -361,9 +339,10 @@ def _estimate_roots(part: np.ndarray, spec: QuantSpec, ratios: np.ndarray):
     Trust is per group: max|x| in the window (the exact error, estimate and
     bound stay finite) and max|x| <= _MAX_T scale at the smallest ratio,
     whose scale is the smallest (t and S stay far from float32 overflow).
-    That holds for a symmetric group of one value too: the symmetric fix-up
-    of ``_range_params`` fires only when the clipped max is 0, which the
-    second condition rules out, so its parameters are these. Only a tile
+    The scale of a group in the window grows with the ratio unless the
+    group is asymmetric with one value (constant scale |c|, never trusted):
+    the symmetric scale 1 of a clipped max|x| whose code rounds to 0 needs
+    max|x| ratio to underflow to 0, far below the window. Only a tile
     with a group that is untrusted, or asymmetric with one value, runs the
     passes on stand-ins for it, whose roots are 0; a tile with no trusted
     group skips the passes.
@@ -486,7 +465,7 @@ def _search_ratios(grouped: np.ndarray, spec: QuantSpec, grid) -> np.ndarray:
 def _prepare(w, spec: QuantSpec):
     """The prologue both quantizers share: ``w`` as float64, its
     (rows, n_groups, g) view, and the per-group (scale, zero, a, b) of
-    ``_range_params``, each (rows, n_groups, 1). NaN/inf weights, and an
+    ``_clip_params``, each (rows, n_groups, 1). NaN/inf weights, and an
     asymmetric group whose range overflows float64 (its scale is not
     finite), raise NonFiniteInputError.
     """
@@ -499,9 +478,8 @@ def _prepare(w, spec: QuantSpec):
         ratio = _search_ratios(grouped, spec, clip.grid)[..., None]
     else:
         ratio = clip.ratio if clip.kind == CLIP_RATIO else 1.0
-    params = _range_params(grouped.min(axis=2, keepdims=True),
-                           grouped.max(axis=2, keepdims=True), grouped[..., :1],
-                           spec, ratio)
+    params = _clip_params(grouped.min(axis=2, keepdims=True),
+                          grouped.max(axis=2, keepdims=True), spec, ratio)
     if not np.isfinite(params[0]).all():
         raise NonFiniteInputError("a group's range overflows float64")
     return w, grouped, params
@@ -516,19 +494,11 @@ def _encode(w, q, scale, zero, spec: QuantSpec) -> QuantizedTensor:
                            spec=spec)
 
 
-def _rtn_codes(w, spec: QuantSpec, consume: bool = False):
-    """The code step of RTN: (``w`` as float64, the ``_codes`` output on its
-    group view, scale, zero). With ``consume`` the codes overwrite the group
-    view, which is ``w``'s own memory when ``w`` is a C-contiguous float64
-    array."""
-    w, grouped, (scale, zero, a, b) = _prepare(w, spec)
-    q = _codes(grouped, scale, a, b, out=grouped if consume else None)
-    return w, q, scale, zero
-
-
 def rtn_quantize(w: np.ndarray, spec: QuantSpec) -> QuantizedTensor:
-    """Round-to-nearest group quantization of a (rows, cols) matrix."""
-    return _encode(*_rtn_codes(w, spec), spec)
+    """Round-to-nearest group quantization of a (rows, cols) matrix; ``w``
+    is left as it is."""
+    w, grouped, (scale, zero, a, b) = _prepare(np.array(w, dtype=np.float64, order="C"), spec)
+    return _encode(w, _codes(grouped, scale, a, b, out=grouped), scale, zero, spec)
 
 
 def dequantize(q: QuantizedTensor) -> np.ndarray:
@@ -555,9 +525,10 @@ def _round_trip(w, spec: QuantSpec, hessian: CalibrationHessian | None = None) -
     the caller passes an array it owns and reads ``w`` no more.
     """
     if hessian is None:
-        w, q, scale, _ = _rtn_codes(w, spec, consume=True)
+        w, q, (scale, _, a, b) = _prepare(w, spec)
+        _codes(q, scale, a, b, out=q)
     else:
-        w, q, scale, _ = _gptq_codes(w, hessian, spec, consume=True)
+        w, q, scale, _ = _gptq_codes(w, hessian, spec)
     q *= scale
     return q.reshape(w.shape)
 
@@ -595,6 +566,8 @@ def hessian_from_calibration(x: np.ndarray) -> CalibrationHessian:
     """
     given = x
     x = np.atleast_2d(np.ascontiguousarray(x, dtype=np.float64))
+    if x.ndim != 2:
+        raise ShapeMismatchError(f"calibration activations must be (samples, d), got {x.shape}")
     if x.shape[0] < 1 or x.size == 0:
         raise EmptyCalibrationError("calibration requires at least one sample")
     if not np.isfinite(x).all():
@@ -680,15 +653,15 @@ def gptq_quantize(w: np.ndarray, hessian: CalibrationHessian,
     code sets differ raises NonFiniteInputError; a Hessian that is not
     positive definite after dampening raises SingularHessianError.
     """
-    return _encode(*_gptq_codes(w, hessian, spec), spec)
+    return _encode(*_gptq_codes(np.array(w, dtype=np.float64, order="C"), hessian, spec), spec)
 
 
-def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec, consume: bool = False):
+def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec):
     """The code step of ``gptq_quantize``: (``w`` as float64, the codes minus
-    zero points on the group view of a new array, C-contiguous for a
-    C-contiguous ``w``, scale, zero). With ``consume`` the codes overwrite
-    the group view instead, as in ``_rtn_codes``, one row tile at a time
-    once the guard has read that tile of ``w``.
+    zero points on its group view, scale, zero). The codes overwrite the
+    group view, which is ``w``'s own memory when ``w`` is a C-contiguous
+    float64 array, one row tile at a time once the guard has read that tile
+    of ``w``.
 
     Working set beyond ``w`` and the Hessian, in rows x d arrays (R) and
     d x d arrays (D). The factor phase holds U over a copy of the Hessian
@@ -696,13 +669,11 @@ def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec, consume: bool =
     split). The sweep holds U and the transposed work buffer (1 D + 1 R,
     and one product of a batch's errors), and writes each finished
     column's codes over that column's row of the work buffer. The
-    guard holds the work buffer and the output buffer (2 R; 1 R with
-    ``consume``) and, per tile of ``_TILE_ELEMS // d`` rows, the tile's RTN
-    codes and the two buffers of ``_guard_choice``.
+    guard holds the work buffer (1 R) and, per tile of ``_TILE_ELEMS // d``
+    rows, the tile's RTN codes and the two buffers of ``_guard_choice``.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim == 2:   # _prepare rejects any other shape
-        _require_width(hessian, w.shape[1])
+    if np.ndim(w) == 2:   # _prepare rejects any other shape
+        _require_width(hessian, np.shape(w)[1])
     h = hessian.matrix
     if not np.isfinite(h).all():
         raise NonFiniteInputError("Hessian contains NaN or inf")
@@ -745,8 +716,7 @@ def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec, consume: bool =
     del err, col, u   # col is a row of err
 
     # the per-row guard, by row tiles: each row keeps the RTN or the sweep
-    # codes, whichever has the smaller objective, in the output
-    out = grouped if consume else np.empty_like(grouped)
+    # codes, whichever has the smaller objective, over the group view
     tile = max(1, _TILE_ELEMS // d)
     for r0 in range(0, rows, tile):
         r1 = min(r0 + tile, rows)
@@ -754,8 +724,8 @@ def _gptq_codes(w, hessian: CalibrationHessian, spec: QuantSpec, consume: bool =
         sweep = _group_view(work[:, r0:r1].T, spec.group_size)
         keep = _guard_choice(w[r0:r1], rtn, sweep, scale[r0:r1], h)[:, None, None]
         np.copyto(rtn, sweep, where=keep)
-        out[r0:r1] = rtn
-    return w, out, scale, zero
+        grouped[r0:r1] = rtn
+    return w, grouped, scale, zero
 
 
 def _guard_choice(w, rtn, sweep, scale, h):

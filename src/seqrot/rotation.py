@@ -29,6 +29,7 @@ from .transforms import (
     KINDS,
     OrthoMatrix,
     RotationOperator,
+    _is_int,
     _mix_seed,
     build_rotation,
     is_power_of_two,
@@ -88,6 +89,11 @@ class ToyBlockConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("hidden", "heads", "ffn", "group_size", "seq_len", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise InvalidConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be non-negative, got {self.seed}")
         if not is_power_of_two(self.hidden) or not is_power_of_two(self.ffn):
             raise InvalidConfigError("hidden and ffn dims must be powers of two")
         if self.hidden < 2 or self.ffn < 2 or self.seq_len < 1 or self.heads < 1:

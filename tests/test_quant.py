@@ -14,6 +14,7 @@ from seqrot.corpus import CorpusSpec, gen_corpus
 from seqrot.errors import (
     EmptyCalibrationError,
     GroupDoesNotDivideError,
+    InvalidConfigError,
     InvalidSpecError,
     NonFiniteInputError,
     ShapeMismatchError,
@@ -37,7 +38,6 @@ from seqrot.quant import (
     _group_view,
     _guard_choice,
     _inverse_factor,
-    _range_params,
     _round_trip,
     _search_ratios,
     dequantize,
@@ -47,6 +47,7 @@ from seqrot.quant import (
     round_half_away,
     rtn_quantize,
 )
+from seqrot.rotation import ToyBlockConfig
 
 
 def rt(w, spec):
@@ -72,6 +73,38 @@ class TestSpecValidation:
             QuantSpec(bits=4, clip=Clip.fixed(1.5))
         with pytest.raises(InvalidSpecError):
             QuantSpec(bits=4, clip=Clip.mse(grid=()))
+
+    @pytest.mark.parametrize("clip", [
+        Clip(CLIP_NONE, ratio=0.5), Clip(CLIP_NONE, grid=(1.0,)),
+        Clip(CLIP_MSE, ratio=0.3, grid=(1.0,)), Clip(CLIP_RATIO, ratio=0.9, grid=(0.5,)),
+    ])
+    def test_clip_field_its_kind_does_not_read_rejected(self, clip):
+        with pytest.raises(InvalidSpecError, match="reads no"):
+            QuantSpec(bits=4, clip=clip)
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: QuantSpec(bits=2.5), InvalidSpecError),
+        (lambda: QuantSpec(bits=3.0), InvalidSpecError),
+        (lambda: QuantSpec(bits=True), InvalidSpecError),
+        (lambda: QuantSpec(bits=3, group_size=2.0), InvalidSpecError),
+        (lambda: QuantSpec(bits=3, group_size=True), InvalidSpecError),
+        (lambda: CorpusSpec(count=1.5), InvalidSpecError),
+        (lambda: CorpusSpec(rows=8.5), InvalidSpecError),
+        (lambda: CorpusSpec(cols=16.0), InvalidSpecError),
+        (lambda: CorpusSpec(outlier_channels=1.5), InvalidSpecError),
+        (lambda: CorpusSpec(seed=2.0), InvalidSpecError),
+        (lambda: CorpusSpec(seed=-1), InvalidSpecError),
+        (lambda: ToyBlockConfig(hidden=64.0), InvalidConfigError),
+        (lambda: ToyBlockConfig(heads=2.0), InvalidConfigError),
+        (lambda: ToyBlockConfig(ffn=128.0), InvalidConfigError),
+        (lambda: ToyBlockConfig(group_size=16.0), InvalidConfigError),
+        (lambda: ToyBlockConfig(seq_len=True), InvalidConfigError),
+        (lambda: ToyBlockConfig(seed=-1), InvalidConfigError),
+    ])
+    def test_integer_fields_rejected_when_not_integers(self, make, error):
+        # each raised a raw TypeError or ValueError later, or was accepted
+        with pytest.raises(error):
+            make()
 
     def test_group_must_divide(self):
         with pytest.raises(GroupDoesNotDivideError):
@@ -173,6 +206,22 @@ class TestRtn:
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.scales, b.scales)
         assert np.array_equal(a.zero_points, b.zero_points)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "float32", "int"])
+    def test_quantizers_leave_their_input_unchanged(self, layout):
+        # both code steps write over the group view of their argument, so the
+        # public quantizers hand them a copy
+        w = np.random.default_rng(1).standard_t(4, size=(6, 16)) * 4
+        w = {"C": w, "F": np.asfortranarray(w), "float32": w.astype(np.float32),
+             "int": w.astype(np.int64)}[layout]
+        before = w.copy(order="K")
+        spec = QuantSpec(bits=2, group_size=8, clip=Clip.mse())
+        h = hessian_from_calibration(np.random.default_rng(2).standard_normal((24, 16)))
+        want = rtn_quantize(before.astype(np.float64), spec).codes
+        assert np.array_equal(rtn_quantize(w, spec).codes, want)
+        gptq_quantize(w, h, spec)
+        assert w.dtype == before.dtype and w.tobytes("A") == before.tobytes("A")
+        assert w.flags.f_contiguous == before.flags.f_contiguous
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(2, 8), st.booleans(), st.integers(0, 2 ** 32 - 1))
@@ -348,34 +397,54 @@ class TestSearchRatios:
             distinct = grouped.min(axis=2) < grouped.max(axis=2)
             assert not trusted[0, distinct | symmetric].any()
 
+    @staticmethod
+    def _check_scale_order(grouped, spec, grid):
+        # stage 1 tests a group's trust once, at its smallest ratio, whose
+        # scale must be the group's smallest: a trusted group's scale does
+        # not decrease with the ratio, and its largest magnitude is at most
+        # _MAX_T scales at every ratio. The degenerate-group parameters (an
+        # asymmetric group of one value, a symmetric b that rounds to 0)
+        # appear only on groups that stage 1 does not trust or that are
+        # exact, with beta 0
+        mn, mx = grouped.min(axis=2), grouped.max(axis=2)
+        ascending = np.asarray(sorted(set(grid)))
+        scale, _, _, b = _clip_params(mn, mx, spec, ascending[:, None, None])
+        beta = _estimate_roots(grouped, spec, ascending[::-1])[1]
+        trusted = beta < np.inf
+        assert (scale[1:] >= scale[:-1])[:, trusted].all()
+        amax = np.maximum(np.abs(mn), np.abs(mx))
+        assert (amax <= quant._MAX_T * scale)[:, trusted].all()
+        exact = (mn == mx) & (not spec.symmetric)
+        degenerate = (b == 0.0).any(axis=0) if spec.symmetric else exact
+        assert (beta[exact] == 0.0).all()
+        assert (beta[degenerate & ~exact] == np.inf).all()
+        return trusted
+
     @settings(max_examples=120, deadline=None)
     @given(**WEIGHT_CASES)
     # seed 0 draws [[28, 11, 1]] * 2^-1074: at ratio 0.5 the last group's
-    # clipped max, 2^-1075, underflows and the fix-ups set its scale to 1.0;
-    # at 0.51 the scale is 2^-1074
+    # clipped max, 2^-1075, underflows and its scale is 1.0; at 0.51 it is
+    # 2^-1074
     @example(bits=2, symmetric=True, g=1, rows=1, n_groups=3, transposed=False,
              kind="subnormal", shift=0.0, exponent=0, seed=0, grid=[0.51, 0.5])
     def test_scale_does_not_decrease_with_the_ratio(
             self, bits, symmetric, g, rows, n_groups, transposed, kind, shift, exponent,
             seed, grid):
-        # stage 1 tests a group's trust once, at its smallest ratio, on the
-        # scale before the degenerate-group fix-ups; the fixed-up scale may
-        # differ from it only on groups that stage 1 does not trust and on
-        # asymmetric groups of one value, which have beta 0
         w = case_weights(rows, n_groups, g, transposed, kind, shift, exponent, seed)
         spec = QuantSpec(bits=bits, group_size=g, symmetric=symmetric)
-        grouped = _group_view(w, g)
-        mn, mx = grouped.min(axis=2), grouped.max(axis=2)
-        ascending = np.asarray(sorted(set(grid)))
-        scale = _clip_params(mn, mx, spec, ascending[:, None, None])[0]
-        grows = scale[1:] >= scale[:-1]
-        assert grows[:, ~np.isnan(scale).any(axis=0)].all()
-        fixed = _range_params(mn, mx, grouped[..., 0], spec, ascending[:, None, None])[0]
-        moved = (fixed != scale).any(axis=0)
-        beta = _estimate_roots(grouped, spec, ascending[::-1])[1]
-        exact = (mn == mx) & (not symmetric)
-        assert (beta[exact] == 0.0).all()
-        assert (beta[moved & ~exact] == np.inf).all()
+        self._check_scale_order(_group_view(w, g), spec, grid)
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_narrow_group_is_trusted_only_below_max_t_at_every_ratio(self, symmetric):
+        # 1 + k 2^-47, k = 0..3, at 2 bits: asymmetric, its max is just over
+        # 2^48 scales at ratio 0.5 and 2^47 at ratio 1, so a trust test at
+        # the largest ratio would trust it; symmetric, its scale is about the
+        # ratio and it is trusted; a wide group beside it is trusted either way
+        w = np.array([[1.0, 1.0 + 2.0 ** -47, 1.0 + 2.0 ** -46, 1.0 + 3 * 2.0 ** -47,
+                       -1.0, 0.5, 0.25, 2.0]])
+        spec = QuantSpec(bits=2, group_size=4, symmetric=symmetric)
+        trusted = self._check_scale_order(_group_view(w, 4), spec, (1.0, 0.75, 0.5))
+        assert trusted.tolist() == [[symmetric, True]]
 
     @settings(max_examples=40, deadline=None)
     @given(**WEIGHT_CASES)
@@ -791,6 +860,11 @@ class TestHessian:
         with pytest.raises(EmptyCalibrationError):
             hessian_from_calibration(np.zeros((0, 4)))
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (1, 3, 4), (2, 0, 2)])
+    def test_more_than_two_dimensions_rejected(self, shape):
+        with pytest.raises(ShapeMismatchError):
+            hessian_from_calibration(np.zeros(shape))
+
     @pytest.mark.parametrize("samples,d", [(1, 5), (1, 130), (3, 1), (7, 63), (40, 64),
                                            (33, 65), (20, 200), (256, 257)])
     def test_bit_identical_to_full_matrix_formula(self, samples, d):
@@ -995,6 +1069,53 @@ def indefinite(n, block):
     else:
         m[-1, -1] = -1.0
     return m
+
+
+class TestOneValueParams:
+    """``_clip_params`` represents a group of one value c exactly, at every
+    ratio: asymmetric, scale |c| (1 for c = 0), a = b = sign(c) and zero
+    point 1 for c < 0, 0 otherwise; symmetric, scale max|c| ratio / levels
+    (at least 2^-1074) and a = -b, or scale 1 and a = b = 0 where b rounds
+    to 0."""
+
+    VALUES = (0.0, 1.25, -1.25, 1.7e308, -1.7e308, TINY, -TINY)
+    RATIOS = (1.0, 0.9, 0.5)
+
+    @pytest.mark.parametrize("bits", [2, 3, 8])
+    def test_asymmetric(self, bits):
+        c = np.array(self.VALUES)
+        scale, zero, a, b = _clip_params(c, c, QuantSpec(bits=bits),
+                                         np.asarray(self.RATIOS)[:, None])
+        for got, want in ((scale, np.where(c == 0.0, 1.0, np.abs(c))),
+                          (zero, np.where(c < 0.0, 1.0, 0.0)), (a, np.sign(c)),
+                          (b, np.sign(c))):
+            assert np.array_equal(got, np.broadcast_to(want, got.shape))
+
+    def test_symmetric(self):
+        # at 3 bits: levels 3, codes in [-4, 3]; TINY's clipped max is TINY at
+        # ratios 1 and 0.9 (its scale, TINY / 3, is raised to TINY) and
+        # rounds to 0 at 0.5
+        c = np.array(self.VALUES)
+        scale, zero, a, b = _clip_params(c, c, QuantSpec(bits=3, symmetric=True),
+                                         np.asarray(self.RATIOS)[:, None])
+        assert zero is None
+        for i, r in enumerate(self.RATIOS):
+            want_scale = [1.0] + [abs(x) * r / 3 for x in self.VALUES[1:5]] \
+                + ([TINY, TINY] if r > 0.5 else [1.0, 1.0])
+            want_b = [0.0] + [3.0] * 4 + ([1.0, 1.0] if r > 0.5 else [0.0, 0.0])
+            assert scale[i].tolist() == want_scale
+            assert b[i].tolist() == want_b and (-a[i]).tolist() == want_b
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("clip", [Clip.none(), Clip.fixed(0.5), Clip.mse()])
+    def test_quantizers_round_trip_exactly(self, symmetric, clip):
+        w = np.repeat(np.array([self.VALUES]), 4, axis=1)
+        spec = QuantSpec(bits=3, group_size=4, symmetric=symmetric, clip=clip)
+        q = rtn_quantize(w, spec)
+        assert np.array_equal(q.codes, oracles.rtn_quantize(w, spec)[0])
+        if not symmetric:   # TINY's symmetric clipped max at 0.5 is 0
+            assert np.array_equal(dequantize(q), w)
+            assert q.zero_points.tolist() == [[0, 0, 1, 0, 1, 0, 1]]
 
 
 class TestGptq:
