@@ -276,7 +276,8 @@ def _clip_search(group, spec, grid):
     for r in sorted(set(grid), reverse=True):
         scale, zero, lo, hi = group_params(g, spec, np.full((1, 1), r))
         codes = encode(g, spec, scale, zero, lo, hi)
-        err = float(((g - decode(codes, scale, zero)) ** 2).sum())
+        with np.errstate(over="ignore"):   # an error past the range is inf, never chosen
+            err = float(((g - decode(codes, scale, zero)) ** 2).sum())
         if err < best_err:
             best_err, best_ratio = err, r
     return best_ratio, best_err
