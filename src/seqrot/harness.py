@@ -1,5 +1,5 @@
-"""Experiment harness: rotation-variant comparisons, sequency-variance tables
-and the global-vs-local ablation of the online FFN rotation.
+"""Experiment harness: rotation-variant comparisons, their directional sign
+tests, and the global-vs-local ablation of the online FFN rotation.
 
 Every variant in a comparison consumes byte-identical corpus tensors and the
 same quantizer spec; SHA-256 fingerprints of the consumed bytes are recorded
@@ -45,9 +45,8 @@ from .transforms import (
     KIND_LH,
     KINDS,
     RotationOperator,
+    _is_int,
     _mix_seed,
-    _require_group_divides,
-    natural_sequency_formula,
 )
 
 METRICS = (METRIC_MSE, METRIC_MAX_ABS, METRIC_PROXY)
@@ -69,7 +68,6 @@ class ExperimentReport:
     summary: dict               # variant -> metric -> {"mean": .., "median": ..}
     corpus_hash: str
     fairness_hashes: dict       # variant -> sha256 of consumed corpus bytes
-    quantizer: str
 
     def fairness_ok(self) -> bool:
         return all(h == self.corpus_hash for h in self.fairness_hashes.values())
@@ -94,6 +92,8 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
     """
     if quantizer not in QUANTIZERS:
         raise InvalidSpecError(f"unknown quantizer {quantizer!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise InvalidConfigError(f"seed must be a non-negative int, got {seed!r}")
     if not len(corpus) or any(np.ndim(t) != 2 for t in corpus):
         raise DimensionMismatchError("the corpus must hold one or more 2-D tensors")
     cols = corpus[0].shape[1]
@@ -150,7 +150,7 @@ def run_comparison(corpus, variants, wspec: QuantSpec,
     return ExperimentReport(
         variants=tuple(variants), metrics=METRICS, per_tensor=per_tensor,
         summary=summary, corpus_hash=corpus_hash(corpus),
-        fairness_hashes=fairness, quantizer=quantizer)
+        fairness_hashes=fairness)
 
 
 def sign_test(a, b) -> tuple[int, int, float]:
@@ -203,34 +203,6 @@ def directional_tests(report: ExperimentReport) -> list[DirectionalResult]:
             better=a, worse=b, metric=METRIC_MSE,
             median_better=float(np.median(xa)), median_worse=float(np.median(xb)),
             wins=wins, n=n, ties=xa.size - n, p_value=p))
-    return out
-
-
-def sequency_variance_report(n: int, group: int) -> dict:
-    """Per-group sequency variance of natural versus sequency-ordered rows."""
-    _require_group_divides(group, n)
-    natural = natural_sequency_formula(n).astype(np.float64)
-    natural = natural.reshape(-1, group).var(axis=1)
-    walsh = np.arange(n, dtype=np.float64).reshape(-1, group).var(axis=1)
-    return {
-        "n": n,
-        "group": group,
-        "natural_variance": natural,
-        "walsh_variance": walsh,
-        "natural_mean_variance": float(natural.mean()),
-        "walsh_mean_variance": float(walsh.mean()),
-    }
-
-
-def sequency_variance_sweep(max_n: int = 4096) -> list[dict]:
-    """Mean group variance of both orderings for every (n, G), 2 <= G < n."""
-    out = []
-    for log_n in range(2, max_n.bit_length()):   # n = 4, 8, ... up to max_n
-        for log_g in range(1, log_n):
-            rep = sequency_variance_report(1 << log_n, 1 << log_g)
-            out.append({"n": rep["n"], "group": rep["group"],
-                        "natural": rep["natural_mean_variance"],
-                        "walsh": rep["walsh_mean_variance"]})
     return out
 
 
@@ -312,8 +284,10 @@ def r4_ablation(cfg: ToyBlockConfig, weight_spec: QuantSpec, act_spec: QuantSpec
     within ``ROUNDOFF_MSE`` of its seed's reference output is reported
     invariant and not tested: its differences are rounding noise.
     """
-    if n_seeds < 1:
-        raise InvalidConfigError(f"n_seeds must be at least 1, got {n_seeds}")
+    if not (_is_int(n_seeds) and n_seeds >= 1):
+        raise InvalidConfigError(f"n_seeds must be an int of at least 1, got {n_seeds!r}")
+    if not (_is_int(base_seed) and base_seed >= 0):
+        raise InvalidConfigError(f"base_seed must be a non-negative int, got {base_seed!r}")
     wlabel = f"w{weight_spec.bits}"
     settings = ("w16a16", wlabel, f"{wlabel}a{act_spec.bits}")
 

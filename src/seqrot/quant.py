@@ -10,6 +10,7 @@ Rounding is half-away-from-zero everywhere; half-even would change codes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,11 @@ DEFAULT_MSE_GRID = tuple(round(1.0 - 0.01 * i, 2) for i in range(51))
 CLIP_NONE = "none"
 CLIP_RATIO = "ratio"
 CLIP_MSE = "mse"
+
+
+def _is_ratio(r) -> bool:
+    # a real number in (0, 1]: not NaN, a bool or a string
+    return isinstance(r, numbers.Real) and not isinstance(r, bool) and 0.0 < r <= 1.0
 
 
 @dataclass(frozen=True)
@@ -59,13 +65,12 @@ class Clip:
             raise InvalidSpecError(f"clip kind {self.kind!r} reads no ratio, got {self.ratio}")
         if self.kind != CLIP_MSE and self.grid:
             raise InvalidSpecError(f"clip kind {self.kind!r} reads no grid, got {self.grid}")
-        if self.kind == CLIP_RATIO and not 0.0 < self.ratio <= 1.0:
-            raise InvalidSpecError(f"clip ratio must be in (0, 1], got {self.ratio}")
-        if self.kind == CLIP_MSE:
-            if not self.grid:
-                raise InvalidSpecError("MSE clip grid must be non-empty")
-            if any(not 0.0 < r <= 1.0 for r in self.grid):
-                raise InvalidSpecError("every MSE grid ratio must be in (0, 1]")
+        if self.kind == CLIP_RATIO and not _is_ratio(self.ratio):
+            raise InvalidSpecError(f"clip ratio must be a number in (0, 1], got {self.ratio!r}")
+        grid_ok = isinstance(self.grid, tuple) and self.grid and all(map(_is_ratio, self.grid))
+        if self.kind == CLIP_MSE and not grid_ok:
+            raise InvalidSpecError(f"the MSE clip grid must be a non-empty tuple of numbers "
+                                   f"in (0, 1], got {self.grid!r}")
 
 
 @dataclass(frozen=True)

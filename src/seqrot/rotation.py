@@ -146,6 +146,8 @@ class RotationAssignment:
         if self.r4_mode not in R4_MODES:
             raise InvalidConfigError(
                 f"r4_mode must be one of {R4_MODES}, got {self.r4_mode!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise InvalidConfigError(f"seed must be a non-negative int, got {self.seed!r}")
 
 
 def resolve_variant(kind: str, size: int, group: int, seed: int | None):
@@ -310,6 +312,8 @@ def invariance_max_diff(cfg: ToyBlockConfig, assign: RotationAssignment,
     The fused block runs in the rotated hidden basis, so the input is rotated
     in and the output rotated back before comparing.
     """
+    if not (_is_int(input_seed) and input_seed >= 0):
+        raise InvalidConfigError(f"input_seed must be a non-negative int, got {input_seed!r}")
     block = build_toy_block(cfg)
     fused = fuse_rotations(block, assign)
     rng = np.random.default_rng(input_seed)

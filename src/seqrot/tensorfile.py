@@ -237,19 +237,3 @@ def write_report(path, report) -> None:
 
     _write_atomic(path, "w", write, newline="", encoding="utf-8")
 
-
-def read_report(path) -> list[dict]:
-    """Parse a CSV written by ``write_report``; CorruptFileError if it is not one."""
-    path = os.fspath(path)
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            header, *rows = csv.reader(f)
-        if header != REPORT_COLUMNS:
-            raise ValueError(f"header {header}, expected {REPORT_COLUMNS}")
-        return [{"variant": v, "tensor_id": int(t), "metric": m, "value": float(x)}
-                for v, t, m, x in rows]
-    except OSError as exc:
-        raise IoFailureError(f"failed to read {path}: {exc}") from exc
-    # undecodable bytes, no header, a field that is no number, a row of another length
-    except (ValueError, csv.Error) as exc:
-        raise CorruptFileError(f"{path}: not a report CSV: {exc}") from None

@@ -5,6 +5,7 @@ their measured verdict without failing the build. Run with ``pytest -s`` to
 see the lines.
 """
 
+import csv
 import time
 from itertools import product
 
@@ -18,8 +19,6 @@ from seqrot.harness import (
     directional_tests,
     r4_ablation,
     run_comparison,
-    sequency_variance_report,
-    sequency_variance_sweep,
 )
 from seqrot.quant import (
     METRIC_PROXY,
@@ -38,13 +37,14 @@ from seqrot.rotation import (
     front_rotation_locality,
     rotate_weight,
 )
-from seqrot.tensorfile import read_report, read_tensor, write_tensor
+from seqrot.tensorfile import read_tensor, write_tensor
 from seqrot.transforms import (
     build_rotation,
     gsr,
     hadamard_sylvester,
     randomize_signs,
     row_sequency,
+    sequency_profile,
     walsh_from_hadamard,
     walsh_permutation,
 )
@@ -269,10 +269,15 @@ def test_criterion_08_directional_ordering():
 
 
 def test_criterion_09_sequency_variance():
-    rep = sequency_variance_report(128, 32)
-    exact = bool(np.all(rep["walsh_variance"] == 85.25))
-    below = bool(np.all(rep["walsh_variance"] < rep["natural_variance"].min()))
-    sweep_ok = all(row["walsh"] < row["natural"] for row in sequency_variance_sweep(4096))
+    def group_variance(kind, n, g):   # of the counted sequencies of the built rotation
+        return sequency_profile(build_rotation(kind, n), g).per_group_variance
+
+    walsh, natural = group_variance("gw", 128, 32), group_variance("gh", 128, 32)
+    exact = bool(np.all(walsh == 85.25))
+    below = bool(np.all(walsh < natural.min()))
+    sweep_ok = all(group_variance("gw", 1 << log_n, 1 << log_g).mean()
+                   < group_variance("gh", 1 << log_n, 1 << log_g).mean()
+                   for log_n in range(2, 13) for log_g in range(1, log_n))   # 2 <= G < n <= 4096
     ok = exact and below and sweep_ok
     assert record(9, "sequency variance (exact 85.25 + sweep n<=4096)", ok,
                   f"walsh exact {exact}, below natural {below}, sweep {sweep_ok}")
@@ -337,7 +342,8 @@ def test_criterion_12_cli_compare_reproducible(tmp_path, capsys):
     argv = ["compare", "--out", str(out_a)]  # defaults are the standard corpus
     assert cli_main(argv) == 0
     stdout = capsys.readouterr().out
-    rows = read_report(out_a)
+    with open(out_a, newline="") as f:
+        rows = list(csv.DictReader(f))
     count_ok = len(rows) == 4 * 100 * 3
     echo = [l for l in stdout.splitlines() if l.startswith("# config:")][0]
     rerun_argv = echo.split()[3:]

@@ -1,3 +1,4 @@
+import csv
 import shlex
 
 import numpy as np
@@ -8,7 +9,6 @@ from seqrot.cli import build_parser, config_line, main
 from seqrot.quant import Clip, QuantSpec, rtn_quantize
 from seqrot.tensorfile import (
     load_rotation,
-    read_report,
     read_tensor,
     save_rotation,
     write_tensor,
@@ -236,7 +236,8 @@ class TestCompare:
         out_a = tmp_path / "a.csv"
         code, stdout, _ = run_cli(capsys, *COMPARE_ARGS, "--out", str(out_a))
         assert code == 0
-        rows = read_report(out_a)
+        with open(out_a, newline="") as f:
+            rows = list(csv.DictReader(f))
         assert len(rows) == 4 * 3 * 3  # variants x tensors x metrics
         assert {r["variant"] for r in rows} == {"gh", "gw", "lh", "gsr"}
         # rerun from the echoed config; the report must be byte-identical

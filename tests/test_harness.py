@@ -20,8 +20,6 @@ from seqrot.harness import (
     directional_tests,
     r4_ablation,
     run_comparison,
-    sequency_variance_report,
-    sequency_variance_sweep,
     sign_test,
 )
 from seqrot.quant import (
@@ -40,6 +38,7 @@ from seqrot.rotation import (
     ToyBlockConfig,
     build_toy_block,
     forward,
+    invariance_max_diff,
     resolve_variant,
 )
 from seqrot.transforms import (
@@ -51,6 +50,7 @@ from seqrot.transforms import (
     RotationOperator,
     _mix_seed,
     build_rotation,
+    walsh_permutation,
 )
 
 SMALL_CORPUS = gen_corpus(CorpusSpec(count=8, rows=64, cols=64, seed=0))
@@ -315,31 +315,62 @@ class TestDirectional:
         rep = harness.ExperimentReport(
             variants=KINDS, metrics=("mse",),
             per_tensor={v: {"mse": x} for v, x in mse.items()}, summary={},
-            corpus_hash="", fairness_hashes={}, quantizer="rtn")
+            corpus_hash="", fairness_hashes={})
         got = {(r.better, r.worse): (r.wins, r.n, r.ties) for r in directional_tests(rep)}
         assert got == {("gw", "gh"): (1, 2, 3), ("gsr", "lh"): (1, 2, 3),
                        ("gsr", "gh"): (3, 4, 1)}
 
 
-class TestSequencyVariance:
-    def test_n8_g4_hand_values(self):
-        rep = sequency_variance_report(8, 4)
-        # natural groups {0,7,3,4} and {1,6,2,5}: population variances 6.25, 4.25
-        assert rep["natural_variance"].tolist() == [6.25, 4.25]
-        assert rep["walsh_variance"].tolist() == [1.25, 1.25]
+# the first two tensors of the default corpus (512 x 512)
+DEFAULT_TENSORS = gen_corpus(CorpusSpec(count=2))
+NULL_SPEC = QuantSpec(bits=2, group_size=64, clip=Clip.mse())
 
-    def test_walsh_analytic(self):
-        rep = sequency_variance_report(128, 32)
-        assert np.all(rep["walsh_variance"] == (32 ** 2 - 1) / 12)
 
-    @pytest.mark.parametrize("group", [-8, 0, 3])
-    def test_rejects_group_that_is_not_a_positive_divisor(self, group):
-        with pytest.raises(GroupDoesNotDivideError):
-            sequency_variance_report(8, group)
+def _rtn_mse(y):
+    return float(np.mean((y - quant._round_trip(y.copy(), NULL_SPEC)) ** 2))
 
-    def test_sweep_walsh_always_below(self):
-        for row in sequency_variance_sweep(512):
-            assert row["walsh"] < row["natural"], row
+
+class TestOrderingNulls:
+    """The two exact nulls behind compare's gw<gh and gsr<lh verdicts."""
+
+    @pytest.mark.parametrize("walsh, hadamard, block", [
+        ("gw", "gh", None), ("gsr", "lh", 16), ("gsr", "lh", 64), ("gsr", "lh", 128)])
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_walsh_is_hadamard_of_permuted_columns(self, walsh, hadamard, block, seed):
+        # Walsh row k is Hadamard row perm[k], block by block: W R_walsh = (W P) R_hadamard
+        # with (W P)[:, o + perm[k]] = W[:, o + k], and the same column signs on both sides
+        n = DEFAULT_TENSORS[0].shape[1]
+        b = block or n
+        perm = walsh_permutation(b)
+        for w in DEFAULT_TENSORS:
+            wp = np.empty_like(w)
+            for o in range(0, n, b):
+                wp[:, o + perm] = w[:, o:o + b]
+            y = RotationOperator(build_rotation(walsh, n, block, seed)).apply(w)
+            yp = RotationOperator(build_rotation(hadamard, n, block, seed)).apply(wp)
+            np.testing.assert_allclose(yp, y, rtol=0, atol=1e-12 * np.abs(y).max())
+            assert _rtn_mse(yp) == pytest.approx(_rtn_mse(y), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("block", [16, 32, 64, 128])
+    def test_block_within_group_ties(self, block):
+        # with block <= group, a gsr block is the lh block with its outputs
+        # permuted, so each group of W gsr holds the values of that group of
+        # W lh; at block 128 a group is half a block and the kinds differ
+        n = DEFAULT_TENSORS[0].shape[1]
+        g = NULL_SPEC.group_size
+        for w in DEFAULT_TENSORS:
+            y_gsr, y_lh = (RotationOperator(build_rotation(k, n, block)).apply(w)
+                           for k in ("gsr", "lh"))
+            groups_gsr, groups_lh = (np.sort(y.reshape(len(w), -1, g), axis=2)
+                                     for y in (y_gsr, y_lh))
+            tol = 1e-12 * np.abs(y_lh).max()
+            mse_gsr, mse_lh = _rtn_mse(y_gsr), _rtn_mse(y_lh)
+            if block <= g:
+                np.testing.assert_allclose(groups_gsr, groups_lh, rtol=0, atol=tol)
+                assert mse_gsr == pytest.approx(mse_lh, rel=1e-12, abs=0)
+            else:   # the control: no tie, by far more than round-off
+                assert np.abs(groups_gsr - groups_lh).max() > tol
+                assert abs(mse_gsr - mse_lh) > 1e-6 * mse_lh
 
 
 class TestBootstrap:
@@ -514,6 +545,33 @@ class TestR4AblationArguments:
     def test_no_seeds_rejected(self, n_seeds):
         with pytest.raises(InvalidConfigError):
             r4_ablation(ABLATION_CFG, **NO_CLIP, n_seeds=n_seeds)
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: run_comparison(SMALL_CORPUS, ("gh",), SMALL_SPEC, seed=1.5), InvalidConfigError),
+        (lambda: run_comparison(SMALL_CORPUS, ("gh",), SMALL_SPEC, seed=-1), InvalidConfigError),
+        (lambda: run_comparison(SMALL_CORPUS, ("gh",), SMALL_SPEC, seed=True), InvalidConfigError),
+        (lambda: invariance_max_diff(ABLATION_CFG, RotationAssignment(r1="gh", seed=1.5)),
+         InvalidConfigError),
+        (lambda: invariance_max_diff(ABLATION_CFG, RotationAssignment(), input_seed=-1),
+         InvalidConfigError),
+        (lambda: r4_ablation(ABLATION_CFG, **NO_CLIP, n_seeds=1.5), InvalidConfigError),
+        (lambda: r4_ablation(ABLATION_CFG, **NO_CLIP, n_seeds=2.0), InvalidConfigError),
+        (lambda: r4_ablation(ABLATION_CFG, **NO_CLIP, base_seed=0.5), InvalidConfigError),
+        (lambda: r4_ablation(ABLATION_CFG, **NO_CLIP, base_seed=-1), InvalidConfigError),
+        (lambda: RotationAssignment(seed=-1), InvalidConfigError),
+        (lambda: RotationAssignment(seed=2.0), InvalidConfigError),
+        (lambda: QuantSpec(bits=2, clip=Clip("mse", grid=("a",))), InvalidSpecError),
+        (lambda: QuantSpec(bits=2, clip=Clip("mse", grid=(0.5, None))), InvalidSpecError),
+        (lambda: QuantSpec(bits=2, clip=Clip("mse", grid=5)), InvalidSpecError),
+        (lambda: QuantSpec(bits=2, clip=Clip("ratio", ratio="a")), InvalidSpecError),
+        (lambda: QuantSpec(bits=2, clip=Clip("ratio", ratio=True)), InvalidSpecError),
+    ])
+    def test_rejected_with_a_typed_error(self, call, error):
+        # each raised a raw TypeError or was accepted; a seed is a non-negative int
+        with pytest.raises(error):
+            call()
 
 
 class TestNoCallerArrayWritten:

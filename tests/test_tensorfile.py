@@ -24,7 +24,6 @@ from seqrot.quant import Clip, QuantSpec, rtn_quantize
 from seqrot.rotation import resolve_variant
 from seqrot.tensorfile import (
     load_rotation,
-    read_report,
     read_tensor,
     save_quantized,
     save_rotation,
@@ -125,37 +124,23 @@ class TestAtomicWrite:
 
 
 class TestReportFiles:
-    HEADER = b"variant,tensor_id,metric,value\r\n"
-
-    def test_round_trip(self, tmp_path):
+    def test_exact_bytes(self, tmp_path):
+        # rows sorted by (tensor_id, variant, metric); 17 significant digits
+        # re-parse to the same double
         p = tmp_path / "r.csv"
-        _WRITERS["write_report"](p)
-        assert read_report(p) == [{"variant": "gh", "tensor_id": 0, "metric": "mse",
-                                   "value": 0.25},
-                                  {"variant": "gh", "tensor_id": 1, "metric": "mse",
-                                   "value": 0.5}]
-
-    @pytest.mark.parametrize("content", [
-        b"",
-        b"variant,tensor_id,value\r\ngh,0,0.25\r\n",          # a missing column
-        b"variant,tensor_id,metric\r\n",
-        b"name,tensor_id,metric,value\r\ngh,0,mse,0.25\r\n",  # a renamed column
-        HEADER + b"gh,zero,mse,0.25\r\n",                     # tensor_id not an int
-        HEADER + b"gh,0.5,mse,0.25\r\n",
-        HEADER + b"gh,0,mse,low\r\n",                         # value not a float
-        HEADER + b"gh,0,mse\r\n",                             # a row too short
-        HEADER + b"gh,0,mse,0.25,1\r\n",                      # a row too long
-        HEADER + b"g\xffh,0,mse,0.25\r\n",                    # not UTF-8
-    ])
-    def test_not_a_report_is_corrupt(self, tmp_path, content):
-        p = tmp_path / "r.csv"
-        p.write_bytes(content)
-        with pytest.raises(CorruptFileError, match="not a report CSV"):
-            read_report(p)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(IoFailureError):
-            read_report(tmp_path / "missing.csv")
+        write_report(p, SimpleNamespace(
+            variants=("lh", "gh"), metrics=("mse", "max_abs"),
+            per_tensor={"lh": {"mse": [0.1, 2.0], "max_abs": [1.5, 1 / 3]},
+                        "gh": {"mse": [0.25, 0.5], "max_abs": [3.0, 1e-300]}}))
+        assert p.read_bytes() == (b"variant,tensor_id,metric,value\r\n"
+                                  b"gh,0,max_abs,3\r\n"
+                                  b"gh,0,mse,0.25\r\n"
+                                  b"lh,0,max_abs,1.5\r\n"
+                                  b"lh,0,mse,0.10000000000000001\r\n"
+                                  b"gh,1,max_abs,1e-300\r\n"
+                                  b"gh,1,mse,0.5\r\n"
+                                  b"lh,1,max_abs,0.33333333333333331\r\n"
+                                  b"lh,1,mse,2\r\n")
 
 
 class TestCorruption:
