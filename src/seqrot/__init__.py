@@ -18,12 +18,10 @@ from .quant import (
 from .rotation import (
     RotationAssignment,
     ToyBlockConfig,
-    assignment_table,
     build_toy_block,
     forward,
     fuse_rotations,
     invariance_max_diff,
-    front_rotation_locality,
     rotate_weight,
 )
 from .transforms import (
@@ -33,7 +31,6 @@ from .transforms import (
     hadamard_sylvester,
     orthogonality_residual,
     randomize_signs,
-    row_sequency,
     sequency_profile,
     walsh_from_hadamard,
 )

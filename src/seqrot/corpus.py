@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpecError
-from .transforms import _is_int
+from .transforms import _is_int, _is_real
 
 DIST_GAUSSIAN = "gaussian"
 DIST_STUDENT_T = "student_t"
@@ -43,8 +43,10 @@ class CorpusSpec:
                 raise InvalidSpecError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise InvalidSpecError(f"seed must be non-negative, got {self.seed}")
-        if not np.isfinite([self.t_dof, self.outlier_gain, self.smooth_weight]).all():
-            raise InvalidSpecError("t_dof, outlier_gain and smooth_weight must be finite")
+        for name in ("t_dof", "outlier_gain", "smooth_weight"):
+            v = getattr(self, name)
+            if not (_is_real(v) and np.isfinite(v)):
+                raise InvalidSpecError(f"{name} must be finite and real, got {v!r}")
         if self.count < 1:
             raise InvalidSpecError("count must be at least 1")
         if self.rows < 2 or self.cols < 2:

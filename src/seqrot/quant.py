@@ -10,7 +10,6 @@ Rounding is half-away-from-zero everywhere; half-even would change codes.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from .errors import (
     ShapeMismatchError,
     SingularHessianError,
 )
-from .transforms import _is_int
+from .transforms import _is_int, _is_real
 
 # MSE clip search grid: 1.00, 0.99, ..., 0.50
 DEFAULT_MSE_GRID = tuple(round(1.0 - 0.01 * i, 2) for i in range(51))
@@ -35,7 +34,7 @@ CLIP_MSE = "mse"
 
 def _is_ratio(r) -> bool:
     # a real number in (0, 1]: not NaN, a bool or a string
-    return isinstance(r, numbers.Real) and not isinstance(r, bool) and 0.0 < r <= 1.0
+    return _is_real(r) and 0.0 < r <= 1.0
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,10 @@ class QuantSpec:
             raise InvalidSpecError(f"bits must be an int in [2, 8], got {self.bits!r}")
         if not (self.group_size is None or _is_int(self.group_size) and self.group_size >= 1):
             raise InvalidSpecError(f"group size must be a positive int, got {self.group_size!r}")
+        if not isinstance(self.symmetric, bool):
+            raise InvalidSpecError(f"symmetric must be a bool, got {self.symmetric!r}")
+        if not isinstance(self.clip, Clip):
+            raise InvalidSpecError(f"clip must be a Clip, got {self.clip!r}")
         self.clip.validate()
 
     @property
@@ -135,11 +138,6 @@ class CalibrationHessian:
                 a.flags.writeable = False
         self._matrix = matrix
         self.samples = samples
-
-    @property
-    def sample_count(self) -> int | None:
-        """N of the sample form; None for a matrix."""
-        return None if self.samples is None else self.samples.shape[0]
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -785,7 +783,7 @@ def _errors(delta: np.ndarray, metrics, hessian: CalibrationHessian | None = Non
                 err[METRIC_PROXY] = np.trace(delta @ hessian.matrix @ delta.T)
             else:
                 p = delta @ hessian.samples.T
-                err[METRIC_PROXY] = 2.0 * np.vdot(p, p) / hessian.sample_count
+                err[METRIC_PROXY] = 2.0 * np.vdot(p, p) / len(hessian.samples)
         if METRIC_MAX_ABS in metrics:
             # abs: the larger of two zeros may be -0.0
             err[METRIC_MAX_ABS] = abs(max(delta.max(), -delta.min()))

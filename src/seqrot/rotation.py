@@ -35,33 +35,22 @@ from .transforms import (
     is_power_of_two,
 )
 
-WEIGHT_NAMES = ("wq", "wk", "wv", "wo", "wup", "wgate", "wdown")
-
 R1, R2, R3, R4, IDENTITY = "r1", "r2", "r3", "r4", "identity"
+
+# (front, rear) rotation slot of each weight, in the order the block draws them
+ASSIGNMENT = {
+    "wq": (R1, IDENTITY),
+    "wk": (R1, IDENTITY),
+    "wv": (R1, R2),
+    "wo": (R2, R1),
+    "wup": (R1, IDENTITY),
+    "wgate": (R1, IDENTITY),
+    "wdown": (R4, R1),
+}
 
 R4_GLOBAL = "global"
 R4_LOCAL = "local"
 R4_MODES = (R4_GLOBAL, R4_LOCAL)
-
-
-@dataclass(frozen=True)
-class WeightRole:
-    role: str
-    front: str
-    rear: str
-
-
-def assignment_table() -> tuple[WeightRole, ...]:
-    """Front/rear rotation slot per weight type."""
-    return (
-        WeightRole("wq", R1, IDENTITY),
-        WeightRole("wk", R1, IDENTITY),
-        WeightRole("wv", R1, R2),
-        WeightRole("wo", R2, R1),
-        WeightRole("wup", R1, IDENTITY),
-        WeightRole("wgate", R1, IDENTITY),
-        WeightRole("wdown", R4, R1),
-    )
 
 
 def _operator(r) -> RotationOperator:
@@ -124,7 +113,7 @@ def build_toy_block(cfg: ToyBlockConfig) -> ToyBlock:
     rng = np.random.default_rng(cfg.seed)
     c, h = cfg.hidden, cfg.ffn
     weights = {}
-    for name in WEIGHT_NAMES:
+    for name in ASSIGNMENT:
         shape = {"wq": (c, c), "wk": (c, c), "wv": (c, c), "wo": (c, c),
                  "wup": (c, h), "wgate": (c, h), "wdown": (h, c)}[name]
         weights[name] = rng.standard_normal(shape) / np.sqrt(shape[0])
@@ -143,6 +132,8 @@ class RotationAssignment:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(isinstance(r, str) for r in (self.r1, self.r2, self.r3, self.r4)):
+            raise InvalidConfigError(f"r1-r4 name a kind, identity or a file path, got {self!r}")
         if self.r4_mode not in R4_MODES:
             raise InvalidConfigError(
                 f"r4_mode must be one of {R4_MODES}, got {self.r4_mode!r}")
@@ -187,7 +178,7 @@ def resolve_assignment(assign: RotationAssignment, cfg: ToyBlockConfig) -> dict:
 
 
 def fuse_rotations(block: ToyBlock, assign: RotationAssignment) -> ToyBlock:
-    """Rotate every weight per the assignment table; returns a new block.
+    """Rotate every weight per ``ASSIGNMENT``; returns a new block.
 
     r3 and r4 stay online (r4 additionally folds its transpose into the down
     projection rows). The fused block consumes and produces hidden states in
@@ -199,8 +190,8 @@ def fuse_rotations(block: ToyBlock, assign: RotationAssignment) -> ToyBlock:
            for s, r in resolve_assignment(assign, cfg).items()}
     ops[IDENTITY] = None
 
-    weights = {role.role: rotate_weight(block.weights[role.role], ops[role.front],
-                                        ops[role.rear]) for role in assignment_table()}
+    weights = {name: rotate_weight(block.weights[name], ops[front], ops[rear])
+               for name, (front, rear) in ASSIGNMENT.items()}
 
     return ToyBlock(
         cfg=cfg,
@@ -278,31 +269,6 @@ def forward(block: ToyBlock, x: np.ndarray, act_spec=None,
     if act_spec is not None:
         a = _round_trip(a, act_spec).astype(dtype)   # a is this call's own array
     return x + a @ wts["wdown"]
-
-
-def front_rotation_locality(w: np.ndarray, front, rear, group_index: int,
-                          group_size: int, seed: int = 0,
-                          tolerance: float = 1e-12) -> bool:
-    """Perturbation test: rows of one rotated-weight group depend only on the
-    matching column group of the front rotation.
-
-    Replaces the front rotation's columns outside the chosen group with random
-    values and checks the group's rows of W' are unchanged.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape[0] % group_size != 0:
-        raise DimensionMismatchError(
-            f"group size {group_size} does not divide weight rows {w.shape[0]}")
-    lo = group_index * group_size
-    hi = lo + group_size
-    base = rotate_weight(w, front, rear)
-    f = RotationOperator(front).apply(np.eye(w.shape[0]))   # the dense front rotation
-    rng = np.random.default_rng(seed)
-    outside = np.ones(f.shape[1], dtype=bool)
-    outside[lo:hi] = False
-    f[:, outside] = rng.standard_normal((f.shape[0], int(outside.sum())))
-    perturbed = rotate_weight(w, f, rear)
-    return bool(np.max(np.abs(perturbed[lo:hi] - base[lo:hi])) <= tolerance)
 
 
 def invariance_max_diff(cfg: ToyBlockConfig, assign: RotationAssignment,

@@ -14,6 +14,7 @@ as R = diag(B, ..., B) D, one b x b block repeated, then the column signs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -21,14 +22,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    EmptyRowError,
     GroupDoesNotDivideError,
     InvalidConfigError,
     NonPowerOfTwoError,
-    NonSignEntryError,
     NotHadamardError,
     OrderTooLargeError,
-    ShapeMismatchError,
 )
 
 MAX_ORDER = 1 << 16
@@ -49,6 +47,10 @@ def is_power_of_two(n: int) -> bool:
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _require_power_of_two(n: int, what: str = "order") -> None:
@@ -225,7 +227,7 @@ class RotationOperator:
                 # Walsh row k is natural row perm[k]; natural row i is Walsh row perm_inv[i]
                 if r.kind in (KIND_GW, KIND_GSR):
                     self.perm = walsh_permutation(b)
-                    self.perm_inv = natural_sequency_formula(b)
+                    self.perm_inv = np.argsort(self.perm)
             else:   # the first block of the unsigned rotation
                 rows = next(replace(r, seed=None)._row_tiles(b))
                 self.block = np.multiply(rows, r.scale, dtype=np.float64)
@@ -285,18 +287,6 @@ def hadamard_sylvester(n: int) -> OrthoMatrix:
     return OrthoMatrix(KIND_GH, n)
 
 
-def row_sequency(row) -> int:
-    """Number of adjacent sign changes in a row of +-1 entries."""
-    r = np.asarray(row)
-    if r.ndim != 1:
-        raise ShapeMismatchError(f"a row is 1-D, got shape {r.shape}")
-    if r.size == 0:
-        raise EmptyRowError("sequency of an empty row is undefined")
-    if not np.all(np.abs(r) == 1):
-        raise NonSignEntryError("row entries must be +1 or -1")
-    return int(np.count_nonzero(r[1:] != r[:-1]))
-
-
 def _row_sequencies(signs: np.ndarray) -> np.ndarray:
     """Adjacent sign changes per row of +-1 entries."""
     return np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1).astype(np.int64)
@@ -308,14 +298,6 @@ def _bit_reverse(i: np.ndarray, bits: int) -> np.ndarray:
         out = (out << 1) | (i & 1)
         i = i >> 1
     return out
-
-
-def natural_sequency_formula(n: int) -> np.ndarray:
-    """Closed-form sequency of each natural-order row of an unsigned Hadamard
-    matrix: the inverse of ``walsh_permutation``, since Walsh row k has
-    sequency k. Column signs change the sequencies.
-    """
-    return np.argsort(walsh_permutation(n))
 
 
 def walsh_permutation(n: int) -> np.ndarray:
@@ -395,7 +377,6 @@ def _mix_seed(seed: int, stream: int) -> int:
 @dataclass(frozen=True)
 class SequencyProfile:
     per_row_sequency: np.ndarray
-    group_size: int
     per_group_mean: np.ndarray
     per_group_variance: np.ndarray
 
@@ -414,7 +395,7 @@ def sequency_profile(m: OrthoMatrix, g: int) -> SequencyProfile:
     tile = max(1, _TILE_ENTRIES // (m.group or m.n))
     seq = np.concatenate([_row_sequencies(rows) for rows in m._row_tiles(tile)])
     grouped = seq.reshape(-1, g).astype(np.float64)
-    return SequencyProfile(per_row_sequency=seq, group_size=g,
+    return SequencyProfile(per_row_sequency=seq,
                            per_group_mean=grouped.mean(axis=1),
                            per_group_variance=grouped.var(axis=1))
 

@@ -3,7 +3,8 @@ Hessian formula, the group quantizers and the R4 ablation, kept as oracles:
 the library versions must match them bit for bit. Also the n x n sign
 constructions, the dense rotation fusion and the fast Walsh-Hadamard
 transform, as independent references. And ``traced_peak``, the memory
-probe of the memory-contract tests."""
+probe of the memory-contract tests, and ``front_rotation_locality``, the
+perturbation test of a fused weight's row groups."""
 
 import tracemalloc
 from dataclasses import replace
@@ -11,19 +12,20 @@ from dataclasses import replace
 import numpy as np
 
 from seqrot import quant
-from seqrot.errors import InvalidSpecError
+from seqrot.errors import DimensionMismatchError, InvalidSpecError
 from seqrot.rotation import (
+    ASSIGNMENT,
     IDENTITY,
     R2,
     R4_MODES,
     RotationAssignment,
-    assignment_table,
     build_toy_block,
     forward,
     fuse_rotations,
     resolve_assignment,
+    rotate_weight,
 )
-from seqrot.transforms import OrthoMatrix, _mix_seed, _require_power_of_two
+from seqrot.transforms import OrthoMatrix, RotationOperator, _mix_seed, _require_power_of_two
 
 _MASK64 = (1 << 64) - 1
 
@@ -170,15 +172,40 @@ def fused_weights(block, assign) -> dict:
         rots[R2] = np.kron(np.eye(cfg.heads), rots[R2])
     rots[IDENTITY] = None
     out = {}
-    for role in assignment_table():
-        w = block.weights[role.role]
-        front, rear = rots[role.front], rots[role.rear]
+    for name, slots in ASSIGNMENT.items():
+        w = block.weights[name]
+        front, rear = (rots[s] for s in slots)
         if front is not None:
             w = front.T @ w
         if rear is not None:
             w = w @ rear
-        out[role.role] = w
+        out[name] = w
     return out
+
+
+def front_rotation_locality(w: np.ndarray, front, rear, group_index: int,
+                          group_size: int, seed: int = 0,
+                          tolerance: float = 1e-12) -> bool:
+    """Perturbation test: rows of one rotated-weight group depend only on the
+    matching column group of the front rotation.
+
+    Replaces the front rotation's columns outside the chosen group with random
+    values and checks the group's rows of W' are unchanged.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape[0] % group_size != 0:
+        raise DimensionMismatchError(
+            f"group size {group_size} does not divide weight rows {w.shape[0]}")
+    lo = group_index * group_size
+    hi = lo + group_size
+    base = rotate_weight(w, front, rear)
+    f = RotationOperator(front).apply(np.eye(w.shape[0]))   # the dense front rotation
+    rng = np.random.default_rng(seed)
+    outside = np.ones(f.shape[1], dtype=bool)
+    outside[lo:hi] = False
+    f[:, outside] = rng.standard_normal((f.shape[0], int(outside.sum())))
+    perturbed = rotate_weight(w, f, rear)
+    return bool(np.max(np.abs(perturbed[lo:hi] - base[lo:hi])) <= tolerance)
 
 
 ORDERING_NATURAL = "natural"

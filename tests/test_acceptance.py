@@ -11,6 +11,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from oracles import front_rotation_locality
 
 from seqrot.cli import main as cli_main
 from seqrot.corpus import CorpusSpec, gen_corpus
@@ -34,7 +35,6 @@ from seqrot.rotation import (
     RotationAssignment,
     ToyBlockConfig,
     invariance_max_diff,
-    front_rotation_locality,
     rotate_weight,
 )
 from seqrot.tensorfile import read_tensor, write_tensor
@@ -43,7 +43,6 @@ from seqrot.transforms import (
     gsr,
     hadamard_sylvester,
     randomize_signs,
-    row_sequency,
     sequency_profile,
     walsh_from_hadamard,
     walsh_permutation,
@@ -60,23 +59,38 @@ def report_only(num, name, detail):
     print(f"[REPORTED] criterion {num:2d} {name}: {detail}")
 
 
-def exact_residual(m) -> float:
-    """max |R R^T - I| via the integer-valued sign product.
+def dense_residual(signs: np.ndarray, scale: float) -> float:
+    """max |R R^T - I| of R = scale * signs, by the n x n sign product: the
+    reference of ``exact_residual``."""
+    s = signs.astype(np.float32)
+    p = (s @ s.T).astype(np.float64) * (scale * scale)
+    return float(np.max(np.abs(p - np.eye(len(s)))))
 
-    Products of +-1/0 sign matrices are integers well below 2^24, so a
-    float32 matmul is exact; the final scaling happens in float64. This is an
-    independent route from transforms.orthogonality_residual.
+
+def exact_residual(signs: np.ndarray, b: int, scale: float) -> float:
+    """max |R R^T - I| of R = scale * signs, block-diagonal of block order b.
+
+    Every entry off the diagonal blocks must be exactly 0 (inf otherwise);
+    then R R^T is block-diagonal with blocks B B^T, so the Gram matrices of
+    the blocks give the residual of the dense product bit for bit, with n/b
+    times fewer flops. Products of +-1 sign blocks are integers well below
+    2^24, so a float32 matmul is exact; the scaling happens in float64. This
+    is an independent route from transforms.orthogonality_residual.
     """
-    s = m.signs.astype(np.float32)
-    p = (s @ s.T).astype(np.float64) * (m.scale * m.scale)
-    return float(np.max(np.abs(p - np.eye(m.n))))
+    k = len(signs) // b
+    blocks = signs.reshape(k, b, k, b)[np.arange(k), :, np.arange(k), :]
+    if np.count_nonzero(signs) != np.count_nonzero(blocks):
+        return np.inf
+    d = blocks.astype(np.float32)
+    p = (d @ d.transpose(0, 2, 1)).astype(np.float64) * (scale * scale)
+    return float(np.max(np.abs(p - np.eye(b))))
 
 
 def test_criterion_01_sequency_fidelity():
     hadamard_sylvester(8)  # warm numpy dispatch before timing
     t0 = time.perf_counter()
     h = hadamard_sylvester(8)
-    counts = [row_sequency(r) for r in h.signs]
+    counts = sequency_profile(h, 8).per_row_sequency.tolist()
     elapsed = time.perf_counter() - t0
     ok = counts == [0, 7, 3, 4, 1, 6, 2, 5] and elapsed < 1e-3
     assert record(1, "sequency fidelity", ok,
@@ -112,12 +126,33 @@ def test_criterion_03_orthogonality():
             bases.append(gsr(n, n // 4))
         for base in bases:
             for seed in range(20):
-                worst = max(worst, exact_residual(randomize_signs(base, seed)))
+                m = randomize_signs(base, seed)
+                worst = max(worst, exact_residual(m.signs, m.group or n, m.scale))
         n *= 2
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10
     assert record(3, "orthogonality (4 kinds x 20 seeds, n<=4096)", ok,
                   f"worst residual {worst:.3e}, {elapsed:.0f} s")
+
+
+@pytest.mark.parametrize("kind,n,g", [("gh", 8, None), ("gh", 64, None), ("gw", 32, None),
+                                      ("lh", 16, 2), ("lh", 64, 8), ("gsr", 128, 32),
+                                      ("gsr", 64, 64)])
+def test_exact_residual_matches_the_dense_route(kind, n, g):
+    # criterion 3's route by blocks: equal to the dense route, and a planted
+    # off-block +-1 or a flipped sign fails it
+    b = g or n
+    for seed in (None, 0, 1, 7):
+        m = build_rotation(kind, n, g, seed)
+        assert exact_residual(m.signs, b, m.scale) == dense_residual(m.signs, m.scale) < 1e-10
+        flipped = m.signs.copy()
+        flipped[n - 1, n - 1] *= -1
+        assert exact_residual(flipped, b, m.scale) > 1e-10
+        if b < n:
+            planted = m.signs.copy()
+            planted[0, n - 1] = 1   # row 0 of the first block, a column of the last
+            assert exact_residual(planted, b, m.scale) == np.inf
+            assert dense_residual(planted, m.scale) > 1e-10
 
 
 def test_criterion_04_block_structure():

@@ -47,7 +47,7 @@ from seqrot.quant import (
     round_half_away,
     rtn_quantize,
 )
-from seqrot.rotation import ToyBlockConfig
+from seqrot.rotation import RotationAssignment, ToyBlockConfig
 
 
 def rt(w, spec):
@@ -105,6 +105,30 @@ class TestSpecValidation:
         # each raised a raw TypeError or ValueError later, or was accepted
         with pytest.raises(error):
             make()
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda: QuantSpec(bits=2, symmetric="no"), InvalidSpecError),
+        (lambda: QuantSpec(bits=2, symmetric=1), InvalidSpecError),
+        (lambda: QuantSpec(bits=2, clip="mse"), InvalidSpecError),
+        (lambda: QuantSpec(bits=2, clip=None), InvalidSpecError),
+        (lambda: CorpusSpec(t_dof="a"), InvalidSpecError),
+        (lambda: CorpusSpec(t_dof=None), InvalidSpecError),
+        (lambda: CorpusSpec(outlier_gain=[20.0]), InvalidSpecError),
+        (lambda: CorpusSpec(smooth_weight=True), InvalidSpecError),
+        (lambda: RotationAssignment(r1=5), InvalidConfigError),
+        (lambda: RotationAssignment(r4=None), InvalidConfigError),
+    ])
+    def test_real_bool_and_object_fields_rejected_when_mistyped(self, make, error):
+        # each raised a raw AttributeError or TypeError, or was accepted
+        with pytest.raises(error):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: QuantSpec(bits=2, symmetric=True, clip=Clip.fixed(np.float64(0.5))),
+        lambda: CorpusSpec(t_dof=5, outlier_gain=np.float32(2.0), smooth_weight=0),
+    ])
+    def test_real_fields_take_any_real_number(self, make):
+        make()
 
     def test_group_must_divide(self):
         with pytest.raises(GroupDoesNotDivideError):
@@ -841,7 +865,7 @@ class TestHessian:
         expected = np.zeros((4, 4))
         expected[2, 2] = 2.0
         assert np.array_equal(h.matrix, expected)
-        assert h.sample_count is None   # the matrix form keeps no samples
+        assert h.samples is None   # the matrix form keeps no samples
 
     def test_identity_samples(self):
         h = hessian_from_calibration(np.eye(4))
@@ -894,7 +918,7 @@ class TestHessian:
     def test_one_sample_vector(self):
         x = np.array([1.0, -2.0, 3.0])
         h = hessian_from_calibration(x)
-        assert h.shape == (3, 3) and h.sample_count is None
+        assert h.shape == (3, 3) and h.samples is None
         assert np.array_equal(h.matrix, 2.0 * np.outer(x, x))
 
 
@@ -921,7 +945,7 @@ class TestSampleForm:
         x = np.random.default_rng(d).standard_normal((samples, d))
         h = hessian_from_calibration(x)
         assert (h.samples is not None) == kept
-        assert h.shape == (d, d) and h.sample_count == (samples if kept else None)
+        assert h.shape == (d, d)
         if kept:
             assert np.array_equal(h.samples, x) and not h.samples.flags.writeable
         m = h.matrix
@@ -1378,7 +1402,7 @@ def written_out_metrics(delta, h):
         proxy = np.trace(delta @ h.matrix @ delta.T)
     else:
         p = delta @ h.samples.T
-        proxy = 2.0 * np.vdot(p, p) / h.sample_count
+        proxy = 2.0 * np.vdot(p, p) / len(h.samples)
     return {METRIC_MSE: np.mean(delta ** 2), METRIC_MAX_ABS: np.max(np.abs(delta)),
             METRIC_PROXY: proxy}
 

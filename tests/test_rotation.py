@@ -8,14 +8,13 @@ import seqrot.rotation as rotation
 from seqrot.errors import DimensionMismatchError, InvalidConfigError, NotOrthogonalError
 from seqrot.quant import QuantSpec, dequantize, rtn_quantize
 from seqrot.rotation import (
+    ASSIGNMENT,
     RotationAssignment,
     ToyBlockConfig,
-    assignment_table,
     build_toy_block,
     forward,
     fuse_rotations,
     invariance_max_diff,
-    front_rotation_locality,
     resolve_variant,
     rotate_weight,
 )
@@ -38,8 +37,7 @@ def _weights_quantized(block, spec):
 
 class TestAssignmentTable:
     def test_exact_rows(self):
-        rows = {r.role: (r.front, r.rear) for r in assignment_table()}
-        assert rows == {
+        assert list(ASSIGNMENT.items()) == list({
             "wq": ("r1", "identity"),
             "wk": ("r1", "identity"),
             "wv": ("r1", "r2"),
@@ -47,7 +45,7 @@ class TestAssignmentTable:
             "wup": ("r1", "identity"),
             "wgate": ("r1", "identity"),
             "wdown": ("r4", "r1"),
-        }
+        }.items())
 
 
 class TestRotateWeight:
@@ -378,7 +376,7 @@ class TestFrontRotationLocality:
             front = randomize_signs(hadamard_sylvester(c), t) if t % 2 else gsr(c, g)
             rear = hadamard_sylvester(c) if t % 3 else None
             n = int(rng.integers(0, c // g))
-            ok += front_rotation_locality(w, front, rear, n, g, seed=t)
+            ok += oracles.front_rotation_locality(w, front, rear, n, g, seed=t)
         assert ok == 100
 
     def test_inside_perturbation_changes_group(self):
